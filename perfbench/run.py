@@ -8,7 +8,7 @@ builds the library from ../src with the repository's own flags into
 $CARGO_TARGET_DIR/perfbench (default .bench_build/perfbench); after the first
 run the build is a no-op. Build output goes to stderr, so the last line of
 stdout is the benchmark's JSON result. The traced run (--trace 1) writes its
-spans to .bench_build/spans/<workload>-seed<n>.json.
+spans to spans/<workload>-seed<n>.json in the build directory.
 
 Exit codes: 0 ok; 1 an output check failed (the JSON says correct: false);
 2 bad arguments; 3 estimator self-check failed; 4 runtime error; 5 the build
@@ -63,7 +63,7 @@ def main():
            "--seed", str(args.seed), "--seconds", repr(args.seconds),
            "--trace", str(args.trace)]
     if args.trace:
-        spans_dir = os.path.join(ROOT, ".bench_build", "spans")
+        spans_dir = os.path.join(out_dir, "spans")
         os.makedirs(spans_dir, exist_ok=True)
         cmd += ["--spans", os.path.join(spans_dir, f"{args.workload}-seed{args.seed}.json")]
     sys.stdout.flush()

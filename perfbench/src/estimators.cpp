@@ -50,74 +50,15 @@ std::vector<double> span_rates(const std::vector<BatchMark>& batches, double t0,
   return rates;
 }
 
-std::vector<double> window_rates(const std::vector<BatchMark>& batches, double t0, double t1,
-                                 double window) {
-  std::vector<double> rates;
-  auto it = std::lower_bound(batches.begin(), batches.end(), t0,
-                             [](const BatchMark& b, double t) { return b.t < t; });
-  for (int k = 0; window > 0.0 && t0 + (k + 1) * window <= t1 + 1e-9; ++k) {
-    const double end = t0 + (k + 1) * window;
-    const auto first = it;
-    std::int64_t frames = 0;
-    auto last = first;
-    for (; it != batches.end() && it->t < end; ++it) {
-      if (it != first) {
-        frames += last->frames;
-      }
-      last = it;
-    }
-    if (last != first && last->t > first->t) {
-      rates.push_back(static_cast<double>(frames) / (last->t - first->t));
-    }
-  }
-  return rates;
-}
-
-double mean_from_due_ms(double e2e_sum_s, double offset_sum_s, std::uint64_t count) {
-  if (count == 0) {
-    return 0.0;
-  }
-  return 1e3 * (e2e_sum_s - offset_sum_s) / static_cast<double>(count);
-}
-
-std::vector<double> window_latencies_ms(const std::vector<HistogramRead>& reads,
-                                        const std::vector<double> (&offsets)[2], double t0,
-                                        double t1, int* bad_reads) {
-  // prefix[c][k] = sum of camera c's first k offsets.
-  std::vector<double> prefix[2];
-  for (int c = 0; c < 2; ++c) {
-    prefix[c].assign(offsets[c].size() + 1, 0.0);
-    for (std::size_t k = 0; k < offsets[c].size(); ++k) {
-      prefix[c][k + 1] = prefix[c][k] + offsets[c][k];
-    }
-  }
-  const auto offset_sum = [&prefix](int c, std::uint64_t done, double& sum) {
-    if (prefix[c].size() == 1) {
-      return true;  // no offsets: a closed-loop camera
-    }
-    if (done >= prefix[c].size()) {
-      return false;
-    }
-    sum += prefix[c][done];
-    return true;
-  };
+std::vector<double> window_latencies_ms(const std::vector<HistogramRead>& reads, double t0,
+                                        double t1) {
   std::vector<double> out;
   for (std::size_t j = 0; j + 1 < reads.size(); ++j) {
     const HistogramRead& a = reads[j];
     const HistogramRead& b = reads[j + 1];
-    if (a.t < t0 || b.t > t1 || b.count <= a.count) {
-      continue;
+    if (a.t >= t0 && b.t <= t1 && b.count > a.count) {
+      out.push_back(1e3 * (b.sum - a.sum) / static_cast<double>(b.count - a.count));
     }
-    double before = 0.0, after = 0.0;
-    if (a.camera0 > a.count || b.camera0 > b.count || b.camera0 < a.camera0 ||
-        !offset_sum(0, a.camera0, before) || !offset_sum(1, a.count - a.camera0, before) ||
-        !offset_sum(0, b.camera0, after) || !offset_sum(1, b.count - b.camera0, after)) {
-      if (bad_reads != nullptr) {
-        ++*bad_reads;
-      }
-      continue;
-    }
-    out.push_back(mean_from_due_ms(b.sum - a.sum, after - before, b.count - a.count));
   }
   return out;
 }
@@ -156,11 +97,10 @@ std::vector<std::string> selfcheck() {
   expect(near(nearest_rank({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 0.9), 9.0), "nearest rank p90");
   expect(near(nearest_rank({3, 1, 2}, 0.999), 3.0), "nearest rank p99.9 of 3 values");
 
-  // Rate samples: batches of 8 every 2 ms are 4000 frames/s per interval
-  // and per window. Gaps alternating 2 and 6 ms give interval samples of
-  // 4000 and 1333 (their high quantile is the fast rate) and window rates
-  // within a gap of 2000 (a window holds an odd or even number of gaps);
-  // nothing outside [t0, t1] is sampled.
+  // Rate samples: batches of 8 every 2 ms are 4000 frames/s per batch and
+  // per span. Gaps alternating 2 and 6 ms give per-batch samples of 4000 and
+  // 1333 and span samples of exactly 2000 (an even span holds both gaps
+  // equally); nothing outside [t0, t1] is sampled.
   std::vector<BatchMark> steady, uneven;
   double t = 0.0;
   for (int i = 0; i < 1000; ++i) {
@@ -170,65 +110,44 @@ std::vector<std::string> selfcheck() {
   }
   const std::vector<double> per_batch = span_rates(steady, 0.1, 0.3, 1);
   const std::vector<double> per_span = span_rates(steady, 0.1, 0.3, 16);
-  const std::vector<double> per_window = window_rates(steady, 0.1, 0.3, 0.05);
   expect(per_batch.size() == 100 && near(quantile(per_batch, 0.1), 4000.0) &&
              near(quantile(per_batch, 0.9), 4000.0),
          "per-batch rates of a steady stream");
   expect(per_span.size() == 6 && near(quantile(per_span, 0.0), 4000.0) &&
              near(quantile(per_span, 1.0), 4000.0),
          "16-batch span rates of a steady stream");
-  expect(per_window.size() == 4 && near(quantile(per_window, 0.0), 4000.0) &&
-             near(quantile(per_window, 1.0), 4000.0),
-         "window rates of a steady stream");
-  expect(near(quantile(span_rates(uneven, 0.0, 1.0, 1), 0.9), 4000.0),
-         "per-batch rates: high quantile of a two-speed stream");
-  expect(near(quantile(span_rates(uneven, 0.0, 1.0, 16), 0.5), 2000.0),
-         "span rates of a two-speed stream (an even span holds both speeds equally)");
-  const double uneven_window = quantile(window_rates(uneven, 0.0, 1.0, 0.2), 0.5);
-  expect(uneven_window > 1950.0 && uneven_window < 2050.0, "window rates of a two-speed stream");
-  expect(span_rates(steady, 0.3, 0.1, 1).empty() && window_rates(steady, 5.0, 6.0, 0.1).empty(),
+  expect(near(quantile(span_rates(uneven, 0.0, 1.0, 1), 0.9), 4000.0) &&
+             near(quantile(span_rates(uneven, 0.0, 1.0, 1), 0.1), 4000.0 / 3.0),
+         "per-batch rates of a two-speed stream");
+  const std::vector<double> uneven_span = span_rates(uneven, 0.0, 1.0, 16);
+  expect(!uneven_span.empty() && near(quantile(uneven_span, 0.0), 2000.0) &&
+             near(quantile(uneven_span, 1.0), 2000.0),
+         "span rates of a two-speed stream");
+  expect(span_rates(steady, 0.3, 0.1, 1).empty() && span_rates(steady, 5.0, 6.0, 16).empty(),
          "rate samples outside the stream");
 
-  // Due-offset correction: a frame due at 10 ms whose producer asked for it
-  // at 9 ms (then slept) and whose result came at 12 ms has e2e 3 ms and
-  // latency 2 ms; a late frame (asked at 11 ms, due 10 ms, result 12 ms) has
-  // e2e 1 ms, offset -1 ms, latency 2 ms.
-  expect(near(mean_from_due_ms(0.003 + 0.001, 0.001 - 0.001, 2), 2.0),
-         "due-offset correction");
-  expect(near(mean_from_due_ms(1.0, 0.5, 0), 0.0), "due-offset correction with no frames");
-
-  // Windowed correction. Camera 0 frames are due every 1 ms and asked for
-  // 0.9 ms early; camera 1 frames every 4 ms, asked for 3.5 ms early; every
-  // frame's result comes 2 ms after its due time, so every window must read
-  // exactly 2 ms whichever frames of each camera it holds.
+  // Latency windows: each window's mean is its frames' exact sum over their
+  // count, whatever the window's length; reads outside [t0, t1] and empty
+  // windows give no sample.
   {
-    std::vector<double> offsets[2] = {std::vector<double>(100, 0.0009),
-                                      std::vector<double>(30, 0.0035)};
     std::vector<HistogramRead> reads;
     double sum = 0.0;
-    std::uint64_t done0 = 0, done1 = 0;
+    std::uint64_t count = 0;
     for (int step = 0; step < 10; ++step) {
-      reads.push_back({0.01 * step, sum, done0 + done1, done0});
-      const std::uint64_t add0 = 7 + step % 3, add1 = step % 2;
-      sum += static_cast<double>(add0) * (0.002 + 0.0009) + static_cast<double>(add1) * (0.002 + 0.0035);
-      done0 += add0;
-      done1 += add1;
+      reads.push_back({0.01 * step, sum, count});
+      const std::uint64_t add = step == 4 ? 0 : 5 + static_cast<std::uint64_t>(step % 3);
+      sum += static_cast<double>(add) * (0.001 + 0.0005 * step);
+      count += add;
     }
-    int bad = 0;
-    const std::vector<double> lat = window_latencies_ms(reads, offsets, 0.0, 1.0, &bad);
-    bool all_two = lat.size() == 9 && bad == 0;
-    for (const double v : lat) {
-      all_two = all_two && near(v, 2.0);
+    const std::vector<double> lat = window_latencies_ms(reads, 0.0, 1.0);
+    bool exact = lat.size() == 8;
+    for (std::size_t k = 0; exact && k < lat.size(); ++k) {
+      const int step = static_cast<int>(k < 4 ? k : k + 1);
+      exact = near(lat[k], 1.0 + 0.5 * step);
     }
-    expect(all_two, "windowed due-offset correction");
-    const std::vector<double> closed[2] = {{}, {}};
-    expect(near(window_latencies_ms(reads, closed, 0.0, 1.0, nullptr).front(),
-                1e3 * (reads[1].sum - reads[0].sum) / static_cast<double>(reads[1].count)),
-           "windowed latency of a closed loop");
-    std::vector<double> short_offsets[2] = {std::vector<double>(5, 0.0009), offsets[1]};
-    bad = 0;
-    window_latencies_ms(reads, short_offsets, 0.0, 1.0, &bad);
-    expect(bad > 0, "reads beyond the logged frames are not reported");
+    expect(exact, "window latencies are not each window's exact mean");
+    expect(window_latencies_ms(reads, 0.015, 0.055).size() == 2,
+           "latency windows outside [t0, t1] are sampled");
   }
 
   // Conservation: one frame off in any bucket breaks the balance.

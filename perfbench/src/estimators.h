@@ -36,40 +36,18 @@ struct BatchMark {
 std::vector<double> span_rates(const std::vector<BatchMark>& batches, double t0, double t1,
                                std::size_t span);
 
-// Served-frame rate samples of one shard, one per window [t, t + window)
-// inside [t0, t1]: the frames of every batch that started in the window
-// except the last, over the time from the first of those starts to the
-// last. Exact for a steady stream.
-std::vector<double> window_rates(const std::vector<BatchMark>& batches, double t0, double t1,
-                                 double window);
-
-// The e2e histogram's exact sum and count, and how many of camera 0's
-// frames had completed, read at time `t` (seconds on the bench clock).
+// The e2e histogram's exact sum and count, read at time `t` (seconds on the
+// bench clock).
 struct HistogramRead {
   double t = 0.0;
   double sum = 0.0;
   std::uint64_t count = 0;
-  std::uint64_t camera0 = 0;
 };
 
-// Mean latency from the due time (ms) of the frames completed between each
-// pair of consecutive reads inside [t0, t1]. `offsets[c][k]` is camera c's
-// (due - entry) for its frame k; each camera's frames complete in sequence
-// order, so a window's frames are the sequences between its two reads'
-// per-camera counts (camera 1's count being count - camera0). An empty
-// offsets vector means that camera's frames carry no offset (a closed loop).
-// A read whose counts do not fit the offsets is reported in `bad_reads`.
-std::vector<double> window_latencies_ms(const std::vector<HistogramRead>& reads,
-                                        const std::vector<double> (&offsets)[2], double t0,
-                                        double t1, int* bad_reads);
-
-// Mean latency from each frame's due time, in milliseconds. The runtime
-// times a frame from the moment its producer asked the camera for it, which
-// for a paced camera includes the pacing sleep; `offset_sum_s` is the sum of
-// (due - entry) over the same frames, so subtracting it moves every frame's
-// start to its due time. `e2e_sum_s` and `count` are the exact sum and count
-// of snappix_e2e_seconds.
-double mean_from_due_ms(double e2e_sum_s, double offset_sum_s, std::uint64_t count);
+// Mean latency (ms) of the frames completed between each pair of
+// consecutive reads inside [t0, t1]: their exact sum over their count.
+std::vector<double> window_latencies_ms(const std::vector<HistogramRead>& reads, double t0,
+                                        double t1);
 
 // One camera's frame ledger for a run. Every offered frame ends in exactly
 // one bucket, so offered == served + shed + wire_dropped + quarantined.

@@ -36,7 +36,6 @@ struct CameraSpec {
   // pre-coded frames in memory.
   bool codec_link = false;
   int codec_planes = 0;       // classify depth on the codec link (0 = full)
-  double rate_fps = 0.0;      // 0 = closed loop (producer blocks on backpressure)
   std::int64_t frames = 0;    // frames per round
 };
 
@@ -45,15 +44,11 @@ struct WorkloadSpec {
   int image = 32;
   int slots = 16;
   CameraSpec cameras[2];
-  // fleet_fps estimator: per shard, the `rate_quantile` of its served rate
-  // over spans of `rate_span_batches` consecutive batches (0: over fixed
-  // time windows), summed over shards. latency_ms estimator: the
-  // `latency_quantile` of the mean latencies of 0.05 s windows. See
-  // README.md for why each workload uses its settings.
-  std::size_t rate_span_batches = 1;
-  double rate_quantile = 0.99;
+  // fleet_fps: per shard, this quantile of its 16-batch span rates, summed
+  // over shards. latency_ms: this quantile of the 0.05 s window means. The
+  // median unless recorded spreads show it too noisy (README.md).
+  double rate_quantile = 0.5;
   double latency_quantile = 0.5;
-  bool paced() const { return cameras[0].rate_fps > 0.0; }
 };
 
 const WorkloadSpec* find_workload(const std::string& name);
@@ -66,6 +61,9 @@ struct CameraInputs {
   std::vector<Tensor> coded;                // (H, W) clean exposure-normalized coded image
   std::vector<std::int64_t> labels;
   std::vector<std::int64_t> reference;      // fp32 full-depth batch-1 classify_coded
+  // fp32 REC cameras only: batch-1 reconstruct_coded of the frame the server
+  // receives (the full-depth codec round trip on a codec link), (T, H, W).
+  std::vector<Tensor> rec_reference;
   std::vector<double> ce_encode_s;          // time to CE-encode each clip
 };
 
@@ -74,28 +72,21 @@ struct Inputs {
   CameraInputs cameras[2];
 };
 
-snappix::core::SnapPixConfig system_config(const WorkloadSpec& spec, std::uint64_t seed);
+snappix::core::SnapPixConfig system_config(const WorkloadSpec& spec);
 // Builds patterns, clips, coded frames and reference predictions from `seed`.
 Inputs make_inputs(const WorkloadSpec& spec, std::uint64_t seed);
-
-// One captured frame, as the bench camera saw it (seconds on the bench clock).
-struct CaptureMark {
-  double entry = 0.0;  // the producer asked for the frame
-  double due = 0.0;    // when the frame was due (== entry on closed loops)
-  double wake = 0.0;   // the camera started producing it (after any pacing sleep)
-};
 
 // Everything one served round leaves behind for the metrics.
 struct RoundLog {
   double start = 0.0;
   double done = 0.0;
   std::vector<BatchMark> batches[2];         // per shard, in time order
-  std::vector<CaptureMark> captures[2];      // per camera, by sequence
+  std::vector<double> captures[2];           // per camera, by sequence: capture_frame entry
   std::int64_t offered[2] = {0, 0};
   Tally tally[2];
   double e2e_sum_s = 0.0;                    // snappix_e2e_seconds sum after run()
-  // snappix_e2e_seconds and camera 0's completed frames, as shard 0 read
-  // them at the start of a batch every kLatencyWindowS.
+  // snappix_e2e_seconds as shard 0 read it at the start of a batch every
+  // kLatencyWindowS.
   std::vector<HistogramRead> e2e_reads;
   snappix::runtime::RuntimeSummary summary;
   std::uint64_t results_bytes = 0;           // what run() held when it returned
@@ -111,7 +102,6 @@ struct RoundLog {
     double e2e = 0.0;          // capture start -> inference end
     double stages = 0.0;       // capture + queue wait + batch assembly + infer
     double assembly = 0.0;     // dequeue -> inference start
-    double offset = 0.0;       // due - entry
   };
   std::vector<FrameTimes> frame_times;
   double shard_busy_s[2] = {0.0, 0.0};       // summed serve_batch spans per shard
@@ -127,6 +117,6 @@ RoundLog run_round(const WorkloadSpec& spec, const Inputs& inputs, bool traced,
 
 // One cold start: build the system, the server, the cameras and links, and
 // serve one frame per camera. Returns its wall time in seconds.
-double cold_start(const WorkloadSpec& spec, std::uint64_t seed, const Inputs& inputs);
+double cold_start(const WorkloadSpec& spec, const Inputs& inputs);
 
 }  // namespace perfbench

@@ -1,6 +1,6 @@
 // perfbench: the fleet benchmark for the SNAPPIX serving stack.
 //
-//   perfbench --workload <ar_fp32|codec_edge|paced_mixed> --seed <n>
+//   perfbench --workload <ar_fp32|codec_edge> --seed <n>
 //             --seconds <s> --trace <0|1> [--spans <path>]
 //   perfbench --probe
 //
@@ -34,11 +34,15 @@ namespace {
 
 using namespace perfbench;
 
-constexpr int kColdStarts = 9;
-// The warm-up skipped at the start of every round, and the open loop's
-// rate window.
+// Cold starts: two before every round, topped up to this many at the end.
+constexpr std::size_t kColdStarts = 24;
+// The warm-up skipped at the start of every round.
 constexpr double kWarmupS = 0.15;
-constexpr double kWindowS = 0.25;
+// A rate sample spans this many consecutive batches of one shard: 128
+// frames, eight times a shard's queue, so a sample cannot be served from
+// backlog alone, and any stall that recurs within 16 batches lands in every
+// sample.
+constexpr std::size_t kRateSpanBatches = 16;
 // How far the traced rounds' latency_ms may sit from the untraced rounds'
 // for the reconciliation to count as agreeing.
 constexpr double kReconcileTolerance = 0.25;
@@ -102,51 +106,36 @@ SteadySpan steady_span(const RoundLog& log) {
     return {};
   }
   return {std::max(log.batches[0].front().t, log.batches[1].front().t) + kWarmupS,
-          std::min(log.captures[0].back().entry, log.captures[1].back().entry)};
+          std::min(log.captures[0].back(), log.captures[1].back())};
 }
 
 // The timing estimators, fed round by round over each round's steady span.
 struct Timing {
   std::vector<double> rates[2];  // per shard
   std::vector<double> latency_windows;
-  int bad_reads = 0;
 
-  void add(const RoundLog& log, const WorkloadSpec& spec) {
+  void add(const RoundLog& log) {
     const SteadySpan span = steady_span(log);
     for (int s = 0; s < 2; ++s) {
-      const std::vector<double> r =
-          spec.rate_span_batches == 0
-              ? window_rates(log.batches[s], span.t0, span.t1, kWindowS)
-              : span_rates(log.batches[s], span.t0, span.t1, spec.rate_span_batches);
+      const std::vector<double> r = span_rates(log.batches[s], span.t0, span.t1, kRateSpanBatches);
       rates[s].insert(rates[s].end(), r.begin(), r.end());
     }
-    std::vector<double> offsets[2];
-    if (spec.paced()) {
-      for (int c = 0; c < 2; ++c) {
-        for (const CaptureMark& m : log.captures[c]) {
-          offsets[c].push_back(m.due - m.entry);
-        }
-      }
-    }
-    const std::vector<double> lat =
-        window_latencies_ms(log.e2e_reads, offsets, span.t0, span.t1, &bad_reads);
+    const std::vector<double> lat = window_latencies_ms(log.e2e_reads, span.t0, span.t1);
     latency_windows.insert(latency_windows.end(), lat.begin(), lat.end());
   }
 
   bool complete() const {
-    return !rates[0].empty() && !rates[1].empty() && !latency_windows.empty() && bad_reads == 0;
+    return !rates[0].empty() && !rates[1].empty() && !latency_windows.empty();
   }
 
-  // Per shard, the workload's quantile of its rate samples; summed.
-  double fleet_fps(const WorkloadSpec& spec) const {
-    return complete() ? quantile(rates[0], spec.rate_quantile) +
-                            quantile(rates[1], spec.rate_quantile)
-                      : 0.0;
+  // Per shard, the q-quantile of its rate samples; summed.
+  double fleet_fps(double q) const {
+    return complete() ? quantile(rates[0], q) + quantile(rates[1], q) : 0.0;
   }
 
-  // The workload's quantile of the per-window means.
-  double latency_ms(const WorkloadSpec& spec) const {
-    return complete() ? quantile(latency_windows, spec.latency_quantile) : 0.0;
+  // The q-quantile of the per-window mean latencies.
+  double latency_ms(double q) const {
+    return complete() ? quantile(latency_windows, q) : 0.0;
   }
 };
 
@@ -200,9 +189,10 @@ EdgeEnergy edge_energy(const WorkloadSpec& spec, double wire_bytes_per_frame) {
               model.wireless_pj_per_pixel(snappix::energy::WirelessTech::kPassiveWifi)};
 }
 
-// REC quality for a workload that serves no REC frames: the batch-1
-// reference reconstruction of its own inputs, so the metric exists (and is
-// deterministic per seed) on every workload.
+// Every workload reports every end-to-end metric. One that serves no REC
+// frames reports, as rec_psnr_db, the PSNR of the batch-1 reconstructions
+// of the frames it serves: a reference figure of its inputs, not of a served
+// path, and deterministic per seed.
 double reference_psnr(const Inputs& inputs) {
   snappix::NoGradGuard no_grad;
   double sum = 0.0;
@@ -251,28 +241,31 @@ void report_errors(const std::vector<std::string>& errors) {
 
 int run_untraced(const WorkloadSpec& spec, const Options& opts, const Inputs& inputs) {
   std::vector<double> cold;
-  for (int i = 0; i < kColdStarts; ++i) {
-    cold.push_back(cold_start(spec, opts.seed, inputs));
-  }
   Totals totals;
   Timing timing;
   const double t_end = now_s() + opts.seconds;
   int rounds = 0;
   do {
+    // Cold starts between rounds sample the same host phases as the rounds.
+    cold.push_back(cold_start(spec, inputs));
+    cold.push_back(cold_start(spec, inputs));
     const RoundLog log = run_round(spec, inputs, false, nullptr);
-    timing.add(log, spec);
+    timing.add(log);
     totals.add(log);
     ++rounds;
     release_freed_memory();
   } while (now_s() < t_end);
+  while (cold.size() < kColdStarts) {
+    cold.push_back(cold_start(spec, inputs));
+  }
 
   const double wire_per_frame = totals.frames > 0
                                     ? static_cast<double>(totals.wire_bytes) / static_cast<double>(totals.frames)
                                     : 0.0;
   const std::vector<Metric> metrics = {
       {"setup_s", quantile(cold, 0.5), "s"},
-      {"fleet_fps", timing.fleet_fps(spec), "frames/s"},
-      {"latency_ms", timing.latency_ms(spec), "ms"},
+      {"fleet_fps", timing.fleet_fps(spec.rate_quantile), "frames/s"},
+      {"latency_ms", timing.latency_ms(spec.latency_quantile), "ms"},
       {"wire_bytes_per_frame", wire_per_frame, "B"},
       {"edge_uj_per_frame", edge_energy(spec, wire_per_frame).total(), "uJ"},
       {"top1_agreement",
@@ -286,11 +279,25 @@ int run_untraced(const WorkloadSpec& spec, const Options& opts, const Inputs& in
        "ratio"},
       {"peak_rss_mb", peak_rss_mb(), "MB"},
   };
-  std::fprintf(stderr, "%s: %d rounds, %zu + %zu rate samples, %zu latency windows, %lld frames served\n",
-               spec.name.c_str(), rounds, timing.rates[0].size(), timing.rates[1].size(),
+  std::fprintf(stderr, "%s: %d rounds, %zu cold starts, %zu + %zu rate samples, %zu latency windows, %lld frames served\n",
+               spec.name.c_str(), rounds, cold.size(), timing.rates[0].size(), timing.rates[1].size(),
                timing.latency_windows.size(), static_cast<long long>(totals.served));
+  // Other quantiles of the same samples, for steady.py to record beside the
+  // reported estimators.
+  std::string candidates;
+  char buf[64];
+  for (const double q : {0.05, 0.1, 0.25, 0.5, 0.75, 0.9}) {
+    const int pct = static_cast<int>(std::lround(100.0 * q));
+    std::snprintf(buf, sizeof(buf), "\"setup_s_p%d\": %.9g, ", pct, quantile(cold, q));
+    candidates += buf;
+    std::snprintf(buf, sizeof(buf), "\"fleet_fps_p%d\": %.9g, ", pct, timing.fleet_fps(q));
+    candidates += buf;
+    std::snprintf(buf, sizeof(buf), "\"latency_ms_p%d\": %.9g, ", pct, timing.latency_ms(q));
+    candidates += buf;
+  }
+  std::fprintf(stderr, "candidates {%s}\n", candidates.substr(0, candidates.size() - 2).c_str());
   if (!timing.complete()) {
-    totals.errors.push_back("too few steady samples, or an e2e read beyond the logged frames");
+    totals.errors.push_back("too few steady samples");
   }
   report_errors(totals.errors);
   const bool correct = totals.errors.empty();
@@ -309,37 +316,26 @@ int run_traced(const WorkloadSpec& spec, const Options& opts, const Inputs& inpu
   std::uint64_t cache_hits = 0, cache_lookups = 0, planes_decoded = 0, planes_total = 0;
   std::uint64_t framed = 0, framed_ok = 0;
   std::size_t high_water = 0;
-  std::vector<double> late_ms;
   std::vector<int> batch_sizes[2];
   int rounds = 0;
   const double t_end = now_s() + opts.seconds;
   do {
     // Untraced and traced rounds alternate, so both see the same host phases.
     const RoundLog plain = run_round(spec, inputs, false, nullptr);
-    plain_timing.add(plain, spec);
+    plain_timing.add(plain);
     plain_totals.add(plain);
     release_freed_memory();
 
     // Only the first traced round records bench spans: one round is enough
     // to show where a frame's time goes, and it bounds the span log.
     RoundLog log = run_round(spec, inputs, true, rounds == 0 ? &spans : nullptr);
-    traced_timing.add(log, spec);
+    traced_timing.add(log);
     traced_totals.add(log);
     hist_e2e_s += log.e2e_sum_s;
     frames.insert(frames.end(), log.frame_times.begin(), log.frame_times.end());
     const snappix::runtime::RuntimeSummary& s = log.summary;
     busy_ratio_sum += (log.shard_busy_s[0] + log.shard_busy_s[1]) / (2.0 * (log.done - log.start));
-    // The runtime's capture stage includes a paced camera's sleep until the
-    // frame is due; server.capture_us leaves it out.
-    double sleep_s = 0.0;
-    std::size_t captured = 0;
-    for (int c = 0; c < 2; ++c) {
-      for (const CaptureMark& m : log.captures[c]) {
-        sleep_s += m.wake - m.entry;
-        ++captured;
-      }
-    }
-    capture_us += s.capture.mean_ms * 1e3 - 1e6 * sleep_s / static_cast<double>(std::max<std::size_t>(captured, 1));
+    capture_us += s.capture.mean_ms * 1e3;
     infer_us += s.inference.mean_ms * 1e3;
     queue_wait_us += s.queue_wait.mean_ms * 1e3;
     batches += s.batches;
@@ -353,14 +349,9 @@ int run_traced(const WorkloadSpec& spec, const Options& opts, const Inputs& inpu
     planes_total += s.transport.codec_planes_total;
     framed += s.transport.framed_frames;
     framed_ok += s.transport.ok_frames;
-    for (int c = 0; c < 2; ++c) {
-      for (const CaptureMark& m : log.captures[c]) {
-        late_ms.push_back(1e3 * (m.wake - m.due));
-      }
-      if (rounds == 0) {
-        for (const BatchMark& b : log.batches[c]) {
-          batch_sizes[c].push_back(b.frames);
-        }
+    for (int c = 0; rounds == 0 && c < 2; ++c) {
+      for (const BatchMark& b : log.batches[c]) {
+        batch_sizes[c].push_back(b.frames);
       }
     }
     ++rounds;
@@ -402,12 +393,12 @@ int run_traced(const WorkloadSpec& spec, const Options& opts, const Inputs& inpu
     stages += ft.stages;
     e2e += ft.e2e;
     assembly += ft.assembly;
-    per_frame_ms.push_back(1e3 * (ft.e2e - ft.offset));
+    per_frame_ms.push_back(1e3 * ft.e2e);
   }
   const double n_frames = static_cast<double>(std::max<std::size_t>(frames.size(), 1));
   const double unexplained = e2e > 0.0 ? 1.0 - stages / e2e : 1.0;
-  const double untraced_ms = plain_timing.latency_ms(spec);
-  const double traced_ms = traced_timing.latency_ms(spec);
+  const double untraced_ms = plain_timing.latency_ms(spec.latency_quantile);
+  const double traced_ms = traced_timing.latency_ms(spec.latency_quantile);
   const double overhead = untraced_ms > 0.0 ? traced_ms / untraced_ms : 0.0;
   std::vector<std::string> errors = plain_totals.errors;
   errors.insert(errors.end(), traced_totals.errors.begin(), traced_totals.errors.end());
@@ -425,7 +416,7 @@ int run_traced(const WorkloadSpec& spec, const Options& opts, const Inputs& inpu
                std::fabs(overhead - 1.0) <= kReconcileTolerance ? "within" : "OUTSIDE",
                100.0 * kReconcileTolerance);
   if (!plain_timing.complete() || !traced_timing.complete()) {
-    errors.push_back("too few steady samples, or an e2e read beyond the logged frames");
+    errors.push_back("too few steady samples");
   }
 
   const double n_rounds = static_cast<double>(rounds);
@@ -470,7 +461,6 @@ int run_traced(const WorkloadSpec& spec, const Options& opts, const Inputs& inpu
       {"energy.readout_uj", energy.readout_uj, "uJ"},
       {"energy.transmit_uj", energy.transmit_uj, "uJ"},
       {"obs.trace_overhead_ratio", overhead, "ratio"},
-      {"loadgen.late_ms", late_ms.empty() ? 0.0 : nearest_rank(late_ms, 0.99), "ms"},
       {"trace.unexplained_ratio", unexplained, "ratio"},
       {"trace.latency_p50_ms", per_frame_ms.empty() ? 0.0 : nearest_rank(per_frame_ms, 0.5), "ms"},
       {"trace.latency_p999_ms", per_frame_ms.empty() ? 0.0 : nearest_rank(per_frame_ms, 0.999), "ms"},
