@@ -25,6 +25,10 @@
 #          (src/obs/, src/runtime/stats.cpp) — fixed-point rendering of
 #          doubles bloats artifacts and invites locale/precision drift;
 #          use %g forms via obs::json_number
+#        - no libm tanh (std::tanh, tanhf, ::tanh, __builtin_tanh*) in src/
+#          outside the shared GELU kernel (src/tensor/gelu.{h,cpp}) — the
+#          tape and the fp32 engine must run ONE tanh, or their bit-exact
+#          parity would hang on two call sites agreeing on a libm
 #
 # Usage: scripts/check_static.sh [build-dir]   (default: build)
 set -uo pipefail
@@ -101,6 +105,18 @@ for f in src/obs/*.cpp src/obs/*.h src/runtime/stats.cpp; do
   HITS=$(grep -nE '%[-+ #0-9.]*l?[feFEaA]["0-9]' "$f")
   if [ -n "$HITS" ]; then
     fail "%f/%e/%a printf conversion in JSON emitter $f — use %g via json_number:
+$HITS"
+  fi
+done
+
+# --- 6. one tanh: the shared GELU kernel -----------------------------------
+for f in $SRC_FILES; do
+  case "$f" in
+    src/tensor/gelu.h | src/tensor/gelu.cpp) continue ;;
+  esac
+  HITS=$(strip_noise "$f" | grep -nE 'std::tanh|tanhf|(^|[^_[:alnum:]])::tanh[fl]?[[:space:]]*\(|__builtin_tanh')
+  if [ -n "$HITS" ]; then
+    fail "libm tanh in $f — call detail::tanh_ref/tanh_array/gelu_array (tensor/gelu.h):
 $HITS"
   fi
 done

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "obs/trace.h"
+#include "tensor/gelu.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_s8.h"
 #include "util/common.h"
@@ -21,14 +22,6 @@ namespace snappix::runtime {
 namespace {
 
 constexpr float kLayerNormEps = 1e-5F;  // nn::LayerNorm's default
-
-// Replicates the tape ops' elementwise formulas exactly (see engine.h).
-inline float gelu_scalar(float x) {
-  constexpr float kPi = 3.14159265358979323846F;
-  const float c = std::sqrt(2.0F / kPi);
-  const float inner = c * (x + 0.044715F * x * x * x);
-  return 0.5F * x * (1.0F + std::tanh(inner));
-}
 
 // out(rows, n) = in(rows, k) @ w(k, n) + bias(n), matching Linear::forward:
 // matmul into zeroed accumulators, then a separate broadcast bias add.
@@ -72,33 +65,57 @@ inline float fast_exp_negative(float x) {
   const float f = z - zf;
   const float p =
       1.0F + f * (0.69314718F + f * (0.24022651F + f * (0.05204867F + f * 0.01353997F)));
-  union {
-    std::uint32_t u;
-    float fl;
-  } bits;
-  bits.u = static_cast<std::uint32_t>(static_cast<int>(zf) + 127) << 23;
-  return bits.fl * p;
+  const std::uint32_t bits = static_cast<std::uint32_t>(static_cast<int>(zf) + 127) << 23;
+  float scale = 0.0F;
+  std::memcpy(&scale, &bits, sizeof scale);
+  return scale * p;
 }
+
+#if defined(__AVX2__)
+// fast_exp_negative on 8 lanes, the same operation sequence: bit-identical.
+inline __m256 fast_exp_negative8(__m256 x) {
+  x = _mm256_max_ps(_mm256_set1_ps(-80.0F), x);  // std::max(x, -80) lane order
+  const __m256 z = _mm256_mul_ps(x, _mm256_set1_ps(1.44269504F));
+  const __m256 zf = _mm256_floor_ps(z);
+  const __m256 f = _mm256_sub_ps(z, zf);
+  __m256 p = _mm256_add_ps(_mm256_set1_ps(0.05204867F),
+                           _mm256_mul_ps(f, _mm256_set1_ps(0.01353997F)));
+  p = _mm256_add_ps(_mm256_set1_ps(0.24022651F), _mm256_mul_ps(f, p));
+  p = _mm256_add_ps(_mm256_set1_ps(0.69314718F), _mm256_mul_ps(f, p));
+  p = _mm256_add_ps(_mm256_set1_ps(1.0F), _mm256_mul_ps(f, p));
+  const __m256i bits = _mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_cvttps_epi32(zf), _mm256_set1_epi32(127)), 23);
+  return _mm256_mul_ps(_mm256_castsi256_ps(bits), p);
+}
+#endif
 
 void softmax_row_fast(float* row, std::int64_t n) {
   float mx = -std::numeric_limits<float>::infinity();
   for (std::int64_t i = 0; i < n; ++i) {
     mx = std::max(mx, row[i]);
   }
-  float denom = 0.0F;
-  for (std::int64_t i = 0; i < n; ++i) {
+  std::int64_t i = 0;
+#if defined(__AVX2__)
+  const __m256 vmx = _mm256_set1_ps(mx);
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(row + i, fast_exp_negative8(_mm256_sub_ps(_mm256_loadu_ps(row + i), vmx)));
+  }
+#endif
+  for (; i < n; ++i) {
     row[i] = fast_exp_negative(row[i] - mx);
+  }
+  float denom = 0.0F;  // sequential, like softmax_row
+  for (i = 0; i < n; ++i) {
     denom += row[i];
   }
-  for (std::int64_t i = 0; i < n; ++i) {
+  for (i = 0; i < n; ++i) {
     row[i] /= denom;
   }
 }
 
 // LayerNorm over (rows, d), replicating the tape op's formula (mean() is sum
-// times reciprocal). Shared verbatim by both precision tiers — the fp32
-// engine's bit-exactness depends on this exact operation sequence, and the
-// int8 engine keeps normalization in fp32.
+// times reciprocal). The fp32 engine's bit-exactness depends on this exact
+// operation sequence; the int8 engine runs layer_norm_rows_fast below.
 void layer_norm_rows(const float* in, float* out, std::int64_t rows, std::int64_t d,
                      const float* gamma, const float* beta) {
   const float inv_d = 1.0F / static_cast<float>(d);
@@ -124,13 +141,23 @@ void layer_norm_rows(const float* in, float* out, std::int64_t rows, std::int64_
   }
 }
 
-// Multi-head self-attention over the fused qkv rows (batch*N, 3D): scores
-// into `scores` ((N, N) scratch, per (b, head)), context into ctx
-// (batch*N, D). Replicates the tape's q @ k^T -> scale -> softmax -> @ v
-// accumulation orders — the fp32 engine's bit-exactness depends on these
-// exact scalar ascending-l dots, so this function must not be vectorized.
-// The int8 tier uses attention_rows_fast below instead.
-void attention_rows(const float* qkv, float* ctx, float* scores, std::int64_t batch,
+// Multi-head self-attention over the fused qkv rows (batch*N, 3D), context
+// into ctx (batch*N, D); `scores` ((N, N)) and `kt` ((hd, N)) are scratch,
+// reused per (b, head). Both tiers run this one loop nest and differ only in
+// `Softmax`: softmax_row (std::exp, bit-exact vs the tape) for fp32,
+// softmax_row_fast for int8.
+//
+// Vectorized across OUTPUT elements, never across a reduction: the head's k
+// rows are packed into a contiguous k^T tile so q . k^T fills 8 (then 4)
+// scores at a time as broadcast-times-row, and attn . v fills head_dim in 8-
+// and 4-lane blocks (12 = 8 + 4 at SnapPix-S). Every score and context
+// element is still its own zero-started chain of separate mul and add in
+// ascending reduction order — exactly the tape's q @ k^T -> scale ->
+// softmax -> @ v (scale as its own multiply, after the dot) — so lanes
+// change the speed, not a bit. Explicit intrinsics: the library builds at
+// -O2, where gcc leaves these runtime-width loops scalar.
+template <void (*Softmax)(float*, std::int64_t)>
+void attention_rows(const float* qkv, float* ctx, float* scores, float* kt, std::int64_t batch,
                     std::int64_t n, std::int64_t d, std::int64_t heads) {
   const std::int64_t hd = d / heads;
   const float scale = 1.0F / std::sqrt(static_cast<float>(hd));
@@ -138,66 +165,7 @@ void attention_rows(const float* qkv, float* ctx, float* scores, std::int64_t ba
     const float* qkv_base = qkv + b * n * 3 * d;
     for (std::int64_t head = 0; head < heads; ++head) {
       // The head's q/k/v live strided inside the qkv rows:
-      // q[t][e] = qkv[b, t, head*hd + e], k at +D, v at +2D. The dots below
-      // accumulate in the same ascending order as the tape's q @ k^T and
-      // attn @ v matmuls, so no gather copies are needed.
-      const std::int64_t q_off = head * hd;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float* q_row = qkv_base + i * 3 * d + q_off;
-        float* score_row = scores + i * n;
-        for (std::int64_t j = 0; j < n; ++j) {
-          const float* k_row = qkv_base + j * 3 * d + d + q_off;
-          float acc = 0.0F;
-          for (std::int64_t l = 0; l < hd; ++l) {
-            acc += q_row[l] * k_row[l];
-          }
-          score_row[j] = acc;
-        }
-      }
-      // Scale applied after the matmul as a separate pass (mul_scalar
-      // comes after matmul on the tape), then row softmax.
-      for (std::int64_t i = 0; i < n * n; ++i) {
-        scores[i] *= scale;
-      }
-      for (std::int64_t t = 0; t < n; ++t) {
-        softmax_row(scores + t * n, n);
-      }
-      for (std::int64_t t = 0; t < n; ++t) {
-        const float* attn_row = scores + t * n;
-        float* ctx_row = ctx + (b * n + t) * d + q_off;
-        for (std::int64_t e = 0; e < hd; ++e) {
-          ctx_row[e] = 0.0F;
-        }
-        for (std::int64_t j = 0; j < n; ++j) {
-          const float av = attn_row[j];
-          const float* v_row = qkv_base + j * 3 * d + 2 * d + q_off;
-          for (std::int64_t e = 0; e < hd; ++e) {
-            ctx_row[e] += av * v_row[e];
-          }
-        }
-      }
-    }
-  }
-}
-
-// The int8 tier's attention: same math as attention_rows, but the head's
-// k rows are first packed into a contiguous k^T tile (`kt`, (hd, n)) so the
-// score accumulation runs broadcast-times-row across n-wide vector lanes —
-// no per-dot horizontal sums, no order pinning. Explicit AVX2: the library
-// builds at -O2, where gcc only vectorizes fixed-trip-count loops, so every
-// runtime-width loop here would otherwise run scalar. Deterministic (fixed
-// operation order), NOT bit-equal to the tape: the fp32 engine's attention
-// is pinned to scalar ascending-order dots, which makes it the hottest
-// serving stage; freeing the int8 tier from that ordering is most of its
-// speedup at small-token geometries.
-void attention_rows_fast(const float* qkv, float* ctx, float* scores, float* kt,
-                         std::int64_t batch, std::int64_t n, std::int64_t d,
-                         std::int64_t heads) {
-  const std::int64_t hd = d / heads;
-  const float scale = 1.0F / std::sqrt(static_cast<float>(hd));
-  for (std::int64_t b = 0; b < batch; ++b) {
-    const float* qkv_base = qkv + b * n * 3 * d;
-    for (std::int64_t head = 0; head < heads; ++head) {
+      // q[t][e] = qkv[b, t, head*hd + e], k at +D, v at +2D.
       const std::int64_t q_off = head * hd;
       for (std::int64_t j = 0; j < n; ++j) {
         const float* k_row = qkv_base + j * 3 * d + d + q_off;
@@ -210,14 +178,20 @@ void attention_rows_fast(const float* qkv, float* ctx, float* scores, float* kt,
         float* score_row = scores + i * n;
         std::int64_t j0 = 0;
 #if defined(__AVX2__)
-        const __m256 vscale = _mm256_set1_ps(scale);
         for (; j0 + 8 <= n; j0 += 8) {
           __m256 acc = _mm256_setzero_ps();
           for (std::int64_t l = 0; l < hd; ++l) {
             acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(q_row[l]),
                                                    _mm256_loadu_ps(kt + l * n + j0)));
           }
-          _mm256_storeu_ps(score_row + j0, _mm256_mul_ps(acc, vscale));
+          _mm256_storeu_ps(score_row + j0, _mm256_mul_ps(acc, _mm256_set1_ps(scale)));
+        }
+        for (; j0 + 4 <= n; j0 += 4) {
+          __m128 acc = _mm_setzero_ps();
+          for (std::int64_t l = 0; l < hd; ++l) {
+            acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(q_row[l]), _mm_loadu_ps(kt + l * n + j0)));
+          }
+          _mm_storeu_ps(score_row + j0, _mm_mul_ps(acc, _mm_set1_ps(scale)));
         }
 #endif
         for (; j0 < n; ++j0) {  // scalar tail (and the non-AVX2 whole loop)
@@ -227,27 +201,35 @@ void attention_rows_fast(const float* qkv, float* ctx, float* scores, float* kt,
           }
           score_row[j0] = acc * scale;
         }
-        softmax_row_fast(score_row, n);
+        Softmax(score_row, n);
       }
       for (std::int64_t t = 0; t < n; ++t) {
         const float* attn_row = scores + t * n;
+        const float* v_base = qkv_base + 2 * d + q_off;  // v row j at v_base + j*3D
         float* ctx_row = ctx + (b * n + t) * d + q_off;
         std::int64_t e0 = 0;
 #if defined(__AVX2__)
         for (; e0 + 8 <= hd; e0 += 8) {
           __m256 acc = _mm256_setzero_ps();
           for (std::int64_t j = 0; j < n; ++j) {
-            acc = _mm256_add_ps(
-                acc, _mm256_mul_ps(_mm256_set1_ps(attn_row[j]),
-                                   _mm256_loadu_ps(qkv_base + j * 3 * d + 2 * d + q_off + e0)));
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(attn_row[j]),
+                                                   _mm256_loadu_ps(v_base + j * 3 * d + e0)));
           }
           _mm256_storeu_ps(ctx_row + e0, acc);
+        }
+        for (; e0 + 4 <= hd; e0 += 4) {
+          __m128 acc = _mm_setzero_ps();
+          for (std::int64_t j = 0; j < n; ++j) {
+            acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(attn_row[j]),
+                                             _mm_loadu_ps(v_base + j * 3 * d + e0)));
+          }
+          _mm_storeu_ps(ctx_row + e0, acc);
         }
 #endif
         for (; e0 < hd; ++e0) {
           float acc = 0.0F;
           for (std::int64_t j = 0; j < n; ++j) {
-            acc += attn_row[j] * qkv_base[j * 3 * d + 2 * d + q_off + e0];
+            acc += attn_row[j] * v_base[j * 3 * d + e0];
           }
           ctx_row[e0] = acc;
         }
@@ -501,6 +483,7 @@ BatchedVitEngine::BatchedVitEngine(const models::SnapPixClassifier& model, int m
   ws_.proj.resize(static_cast<std::size_t>(rows * d));
   ws_.hidden.resize(static_cast<std::size_t>(rows * hidden_));
   ws_.scores.resize(static_cast<std::size_t>(n * n));
+  ws_.kt.resize(static_cast<std::size_t>((d / config_.heads) * n));
   ws_.pooled.resize(static_cast<std::size_t>(static_cast<std::int64_t>(max_batch) * d));
 }
 
@@ -553,7 +536,8 @@ void BatchedVitEngine::encode_chunk(const float* coded, std::int64_t batch,
     }
     {
       obs::ScopedSpan span("attention");
-      attention_rows(ws_.qkv.data(), ws_.ctx.data(), ws_.scores.data(), batch, n, d, heads);
+      attention_rows<softmax_row>(ws_.qkv.data(), ws_.ctx.data(), ws_.scores.data(),
+                                  ws_.kt.data(), batch, n, d, heads);
     }
     if (blk_ranges != nullptr) {
       fold_absmax(blk_ranges->proj_in, ws_.ctx.data(), rows * d);
@@ -580,9 +564,7 @@ void BatchedVitEngine::encode_chunk(const float* coded, std::int64_t batch,
     if (blk_ranges != nullptr) {
       fold_absmax(blk_ranges->gelu_in, ws_.hidden.data(), rows * hidden_);
     }
-    for (std::int64_t i = 0; i < rows * hidden_; ++i) {
-      ws_.hidden[static_cast<std::size_t>(i)] = gelu_scalar(ws_.hidden[static_cast<std::size_t>(i)]);
-    }
+    detail::gelu_array(ws_.hidden.data(), rows * hidden_, ws_.hidden.data());
     if (blk_ranges != nullptr) {
       fold_absmax(blk_ranges->fc2_in, ws_.hidden.data(), rows * hidden_);
     }
@@ -787,7 +769,7 @@ QuantizedVitEngine::QuantizedVitEngine(const models::SnapPixClassifier& model,
     const float fc2_inv = 1.0F / bs.fc2_in;
     for (int q = -128; q < 128; ++q) {
       const float x = static_cast<float>(q) * bs.gelu_in;
-      const float r = std::nearbyintf(gelu_scalar(x) * fc2_inv);
+      const float r = std::nearbyintf(detail::gelu_ref(x) * fc2_inv);
       b.gelu_lut[static_cast<std::size_t>(static_cast<std::uint8_t>(q))] =
           static_cast<std::int8_t>(std::max(-127.0F, std::min(127.0F, r)));
     }
@@ -887,8 +869,8 @@ void QuantizedVitEngine::encode_chunk(const float* coded, std::int64_t batch) co
     layer_norm_rows_fast(ws_.x.data(), ws_.norm.data(), rows, d, blk.norm1_gamma.data(),
                          blk.norm1_beta.data());
     linear_s8(ws_.norm.data(), blk.qkv, ws_.qkv.data(), rows);
-    attention_rows_fast(ws_.qkv.data(), ws_.ctx.data(), ws_.scores.data(), ws_.kt.data(),
-                        batch, n, d, heads);
+    attention_rows<softmax_row_fast>(ws_.qkv.data(), ws_.ctx.data(), ws_.scores.data(),
+                                     ws_.kt.data(), batch, n, d, heads);
     linear_s8(ws_.ctx.data(), blk.proj, ws_.proj.data(), rows);
     add_rows_fast(ws_.x.data(), ws_.proj.data(), rows * d);
 

@@ -20,15 +20,19 @@
 //
 // Bit-exactness contract (fp32 tier): BatchedVitEngine reproduces the
 // framework forward *bit-identically* (not just approximately). It calls the
-// same GEMM kernel the matmul op uses (tensor/gemm.h) and replicates every
-// elementwise formula and accumulation order of the tape ops (LayerNorm's
-// sum-times-reciprocal mean, the tanh GELU, max-subtracted softmax, scale-
-// after-matmul attention). Because every per-row computation is independent
-// of which batch it rides in, batched outputs are also bit-identical to
-// batch-1 outputs — the property the streaming runtime's determinism tests
-// pin down. This holds for classify_logits() against
-// SnapPixSystem::classify_logits_coded AND reconstruct() against
-// SnapPixSystem::reconstruct_coded.
+// kernels the tape ops call — the GEMM under matmul (tensor/gemm.h) and the
+// GELU under gelu (tensor/gelu.h) — and replicates every other elementwise
+// formula and accumulation order of the tape ops (LayerNorm's sum-times-
+// reciprocal mean, max-subtracted std::exp softmax with a sequential sum,
+// scale-after-matmul attention). The invariant that permits SIMD: each
+// output element keeps its own ascending-order chain of separate mul and add
+// (no FMA, no reassociation), so vectorizing ACROSS output elements — as the
+// GEMM, GELU and attention loops do — never moves a bit. Because every
+// per-row computation is independent of which batch it rides in, batched
+// outputs are also bit-identical to batch-1 outputs — the property the
+// streaming runtime's determinism tests pin down. This holds for
+// classify_logits() against SnapPixSystem::classify_logits_coded AND
+// reconstruct() against SnapPixSystem::reconstruct_coded.
 //
 // Determinism contract (int8 tier): QuantizedVitEngine runs every linear as
 // an int8 x int8 -> int32 GEMM (tensor/gemm_s8.h) with per-output-channel
@@ -142,6 +146,7 @@ class BatchedVitEngine : public VitEngine {
     std::vector<float> proj;     // (B*N, D)
     std::vector<float> hidden;   // (B*N, hidden)
     std::vector<float> scores;   // (N, N) per (b, head)
+    std::vector<float> kt;       // (head_dim, N) packed k^T per (b, head)
     std::vector<float> pooled;   // (B, D)
     std::vector<float> rec;      // (B*N, T*p*p), only with a REC head
   };

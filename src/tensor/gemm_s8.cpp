@@ -23,6 +23,15 @@ inline std::int32_t hsum_epi32(__m256i v) {
   return _mm_cvtsi128_si32(s);
 }
 
+// The four horizontal sums [sum(a), sum(b), sum(c), sum(d)] in one vector:
+// two rounds of hadd pair the lanes up across all four accumulators, then
+// the 128-bit halves add. Integer adds are exact, so the grouping cannot
+// change a result.
+inline __m128i hsum4_epi32(__m256i a, __m256i b, __m256i c, __m256i d) {
+  const __m256i s = _mm256_hadd_epi32(_mm256_hadd_epi32(a, b), _mm256_hadd_epi32(c, d));
+  return _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256(s, 1));
+}
+
 // Sign-extend 16 int8 lanes to int16 and multiply-accumulate pairs into
 // int32 (vpmaddwd). Every intermediate fits: |a*b| <= 127^2 and madd's pair
 // sum is formed at 32-bit width, so the arithmetic is exact.
@@ -74,31 +83,21 @@ void gemm_s8_rows(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
         acc12 = _mm256_add_epi32(acc12, _mm256_madd_epi16(va1, vb2));
         acc13 = _mm256_add_epi32(acc13, _mm256_madd_epi16(va1, vb3));
       }
-      std::int32_t s00 = hsum_epi32(acc00), s01 = hsum_epi32(acc01);
-      std::int32_t s02 = hsum_epi32(acc02), s03 = hsum_epi32(acc03);
-      std::int32_t s10 = hsum_epi32(acc10), s11 = hsum_epi32(acc11);
-      std::int32_t s12 = hsum_epi32(acc12), s13 = hsum_epi32(acc13);
-      for (; l < k; ++l) {
-        const std::int32_t av0 = a0[l], av1 = a1[l];
-        s00 += av0 * b0[l];
-        s01 += av0 * b1[l];
-        s02 += av0 * b2[l];
-        s03 += av0 * b3[l];
-        s10 += av1 * b0[l];
-        s11 += av1 * b1[l];
-        s12 += av1 * b2[l];
-        s13 += av1 * b3[l];
-      }
       std::int32_t* c0 = c + i * n + j;
       std::int32_t* c1 = c0 + n;
-      c0[0] = s00;
-      c0[1] = s01;
-      c0[2] = s02;
-      c0[3] = s03;
-      c1[0] = s10;
-      c1[1] = s11;
-      c1[2] = s12;
-      c1[3] = s13;
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(c0), hsum4_epi32(acc00, acc01, acc02, acc03));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(c1), hsum4_epi32(acc10, acc11, acc12, acc13));
+      for (; l < k; ++l) {
+        const std::int32_t av0 = a0[l], av1 = a1[l];
+        c0[0] += av0 * b0[l];
+        c0[1] += av0 * b1[l];
+        c0[2] += av0 * b2[l];
+        c0[3] += av0 * b3[l];
+        c1[0] += av1 * b0[l];
+        c1[1] += av1 * b1[l];
+        c1[2] += av1 * b2[l];
+        c1[3] += av1 * b3[l];
+      }
     }
     for (; j < n; ++j) {  // channel tail
       const std::int8_t* brow = b + j * k;

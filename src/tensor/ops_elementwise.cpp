@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "tensor/broadcast.h"
+#include "tensor/gelu.h"
 #include "tensor/tensor.h"
 #include "util/common.h"
 
@@ -71,6 +72,19 @@ Tensor binary_op(const Tensor& a, const Tensor& b, Fwd forward, Dda dda, Ddb ddb
       });
 }
 
+// Unary op over precomputed forward values `out` (same shape as a), with the
+// derivative expressed from (x, y).
+template <typename Dd>
+Tensor unary_result(const Tensor& a, std::vector<float> out, Dd derivative) {
+  auto ai = a.impl();
+  return make_result(a.shape(), std::move(out), {a}, [ai, derivative](TensorImpl& self) {
+    ai->ensure_grad();
+    for (std::size_t i = 0; i < self.grad.size(); ++i) {
+      ai->grad[i] += self.grad[i] * derivative(ai->data[i], self.data[i]);
+    }
+  });
+}
+
 // Generic unary op: forward(x) and derivative expressed from (x, y).
 template <typename Fwd, typename Dd>
 Tensor unary_op(const Tensor& a, Fwd forward, Dd derivative) {
@@ -79,13 +93,16 @@ Tensor unary_op(const Tensor& a, Fwd forward, Dd derivative) {
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = forward(da[i]);
   }
-  auto ai = a.impl();
-  return make_result(a.shape(), std::move(out), {a}, [ai, derivative](TensorImpl& self) {
-    ai->ensure_grad();
-    for (std::size_t i = 0; i < self.grad.size(); ++i) {
-      ai->grad[i] += self.grad[i] * derivative(ai->data[i], self.data[i]);
-    }
-  });
+  return unary_result(a, std::move(out), derivative);
+}
+
+// Unary op whose forward runs as one array kernel over the whole tensor.
+template <typename Dd>
+Tensor unary_array_op(const Tensor& a, void (*forward)(const float*, std::int64_t, float*),
+                      Dd derivative) {
+  std::vector<float> out(a.data().size());
+  forward(a.data().data(), static_cast<std::int64_t>(out.size()), out.data());
+  return unary_result(a, std::move(out), derivative);
 }
 
 }  // namespace
@@ -155,18 +172,15 @@ Tensor relu(const Tensor& a) {
 }
 
 Tensor gelu(const Tensor& a) {
-  // tanh approximation of GELU, matching common DNN framework defaults.
+  // tanh approximation of GELU, matching common DNN framework defaults. The
+  // forward is the shared kernel the serving engines run (tensor/gelu.h).
   const float c = std::sqrt(2.0F / kPi);
-  return unary_op(
-      a,
-      [c](float x) {
-        const float inner = c * (x + 0.044715F * x * x * x);
-        return 0.5F * x * (1.0F + std::tanh(inner));
-      },
+  return unary_array_op(
+      a, detail::gelu_array,
       [c](float x, float) {
         const float x3 = x * x * x;
         const float inner = c * (x + 0.044715F * x3);
-        const float t = std::tanh(inner);
+        const float t = detail::tanh_ref(inner);
         const float sech2 = 1.0F - t * t;
         const float dinner = c * (1.0F + 3.0F * 0.044715F * x * x);
         return 0.5F * (1.0F + t) + 0.5F * x * sech2 * dinner;
@@ -180,8 +194,7 @@ Tensor sigmoid(const Tensor& a) {
 }
 
 Tensor tanh(const Tensor& a) {
-  return unary_op(
-      a, [](float x) { return std::tanh(x); }, [](float, float y) { return 1.0F - y * y; });
+  return unary_array_op(a, detail::tanh_array, [](float, float y) { return 1.0F - y * y; });
 }
 
 Tensor square(const Tensor& a) {

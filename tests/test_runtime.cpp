@@ -3,6 +3,7 @@
 // 4-camera end-to-end smoke test over all camera adapters.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -172,33 +173,48 @@ TEST(BatchAggregator, StackMatchesFrameContents) {
 
 // --- fused engine bit-exactness ----------------------------------------------
 
+// Both engine geometries: 16x16 is 4 tokens (the attention's 4-lane score
+// block), 32x32 is 16 tokens (its 8-lane score block, as served at SnapPix-S).
+constexpr std::array<std::int64_t, 2> kEngineImages = {16, 32};
+
 TEST(BatchedVitEngine, BitIdenticalToTapeFramework) {
-  core::SnapPixSystem system(small_system_config());
-  runtime::BatchedVitEngine engine(*system.classifier(), 8);
-  Rng rng(11);
-  const Tensor batch = Tensor::rand_uniform(Shape{8, 16, 16}, rng);
-  const Tensor tape = system.classify_logits_coded(batch);
-  const Tensor fused = engine.classify_logits(batch);
-  ASSERT_EQ(tape.shape(), fused.shape());
-  for (std::size_t i = 0; i < tape.data().size(); ++i) {
-    ASSERT_EQ(tape.data()[i], fused.data()[i]) << "logit " << i << " diverges";
+  for (const std::int64_t image : kEngineImages) {
+    core::SnapPixConfig cfg = small_system_config();
+    cfg.image = image;
+    core::SnapPixSystem system(cfg);
+    runtime::BatchedVitEngine engine(*system.classifier(), 8);
+    Rng rng(11);
+    const Tensor batch = Tensor::rand_uniform(Shape{8, image, image}, rng);
+    const Tensor tape = system.classify_logits_coded(batch);
+    const Tensor fused = engine.classify_logits(batch);
+    ASSERT_EQ(tape.shape(), fused.shape());
+    for (std::size_t i = 0; i < tape.data().size(); ++i) {
+      ASSERT_EQ(tape.data()[i], fused.data()[i])
+          << image << "x" << image << ": logit " << i << " diverges";
+    }
   }
 }
 
 TEST(BatchedVitEngine, BatchSizeDoesNotChangeBits) {
-  core::SnapPixSystem system(small_system_config());
-  runtime::BatchedVitEngine engine(*system.classifier(), 8);
-  Rng rng(13);
-  const Tensor batch = Tensor::rand_uniform(Shape{5, 16, 16}, rng);
-  const Tensor batched = engine.classify_logits(batch);
-  for (std::int64_t b = 0; b < 5; ++b) {
-    std::vector<float> one(batch.data().begin() + b * 256,
-                           batch.data().begin() + (b + 1) * 256);
-    const Tensor single =
-        engine.classify_logits(Tensor::from_vector(std::move(one), Shape{1, 16, 16}));
-    for (std::int64_t c = 0; c < 4; ++c) {
-      ASSERT_EQ(single.data()[static_cast<std::size_t>(c)],
-                batched.data()[static_cast<std::size_t>(b * 4 + c)]);
+  for (const std::int64_t image : kEngineImages) {
+    core::SnapPixConfig cfg = small_system_config();
+    cfg.image = image;
+    core::SnapPixSystem system(cfg);
+    runtime::BatchedVitEngine engine(*system.classifier(), 8);
+    Rng rng(13);
+    const Tensor batch = Tensor::rand_uniform(Shape{5, image, image}, rng);
+    const Tensor batched = engine.classify_logits(batch);
+    const std::int64_t pixels = image * image;
+    for (std::int64_t b = 0; b < 5; ++b) {
+      std::vector<float> one(batch.data().begin() + b * pixels,
+                             batch.data().begin() + (b + 1) * pixels);
+      const Tensor single =
+          engine.classify_logits(Tensor::from_vector(std::move(one), Shape{1, image, image}));
+      for (std::int64_t c = 0; c < 4; ++c) {
+        ASSERT_EQ(single.data()[static_cast<std::size_t>(c)],
+                  batched.data()[static_cast<std::size_t>(b * 4 + c)])
+            << image << "x" << image << ": frame " << b << " class " << c;
+      }
     }
   }
 }

@@ -347,23 +347,30 @@ TEST(BatchAggregator, NeverMixesPatternOrTask) {
 // --- fused REC path ----------------------------------------------------------
 
 TEST(BatchedVitEngine, ReconstructBitIdenticalToTapeFramework) {
-  core::SnapPixSystem system(small_system_config());
-  runtime::BatchedVitEngine engine(*system.classifier(), *system.reconstructor(), 8);
-  ASSERT_TRUE(engine.has_rec_head());
-  EXPECT_EQ(engine.frames(), 8);
-  Rng rng(31);
-  const Tensor batch = Tensor::rand_uniform(Shape{6, 16, 16}, rng);
-  const Tensor tape = system.reconstruct_coded(batch);
-  const Tensor fused = engine.reconstruct(batch);
-  ASSERT_EQ(tape.shape(), fused.shape());
-  for (std::size_t i = 0; i < tape.data().size(); ++i) {
-    ASSERT_EQ(tape.data()[i], fused.data()[i]) << "voxel " << i << " diverges";
-  }
-  // The same engine still classifies bit-identically (shared trunk).
-  const Tensor tape_logits = system.classify_logits_coded(batch);
-  const Tensor fused_logits = engine.classify_logits(batch);
-  for (std::size_t i = 0; i < tape_logits.data().size(); ++i) {
-    ASSERT_EQ(tape_logits.data()[i], fused_logits.data()[i]);
+  // 16x16 (4 tokens) and 32x32 (16 tokens) reach the attention's 4- and
+  // 8-lane score blocks respectively.
+  for (const std::int64_t image : {16, 32}) {
+    core::SnapPixConfig cfg = small_system_config();
+    cfg.image = image;
+    core::SnapPixSystem system(cfg);
+    runtime::BatchedVitEngine engine(*system.classifier(), *system.reconstructor(), 8);
+    ASSERT_TRUE(engine.has_rec_head());
+    EXPECT_EQ(engine.frames(), 8);
+    Rng rng(31);
+    const Tensor batch = Tensor::rand_uniform(Shape{6, image, image}, rng);
+    const Tensor tape = system.reconstruct_coded(batch);
+    const Tensor fused = engine.reconstruct(batch);
+    ASSERT_EQ(tape.shape(), fused.shape());
+    for (std::size_t i = 0; i < tape.data().size(); ++i) {
+      ASSERT_EQ(tape.data()[i], fused.data()[i])
+          << image << "x" << image << ": voxel " << i << " diverges";
+    }
+    // The same engine still classifies bit-identically (shared trunk).
+    const Tensor tape_logits = system.classify_logits_coded(batch);
+    const Tensor fused_logits = engine.classify_logits(batch);
+    for (std::size_t i = 0; i < tape_logits.data().size(); ++i) {
+      ASSERT_EQ(tape_logits.data()[i], fused_logits.data()[i]) << image << "x" << image;
+    }
   }
 }
 
