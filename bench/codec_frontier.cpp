@@ -34,6 +34,7 @@
 #include "eval/metrics.h"
 #include "runtime/camera.h"
 #include "runtime/server.h"
+#include "serving_fixtures.h"
 #include "transport/csi2.h"
 #include "transport/link.h"
 
@@ -51,32 +52,6 @@ Tensor wire_view(const Tensor& frame, int planes) {
   const codec::QuantizedFrame q = codec::quantize_frame(frame);
   const codec::PlaneStream stream = codec::encode_bitplanes(q);
   return codec::dequantize_frame(codec::decode_bitplanes(stream, planes).frame);
-}
-
-bool results_identical(const std::vector<runtime::TaskResult>& a,
-                       const std::vector<runtime::TaskResult>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].camera_id != b[i].camera_id || a[i].sequence != b[i].sequence ||
-        a[i].task != b[i].task || a[i].predicted != b[i].predicted) {
-      return false;
-    }
-    if (a[i].task == runtime::Task::kReconstruct) {
-      const auto& va = a[i].reconstruction.data();
-      const auto& vb = b[i].reconstruction.data();
-      if (va.size() != vb.size()) {
-        return false;
-      }
-      for (std::size_t v = 0; v < va.size(); ++v) {
-        if (va[v] != vb[v]) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
 }
 
 struct DepthPoint {
@@ -255,7 +230,8 @@ int main(int argc, char** argv) {
   const auto [reference_results, reference_summary] = run_fleet(false);
   const auto [served_results, served_summary] = run_fleet(true);
   (void)reference_summary;
-  const bool serving_identical = results_identical(reference_results, served_results);
+  const bool serving_identical =
+      fixtures::first_divergence(reference_results, served_results).empty();
   const bool serving_clean =
       served_summary.transport.framed_frames == served_summary.frames &&
       served_summary.transport.codec_frames == served_summary.transport.framed_frames &&

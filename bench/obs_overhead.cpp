@@ -44,6 +44,7 @@
 #include "obs/trace.h"
 #include "runtime/camera.h"
 #include "runtime/server.h"
+#include "serving_fixtures.h"
 
 namespace {
 
@@ -76,32 +77,6 @@ data::SceneConfig camera_scene(int camera) {
   scene.num_classes = 6;
   scene.speed = 1.0F + 0.2F * static_cast<float>(camera % 4);
   return scene;
-}
-
-bool results_identical(const std::vector<runtime::TaskResult>& a,
-                       const std::vector<runtime::TaskResult>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].camera_id != b[i].camera_id || a[i].sequence != b[i].sequence ||
-        a[i].task != b[i].task || a[i].predicted != b[i].predicted) {
-      return false;
-    }
-    if (a[i].task == runtime::Task::kReconstruct) {
-      const auto& va = a[i].reconstruction.data();
-      const auto& vb = b[i].reconstruction.data();
-      if (va.size() != vb.size()) {
-        return false;
-      }
-      for (std::size_t v = 0; v < va.size(); ++v) {
-        if (va[v] != vb[v]) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -202,8 +177,9 @@ int main(int argc, char** argv) {
       untraced.max_fps > 0.0 ? sampled.max_fps / untraced.max_fps : 0.0;
   const bool unsampled_fast_enough = unsampled_ratio >= 0.98;
   const bool sampled_fast_enough = sampled_ratio >= 0.95;
-  const bool bits_identical = results_identical(untraced.results, unsampled.results) &&
-                              results_identical(untraced.results, sampled.results);
+  const bool bits_identical =
+      fixtures::first_divergence(untraced.results, unsampled.results).empty() &&
+      fixtures::first_divergence(untraced.results, sampled.results).empty();
 
   bench::print_rule();
   std::printf("unsampled tracing: %.3fx untraced (gate >= 0.98)   sampled 1-in-%d: %.3fx "

@@ -11,7 +11,9 @@
 #                            BENCH_int8.json, BENCH_obs.json,
 #                            BENCH_saturation.json, BENCH_codec.json,
 #                            BENCH_resilience.json and trace_obs.json in
-#                            build/).
+#                            build/), and finally build the fleet benchmark
+#                            (perfbench/) and run each of its workloads for
+#                            one second.
 #   SANITIZER=tsan           build everything under -fsanitize=thread and run
 #                            the full test suite (the stress suite included)
 #                            with the pinned runtime options from
@@ -133,3 +135,12 @@ assert events, "trace has no events"
 print(f"trace_obs.json: valid JSON, {len(events)} trace events")
 EOF
 fi
+
+# Fleet benchmark: perfbench/ is its own CMake package, so the build above
+# never compiles it. Build it against this tree (into $BUILD_DIR/perfbench)
+# and run each workload for one second; the run includes perfbench's own
+# output checks, and any non-zero exit fails CI.
+for workload in ar_fp32 codec_edge; do
+  CARGO_TARGET_DIR="$BUILD_DIR" python3 perfbench/run.py --workload "$workload" --seed 1 \
+    --seconds 1 --trace 0
+done

@@ -80,12 +80,6 @@ class FrameQueue {
   // silently.
   PushResult admit(Frame frame);
 
-  // Legacy blocking push: admit() collapsed to a bool. Returns true when the
-  // frame was accepted; false when it was shed OR the queue closed. Kept for
-  // callers that predate QoS (all frames default to kStandard, which never
-  // sheds at admission, so for them false still means exactly "closed").
-  bool push(Frame frame) { return admit(std::move(frame)) == PushResult::kAccepted; }
-
   // Blocks while the queue is empty. Serves the earliest-deadline frame
   // (ties and no-deadline frames in FIFO order); sheds expired frames
   // instead of serving them. Returns false once closed AND drained.

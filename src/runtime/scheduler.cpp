@@ -141,7 +141,7 @@ void StreamScheduler::start(const std::vector<std::int64_t>& frames_per_camera) 
   }
   started_ = true;
   // One producer thread per camera by default: producers spend most of their
-  // time blocked in push() under backpressure, so oversubscribing cores is
+  // time blocked in admit() under backpressure, so oversubscribing cores is
   // the right model (and preemption provides the multiplexing on small hosts).
   const int threads = threads_ > 0 ? threads_ : static_cast<int>(cameras_.size());
   pool_ = std::make_unique<ThreadPool>(threads);

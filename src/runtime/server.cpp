@@ -36,24 +36,11 @@ void validate(const ServerConfig& config) {
     throw std::invalid_argument(
         "ServerConfig.shards must be >= 1 (someone has to serve the batches)");
   }
-  if (config.backend == InferenceBackend::kTapeFramework && config.shards > 1) {
-    std::ostringstream os;
-    os << "ServerConfig.shards = " << config.shards
-       << " requires the fused-engine backend: the tape framework shares one tape and "
-          "is not safe under concurrent forwards";
-    throw std::invalid_argument(os.str());
-  }
   if (config.steal_poll.count() <= 0) {
     std::ostringstream os;
     os << "ServerConfig.steal_poll must be positive (idle shards would spin), got "
        << config.steal_poll.count() << " us";
     throw std::invalid_argument(os.str());
-  }
-  if (config.backend == InferenceBackend::kTapeFramework &&
-      config.precision == Precision::kInt8) {
-    throw std::invalid_argument(
-        "ServerConfig.precision = int8 requires the fused-engine backend: the tape "
-        "framework has no quantized path");
   }
   if (config.calibration.frames < 1) {
     std::ostringstream os;
@@ -77,15 +64,6 @@ void validate(const ServerConfig& config) {
   }
   validate(config.transport);
   validate(config.health);
-  if (config.health.enabled && config.backend == InferenceBackend::kTapeFramework) {
-    for (const LadderStep& step : config.health.ladder) {
-      if (step.kind == LadderStep::Kind::kInt8Precision) {
-        throw std::invalid_argument(
-            "ServerConfig.health.ladder contains an int8 rung, but the server runs "
-            "the tape backend — the tape framework has no quantized path");
-      }
-    }
-  }
   obs::validate(config.trace);
 }
 
@@ -117,22 +95,20 @@ InferenceServer::InferenceServer(const core::SnapPixSystem& system,
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     auto shard = std::make_unique<Shard>(i, config_.queue_capacity);
-    if (config_.backend == InferenceBackend::kFusedEngine) {
-      shard->cache = std::make_unique<EngineCache>(
-          config_.cache,
-          [&system, max_batch, calibration, image](
-              const ce::CePattern& pattern, Precision precision) -> std::shared_ptr<VitEngine> {
-            if (precision == Precision::kFp32) {
-              return std::make_shared<BatchedVitEngine>(*system.classifier(),
-                                                        *system.reconstructor(), max_batch);
-            }
-            const Tensor frames = make_calibration_frames(pattern, image, image, calibration);
-            const QuantSpec spec =
-                calibrate(*system.classifier(), *system.reconstructor(), frames);
-            return std::make_shared<QuantizedVitEngine>(
-                *system.classifier(), *system.reconstructor(), spec, max_batch);
-          });
-    }
+    shard->cache = std::make_unique<EngineCache>(
+        config_.cache,
+        [&system, max_batch, calibration, image](
+            const ce::CePattern& pattern, Precision precision) -> std::shared_ptr<VitEngine> {
+          if (precision == Precision::kFp32) {
+            return std::make_shared<BatchedVitEngine>(*system.classifier(),
+                                                      *system.reconstructor(), max_batch);
+          }
+          const Tensor frames = make_calibration_frames(pattern, image, image, calibration);
+          const QuantSpec spec =
+              calibrate(*system.classifier(), *system.reconstructor(), frames);
+          return std::make_shared<QuantizedVitEngine>(
+              *system.classifier(), *system.reconstructor(), spec, max_batch);
+        });
     shards_.push_back(std::move(shard));
   }
   if (config_.trace.enabled) {
@@ -192,14 +168,6 @@ void InferenceServer::add_camera(std::unique_ptr<CameraSource> camera) {
   // explicit set_trace_sampling on the camera still wins either way.
   camera->set_default_trace_sampling(config_.trace.enabled ? config_.trace.sample_every : 0);
   camera->set_default_codec_planes(config_.classify_codec_planes);
-  if (camera->precision() == Precision::kInt8 &&
-      config_.backend == InferenceBackend::kTapeFramework) {
-    std::ostringstream os;
-    os << "camera " << camera->id()
-       << " requests int8 serving, but the server runs the tape backend — int8 needs "
-          "the fused-engine backend";
-    throw std::invalid_argument(os.str());
-  }
   const auto [it, inserted] = patterns_.emplace(camera->pattern_id(), camera->pattern_ref());
   // Same 64-bit id must mean same pattern bits: a silent hash collision would
   // merge two patterns' batches and serve both through one cache entry.
@@ -232,11 +200,11 @@ void InferenceServer::trace_health_transition(int camera_id, HealthState from,
   health_lane_->add_complete("health_transition", trace_recorder_->now_ns(), 0, args.str());
 }
 
-const EngineCache* InferenceServer::engine_cache(std::size_t shard) const {
+const EngineCache& InferenceServer::engine_cache(std::size_t shard) const {
   SNAPPIX_CHECK(shard < shards_.size(),
                 "engine_cache(" << shard << ") out of range for " << shards_.size()
                                 << " shards");
-  return shards_[shard]->cache.get();
+  return *shards_[shard]->cache;
 }
 
 bool InferenceServer::fleet_exhausted(std::size_t index) const {
@@ -287,19 +255,16 @@ void InferenceServer::serve_batch(Shard& self, const BatchKey& key,
   // a thief can build its own entry for a stolen pattern without the frame
   // shipping its pattern bits — engines are deterministic snapshots, so the
   // duplicate serves bit-identical results.
-  std::shared_ptr<const ServingEntry> entry;
-  if (self.cache != nullptr) {
-    const auto it = patterns_.find(key.pattern_id);
-    SNAPPIX_CHECK(it != patterns_.end(),
-                  "frame carries unregistered pattern_id " << key.pattern_id
-                      << " — was its camera added through add_camera()?");
-    entry = self.cache->resolve(key.pattern_id, it->second, key.precision);
-  }
+  const auto it = patterns_.find(key.pattern_id);
+  SNAPPIX_CHECK(it != patterns_.end(),
+                "frame carries unregistered pattern_id " << key.pattern_id
+                    << " — was its camera added through add_camera()?");
+  const std::shared_ptr<const ServingEntry> entry =
+      self.cache->resolve(key.pattern_id, it->second, key.precision);
 
   const Clock::time_point infer_start = Clock::now();
   if (key.task == Task::kClassify) {
-    const std::vector<std::int64_t> predicted =
-        entry != nullptr ? entry->engine->classify(coded) : system_.classify_coded(coded);
+    const std::vector<std::int64_t> predicted = entry->engine->classify(coded);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       TaskResult result;
       result.camera_id = batch[i].camera_id;
@@ -313,8 +278,7 @@ void InferenceServer::serve_batch(Shard& self, const BatchKey& key,
       self.results.push_back(std::move(result));
     }
   } else {
-    const Tensor video = entry != nullptr ? entry->engine->reconstruct(coded)
-                                          : system_.reconstruct_coded(coded);
+    const Tensor video = entry->engine->reconstruct(coded);
     const std::int64_t frame_elems = video.shape()[1] * video.shape()[2] * video.shape()[3];
     for (std::size_t i = 0; i < batch.size(); ++i) {
       TaskResult result;
@@ -642,7 +606,6 @@ std::vector<TaskResult> InferenceServer::run(
   scheduler_.join();
   wall_seconds_ = std::chrono::duration<double>(Clock::now() - run_start).count();
 
-  EngineCacheCounters cache_total;
   CacheTierCounters cache_fp32;
   CacheTierCounters cache_int8;
   std::vector<ShardStatsView> views;
@@ -653,32 +616,24 @@ std::vector<TaskResult> InferenceServer::run(
     shard.counters.shard = i;
     shard.counters.queue_high_water = shard.queue.high_water_mark();
     stats_.set_queue_high_water(shard.queue.high_water_mark());
-    if (shard.cache != nullptr) {
-      // One snapshot per tier; the total is their sum BY CONSTRUCTION (a
-      // separately-locked counters() read could disagree with the tier reads
-      // if a resolve were still in flight).
-      const EngineCacheCounters fp32 = shard.cache->counters(Precision::kFp32);
-      const EngineCacheCounters int8 = shard.cache->counters(Precision::kInt8);
-      shard.counters.cache_hits = fp32.hits + int8.hits;
-      shard.counters.cache_misses = fp32.misses + int8.misses;
-      shard.counters.cache_evictions = fp32.evictions + int8.evictions;
-      cache_total.hits += shard.counters.cache_hits;
-      cache_total.misses += shard.counters.cache_misses;
-      cache_total.evictions += shard.counters.cache_evictions;
-      cache_fp32.hits += fp32.hits;
-      cache_fp32.misses += fp32.misses;
-      cache_fp32.evictions += fp32.evictions;
-      cache_int8.hits += int8.hits;
-      cache_int8.misses += int8.misses;
-      cache_int8.evictions += int8.evictions;
-    }
+    // One snapshot per tier; the shard total is their sum BY CONSTRUCTION (a
+    // separately-locked counters() read could disagree with the tier reads
+    // if a resolve were still in flight).
+    const EngineCacheCounters fp32 = shard.cache->counters(Precision::kFp32);
+    const EngineCacheCounters int8 = shard.cache->counters(Precision::kInt8);
+    shard.counters.cache_hits = fp32.hits + int8.hits;
+    shard.counters.cache_misses = fp32.misses + int8.misses;
+    shard.counters.cache_evictions = fp32.evictions + int8.evictions;
+    cache_fp32.hits += fp32.hits;
+    cache_fp32.misses += fp32.misses;
+    cache_fp32.evictions += fp32.evictions;
+    cache_int8.hits += int8.hits;
+    cache_int8.misses += int8.misses;
+    cache_int8.evictions += int8.evictions;
     views.push_back(shard.counters);
     total_results += shard.results.size();
   }
-  if (config_.backend == InferenceBackend::kFusedEngine) {
-    stats_.set_cache_counters(cache_total.hits, cache_total.misses, cache_total.evictions);
-    stats_.set_cache_tier_counters(cache_fp32, cache_int8);
-  }
+  stats_.set_cache_tier_counters(cache_fp32, cache_int8);
   stats_.set_shard_views(std::move(views));
 
   {

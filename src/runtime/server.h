@@ -2,10 +2,9 @@
 /// \brief InferenceServer: the sharded, task-typed serving surface for
 /// heterogeneous CE fleets.
 ///
-/// Where StreamingRuntime assumed one pattern, one task, and one consumer
-/// thread, the InferenceServer serves a fleet in which every camera owns its
-/// CE pattern and declares its task (AR classification or REC
-/// reconstruction), across N consumer shards. Cameras are routed to shards by
+/// The InferenceServer serves a fleet in which every camera owns its CE
+/// pattern and declares its task (AR classification or REC reconstruction),
+/// across N consumer shards. Cameras are routed to shards by
 /// pattern_id, so a shard's run queue only ever carries patterns it owns and
 /// batches stay pattern-pure; each shard worker batches its own queue through
 /// a BatchAggregator and resolves per-pattern serving state through its
@@ -26,19 +25,6 @@
 /// bit-identical to the sequential SnapPixSystem paths for EVERY shard count
 /// and steal interleaving. Within one batch a camera's frames keep FIFO
 /// order (batches — stolen ones included — are contiguous queue runs).
-///
-/// Two inference backends serve a batch:
-///   kFusedEngine    per-pattern BatchedVitEngine entries resolved through
-///                   each shard's EngineCache — fused, allocation-free
-///                   forward for both task heads (bit-identical to the tape
-///                   framework; default)
-///   kTapeFramework  SnapPixSystem::classify_logits_coded /
-///                   reconstruct_coded — the tape-based per-op path; batch-1
-///                   with this backend is the naive sequential serving
-///                   baseline benchmarks compare against. Bypasses the cache
-///                   (the tape model IS the resident state) and is
-///                   single-shard only: the tape framework is not built for
-///                   concurrent forwards.
 #pragma once
 
 #include <atomic>
@@ -63,8 +49,6 @@
 
 namespace snappix::runtime {
 
-enum class InferenceBackend { kFusedEngine, kTapeFramework };
-
 /// \brief Server topology and policy knobs. See docs/serving.md for sizing
 /// guidance.
 struct ServerConfig {
@@ -75,7 +59,6 @@ struct ServerConfig {
   /// 0 = one producer thread per camera (see StreamScheduler for the
   /// semantics of an explicit smaller cap).
   int scheduler_threads = 0;
-  InferenceBackend backend = InferenceBackend::kFusedEngine;
   /// Geometry of EACH shard's private EngineCache view.
   EngineCacheConfig cache;
   /// Consumer shards: worker threads, each owning a run queue + cache view.
@@ -96,8 +79,7 @@ struct ServerConfig {
   /// Default precision tier for cameras that did not call set_precision:
   /// kFp32 serves bit-exactly, kInt8 through the calibrated quantized engine
   /// (deterministic + batch-invariant, NOT bit-equal to fp32 — see
-  /// docs/serving.md). Requires the fused-engine backend; the tape framework
-  /// has no int8 path.
+  /// docs/serving.md).
   Precision precision = Precision::kFp32;
   /// How int8 engines are calibrated on a cache miss: `frames` synthetic
   /// clips (seeded by `seed`) are CE-encoded with the missing pattern and
@@ -146,8 +128,7 @@ struct ServerConfig {
 
 /// \brief Throws std::invalid_argument with a descriptive message when the
 /// configuration is unusable (zero queue capacity, bad batch policy, negative
-/// thread count, zero cache shards/capacity, zero consumer shards, a
-/// multi-shard tape backend, an int8 default on the tape backend, or zero
+/// thread count, zero cache shards/capacity, zero consumer shards, or zero
 /// calibration frames).
 void validate(const ServerConfig& config);
 
@@ -218,9 +199,8 @@ class InferenceServer {
   /// \brief The fleet health controller, or null when ServerConfig::health is
   /// disabled. Snapshots (state, ladder step, counters) are safe mid-run.
   const HealthController* health() const { return health_.get(); }
-  /// \brief Shard `shard`'s private cache view; null when serving through the
-  /// tape backend.
-  const EngineCache* engine_cache(std::size_t shard = 0) const;
+  /// \brief Shard `shard`'s private cache view.
+  const EngineCache& engine_cache(std::size_t shard = 0) const;
 
  private:
   /// One consumer shard: run queue + private cache view + worker-owned
@@ -231,8 +211,8 @@ class InferenceServer {
         : index(shard_index), queue(queue_capacity) {}
     std::size_t index;
     FrameQueue queue;
-    std::unique_ptr<EngineCache> cache;  // null for kTapeFramework
-    obs::TraceLane* lane = nullptr;      // null when tracing is off
+    std::unique_ptr<EngineCache> cache;
+    obs::TraceLane* lane = nullptr;  // null when tracing is off
     ShardStatsView counters;
     std::vector<TaskResult> results;
     // order: relaxed — a pure liveness counter. The worker bumps it every

@@ -187,14 +187,6 @@ void RuntimeStats::set_queue_high_water(std::size_t depth) {
   queue_high_water_.set_max(static_cast<double>(depth));
 }
 
-void RuntimeStats::set_cache_counters(std::uint64_t hits, std::uint64_t misses,
-                                      std::uint64_t evictions) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  cache_hits_ = hits;
-  cache_misses_ = misses;
-  cache_evictions_ = evictions;
-}
-
 void RuntimeStats::set_cache_tier_counters(const CacheTierCounters& fp32,
                                            const CacheTierCounters& int8) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -265,12 +257,12 @@ RuntimeSummary RuntimeStats::summary(double wall_seconds) const {
   std::lock_guard<std::mutex> lock(mutex_);
   out.cache_fp32 = cache_fp32_;
   out.cache_int8 = cache_int8_;
-  out.cache_hits = cache_hits_;
-  out.cache_misses = cache_misses_;
-  out.cache_evictions = cache_evictions_;
-  const std::uint64_t lookups = cache_hits_ + cache_misses_;
+  out.cache_hits = cache_fp32_.hits + cache_int8_.hits;
+  out.cache_misses = cache_fp32_.misses + cache_int8_.misses;
+  out.cache_evictions = cache_fp32_.evictions + cache_int8_.evictions;
+  const std::uint64_t lookups = out.cache_hits + out.cache_misses;
   out.cache_hit_rate =
-      lookups > 0 ? static_cast<double>(cache_hits_) / static_cast<double>(lookups) : 0.0;
+      lookups > 0 ? static_cast<double>(out.cache_hits) / static_cast<double>(lookups) : 0.0;
   out.shards = shards_;
   for (const ShardStatsView& shard : shards_) {
     out.steal_attempts += shard.steal_attempts;

@@ -9,7 +9,7 @@
 /// what InferenceServer::metrics_snapshot() hands out, in JSON or Prometheus
 /// form via obs::to_json / obs::to_prometheus. The only mutex left guards
 /// the cold structures: the per-camera transport map and the post-run
-/// installs (shard views, cache counters).
+/// installs (shard views, per-tier cache counters).
 ///
 /// summary() condenses the registry into percentiles/throughput — including
 /// per-shard views (queue depth, batches served, steal traffic, per-reason
@@ -168,14 +168,14 @@ struct RuntimeSummary {
   std::uint64_t fp32_frames = 0;
   std::uint64_t int8_frames = 0;
 
-  /// EngineCache traffic summed over every shard's cache (zero when serving
-  /// through the tape backend, which bypasses the cache).
+  /// EngineCache traffic summed over every shard's cache: the per-tier
+  /// split below, added up (fp32 + int8 == totals by construction).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
   double cache_hit_rate = 0.0;  ///< hits / (hits + misses)
 
-  /// The same cache traffic split by precision tier (fp32 + int8 == totals).
+  /// The same cache traffic split by precision tier.
   CacheTierCounters cache_fp32;
   CacheTierCounters cache_int8;
 
@@ -184,8 +184,7 @@ struct RuntimeSummary {
   std::uint64_t steal_successes = 0;
   std::uint64_t stolen_frames = 0;
 
-  /// Batch flush reasons, run-wide (sum over reasons == batches when every
-  /// record_batch carried a reason; all under kMaxBatch for legacy callers).
+  /// Batch flush reasons, run-wide (sum over reasons == batches).
   std::uint64_t flush_max_batch = 0;
   std::uint64_t flush_max_latency = 0;
   std::uint64_t flush_exhausted = 0;
@@ -232,8 +231,7 @@ struct RuntimeSummary {
   StageSummary inference;    ///< model forward per batch
   StageSummary end_to_end;   ///< capture start -> result recorded
 
-  /// end_to_end split by QoS class (counts sum to end_to_end.count when the
-  /// server records QoS; all empty under direct RuntimeStats use). The
+  /// end_to_end split by QoS class (counts sum to end_to_end.count). The
   /// saturation bench gates realtime p99 from e2e_realtime.
   StageSummary e2e_realtime;
   StageSummary e2e_standard;
@@ -265,10 +263,8 @@ class RuntimeStats {
   // --- consumer side (any shard worker) --------------------------------------
   void record_queue_wait(double seconds);
   /// \brief `reason` feeds the per-reason flush counters
-  /// (snappix_batch_flush_total{reason=...}); legacy callers without a
-  /// batching policy default to kMaxBatch.
-  void record_batch(std::size_t batch_size, double inference_seconds,
-                    FlushReason reason = FlushReason::kMaxBatch);
+  /// (snappix_batch_flush_total{reason=...}).
+  void record_batch(std::size_t batch_size, double inference_seconds, FlushReason reason);
   /// \brief Attributes a served batch's frames to its task head.
   void record_task_frames(Task task, std::size_t count);
   /// \brief Attributes a served batch's frames to its precision tier.
@@ -276,13 +272,11 @@ class RuntimeStats {
   /// \brief Records one framed frame's FINAL transport fate: its last
   /// outcome (`status`), the retries the policy spent on it, and whether it
   /// was dropped instead of enqueued. Called once per framed frame by the
-  /// producer loop; never for in-memory cameras. When the frame crossed an
-  /// entropy-coded link, pass `codec = true` plus the frame's
-  /// decoded/total bit-plane counts to feed the progressive-decode tally;
-  /// raw-link callers leave the defaults.
+  /// producer loop; never for in-memory cameras. `codec` says whether the
+  /// frame crossed an entropy-coded link; when it did, the frame's
+  /// decoded/total bit-plane counts feed the progressive-decode tally.
   void record_transport(int camera_id, TransportStatus status, int retransmits,
-                        bool dropped, bool codec = false, int decoded_planes = 0,
-                        int total_planes = 0);
+                        bool dropped, bool codec, int decoded_planes, int total_planes);
   /// \brief Records one shed frame: bumps the per-(qos, reason) registry
   /// counter (snappix_shed_frames_total{qos=...,reason=...}) and the
   /// camera's ShedCounters row. Called by the queue shed observers the
@@ -309,18 +303,15 @@ class RuntimeStats {
   /// and re-admitted into a sibling's queue.
   void record_rerouted_frames(std::size_t count);
   /// \brief `qos` additionally feeds the per-class e2e histogram
-  /// (snappix_e2e_seconds{qos=...}); legacy callers without QoS default to
-  /// kStandard.
+  /// (snappix_e2e_seconds{qos=...}).
   void record_frame_done(std::uint64_t raw_bytes, std::uint64_t wire_bytes,
-                         double end_to_end_seconds, QosClass qos = QosClass::kStandard);
+                         double end_to_end_seconds, QosClass qos);
   /// \brief Raises the recorded high water to `depth` (max over calls, so the
   /// server feeds it each shard queue's own mark).
   void set_queue_high_water(std::size_t depth);
-  /// \brief Installs the final cache snapshot (summed over shard caches by
-  /// the server); the EngineCache itself keeps the live counters.
-  void set_cache_counters(std::uint64_t hits, std::uint64_t misses, std::uint64_t evictions);
-  /// \brief Installs the per-precision cache split (fp32 + int8 must sum to
-  /// the totals installed by set_cache_counters).
+  /// \brief Installs the final per-precision cache snapshot (summed over
+  /// shard caches by the server; the EngineCache itself keeps the live
+  /// counters). summary() reports the totals as fp32 + int8.
   void set_cache_tier_counters(const CacheTierCounters& fp32, const CacheTierCounters& int8);
   /// \brief Installs the per-shard views once after a run; also derives the
   /// steal totals reported in RuntimeSummary.
@@ -370,9 +361,6 @@ class RuntimeStats {
   mutable std::mutex mutex_;
   CacheTierCounters cache_fp32_;
   CacheTierCounters cache_int8_;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
-  std::uint64_t cache_evictions_ = 0;
   std::vector<ShardStatsView> shards_;
   std::map<int, TransportCounters> transport_;  // camera_id -> tally (sorted)
   std::map<int, ShedCounters> shed_cameras_;    // camera_id -> tally (sorted)

@@ -23,12 +23,16 @@
 #include "runtime/camera.h"
 #include "runtime/server.h"
 #include "runtime/stats.h"
+#include "serving_fixtures.h"
 #include "util/rng.h"
 
 namespace snappix {
 namespace {
 
 namespace json = testing::json;
+using fixtures::first_divergence;
+using fixtures::small_scene;
+using fixtures::small_system_config;
 using runtime::InferenceServer;
 using runtime::ServerConfig;
 using runtime::Task;
@@ -361,24 +365,6 @@ TEST(ScopedSpan, NoOpWithoutLaneEmitsWithLane) {
 
 // --- server integration ------------------------------------------------------
 
-core::SnapPixConfig small_system_config() {
-  core::SnapPixConfig cfg;
-  cfg.image = 16;
-  cfg.frames = 8;
-  cfg.num_classes = 4;
-  cfg.seed = 3;
-  return cfg;
-}
-
-data::SceneConfig small_scene() {
-  data::SceneConfig scene;
-  scene.frames = 8;
-  scene.height = 16;
-  scene.width = 16;
-  scene.num_classes = 4;
-  return scene;
-}
-
 std::vector<ce::CePattern> distinct_patterns(int n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<ce::CePattern> patterns;
@@ -399,23 +385,6 @@ void add_fleet(InferenceServer& server, const std::vector<ce::CePattern>& patter
       camera->set_task(Task::kReconstruct);
     }
     server.add_camera(std::move(camera));
-  }
-}
-
-void expect_results_identical(const std::vector<TaskResult>& a,
-                              const std::vector<TaskResult>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].camera_id, b[i].camera_id);
-    EXPECT_EQ(a[i].sequence, b[i].sequence);
-    EXPECT_EQ(a[i].predicted, b[i].predicted);
-    if (a[i].task == Task::kReconstruct) {
-      ASSERT_EQ(a[i].reconstruction.data().size(), b[i].reconstruction.data().size());
-      for (std::size_t j = 0; j < a[i].reconstruction.data().size(); ++j) {
-        ASSERT_EQ(a[i].reconstruction.data()[j], b[i].reconstruction.data()[j])
-            << "reconstruction bits diverged at result " << i << " elem " << j;
-      }
-    }
   }
 }
 
@@ -442,7 +411,7 @@ TEST(ServerTracing, SampledFramesGetCompleteLifecyclesAndBitsDontChange) {
   EXPECT_THROW(untraced_server->trace_json(), std::runtime_error);
 
   const auto [traced, server] = run_fleet(true, 1);
-  expect_results_identical(untraced, traced);
+  EXPECT_EQ(first_divergence(untraced, traced), "");
 
   // Every served frame was sampled (1-in-1): each must have a COMPLETE
   // lifecycle — matching b/e "frame" events plus every nested stage pair.

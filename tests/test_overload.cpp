@@ -278,11 +278,14 @@ TEST(Edf, PopServesEarliestDeadlineFirstThenFifoAmongUndeadlined) {
   const Clock::time_point base = Clock::now() + std::chrono::seconds(10);
   // Mixed insert order: deadlines 3s/1s/2s out of order, plus two
   // no-deadline frames bracketing them.
-  ASSERT_TRUE(queue.push(make_frame(9, 0, QosClass::kStandard)));
-  ASSERT_TRUE(queue.push(make_frame(3, 0, QosClass::kStandard, base + std::chrono::seconds(3))));
-  ASSERT_TRUE(queue.push(make_frame(1, 0, QosClass::kStandard, base + std::chrono::seconds(1))));
-  ASSERT_TRUE(queue.push(make_frame(9, 1, QosClass::kStandard)));
-  ASSERT_TRUE(queue.push(make_frame(2, 0, QosClass::kStandard, base + std::chrono::seconds(2))));
+  ASSERT_EQ(queue.admit(make_frame(9, 0, QosClass::kStandard)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(make_frame(3, 0, QosClass::kStandard, base + std::chrono::seconds(3))),
+            PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(make_frame(1, 0, QosClass::kStandard, base + std::chrono::seconds(1))),
+            PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(make_frame(9, 1, QosClass::kStandard)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(make_frame(2, 0, QosClass::kStandard, base + std::chrono::seconds(2))),
+            PushResult::kAccepted);
 
   std::vector<int> order;
   Frame out;
@@ -297,7 +300,7 @@ TEST(Edf, PopServesEarliestDeadlineFirstThenFifoAmongUndeadlined) {
 TEST(Edf, QueueWithoutDeadlinesDegradesToExactFifo) {
   FrameQueue queue(8);
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(queue.push(make_frame(0, i, QosClass::kStandard)));
+    ASSERT_EQ(queue.admit(make_frame(0, i, QosClass::kStandard)), PushResult::kAccepted);
   }
   Frame out;
   for (int i = 0; i < 6; ++i) {
@@ -434,9 +437,10 @@ TEST(OverloadProperty, BatchDeadlinesNonDecreasingUnderEdf) {
       // enough out that nothing expires mid-test.
       const std::int64_t ms = rng.uniform_int(0, 999);
       const bool undeadlined = rng.uniform_int(0, 3) == 0;
-      ASSERT_TRUE(queue.push(make_frame(
-          0, seq++, QosClass::kStandard,
-          undeadlined ? Clock::time_point{} : base + std::chrono::milliseconds(ms))));
+      ASSERT_EQ(queue.admit(make_frame(
+                    0, seq++, QosClass::kStandard,
+                    undeadlined ? Clock::time_point{} : base + std::chrono::milliseconds(ms))),
+                PushResult::kAccepted);
     }
     queue.close();
 

@@ -18,12 +18,15 @@
 #include "runtime/engine_cache.h"
 #include "runtime/quant.h"
 #include "runtime/server.h"
+#include "serving_fixtures.h"
 #include "tensor/gemm_s8.h"
 #include "util/rng.h"
 
 namespace snappix {
 namespace {
 
+using fixtures::small_scene;
+using fixtures::small_system_config;
 using runtime::EngineCache;
 using runtime::EngineCacheConfig;
 using runtime::InferenceServer;
@@ -35,24 +38,6 @@ using runtime::QuantSpec;
 using runtime::ServerConfig;
 using runtime::Task;
 using runtime::TaskResult;
-
-core::SnapPixConfig small_system_config() {
-  core::SnapPixConfig cfg;
-  cfg.image = 16;
-  cfg.frames = 8;
-  cfg.num_classes = 4;
-  cfg.seed = 3;
-  return cfg;
-}
-
-data::SceneConfig small_scene() {
-  data::SceneConfig scene;
-  scene.frames = 8;
-  scene.height = 16;
-  scene.width = 16;
-  scene.num_classes = 4;
-  return scene;
-}
 
 bool specs_identical(const QuantSpec& a, const QuantSpec& b) {
   if (a.embed_in != b.embed_in || a.head_in != b.head_in || a.rec_in != b.rec_in ||
@@ -395,24 +380,10 @@ TEST(EngineCachePrecision, TiersAreDistinctResidentsWithSplitCounters) {
 
 // --- ServerConfig validation -------------------------------------------------
 
-TEST(ServerValidation, RejectsInt8OnTapeBackendAndZeroCalibrationFrames) {
-  ServerConfig tape_int8;
-  tape_int8.backend = runtime::InferenceBackend::kTapeFramework;
-  tape_int8.precision = Precision::kInt8;
-  EXPECT_THROW(runtime::validate(tape_int8), std::invalid_argument);
-
+TEST(ServerValidation, RejectsZeroCalibrationFrames) {
   ServerConfig zero_calib;
   zero_calib.calibration.frames = 0;
   EXPECT_THROW(runtime::validate(zero_calib), std::invalid_argument);
-
-  core::SnapPixSystem system(small_system_config());
-  ServerConfig tape;
-  tape.backend = runtime::InferenceBackend::kTapeFramework;
-  InferenceServer server(system, tape);
-  auto camera = std::make_unique<runtime::SyntheticCameraSource>(0, small_scene(),
-                                                                 system.pattern_ref(), 91);
-  camera->set_precision(Precision::kInt8);
-  EXPECT_THROW(server.add_camera(std::move(camera)), std::invalid_argument);
 }
 
 // --- mixed-precision fleet through the sharded server ------------------------

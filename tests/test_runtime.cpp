@@ -1,6 +1,6 @@
 // Streaming runtime tests: queue semantics, batching determinism against the
 // sequential tape path, the fused engine's bit-exactness contract, and a
-// 4-camera end-to-end smoke test over all camera adapters.
+// 4-camera InferenceServer smoke test over all camera adapters.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,18 +15,24 @@
 #include "runtime/camera.h"
 #include "runtime/engine.h"
 #include "runtime/frame_queue.h"
-#include "runtime/runtime.h"
+#include "runtime/server.h"
 #include "runtime/stats.h"
+#include "serving_fixtures.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
 namespace snappix {
 namespace {
 
+using fixtures::small_scene;
+using fixtures::small_system_config;
 using runtime::BatchAggregator;
 using runtime::BatchPolicy;
 using runtime::Frame;
 using runtime::FrameQueue;
+using runtime::InferenceServer;
+using runtime::PushResult;
+using runtime::ServerConfig;
 
 Frame make_frame(int camera, std::int64_t sequence) {
   Frame frame;
@@ -36,30 +42,12 @@ Frame make_frame(int camera, std::int64_t sequence) {
   return frame;
 }
 
-core::SnapPixConfig small_system_config() {
-  core::SnapPixConfig cfg;
-  cfg.image = 16;
-  cfg.frames = 8;
-  cfg.num_classes = 4;
-  cfg.seed = 3;
-  return cfg;
-}
-
-data::SceneConfig small_scene() {
-  data::SceneConfig scene;
-  scene.frames = 8;
-  scene.height = 16;
-  scene.width = 16;
-  scene.num_classes = 4;
-  return scene;
-}
-
 // --- FrameQueue --------------------------------------------------------------
 
 TEST(FrameQueue, PreservesFifoOrder) {
   FrameQueue queue(8);
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(queue.push(make_frame(0, i)));
+    ASSERT_EQ(queue.admit(make_frame(0, i)), PushResult::kAccepted);
   }
   queue.close();
   Frame out;
@@ -70,13 +58,14 @@ TEST(FrameQueue, PreservesFifoOrder) {
   EXPECT_FALSE(queue.pop(out));  // closed and drained
 }
 
-TEST(FrameQueue, PushBlocksWhenFullUntilPopped) {
+TEST(FrameQueue, AdmitBlocksWhenFullUntilPopped) {
   FrameQueue queue(2);
-  ASSERT_TRUE(queue.push(make_frame(0, 0)));
-  ASSERT_TRUE(queue.push(make_frame(0, 1)));
+  ASSERT_EQ(queue.admit(make_frame(0, 0)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(make_frame(0, 1)), PushResult::kAccepted);
   std::atomic<bool> third_pushed{false};
   std::thread producer([&] {
-    EXPECT_TRUE(queue.push(make_frame(0, 2)));  // must block on the full queue
+    // Must block on the full queue.
+    EXPECT_EQ(queue.admit(make_frame(0, 2)), PushResult::kAccepted);
     third_pushed.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -91,17 +80,18 @@ TEST(FrameQueue, PushBlocksWhenFullUntilPopped) {
 
 TEST(FrameQueue, CloseUnblocksProducerAndConsumer) {
   FrameQueue queue(1);
-  ASSERT_TRUE(queue.push(make_frame(0, 0)));
+  ASSERT_EQ(queue.admit(make_frame(0, 0)), PushResult::kAccepted);
   std::thread closer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     queue.close();
   });
-  EXPECT_FALSE(queue.push(make_frame(0, 1)));  // blocked, then failed on close
+  // Blocked on the full queue, then failed on close.
+  EXPECT_EQ(queue.admit(make_frame(0, 1)), PushResult::kClosed);
   closer.join();
   Frame out;
   EXPECT_TRUE(queue.pop(out));   // drains the remaining frame
   EXPECT_FALSE(queue.pop(out));  // then reports closed
-  EXPECT_FALSE(queue.push(make_frame(0, 2)));
+  EXPECT_EQ(queue.admit(make_frame(0, 2)), PushResult::kClosed);
 }
 
 TEST(FrameQueue, PopUntilTimesOutOnEmptyQueue) {
@@ -129,7 +119,7 @@ TEST(ThreadPool, RunsAllSubmittedTasks) {
 TEST(BatchAggregator, RespectsMaxBatchAndFifo) {
   FrameQueue queue(16);
   for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(queue.push(make_frame(i % 2, i)));
+    ASSERT_EQ(queue.admit(make_frame(i % 2, i)), PushResult::kAccepted);
   }
   queue.close();
   BatchPolicy policy;
@@ -150,7 +140,7 @@ TEST(BatchAggregator, RespectsMaxBatchAndFifo) {
 
 TEST(BatchAggregator, GreedyPolicyNeverWaits) {
   FrameQueue queue(16);
-  ASSERT_TRUE(queue.push(make_frame(0, 0)));
+  ASSERT_EQ(queue.admit(make_frame(0, 0)), PushResult::kAccepted);
   BatchPolicy policy;
   policy.max_batch = 8;
   policy.max_delay = std::chrono::microseconds(0);
@@ -293,21 +283,21 @@ TEST(CameraSource, SensorCameraReportsSimulatedWireBytes) {
 
 // Batched async serving must produce exactly the predictions of the
 // sequential single-camera path, frame for frame.
-TEST(StreamingRuntime, BatchedMatchesSequentialPath) {
+TEST(InferenceServer, BatchedMatchesSequentialPath) {
   core::SnapPixSystem system(small_system_config());
   Rng rng(29);
   // A non-trivial pattern so encode/normalize paths are exercised.
   system.set_pattern(ce::CePattern::random(8, 8, rng, 0.5F));
 
   const std::int64_t frames_per_camera = 6;
-  runtime::RuntimeConfig config;
+  ServerConfig config;
   config.batch.max_batch = 4;
-  runtime::StreamingRuntime rt(system, config);
+  InferenceServer server(system, config);
   for (int cam = 0; cam < 4; ++cam) {
-    rt.add_camera(std::make_unique<runtime::SyntheticCameraSource>(
+    server.add_camera(std::make_unique<runtime::SyntheticCameraSource>(
         cam, small_scene(), system.pattern(), 500 + static_cast<std::uint64_t>(cam)));
   }
-  const auto batched = rt.run(frames_per_camera);
+  const auto batched = server.run(frames_per_camera);
   ASSERT_EQ(batched.size(), 24U);
 
   // Sequential reference: identical cameras (same seeds), tape-based batch-1.
@@ -329,7 +319,7 @@ TEST(StreamingRuntime, BatchedMatchesSequentialPath) {
   }
 }
 
-TEST(StreamingRuntime, FourCameraSmokeAllAdapterKinds) {
+TEST(InferenceServer, FourCameraSmokeAllAdapterKinds) {
   core::SnapPixSystem system(small_system_config());
   auto dataset_config = data::ucf101_like(/*frames=*/8, /*size=*/16);
   dataset_config.scene.num_classes = 4;
@@ -337,23 +327,23 @@ TEST(StreamingRuntime, FourCameraSmokeAllAdapterKinds) {
   dataset_config.test_per_class = 3;
   auto dataset = std::make_shared<const data::VideoDataset>(dataset_config);
 
-  runtime::RuntimeConfig config;
+  ServerConfig config;
   config.batch.max_batch = 4;
   config.queue_capacity = 8;
-  runtime::StreamingRuntime rt(system, config);
-  rt.add_camera(std::make_unique<runtime::SyntheticCameraSource>(0, small_scene(),
-                                                                 system.pattern(), 1));
-  rt.add_camera(
+  InferenceServer server(system, config);
+  server.add_camera(std::make_unique<runtime::SyntheticCameraSource>(0, small_scene(),
+                                                                     system.pattern(), 1));
+  server.add_camera(
       std::make_unique<runtime::DatasetCameraSource>(1, dataset, system.pattern(), 1));
-  rt.add_camera(std::make_unique<runtime::SensorCameraSource>(
+  server.add_camera(std::make_unique<runtime::SensorCameraSource>(
       2, system.default_sensor_config(), small_scene(), system.pattern(), 2));
   {
     runtime::SyntheticCameraSource source(3, small_scene(), system.pattern(), 3);
-    rt.add_camera(runtime::ReplayCameraSource::record(source, 4));
+    server.add_camera(runtime::ReplayCameraSource::record(source, 4));
   }
 
   const std::int64_t frames_per_camera = 5;
-  const auto results = rt.run(frames_per_camera);
+  const auto results = server.run(frames_per_camera);
   ASSERT_EQ(results.size(), 20U);
   for (int cam = 0; cam < 4; ++cam) {
     for (std::int64_t f = 0; f < frames_per_camera; ++f) {
@@ -365,7 +355,7 @@ TEST(StreamingRuntime, FourCameraSmokeAllAdapterKinds) {
     }
   }
 
-  const auto summary = rt.summary();
+  const auto summary = server.summary();
   EXPECT_EQ(summary.frames, 20U);
   EXPECT_GT(summary.batches, 0U);
   EXPECT_GT(summary.aggregate_fps, 0.0);
@@ -373,18 +363,9 @@ TEST(StreamingRuntime, FourCameraSmokeAllAdapterKinds) {
   EXPECT_EQ(summary.end_to_end.count, 20U);
 
   const auto energy =
-      rt.fleet_energy(energy::EnergyModel{}, energy::WirelessTech::kPassiveWifi);
+      server.fleet_energy(energy::EnergyModel{}, energy::WirelessTech::kPassiveWifi);
   EXPECT_GT(energy.conventional_j, energy.snappix_j);  // Sec. VI-D direction
   EXPECT_GT(energy.saving_factor, 1.0);
-}
-
-TEST(StreamingRuntime, RunIsOneShot) {
-  core::SnapPixSystem system(small_system_config());
-  runtime::StreamingRuntime rt(system, {});
-  rt.add_camera(std::make_unique<runtime::SyntheticCameraSource>(0, small_scene(),
-                                                                 system.pattern(), 1));
-  (void)rt.run(1);
-  EXPECT_THROW(rt.run(1), std::runtime_error);
 }
 
 // --- stats -------------------------------------------------------------------
@@ -410,10 +391,11 @@ TEST(RuntimeStats, PercentilesAndSummary) {
   EXPECT_LE(series.percentile(95.0), series.percentile(99.0));
 
   runtime::RuntimeStats stats;
-  stats.record_batch(4, 0.002);
-  stats.record_batch(2, 0.001);
+  stats.record_batch(4, 0.002, runtime::FlushReason::kMaxBatch);
+  stats.record_batch(2, 0.001, runtime::FlushReason::kExhausted);
   for (int i = 0; i < 6; ++i) {
-    stats.record_frame_done(/*raw=*/1000, /*wire=*/125, /*e2e=*/0.01);
+    stats.record_frame_done(/*raw=*/1000, /*wire=*/125, /*e2e=*/0.01,
+                            runtime::QosClass::kStandard);
   }
   const auto summary = stats.summary(/*wall_seconds=*/2.0);
   EXPECT_EQ(summary.frames, 6U);

@@ -23,13 +23,16 @@
 #include "runtime/engine.h"
 #include "runtime/engine_cache.h"
 #include "runtime/frame_queue.h"
-#include "runtime/runtime.h"
 #include "runtime/server.h"
+#include "serving_fixtures.h"
 #include "util/rng.h"
 
 namespace snappix {
 namespace {
 
+using fixtures::first_divergence;
+using fixtures::small_scene;
+using fixtures::small_system_config;
 using runtime::BatchAggregator;
 using runtime::BatchPolicy;
 using runtime::EngineCache;
@@ -38,27 +41,10 @@ using runtime::Frame;
 using runtime::FrameQueue;
 using runtime::InferenceServer;
 using runtime::PatternRef;
+using runtime::PushResult;
 using runtime::ServerConfig;
 using runtime::Task;
 using runtime::TaskResult;
-
-core::SnapPixConfig small_system_config() {
-  core::SnapPixConfig cfg;
-  cfg.image = 16;
-  cfg.frames = 8;
-  cfg.num_classes = 4;
-  cfg.seed = 3;
-  return cfg;
-}
-
-data::SceneConfig small_scene() {
-  data::SceneConfig scene;
-  scene.frames = 8;
-  scene.height = 16;
-  scene.width = 16;
-  scene.num_classes = 4;
-  return scene;
-}
 
 // --- CePattern::hash ---------------------------------------------------------
 
@@ -92,19 +78,19 @@ TEST(CePatternHash, SingleBitFlipChangesHash) {
 TEST(ConfigValidation, RejectsBadValuesWithInvalidArgument) {
   core::SnapPixSystem system(small_system_config());
   {
-    runtime::RuntimeConfig cfg;
+    ServerConfig cfg;
     cfg.queue_capacity = 0;
-    EXPECT_THROW(runtime::StreamingRuntime(system, cfg), std::invalid_argument);
+    EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
   }
   {
-    runtime::RuntimeConfig cfg;
+    ServerConfig cfg;
     cfg.batch.max_batch = 0;
-    EXPECT_THROW(runtime::StreamingRuntime(system, cfg), std::invalid_argument);
+    EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
   }
   {
-    runtime::RuntimeConfig cfg;
+    ServerConfig cfg;
     cfg.batch.max_delay = std::chrono::microseconds(-1);
-    EXPECT_THROW(runtime::StreamingRuntime(system, cfg), std::invalid_argument);
+    EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
   }
   {
     ServerConfig cfg;
@@ -172,7 +158,7 @@ TEST(FrameQueue, CloseUnblocksConsumerBlockedOnEmptyQueue) {
   Frame out;
   EXPECT_FALSE(queue.pop(out));  // blocked on empty, woken by close
   closer.join();
-  EXPECT_FALSE(queue.push(std::move(out)));
+  EXPECT_EQ(queue.admit(std::move(out)), PushResult::kClosed);
 }
 
 TEST(FrameQueue, CloseUnblocksTimedConsumerBeforeDeadline) {
@@ -202,11 +188,12 @@ Frame keyed(int camera, std::int64_t sequence, std::uint64_t pattern_id, Task ta
 
 TEST(FrameQueueSteal, TakesKeyPureTailSuffixInFifoOrder) {
   FrameQueue queue(16);
-  ASSERT_TRUE(queue.push(keyed(0, 0, 1, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(0, 1, 1, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(1, 0, 2, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(1, 1, 2, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(2, 0, 2, Task::kReconstruct)));  // same pattern, other task
+  ASSERT_EQ(queue.admit(keyed(0, 0, 1, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(0, 1, 1, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(1, 0, 2, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(1, 1, 2, Task::kClassify)), PushResult::kAccepted);
+  // Same pattern, other task.
+  ASSERT_EQ(queue.admit(keyed(2, 0, 2, Task::kReconstruct)), PushResult::kAccepted);
 
   std::vector<Frame> stolen;
   ASSERT_TRUE(queue.steal_tail(stolen, 8));
@@ -229,7 +216,7 @@ TEST(FrameQueueSteal, TakesKeyPureTailSuffixInFifoOrder) {
 TEST(FrameQueueSteal, RespectsMaxFramesTakingTheNewestRun) {
   FrameQueue queue(16);
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(queue.push(keyed(0, i, 1, Task::kClassify)));
+    ASSERT_EQ(queue.admit(keyed(0, i, 1, Task::kClassify)), PushResult::kAccepted);
   }
   std::vector<Frame> stolen;
   ASSERT_TRUE(queue.steal_tail(stolen, 3));
@@ -251,15 +238,15 @@ TEST(FrameQueueSteal, RespectsMaxFramesTakingTheNewestRun) {
 // that is a deadlock.
 TEST(FrameQueueSteal, FreesCapacityForAllBlockedProducers) {
   FrameQueue queue(2);
-  ASSERT_TRUE(queue.push(keyed(0, 0, 1, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(0, 1, 1, Task::kClassify)));
+  ASSERT_EQ(queue.admit(keyed(0, 0, 1, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(0, 1, 1, Task::kClassify)), PushResult::kAccepted);
   std::atomic<int> pushed{0};
   std::thread p1([&] {
-    EXPECT_TRUE(queue.push(keyed(1, 0, 1, Task::kClassify)));
+    EXPECT_EQ(queue.admit(keyed(1, 0, 1, Task::kClassify)), PushResult::kAccepted);
     pushed.fetch_add(1);
   });
   std::thread p2([&] {
-    EXPECT_TRUE(queue.push(keyed(2, 0, 1, Task::kClassify)));
+    EXPECT_EQ(queue.admit(keyed(2, 0, 1, Task::kClassify)), PushResult::kAccepted);
     pushed.fetch_add(1);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -278,12 +265,13 @@ TEST(FrameQueueSteal, FreesCapacityForAllBlockedProducers) {
 // complete the push, then close() fails it instead of deadlocking.
 TEST(FrameQueueSteal, ProducerBlockedInPushObservesShutdownWhileShardsDrain) {
   FrameQueue queue(1);
-  ASSERT_TRUE(queue.push(keyed(0, 0, 1, Task::kClassify)));
+  ASSERT_EQ(queue.admit(keyed(0, 0, 1, Task::kClassify)), PushResult::kAccepted);
   std::atomic<bool> first_done{false};
   std::thread producer([&] {
-    EXPECT_TRUE(queue.push(keyed(0, 1, 1, Task::kClassify)));  // blocked until a drain
+    // Blocked until a drain, then blocked until close.
+    EXPECT_EQ(queue.admit(keyed(0, 1, 1, Task::kClassify)), PushResult::kAccepted);
     first_done.store(true);
-    EXPECT_FALSE(queue.push(keyed(0, 2, 1, Task::kClassify)));  // blocked until close
+    EXPECT_EQ(queue.admit(keyed(0, 2, 1, Task::kClassify)), PushResult::kClosed);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(first_done.load());
@@ -308,13 +296,13 @@ TEST(BatchAggregator, NeverMixesPatternOrTask) {
   FrameQueue queue(32);
   // Interleaved streams: pattern 1 classify, pattern 2 classify, pattern 1
   // reconstruct. FIFO: A A B A R A B.
-  ASSERT_TRUE(queue.push(keyed(0, 0, 1, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(0, 1, 1, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(1, 0, 2, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(0, 2, 1, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(2, 0, 1, Task::kReconstruct)));
-  ASSERT_TRUE(queue.push(keyed(0, 3, 1, Task::kClassify)));
-  ASSERT_TRUE(queue.push(keyed(1, 1, 2, Task::kClassify)));
+  ASSERT_EQ(queue.admit(keyed(0, 0, 1, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(0, 1, 1, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(1, 0, 2, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(0, 2, 1, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(2, 0, 1, Task::kReconstruct)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(0, 3, 1, Task::kClassify)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed(1, 1, 2, Task::kClassify)), PushResult::kAccepted);
   queue.close();
 
   BatchPolicy policy;
@@ -577,8 +565,7 @@ TEST(InferenceServer, HeterogeneousFleetMatchesSequentialPaths) {
   EXPECT_EQ(summary.reconstruct_frames, 8U);
   EXPECT_EQ(summary.cache_misses + summary.cache_hits, summary.batches);
   EXPECT_GT(summary.cache_misses, 0U);
-  ASSERT_NE(server.engine_cache(), nullptr);
-  EXPECT_LE(server.engine_cache()->max_shard_occupancy(), config.cache.capacity_per_shard);
+  EXPECT_LE(server.engine_cache().max_shard_occupancy(), config.cache.capacity_per_shard);
 }
 
 // --- sharded serving ---------------------------------------------------------
@@ -607,27 +594,6 @@ void add_hetero_fleet(InferenceServer& server, const std::vector<PatternRef>& pa
   }
 }
 
-void expect_results_identical(const std::vector<TaskResult>& a,
-                              const std::vector<TaskResult>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].camera_id, b[i].camera_id);
-    EXPECT_EQ(a[i].sequence, b[i].sequence);
-    EXPECT_EQ(a[i].task, b[i].task);
-    EXPECT_EQ(a[i].pattern_id, b[i].pattern_id);
-    EXPECT_EQ(a[i].predicted, b[i].predicted);
-    EXPECT_EQ(a[i].label, b[i].label);
-    if (a[i].task != Task::kReconstruct) {
-      continue;  // classify results carry no (defined) reconstruction tensor
-    }
-    ASSERT_EQ(a[i].reconstruction.data().size(), b[i].reconstruction.data().size());
-    for (std::size_t v = 0; v < a[i].reconstruction.data().size(); ++v) {
-      ASSERT_EQ(a[i].reconstruction.data()[v], b[i].reconstruction.data()[v])
-          << "result " << i << " voxel " << v << " diverges";
-    }
-  }
-}
-
 // The tentpole invariant: shard count and steal interleaving never change a
 // single output bit. Serve the heterogeneous AR+REC fleet at several shard
 // counts and require every run to match the single-consumer one exactly.
@@ -651,7 +617,7 @@ TEST(ShardedServer, ShardCountNeverChangesBitsOnHeterogeneousFleet) {
   ASSERT_EQ(single.size(), 24U);
   for (const std::size_t shards : {2U, 3U, 5U}) {
     const auto [sharded, summary] = run_with_shards(shards);
-    expect_results_identical(single, sharded);
+    EXPECT_EQ(first_divergence(single, sharded), "") << shards << " shards";
 
     // Per-shard views exist and aggregate to the run totals.
     ASSERT_EQ(summary.shards.size(), shards);
@@ -717,7 +683,7 @@ TEST(ShardedServer, SkewedFleetStealsWorkAndStaysBitIdentical) {
   EXPECT_EQ(single_summary.steal_attempts, 0U);  // one shard has no one to rob
 
   const auto [sharded, summary] = run_with_shards(4);
-  expect_results_identical(single, sharded);
+  EXPECT_EQ(first_divergence(single, sharded), "");
   EXPECT_GT(summary.steal_attempts, 0U);
   EXPECT_GT(summary.steal_successes, 0U) << "idle shards never relieved the hot one";
   EXPECT_GT(summary.stolen_frames, 0U);
@@ -757,7 +723,7 @@ TEST(FramedServing, ZeroFaultFramedPathBitIdenticalAcrossShards) {
 
   for (const std::size_t shards : {1U, 3U}) {
     const auto [framed, summary] = run_fleet(true, shards);
-    expect_results_identical(in_memory, framed);
+    EXPECT_EQ(first_divergence(in_memory, framed), "") << shards << " shards";
 
     // Every frame crossed the framed link, intact, with nothing dropped.
     EXPECT_EQ(summary.transport.framed_frames, 24U);
@@ -915,7 +881,7 @@ TEST(FramedServing, RetransmitPolicyRecoversEveryFrame) {
   const auto [clean, clean_summary] = run_fleet(0.0, retry);
   const auto [recovered, summary] = run_fleet(0.02, retry);
   ASSERT_EQ(clean.size(), 32U);
-  expect_results_identical(clean, recovered);  // nothing lost, nothing changed
+  EXPECT_EQ(first_divergence(clean, recovered), "");  // nothing lost, nothing changed
   EXPECT_EQ(summary.transport.framed_frames, 32U);
   EXPECT_EQ(summary.transport.ok_frames, 32U);
   EXPECT_EQ(summary.transport.dropped_frames, 0U);
@@ -1001,7 +967,7 @@ TEST(FramedServing, CodecLinkServesProgressiveDepthBitExactly) {
   EXPECT_EQ(reference_summary.transport.codec_frames, 0U);
 
   const auto [served, summary] = run_fleet(true, 0.0, nullptr);
-  expect_results_identical(reference, served);
+  EXPECT_EQ(first_divergence(reference, served), "");
 
   // Conservation: every framed frame crossed the codec link intact, the
   // classify camera left depth on the wire, the reconstruct camera did not.
@@ -1030,7 +996,7 @@ TEST(FramedServing, CodecLinkServesProgressiveDepthBitExactly) {
   retry.corrupt = runtime::TransportPolicy::Corrupt::kRetransmit;
   retry.max_retransmits = 64;
   const auto [recovered, lossy_summary] = run_fleet(true, 0.02, &retry);
-  expect_results_identical(reference, recovered);
+  EXPECT_EQ(first_divergence(reference, recovered), "");
   EXPECT_EQ(lossy_summary.transport.framed_frames, 24U);
   EXPECT_EQ(lossy_summary.transport.codec_frames, 24U);
   EXPECT_EQ(lossy_summary.transport.ok_frames + lossy_summary.transport.dropped_frames,
@@ -1057,13 +1023,6 @@ TEST(ShardedServer, ValidatesShardConfiguration) {
     EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
   }
   {
-    // The tape framework serializes on one tape: no concurrent consumers.
-    ServerConfig cfg;
-    cfg.shards = 2;
-    cfg.backend = runtime::InferenceBackend::kTapeFramework;
-    EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
-  }
-  {
     ServerConfig cfg;
     cfg.steal_poll = std::chrono::microseconds(0);
     EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
@@ -1077,46 +1036,6 @@ TEST(ShardedServer, ValidatesShardConfiguration) {
   }
 }
 
-// The tape backend serves the same fleet without a cache and stays
-// bit-identical to the fused path.
-TEST(InferenceServer, TapeBackendMatchesFusedBackend) {
-  core::SnapPixSystem system(small_system_config());
-  const auto patterns = distinct_patterns(2, 67);
-
-  const auto run_fleet = [&](runtime::InferenceBackend backend) {
-    ServerConfig config;
-    config.batch.max_batch = 4;
-    config.backend = backend;
-    InferenceServer server(system, config);
-    for (int cam = 0; cam < 3; ++cam) {
-      auto camera = std::make_unique<runtime::SyntheticCameraSource>(
-          cam, small_scene(), patterns[static_cast<std::size_t>(cam % 2)],
-          800 + static_cast<std::uint64_t>(cam));
-      if (cam == 2) {
-        camera->set_task(Task::kReconstruct);
-      }
-      server.add_camera(std::move(camera));
-    }
-    return server.run(3);
-  };
-
-  const auto fused = run_fleet(runtime::InferenceBackend::kFusedEngine);
-  const auto tape = run_fleet(runtime::InferenceBackend::kTapeFramework);
-  ASSERT_EQ(fused.size(), tape.size());
-  for (std::size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_EQ(fused[i].camera_id, tape[i].camera_id);
-    EXPECT_EQ(fused[i].sequence, tape[i].sequence);
-    EXPECT_EQ(fused[i].task, tape[i].task);
-    EXPECT_EQ(fused[i].predicted, tape[i].predicted);
-    if (fused[i].task == Task::kReconstruct) {
-      ASSERT_EQ(fused[i].reconstruction.data().size(), tape[i].reconstruction.data().size());
-      for (std::size_t v = 0; v < fused[i].reconstruction.data().size(); ++v) {
-        ASSERT_EQ(fused[i].reconstruction.data()[v], tape[i].reconstruction.data()[v]);
-      }
-    }
-  }
-}
-
 TEST(InferenceServer, RunIsOneShot) {
   core::SnapPixSystem system(small_system_config());
   InferenceServer server(system, {});
@@ -1124,45 +1043,6 @@ TEST(InferenceServer, RunIsOneShot) {
       0, small_scene(), system.pattern_ref(), 1));
   (void)server.run(1);
   EXPECT_THROW(server.run(1), std::runtime_error);
-}
-
-// StreamingRuntime remains a faithful classification facade over the server.
-TEST(StreamingRuntimeFacade, MatchesServerClassifyResults) {
-  core::SnapPixSystem system(small_system_config());
-  runtime::RuntimeConfig config;
-  config.batch.max_batch = 4;
-  runtime::StreamingRuntime rt(system, config);
-  for (int cam = 0; cam < 2; ++cam) {
-    rt.add_camera(std::make_unique<runtime::SyntheticCameraSource>(
-        cam, small_scene(), system.pattern_ref(), 40 + static_cast<std::uint64_t>(cam)));
-  }
-  const auto results = rt.run(3);
-  ASSERT_EQ(results.size(), 6U);
-
-  ServerConfig server_config;
-  server_config.batch.max_batch = 4;
-  InferenceServer server(system, server_config);
-  for (int cam = 0; cam < 2; ++cam) {
-    server.add_camera(std::make_unique<runtime::SyntheticCameraSource>(
-        cam, small_scene(), system.pattern_ref(), 40 + static_cast<std::uint64_t>(cam)));
-  }
-  const auto typed = server.run(3);
-  ASSERT_EQ(typed.size(), results.size());
-  for (std::size_t i = 0; i < typed.size(); ++i) {
-    EXPECT_EQ(results[i].camera_id, typed[i].camera_id);
-    EXPECT_EQ(results[i].sequence, typed[i].sequence);
-    EXPECT_EQ(results[i].predicted, typed[i].predicted);
-    EXPECT_EQ(results[i].label, typed[i].label);
-  }
-}
-
-TEST(StreamingRuntimeFacade, RejectsReconstructionCameras) {
-  core::SnapPixSystem system(small_system_config());
-  runtime::StreamingRuntime rt(system, {});
-  auto camera = std::make_unique<runtime::SyntheticCameraSource>(0, small_scene(),
-                                                                 system.pattern_ref(), 1);
-  camera->set_task(Task::kReconstruct);
-  EXPECT_THROW(rt.add_camera(std::move(camera)), std::runtime_error);
 }
 
 }  // namespace

@@ -39,6 +39,7 @@
 #include "runtime/scheduler.h"
 #include "runtime/server.h"
 #include "runtime/stats.h"
+#include "serving_fixtures.h"
 #include "transport/link.h"
 #include "util/rng.h"
 
@@ -47,6 +48,8 @@ namespace {
 
 namespace json = testing::json;
 
+using fixtures::small_scene;
+using fixtures::small_system_config;
 using runtime::EngineCache;
 using runtime::EngineCacheConfig;
 using runtime::Frame;
@@ -54,6 +57,7 @@ using runtime::FrameQueue;
 using runtime::InferenceServer;
 using runtime::PatternRef;
 using runtime::Precision;
+using runtime::PushResult;
 using runtime::ServerConfig;
 
 Frame tiny_frame(int camera, std::int64_t sequence) {
@@ -62,24 +66,6 @@ Frame tiny_frame(int camera, std::int64_t sequence) {
   frame.sequence = sequence;
   frame.coded = Tensor::full(Shape{2, 2}, static_cast<float>(sequence));
   return frame;
-}
-
-core::SnapPixConfig small_system_config() {
-  core::SnapPixConfig cfg;
-  cfg.image = 16;
-  cfg.frames = 8;
-  cfg.num_classes = 4;
-  cfg.seed = 3;
-  return cfg;
-}
-
-data::SceneConfig small_scene() {
-  data::SceneConfig scene;
-  scene.frames = 8;
-  scene.height = 16;
-  scene.width = 16;
-  scene.num_classes = 4;
-  return scene;
 }
 
 // --- FrameQueue: producers vs consumers vs a thief on a tiny queue -----------
@@ -95,7 +81,8 @@ TEST(FrameQueueStress, ProducersConsumersAndThiefConserveEveryFrame) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&queue, p] {
       for (std::int64_t i = 0; i < kFramesEach; ++i) {
-        ASSERT_TRUE(queue.push(tiny_frame(p, i)));  // nobody closes mid-stream
+        // Nobody closes mid-stream.
+        ASSERT_EQ(queue.admit(tiny_frame(p, i)), PushResult::kAccepted);
       }
     });
   }
@@ -160,8 +147,10 @@ TEST(FrameQueueStress, CloseRacingPushPopStealNeverLosesAnAcceptedFrame) {
 
     std::thread producer([&queue, &accepted] {
       for (std::int64_t i = 0; i < 60; ++i) {
-        if (!queue.push(tiny_frame(0, i))) {
-          break;  // closed under us: everything after is rejected too
+        const PushResult result = queue.admit(tiny_frame(0, i));
+        if (result != PushResult::kAccepted) {
+          EXPECT_EQ(result, PushResult::kClosed);  // closed under us: the rest fail too
+          break;
         }
         accepted.fetch_add(1, std::memory_order_relaxed);
       }
@@ -508,7 +497,7 @@ TEST(SchedulerStress, ExternalCloseMidStreamUnblocksProducersAndTearsDown) {
                          queue_b);
 
     // A stream far longer than the consumers will drain: both producers are
-    // guaranteed to be blocked in push() when the close lands.
+    // guaranteed to be blocked in admit() when the close lands.
     scheduler.start(10'000);
 
     Frame out;
@@ -589,7 +578,6 @@ TEST(ServerStress, RepeatedShardedStealingRunsStayDeterministic) {
 // assertions are the exact-accounting laws, which no interleaving may bend.
 TEST(OverloadStress, ShedAccountingStaysExactUnderAdmissionExpiryAndCloseRaces) {
   using runtime::Clock;
-  using runtime::PushResult;
   using runtime::QosClass;
   using runtime::ShedReason;
 
