@@ -25,6 +25,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.h"
@@ -32,6 +33,7 @@
 #include "core/snappix.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "obs/metrics.h"
 #include "runtime/camera.h"
 #include "runtime/server.h"
 #include "serving_fixtures.h"
@@ -224,12 +226,14 @@ int main(int argc, char** argv) {
       server.add_camera(std::move(camera));
     }
     auto results = server.run(serve_frames);
-    return std::make_pair(std::move(results), server.summary());
+    return std::make_tuple(std::move(results), server.summary(),
+                           obs::to_json(server.metrics_snapshot()));
   };
 
-  const auto [reference_results, reference_summary] = run_fleet(false);
-  const auto [served_results, served_summary] = run_fleet(true);
+  const auto [reference_results, reference_summary, reference_metrics] = run_fleet(false);
+  const auto [served_results, served_summary, served_metrics] = run_fleet(true);
   (void)reference_summary;
+  (void)reference_metrics;
   const bool serving_identical =
       fixtures::first_divergence(reference_results, served_results).empty();
   const bool serving_clean =
@@ -268,7 +272,7 @@ int main(int argc, char** argv) {
        << ", \"classify_depth\": " << serve_depth
        << ", \"aggregate_fps\": " << served_summary.aggregate_fps
        << ", \"wire_bytes\": " << served_summary.wire_bytes
-       << ", \"transport\": " << runtime::to_json(served_summary.transport)
+       << ", \"metrics\": " << served_metrics
        << ", \"bit_identical\": " << (serving_identical ? "true" : "false")
        << ", \"transport_clean\": " << (serving_clean ? "true" : "false") << "}\n}\n";
   json.close();

@@ -61,6 +61,7 @@
 #include "core/snappix.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "obs/metrics.h"
 #include "runtime/camera.h"
 #include "runtime/quant.h"
 #include "runtime/server.h"
@@ -89,6 +90,7 @@ struct ArmResult {
   std::string label;
   runtime::RuntimeSummary summary;
   runtime::FleetEnergyReport energy;
+  std::string metrics;  // obs::to_json of the arm's final metrics snapshot
   std::vector<runtime::TaskResult> results;
 };
 
@@ -120,6 +122,7 @@ ArmResult run_runtime_arm(const std::string& label, const core::SnapPixSystem& s
   arm.results = server.run(frames_per_camera);
   arm.summary = server.summary();
   arm.energy = server.fleet_energy(energy::EnergyModel{}, energy::WirelessTech::kPassiveWifi);
+  arm.metrics = obs::to_json(server.metrics_snapshot());
   return arm;
 }
 
@@ -163,6 +166,7 @@ int main(int argc, char** argv) {
   {
     NoGradGuard guard;
     runtime::RuntimeStats stats;
+    stats.add_shard(0);
     const runtime::Clock::time_point t0 = runtime::Clock::now();
     for (int cam = 0; cam < kCameras; ++cam) {
       auto camera = make_camera(cam, streams[static_cast<std::size_t>(cam)], system.pattern());
@@ -177,7 +181,8 @@ int main(int argc, char** argv) {
             std::chrono::duration<double>(runtime::Clock::now() - i0).count();
         const auto predicted = argmax_last_axis(logits)[0];
         sequential_logits.push_back(logits);
-        stats.record_batch(1, infer_s, runtime::FlushReason::kMaxBatch);
+        stats.record_batch(/*shard=*/0, frame.task, frame.precision, 1, infer_s,
+                           runtime::FlushReason::kMaxBatch);
         stats.record_frame_done(
             frame.raw_bytes, frame.wire_bytes,
             std::chrono::duration<double>(runtime::Clock::now() - f0).count(), frame.qos);
@@ -197,6 +202,7 @@ int main(int argc, char** argv) {
     sequential.energy = stats.fleet_energy(energy::EnergyModel{},
                                            static_cast<std::int64_t>(kStreamImage) * kStreamImage,
                                            kStreamFrames, energy::WirelessTech::kPassiveWifi);
+    sequential.metrics = obs::to_json(stats.registry().snapshot());
   }
 
   // --- arm 2: InferenceServer, batching enabled (fused engine) -------------
@@ -262,7 +268,11 @@ int main(int argc, char** argv) {
     json << "    " << runtime::to_json(arms[i]->summary, arms[i]->energy, arms[i]->label)
          << (i + 1 < arms.size() ? ",\n" : "\n");
   }
-  json << "  ],\n  \"speedup_batched_vs_sequential\": " << speedup_vs_sequential
+  json << "  ],\n  \"metrics\": {";
+  for (std::size_t i = 0; i < arms.size(); ++i) {
+    json << (i > 0 ? ", " : "") << "\"" << arms[i]->label << "\": " << arms[i]->metrics;
+  }
+  json << "},\n  \"speedup_batched_vs_sequential\": " << speedup_vs_sequential
        << ",\n  \"bit_identical_predictions\": " << (identical_predictions ? "true" : "false")
        << ",\n  \"bit_identical_logits\": " << (identical_logits ? "true" : "false") << "\n}\n";
   json.close();
@@ -327,22 +337,24 @@ int main(int argc, char** argv) {
     std::printf("\n[%s] consumer_shards=%zu cache_shards=%zu capacity/shard=%zu\n%s", label,
                 shards, cache_cfg.shards, cache_cfg.capacity_per_shard,
                 runtime::to_string(summary).c_str());
-    return std::make_pair(std::move(results), summary);
+    return std::make_tuple(std::move(results), summary,
+                           obs::to_json(server.metrics_snapshot()));
   };
 
   // All four patterns resident: every batch after first touch is a hit.
   runtime::EngineCacheConfig roomy;
   roomy.shards = 2;
   roomy.capacity_per_shard = 4;
-  auto [hetero_results, hetero_summary] = run_hetero("pattern_cache_resident", roomy,
-                                                     hetero_frames);
+  auto [hetero_results, hetero_summary, hetero_metrics] =
+      run_hetero("pattern_cache_resident", roomy, hetero_frames);
   // One-entry cache: pattern alternation thrashes, counting evictions.
   runtime::EngineCacheConfig tiny;
   tiny.shards = 1;
   tiny.capacity_per_shard = 1;
-  auto [pressure_results, pressure_summary] =
+  auto [pressure_results, pressure_summary, pressure_metrics] =
       run_hetero("pattern_cache_pressure", tiny, quick ? 10 : 25);
   (void)pressure_results;
+  (void)pressure_metrics;
 
   // Verify both task heads against the sequential tape paths, per camera.
   bool hetero_identical = true;
@@ -417,7 +429,7 @@ int main(int argc, char** argv) {
               "%u hardware threads\n", kShards, hw_threads);
   // Same fleet, same cache geometry, same batch policy — the only variable is
   // the consumer topology, so the fps ratio isolates shard scaling.
-  auto [sharded_results, sharded_summary] =
+  auto [sharded_results, sharded_summary, sharded_metrics] =
       run_hetero("sharded_x4", roomy, hetero_frames, kShards);
 
   const bool sharded_identical =
@@ -440,28 +452,23 @@ int main(int argc, char** argv) {
 
   {
     std::ofstream sharded_json("BENCH_sharded.json");
-    const auto arm_json = [](const runtime::RuntimeSummary& s) {
-      std::string out = "{\"frames\": " + std::to_string(s.frames) +
-                        ", \"batches\": " + std::to_string(s.batches) +
-                        ", \"aggregate_fps\": " + std::to_string(s.aggregate_fps) +
-                        ", \"mean_batch_size\": " + std::to_string(s.mean_batch_size) +
-                        ", \"steal_attempts\": " + std::to_string(s.steal_attempts) +
-                        ", \"steal_successes\": " + std::to_string(s.steal_successes) +
-                        ", \"stolen_frames\": " + std::to_string(s.stolen_frames) +
-                        ", \"shards\": [";
-      for (std::size_t i = 0; i < s.shards.size(); ++i) {
-        out += (i > 0 ? ", " : "") + runtime::to_json(s.shards[i]);
-      }
-      out += "]}";
-      return out;
+    const auto arm_json = [](const runtime::RuntimeSummary& s, const std::string& metrics) {
+      return "{\"frames\": " + std::to_string(s.frames) +
+             ", \"batches\": " + std::to_string(s.batches) +
+             ", \"aggregate_fps\": " + std::to_string(s.aggregate_fps) +
+             ", \"mean_batch_size\": " + std::to_string(s.mean_batch_size) +
+             ", \"steal_attempts\": " + std::to_string(s.steal_attempts) +
+             ", \"steal_successes\": " + std::to_string(s.steal_successes) +
+             ", \"stolen_frames\": " + std::to_string(s.stolen_frames) +
+             ", \"metrics\": " + metrics + "}";
     };
     sharded_json << "{\n  \"cameras\": " << kCameras
                  << ",\n  \"patterns\": " << kHeteroPatterns
                  << ",\n  \"frames_per_camera\": " << hetero_frames
                  << ",\n  \"consumer_shards\": " << kShards
                  << ",\n  \"hardware_threads\": " << hw_threads
-                 << ",\n  \"single_consumer\": " << arm_json(hetero_summary)
-                 << ",\n  \"sharded\": " << arm_json(sharded_summary)
+                 << ",\n  \"single_consumer\": " << arm_json(hetero_summary, hetero_metrics)
+                 << ",\n  \"sharded\": " << arm_json(sharded_summary, sharded_metrics)
                  << ",\n  \"speedup_sharded_vs_single\": " << sharded_speedup
                  << ",\n  \"speedup_gate_enforced\": "
                  << (speedup_gate_enforced ? "true" : "false")
@@ -502,10 +509,11 @@ int main(int argc, char** argv) {
     }
     std::printf("\n[%s] drop_rate=%.3f\n%s", label, drop_rate,
                 runtime::to_string(summary).c_str());
-    return std::make_tuple(std::move(results), summary, injected_faulted);
+    return std::make_tuple(std::move(results), summary, injected_faulted,
+                           obs::to_json(server.metrics_snapshot()));
   };
 
-  const auto [framed_results, framed_summary, framed_injected] =
+  const auto [framed_results, framed_summary, framed_injected, framed_metrics] =
       run_framed("framed_clean", 0.0, {});
 
   // Zero faults: the framed arm must reproduce the in-memory arm bit for bit.
@@ -531,7 +539,7 @@ int main(int argc, char** argv) {
   // exactness: observed drop counters == the links' injected ground truth.
   runtime::TransportPolicy drop_policy;
   drop_policy.corrupt = runtime::TransportPolicy::Corrupt::kDrop;
-  const auto [lossy_results, lossy_summary, lossy_injected] =
+  const auto [lossy_results, lossy_summary, lossy_injected, lossy_metrics] =
       run_framed("framed_lossy", 0.02, drop_policy);
   const bool drops_exact = lossy_summary.transport.dropped_frames == lossy_injected &&
                            lossy_results.size() + lossy_injected ==
@@ -559,10 +567,10 @@ int main(int argc, char** argv) {
                 << ",\n  \"framed_wire_bytes\": " << framed_summary.wire_bytes
                 << ",\n  \"framed_overhead_ratio\": " << framed_overhead_ratio
                 << ",\n  \"bit_identical\": " << (framed_identical ? "true" : "false")
-                << ",\n  \"transport\": " << runtime::to_json(framed_summary.transport)
+                << ",\n  \"metrics\": " << framed_metrics
                 << ",\n  \"lossy_drop_rate\": 0.02"
                 << ",\n  \"lossy_injected_faulted_frames\": " << lossy_injected
-                << ",\n  \"lossy_transport\": " << runtime::to_json(lossy_summary.transport)
+                << ",\n  \"lossy_metrics\": " << lossy_metrics
                 << ",\n  \"lossy_drops_exact\": " << (drops_exact ? "true" : "false")
                 << "\n}\n";
   }
@@ -676,6 +684,7 @@ int main(int argc, char** argv) {
   // bit-identical to the all-fp32 arm above.
   std::vector<runtime::TaskResult> mixed_results;
   runtime::RuntimeSummary mixed_summary;
+  std::string mixed_metrics;
   {
     runtime::ServerConfig server_cfg;
     server_cfg.batch.max_batch = kCameras;
@@ -692,6 +701,7 @@ int main(int argc, char** argv) {
     }
     mixed_results = server.run(hetero_frames);
     mixed_summary = server.summary();
+    mixed_metrics = obs::to_json(server.metrics_snapshot());
     std::printf("\n[int8_mixed_fleet]\n%s", runtime::to_string(mixed_summary).c_str());
   }
   bool mixed_fp32_identical = true;
@@ -753,8 +763,7 @@ int main(int argc, char** argv) {
               << ", \"aggregate_fps\": " << mixed_summary.aggregate_fps
               << ", \"fp32_frames\": " << mixed_summary.fp32_frames
               << ", \"int8_frames\": " << mixed_summary.int8_frames
-              << ", \"cache_fp32\": " << runtime::to_json(mixed_summary.cache_fp32)
-              << ", \"cache_int8\": " << runtime::to_json(mixed_summary.cache_int8)
+              << ", \"metrics\": " << mixed_metrics
               << ", \"fp32_bit_identical\": " << (mixed_fp32_identical ? "true" : "false")
               << ", \"int8_top1_agreement\": " << mixed_agreement << "}\n}\n";
   }

@@ -29,6 +29,9 @@
 #          outside the shared GELU kernel (src/tensor/gelu.{h,cpp}) — the
 #          tape and the fp32 engine must run ONE tanh, or their bit-exact
 #          parity would hang on two call sites agreeing on a libm
+#        - no std::mutex / std::lock_guard in src/runtime/stats.{h,cpp} —
+#          RuntimeStats stays a lock-free view over its metrics registry;
+#          a tally that seems to need a lock belongs in a registry series
 #
 # Usage: scripts/check_static.sh [build-dir]   (default: build)
 set -uo pipefail
@@ -117,6 +120,15 @@ for f in $SRC_FILES; do
   HITS=$(strip_noise "$f" | grep -nE 'std::tanh|tanhf|(^|[^_[:alnum:]])::tanh[fl]?[[:space:]]*\(|__builtin_tanh')
   if [ -n "$HITS" ]; then
     fail "libm tanh in $f — call detail::tanh_ref/tanh_array/gelu_array (tensor/gelu.h):
+$HITS"
+  fi
+done
+
+# --- 7. RuntimeStats holds no lock: a pure view over its registry ----------
+for f in src/runtime/stats.h src/runtime/stats.cpp; do
+  HITS=$(strip_noise "$f" | grep -nE 'std::(mutex|lock_guard)')
+  if [ -n "$HITS" ]; then
+    fail "std::mutex/std::lock_guard in $f — record into a registry series instead:
 $HITS"
   fi
 done

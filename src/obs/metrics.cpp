@@ -201,12 +201,10 @@ std::string json_number(double value) {
   return buf;
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
+std::string json_escape(const std::string& text) {
   std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
+  out.reserve(text.size() + 2);
+  for (const char c : text) {
     if (c == '"' || c == '\\') {
       out.push_back('\\');
     }
@@ -214,6 +212,8 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 // Splits `snappix_foo_total{reason="max_batch"}` into its base name and the
 // inner label list (empty when unlabeled) for Prometheus rendering.

@@ -173,6 +173,10 @@ class MetricsRegistry {
 /// exporter NaN/inf-free.
 std::string json_number(double value);
 
+/// \brief Escapes `text` for use inside a JSON string literal (quotes and
+/// backslashes); every exporter's string values go through it.
+std::string json_escape(const std::string& text);
+
 /// \brief Flat JSON object: {"counters": {...}, "gauges": {...},
 /// "histograms": {name: {count, sum, mean, min, max, p50, p95, p99,
 /// buckets: [{le, count}, ...]}}}.

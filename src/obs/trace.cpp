@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/metrics.h"
 #include "util/common.h"
 
 namespace snappix::obs {
@@ -126,18 +127,6 @@ std::size_t TraceRecorder::dropped_events() const {
 
 namespace {
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
 // Chrome wants microseconds; keep nanosecond precision as a fraction.
 std::string us(std::int64_t ns) {
   char buf[48];
@@ -157,14 +146,14 @@ std::string TraceRecorder::chrome_json() const {
     for (const auto& lane : lanes_) {
       os << (first ? "" : ",") << "\n{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
          << "\"tid\": " << lane->tid_ << ", \"args\": {\"name\": \""
-         << escape(lane->thread_name_) << "\"}}";
+         << json_escape(lane->thread_name_) << "\"}}";
       first = false;
     }
   }
   for (const TraceEvent& e : all_events()) {
-    os << (first ? "" : ",") << "\n{\"name\": \"" << escape(e.name) << "\", ";
+    os << (first ? "" : ",") << "\n{\"name\": \"" << json_escape(e.name) << "\", ";
     if (!e.cat.empty()) {
-      os << "\"cat\": \"" << escape(e.cat) << "\", ";
+      os << "\"cat\": \"" << json_escape(e.cat) << "\", ";
     }
     os << "\"ph\": \"" << e.ph << "\", \"pid\": 1, \"tid\": " << e.tid
        << ", \"ts\": " << us(e.ts_ns);

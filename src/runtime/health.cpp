@@ -105,6 +105,7 @@ void HealthController::attach(CameraSource& camera) {
   entry->base_precision = camera.precision();
   entry->base_qos = camera.qos();
   cameras_.emplace(camera.id(), std::move(entry));
+  stats_.add_camera(camera.id());
 }
 
 bool HealthController::attached(int camera_id) const { return find(camera_id) != nullptr; }
@@ -125,8 +126,7 @@ void HealthController::transition(Entry& entry, HealthState to) {
     return;
   }
   entry.state.store(to, std::memory_order_release);
-  entry.transitions.fetch_add(1, std::memory_order_relaxed);
-  stats_.record_health_transition(entry.camera_id, from, to);
+  stats_.record_health_transition(entry.camera_id, to);
   if (hook_) {
     hook_(entry.camera_id, from, to, entry.ladder_step.load(std::memory_order_relaxed));
   }
@@ -150,7 +150,6 @@ void HealthController::set_ladder_step(Entry& entry, int step, bool down) {
     }
   }
   entry.ladder_step.store(step, std::memory_order_release);
-  (down ? entry.steps_down : entry.steps_up).fetch_add(1, std::memory_order_relaxed);
   stats_.record_ladder_step(entry.camera_id, down, step);
 }
 
@@ -174,7 +173,6 @@ bool HealthController::admit_capture(int camera_id) {
   // budgeted at N frames per camera spends exactly N admit_capture calls
   // whether or not quarantine struck (conservation: offered == served +
   // shed + transport drops + quarantine drops).
-  entry->quarantine_drops.fetch_add(1, std::memory_order_relaxed);
   stats_.record_quarantine_drop(camera_id);
   if (--entry->quarantine_remaining <= 0) {
     transition(*entry, HealthState::kRecovering);
@@ -255,10 +253,11 @@ CameraHealthSnapshot HealthController::snapshot(int camera_id) const {
   }
   snap.state = entry->state.load(std::memory_order_acquire);
   snap.ladder_step = entry->ladder_step.load(std::memory_order_acquire);
-  snap.transitions = entry->transitions.load(std::memory_order_relaxed);
-  snap.steps_down = entry->steps_down.load(std::memory_order_relaxed);
-  snap.steps_up = entry->steps_up.load(std::memory_order_relaxed);
-  snap.quarantine_drops = entry->quarantine_drops.load(std::memory_order_relaxed);
+  const HealthCounters tally = stats_.health_counters(camera_id);
+  snap.transitions = tally.transitions;
+  snap.steps_down = tally.steps_down;
+  snap.steps_up = tally.steps_up;
+  snap.quarantine_drops = tally.quarantine_drops;
   return snap;
 }
 

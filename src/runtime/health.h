@@ -26,9 +26,10 @@
 //
 // Threading: attach() happens before the scheduler starts (single-threaded
 // setup). admit_capture()/on_frame() for one camera run on that camera's
-// producer thread only; the window tallies are plain fields. state() and the
-// snapshot counters are cross-thread reads backed by atomics, so the
-// watchdog, benches, and tests may poll mid-run. See docs/resilience.md.
+// producer thread only; the window tallies are plain fields. state() is an
+// atomic read and the snapshot tallies are the camera's RuntimeStats
+// registry counters, so the watchdog, benches, and tests may poll mid-run.
+// See docs/resilience.md.
 #pragma once
 
 #include <atomic>
@@ -168,15 +169,6 @@ class HealthController {
     std::atomic<HealthState> state{HealthState::kHealthy};
     // order: release/acquire, same pairing as `state` above.
     std::atomic<int> ladder_step{0};
-    // order: relaxed — monotone event tallies; readers only ever sum or
-    // compare them after the fact, no data is published through them.
-    std::atomic<std::uint64_t> transitions{0};
-    // order: relaxed — see `transitions`.
-    std::atomic<std::uint64_t> steps_down{0};
-    // order: relaxed — see `transitions`.
-    std::atomic<std::uint64_t> steps_up{0};
-    // order: relaxed — see `transitions`.
-    std::atomic<std::uint64_t> quarantine_drops{0};
   };
 
   Entry* find(int camera_id);
@@ -190,8 +182,9 @@ class HealthController {
   RuntimeStats& stats_;
   TransitionHook hook_;
   // Built by attach() before the scheduler starts; strictly read-only
-  // afterwards (no mutex needed — entries are reached through const lookups
-  // and their mutable state is the atomics above).
+  // afterwards (no mutex needed — entries are reached through const lookups,
+  // their mutable state is the atomics above, and their tallies live in
+  // stats_).
   std::unordered_map<int, std::unique_ptr<Entry>> cameras_;
 };
 

@@ -90,6 +90,7 @@ void StreamScheduler::register_queue(FrameQueue& queue) {
 void StreamScheduler::add_camera(std::unique_ptr<CameraSource> camera, FrameQueue& queue) {
   SNAPPIX_CHECK(!started_, "cannot add cameras after start()");
   SNAPPIX_CHECK(camera != nullptr, "null camera");
+  stats_.add_camera(camera->id());
   cameras_.push_back(std::move(camera));
   auto route = std::make_unique<Route>();
   route->home = &queue;
@@ -208,8 +209,7 @@ void StreamScheduler::produce(CameraSource& camera, Route& route, std::int64_t f
           retransmit_with_backoff(camera, frame);
         }
         const bool codec_link = camera.framed_link()->config().codec;
-        stats_.record_transport(camera.id(), frame.transport, frame.retransmits,
-                                is_corrupt(frame.transport), codec_link,
+        stats_.record_transport(camera.id(), frame.transport, frame.retransmits, codec_link,
                                 frame.decoded_planes, frame.total_planes);
         if (health_ != nullptr) {
           health_->on_frame(camera, is_corrupt(frame.transport), frame.retransmits);

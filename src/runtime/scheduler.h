@@ -91,8 +91,8 @@ class StreamScheduler {
   void register_queue(FrameQueue& queue);
 
   // Routes the camera's frames to `queue` (registering it as with
-  // register_queue). The queue must outlive the scheduler; several cameras
-  // may share one queue.
+  // register_queue) and adds the camera's series to the RuntimeStats. The
+  // queue must outlive the scheduler; several cameras may share one queue.
   void add_camera(std::unique_ptr<CameraSource> camera, FrameQueue& queue);
   std::size_t camera_count() const { return cameras_.size(); }
 

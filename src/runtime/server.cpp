@@ -110,6 +110,7 @@ InferenceServer::InferenceServer(const core::SnapPixSystem& system,
               *system.classifier(), *system.reconstructor(), spec, max_batch);
         });
     shards_.push_back(std::move(shard));
+    stats_.add_shard(i);
   }
   if (config_.trace.enabled) {
     trace_recorder_ = std::make_unique<obs::TraceRecorder>(config_.trace);
@@ -309,11 +310,9 @@ void InferenceServer::serve_batch(Shard& self, const BatchKey& key,
     emit_frame_lifecycles(*self.lane, batch, infer_start, infer_end);
   }
 
-  stats_.record_batch(batch.size(),
+  stats_.record_batch(self.index, key.task, key.precision, batch.size(),
                       std::chrono::duration<double>(infer_end - infer_start).count(),
                       reason);
-  stats_.record_task_frames(key.task, batch.size());
-  stats_.record_precision_frames(key.precision, batch.size());
   for (const Frame& frame : batch) {
     stats_.record_frame_done(
         frame.raw_bytes, frame.wire_bytes,
@@ -325,15 +324,6 @@ void InferenceServer::serve_batch(Shard& self, const BatchKey& key,
     if (frame.has_deadline() && infer_end > frame.deadline) {
       stats_.record_deadline_miss(frame.camera_id);
     }
-  }
-  self.counters.frames += batch.size();
-  ++self.counters.batches;
-  switch (reason) {
-    case FlushReason::kMaxBatch: ++self.counters.flush_max_batch; break;
-    case FlushReason::kMaxLatency: ++self.counters.flush_max_latency; break;
-    case FlushReason::kExhausted: ++self.counters.flush_exhausted; break;
-    case FlushReason::kHoldback: ++self.counters.flush_holdback; break;
-    case FlushReason::kSteal: ++self.counters.flush_steal; break;
   }
   // A completed batch is the strongest liveness signal there is.
   self.heartbeat.fetch_add(1, std::memory_order_relaxed);
@@ -435,14 +425,12 @@ void InferenceServer::shard_loop(std::size_t index) {
       bool stole = false;
       for (std::size_t i = 0; i < victim_order.size() && !stole; ++i) {
         Shard& victim = *shards_[victim_order[i].second];
-        ++self.counters.steal_attempts;
+        stats_.record_steal_attempt(index);
         if (victim.queue.steal_tail(batch, config_.batch.max_batch)) {
           const Clock::time_point now = Clock::now();
           for (Frame& frame : batch) {
             frame.dequeue_time = now;
           }
-          ++self.counters.steal_successes;
-          self.counters.stolen_frames += batch.size();
           serve_batch(self,
                       BatchKey{batch.front().pattern_id, batch.front().task,
                                batch.front().precision, batch.front().decode_depth},
@@ -561,7 +549,7 @@ void InferenceServer::rescue_shard(std::size_t index) {
       sibling.queue.shed(frame, ShedReason::kDeadline);
     }
   }
-  stats_.record_rerouted_frames(rescued.size());
+  stats_.record_rerouted_frames(index, rescued.size());
 }
 
 std::vector<TaskResult> InferenceServer::run(std::int64_t frames_per_camera) {
@@ -606,36 +594,6 @@ std::vector<TaskResult> InferenceServer::run(
   scheduler_.join();
   wall_seconds_ = std::chrono::duration<double>(Clock::now() - run_start).count();
 
-  CacheTierCounters cache_fp32;
-  CacheTierCounters cache_int8;
-  std::vector<ShardStatsView> views;
-  views.reserve(shards_.size());
-  std::size_t total_results = 0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    shard.counters.shard = i;
-    shard.counters.queue_high_water = shard.queue.high_water_mark();
-    stats_.set_queue_high_water(shard.queue.high_water_mark());
-    // One snapshot per tier; the shard total is their sum BY CONSTRUCTION (a
-    // separately-locked counters() read could disagree with the tier reads
-    // if a resolve were still in flight).
-    const EngineCacheCounters fp32 = shard.cache->counters(Precision::kFp32);
-    const EngineCacheCounters int8 = shard.cache->counters(Precision::kInt8);
-    shard.counters.cache_hits = fp32.hits + int8.hits;
-    shard.counters.cache_misses = fp32.misses + int8.misses;
-    shard.counters.cache_evictions = fp32.evictions + int8.evictions;
-    cache_fp32.hits += fp32.hits;
-    cache_fp32.misses += fp32.misses;
-    cache_fp32.evictions += fp32.evictions;
-    cache_int8.hits += int8.hits;
-    cache_int8.misses += int8.misses;
-    cache_int8.evictions += int8.evictions;
-    views.push_back(shard.counters);
-    total_results += shard.results.size();
-  }
-  stats_.set_cache_tier_counters(cache_fp32, cache_int8);
-  stats_.set_shard_views(std::move(views));
-
   {
     std::lock_guard<std::mutex> lock(worker_error_mutex_);
     if (!worker_error_.empty()) {
@@ -643,6 +601,10 @@ std::vector<TaskResult> InferenceServer::run(
     }
   }
 
+  std::size_t total_results = 0;
+  for (const auto& shard : shards_) {
+    total_results += shard->results.size();
+  }
   std::vector<TaskResult> results;
   results.reserve(total_results);
   for (const auto& shard : shards_) {
@@ -657,9 +619,30 @@ std::vector<TaskResult> InferenceServer::run(
   return results;
 }
 
+obs::MetricsSnapshot InferenceServer::metrics_snapshot() const {
+  obs::MetricsSnapshot snap = stats_.registry().snapshot();
+  // The queues and engine caches keep their own ledgers; export them live,
+  // beside the series RuntimeStats records.
+  for (const auto& shard : shards_) {
+    const std::string id = "{shard=\"" + std::to_string(shard->index) + "\"";
+    snap.gauges.emplace_back("snappix_queue_high_water" + id + "}",
+                             static_cast<double>(shard->queue.high_water_mark()));
+    for (const Precision precision : {Precision::kFp32, Precision::kInt8}) {
+      const EngineCacheCounters c = shard->cache->counters(precision);
+      const std::string labels = id + ",precision=\"" + to_string(precision) + "\"}";
+      snap.counters.emplace_back("snappix_cache_hits_total" + labels, c.hits);
+      snap.counters.emplace_back("snappix_cache_misses_total" + labels, c.misses);
+      snap.counters.emplace_back("snappix_cache_evictions_total" + labels, c.evictions);
+    }
+  }
+  std::sort(snap.counters.begin(), snap.counters.end());
+  std::sort(snap.gauges.begin(), snap.gauges.end());
+  return snap;
+}
+
 RuntimeSummary InferenceServer::summary() const {
   SNAPPIX_CHECK(ran_, "summary() requires a completed run()");
-  return stats_.summary(wall_seconds_);
+  return summarize(metrics_snapshot(), wall_seconds_);
 }
 
 FleetEnergyReport InferenceServer::fleet_energy(const energy::EnergyModel& model,

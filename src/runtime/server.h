@@ -174,15 +174,18 @@ class InferenceServer {
   /// frames_per_camera[i] frames.
   std::vector<TaskResult> run(const std::vector<std::int64_t>& frames_per_camera);
 
-  /// \brief Valid after run(). Includes per-shard views (RuntimeSummary::shards).
+  /// \brief Valid after run(): summarize(metrics_snapshot()), per-shard
+  /// views (RuntimeSummary::shards) included.
   RuntimeSummary summary() const;
   FleetEnergyReport fleet_energy(const energy::EnergyModel& model,
                                  energy::WirelessTech tech) const;
 
-  /// \brief Point-in-time copy of the live metrics registry. Safe to call
-  /// MID-RUN from any thread (lock-free value reads — see obs/metrics.h);
-  /// render with obs::to_json or obs::to_prometheus.
-  obs::MetricsSnapshot metrics_snapshot() const { return stats_.registry().snapshot(); }
+  /// \brief Point-in-time copy of the live metrics registry plus each
+  /// shard's queue high water and engine-cache traffic, read from their own
+  /// ledgers. Safe to call MID-RUN from any thread (lock-free registry value
+  /// reads — see obs/metrics.h — and one short lock per queue and cache
+  /// shard); render with obs::to_json or obs::to_prometheus.
+  obs::MetricsSnapshot metrics_snapshot() const;
 
   /// \brief The trace recorder, or null when ServerConfig::trace.enabled is
   /// false. Spans may be read mid-run (lanes publish with release/acquire;
@@ -194,7 +197,6 @@ class InferenceServer {
   /// \brief Writes trace_json() to `path`.
   void write_trace(const std::string& path) const;
 
-  const RuntimeStats& stats() const { return stats_; }
   const ServerConfig& config() const { return config_; }
   /// \brief The fleet health controller, or null when ServerConfig::health is
   /// disabled. Snapshots (state, ladder step, counters) are safe mid-run.
@@ -204,8 +206,8 @@ class InferenceServer {
 
  private:
   /// One consumer shard: run queue + private cache view + worker-owned
-  /// counters and result rows (touched lock-free by exactly one worker
-  /// during a run, merged after the join).
+  /// result rows (touched lock-free by exactly one worker during a run,
+  /// merged after the join). Its counters are {shard="N"} series in stats_.
   struct Shard {
     explicit Shard(std::size_t shard_index, std::size_t queue_capacity)
         : index(shard_index), queue(queue_capacity) {}
@@ -213,7 +215,6 @@ class InferenceServer {
     FrameQueue queue;
     std::unique_ptr<EngineCache> cache;
     obs::TraceLane* lane = nullptr;  // null when tracing is off
-    ShardStatsView counters;
     std::vector<TaskResult> results;
     // order: relaxed — a pure liveness counter. The worker bumps it every
     // loop iteration; the watchdog only compares successive reads for

@@ -1,8 +1,9 @@
 #include "runtime/stats.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdarg>
 #include <cstdio>
+#include <map>
 #include <sstream>
 
 #include "util/common.h"
@@ -11,17 +12,109 @@ namespace snappix::runtime {
 
 namespace {
 
-StageSummary summarize(const obs::Histogram& h) {
-  StageSummary out;
-  out.count = static_cast<std::size_t>(h.count());
-  out.mean_ms = h.mean() * 1e3;
-  out.p50_ms = h.percentile(50.0) * 1e3;
-  out.p95_ms = h.percentile(95.0) * 1e3;
-  out.p99_ms = h.percentile(99.0) * 1e3;
-  return out;
+constexpr QosClass kQosClasses[] = {QosClass::kRealtime, QosClass::kStandard,
+                                    QosClass::kBestEffort};
+constexpr ShedReason kShedReasons[] = {ShedReason::kQueueFull, ShedReason::kDeadline};
+constexpr FlushReason kFlushReasons[] = {FlushReason::kMaxBatch, FlushReason::kMaxLatency,
+                                         FlushReason::kExhausted, FlushReason::kHoldback,
+                                         FlushReason::kSteal};
+constexpr TransportStatus kFramedOutcomes[] = {TransportStatus::kFramedOk,
+                                               TransportStatus::kCrcError,
+                                               TransportStatus::kTruncated,
+                                               TransportStatus::kMissingLines};
+constexpr HealthState kHealthStates[] = {HealthState::kHealthy, HealthState::kDegraded,
+                                         HealthState::kQuarantined, HealthState::kRecovering};
+
+template <typename Enum>
+std::size_t idx(Enum value) {
+  return static_cast<std::size_t>(value);
 }
 
+// `,key="value"`: one more label for a series name.
+std::string label(const char* key, const std::string& value) {
+  return std::string(",") + key + "=\"" + value + "\"";
+}
+
+// Resolves counters `base{<id><more labels>}` for one camera or shard.
+struct SeriesResolver {
+  obs::MetricsRegistry& registry;
+  std::string id;  // the leading label, e.g. camera="3"
+  obs::Counter* operator()(const char* base, const std::string& labels) const {
+    return &registry.counter(base + ("{" + id + labels + "}"));
+  }
+  obs::Counter* operator()(const char* base) const { return (*this)(base, ""); }
+};
+
 }  // namespace
+
+// One camera's series (the {camera="N"} rows of the metric table in
+// docs/observability.md), resolved once.
+struct RuntimeStats::CameraSeries {
+  CameraSeries(obs::MetricsRegistry& registry, int camera_id) {
+    const SeriesResolver counter{registry, "camera=\"" + std::to_string(camera_id) + "\""};
+    for (const TransportStatus status : kFramedOutcomes) {
+      outcome[idx(status)] =
+          counter("snappix_transport_frames_total", label("outcome", to_string(status)));
+    }
+    retransmits = counter("snappix_transport_retransmits_total");
+    codec_frames = counter("snappix_codec_frames_total");
+    planes_decoded = counter("snappix_codec_planes_decoded_total");
+    planes_total = counter("snappix_codec_planes_total");
+    for (const QosClass qos : kQosClasses) {
+      for (const ShedReason reason : kShedReasons) {
+        shed[idx(qos)][idx(reason)] =
+            counter("snappix_shed_frames_total",
+                    label("qos", to_string(qos)) + label("reason", to_string(reason)));
+      }
+    }
+    deadline_misses = counter("snappix_deadline_miss_total");
+    for (const HealthState state : kHealthStates) {
+      entered[idx(state)] =
+          counter("snappix_health_transitions_total", label("to", to_string(state)));
+    }
+    ladder[0] = counter("snappix_ladder_steps_total", label("direction", "up"));
+    ladder[1] = counter("snappix_ladder_steps_total", label("direction", "down"));
+    quarantine_drops = counter("snappix_quarantine_drops_total");
+    health = &registry.gauge("snappix_camera_health{" + counter.id + "}");
+    ladder_step = &registry.gauge("snappix_camera_ladder_step{" + counter.id + "}");
+  }
+
+  obs::Counter* outcome[5] = {};  // [TransportStatus]; kInMemory stays null
+  obs::Counter* retransmits;
+  obs::Counter* codec_frames;
+  obs::Counter* planes_decoded;
+  obs::Counter* planes_total;
+  obs::Counter* shed[3][2];  // [QosClass][ShedReason]
+  obs::Counter* deadline_misses;
+  obs::Counter* entered[4];  // [HealthState]: transitions into that state
+  obs::Counter* ladder[2];   // [0] up, [1] down
+  obs::Counter* quarantine_drops;
+  obs::Gauge* health;
+  obs::Gauge* ladder_step;
+};
+
+// One consumer shard's series (the {shard="N"} rows), resolved once.
+struct RuntimeStats::ShardSeries {
+  ShardSeries(obs::MetricsRegistry& registry, std::size_t shard) {
+    const SeriesResolver counter{registry, "shard=\"" + std::to_string(shard) + "\""};
+    frames = counter("snappix_shard_frames_total");
+    for (const FlushReason reason : kFlushReasons) {
+      flush[idx(reason)] =
+          counter("snappix_batch_flush_total", label("reason", to_string(reason)));
+    }
+    steal_attempts = counter("snappix_steal_attempts_total");
+    stolen_frames = counter("snappix_stolen_frames_total");
+    watchdog_stalls = counter("snappix_watchdog_stalls_total");
+    rerouted_frames = counter("snappix_watchdog_rerouted_frames_total");
+  }
+
+  obs::Counter* frames;
+  obs::Counter* flush[5];  // [FlushReason]
+  obs::Counter* steal_attempts;
+  obs::Counter* stolen_frames;
+  obs::Counter* watchdog_stalls;
+  obs::Counter* rerouted_frames;
+};
 
 RuntimeStats::RuntimeStats()
     : capture_(registry_.histogram("snappix_capture_seconds")),
@@ -30,148 +123,88 @@ RuntimeStats::RuntimeStats()
       end_to_end_(registry_.histogram("snappix_e2e_seconds")),
       frames_(registry_.counter("snappix_frames_total")),
       batches_(registry_.counter("snappix_batches_total")),
-      batched_frames_(registry_.counter("snappix_batched_frames_total")),
       classify_frames_(registry_.counter("snappix_task_frames_total{task=\"classify\"}")),
       reconstruct_frames_(
           registry_.counter("snappix_task_frames_total{task=\"reconstruct\"}")),
       fp32_frames_(registry_.counter("snappix_precision_frames_total{precision=\"fp32\"}")),
       int8_frames_(registry_.counter("snappix_precision_frames_total{precision=\"int8\"}")),
       raw_bytes_(registry_.counter("snappix_raw_bytes_total")),
-      wire_bytes_(registry_.counter("snappix_wire_bytes_total")),
-      deadline_miss_(registry_.counter("snappix_deadline_miss_total")),
-      queue_high_water_(registry_.gauge("snappix_queue_high_water")) {
-  for (const FlushReason reason :
-       {FlushReason::kMaxBatch, FlushReason::kMaxLatency, FlushReason::kExhausted,
-        FlushReason::kHoldback, FlushReason::kSteal}) {
-    flush_[static_cast<std::size_t>(reason)] = &registry_.counter(
-        std::string("snappix_batch_flush_total{reason=\"") + to_string(reason) + "\"}");
+      wire_bytes_(registry_.counter("snappix_wire_bytes_total")) {
+  for (const QosClass qos : kQosClasses) {
+    e2e_qos_[idx(qos)] = &registry_.histogram(std::string("snappix_e2e_seconds{qos=\"") +
+                                              to_string(qos) + "\"}");
   }
-  for (const QosClass qos :
-       {QosClass::kRealtime, QosClass::kStandard, QosClass::kBestEffort}) {
-    for (const ShedReason reason : {ShedReason::kQueueFull, ShedReason::kDeadline}) {
-      shed_[static_cast<std::size_t>(qos)][static_cast<std::size_t>(reason)] =
-          &registry_.counter(std::string("snappix_shed_frames_total{qos=\"") +
-                             to_string(qos) + "\",reason=\"" + to_string(reason) + "\"}");
-    }
-    e2e_qos_[static_cast<std::size_t>(qos)] = &registry_.histogram(
-        std::string("snappix_e2e_seconds{qos=\"") + to_string(qos) + "\"}");
+}
+
+RuntimeStats::~RuntimeStats() = default;
+
+void RuntimeStats::add_camera(int camera_id) {
+  if (cameras_.count(camera_id) == 0) {
+    cameras_.emplace(camera_id, std::make_unique<CameraSeries>(registry_, camera_id));
   }
+}
+
+void RuntimeStats::add_shard(std::size_t shard) {
+  if (shards_.count(shard) == 0) {
+    shards_.emplace(shard, std::make_unique<ShardSeries>(registry_, shard));
+  }
+}
+
+namespace {
+
+template <typename Series, typename Key>
+const Series& added(const std::unordered_map<Key, std::unique_ptr<Series>>& series, Key key,
+                    const char* kind) {
+  const auto it = series.find(key);
+  SNAPPIX_CHECK(it != series.end(), kind << " " << key << " records before it was added");
+  return *it->second;
+}
+
+}  // namespace
+
+const RuntimeStats::CameraSeries& RuntimeStats::camera_series(int camera_id) const {
+  return added(cameras_, camera_id, "camera");
+}
+
+const RuntimeStats::ShardSeries& RuntimeStats::shard_series(std::size_t shard) const {
+  return added(shards_, shard, "shard");
 }
 
 void RuntimeStats::record_capture(double seconds) { capture_.observe(seconds); }
 
+void RuntimeStats::record_transport(int camera_id, TransportStatus status, int retransmits,
+                                    bool codec, int decoded_planes, int total_planes) {
+  SNAPPIX_CHECK(status != TransportStatus::kInMemory,
+                "camera " << camera_id << ": an in-memory frame crossed no link");
+  const CameraSeries& c = camera_series(camera_id);
+  c.outcome[idx(status)]->add();
+  c.retransmits->add(static_cast<std::uint64_t>(retransmits));
+  if (codec) {
+    c.codec_frames->add();
+    c.planes_decoded->add(static_cast<std::uint64_t>(decoded_planes));
+    c.planes_total->add(static_cast<std::uint64_t>(total_planes));
+  }
+}
+
 void RuntimeStats::record_queue_wait(double seconds) { queue_wait_.observe(seconds); }
 
-void RuntimeStats::record_batch(std::size_t batch_size, double inference_seconds,
+void RuntimeStats::record_batch(std::size_t shard, Task task, Precision precision,
+                                std::size_t batch_size, double inference_seconds,
                                 FlushReason reason) {
   batches_.add();
-  batched_frames_.add(batch_size);
-  flush_[static_cast<std::size_t>(reason)]->add();
   inference_.observe(inference_seconds);
-}
-
-void RuntimeStats::record_task_frames(Task task, std::size_t count) {
-  (task == Task::kClassify ? classify_frames_ : reconstruct_frames_).add(count);
-}
-
-void RuntimeStats::record_precision_frames(Precision precision, std::size_t count) {
-  (precision == Precision::kFp32 ? fp32_frames_ : int8_frames_).add(count);
-}
-
-void RuntimeStats::record_transport(int camera_id, TransportStatus status, int retransmits,
-                                    bool dropped, bool codec, int decoded_planes,
-                                    int total_planes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  TransportCounters& c = transport_[camera_id];
-  ++c.framed_frames;
-  switch (status) {
-    case TransportStatus::kFramedOk:
-      ++c.ok_frames;
-      break;
-    case TransportStatus::kCrcError:
-      ++c.crc_errors;
-      break;
-    case TransportStatus::kTruncated:
-      ++c.truncated;
-      break;
-    case TransportStatus::kMissingLines:
-      ++c.missing_lines;
-      break;
-    default:
-      break;  // kInMemory frames are never recorded here
-  }
-  c.retransmits += static_cast<std::uint64_t>(retransmits);
-  if (dropped) {
-    ++c.dropped_frames;
-  }
-  if (codec) {
-    ++c.codec_frames;
-    c.codec_planes_decoded += static_cast<std::uint64_t>(decoded_planes);
-    c.codec_planes_total += static_cast<std::uint64_t>(total_planes);
+  (task == Task::kClassify ? classify_frames_ : reconstruct_frames_).add(batch_size);
+  (precision == Precision::kFp32 ? fp32_frames_ : int8_frames_).add(batch_size);
+  const ShardSeries& s = shard_series(shard);
+  s.frames->add(batch_size);
+  s.flush[idx(reason)]->add();
+  if (reason == FlushReason::kSteal) {
+    s.stolen_frames->add(batch_size);
   }
 }
 
-void RuntimeStats::record_shed(int camera_id, QosClass qos, ShedReason reason) {
-  shed_[static_cast<std::size_t>(qos)][static_cast<std::size_t>(reason)]->add();
-  std::lock_guard<std::mutex> lock(mutex_);
-  ShedCounters& c = shed_cameras_[camera_id];
-  if (reason == ShedReason::kQueueFull) {
-    ++c.queue_full;
-  } else {
-    ++c.deadline;
-  }
-}
-
-void RuntimeStats::record_deadline_miss(int camera_id) {
-  deadline_miss_.add();
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++shed_cameras_[camera_id].deadline_misses;
-}
-
-void RuntimeStats::record_health_transition(int camera_id, HealthState from,
-                                            HealthState to) {
-  // Cold path (a handful of events per run at most): labeled counters are
-  // resolved by name on demand instead of pre-building the 4x4 matrix.
-  registry_.counter(std::string("snappix_health_transitions_total{from=\"") +
-                    to_string(from) + "\",to=\"" + to_string(to) + "\"}")
-      .add();
-  registry_.gauge(std::string("snappix_camera_health{camera=\"") +
-                  std::to_string(camera_id) + "\"}")
-      .set(static_cast<double>(to));
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++health_cameras_[camera_id].transitions;
-}
-
-void RuntimeStats::record_ladder_step(int camera_id, bool down, int step) {
-  registry_.counter(std::string("snappix_ladder_steps_total{direction=\"") +
-                    (down ? "down" : "up") + "\"}")
-      .add();
-  registry_.gauge(std::string("snappix_camera_ladder_step{camera=\"") +
-                  std::to_string(camera_id) + "\"}")
-      .set(static_cast<double>(step));
-  std::lock_guard<std::mutex> lock(mutex_);
-  HealthCounters& c = health_cameras_[camera_id];
-  ++(down ? c.steps_down : c.steps_up);
-}
-
-void RuntimeStats::record_quarantine_drop(int camera_id) {
-  registry_.counter("snappix_quarantine_drops_total").add();
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++health_cameras_[camera_id].quarantine_drops;
-}
-
-void RuntimeStats::record_watchdog_stall(std::size_t shard) {
-  registry_.counter(std::string("snappix_watchdog_stalls_total{shard=\"") +
-                    std::to_string(shard) + "\"}")
-      .add();
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++watchdog_stalls_;
-}
-
-void RuntimeStats::record_rerouted_frames(std::size_t count) {
-  registry_.counter("snappix_watchdog_rerouted_frames_total").add(count);
-  std::lock_guard<std::mutex> lock(mutex_);
-  rerouted_frames_ += count;
+void RuntimeStats::record_steal_attempt(std::size_t shard) {
+  shard_series(shard).steal_attempts->add();
 }
 
 void RuntimeStats::record_frame_done(std::uint64_t raw_bytes, std::uint64_t wire_bytes,
@@ -180,121 +213,55 @@ void RuntimeStats::record_frame_done(std::uint64_t raw_bytes, std::uint64_t wire
   raw_bytes_.add(raw_bytes);
   wire_bytes_.add(wire_bytes);
   end_to_end_.observe(end_to_end_seconds);
-  e2e_qos_[static_cast<std::size_t>(qos)]->observe(end_to_end_seconds);
+  e2e_qos_[idx(qos)]->observe(end_to_end_seconds);
 }
 
-void RuntimeStats::set_queue_high_water(std::size_t depth) {
-  queue_high_water_.set_max(static_cast<double>(depth));
+void RuntimeStats::record_shed(int camera_id, QosClass qos, ShedReason reason) {
+  camera_series(camera_id).shed[idx(qos)][idx(reason)]->add();
 }
 
-void RuntimeStats::set_cache_tier_counters(const CacheTierCounters& fp32,
-                                           const CacheTierCounters& int8) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  cache_fp32_ = fp32;
-  cache_int8_ = int8;
+void RuntimeStats::record_deadline_miss(int camera_id) {
+  camera_series(camera_id).deadline_misses->add();
 }
 
-void RuntimeStats::set_shard_views(std::vector<ShardStatsView> shards) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  shards_ = std::move(shards);
+void RuntimeStats::record_health_transition(int camera_id, HealthState to) {
+  const CameraSeries& c = camera_series(camera_id);
+  c.entered[idx(to)]->add();
+  c.health->set(static_cast<double>(to));
+}
+
+void RuntimeStats::record_ladder_step(int camera_id, bool down, int step) {
+  const CameraSeries& c = camera_series(camera_id);
+  c.ladder[down ? 1 : 0]->add();
+  c.ladder_step->set(static_cast<double>(step));
+}
+
+void RuntimeStats::record_quarantine_drop(int camera_id) {
+  camera_series(camera_id).quarantine_drops->add();
+}
+
+void RuntimeStats::record_watchdog_stall(std::size_t shard) {
+  shard_series(shard).watchdog_stalls->add();
+}
+
+void RuntimeStats::record_rerouted_frames(std::size_t shard, std::size_t count) {
+  shard_series(shard).rerouted_frames->add(count);
+}
+
+HealthCounters RuntimeStats::health_counters(int camera_id) const {
+  HealthCounters out;
+  const CameraSeries& c = camera_series(camera_id);
+  for (const obs::Counter* entered : c.entered) {
+    out.transitions += entered->value();
+  }
+  out.steps_down = c.ladder[1]->value();
+  out.steps_up = c.ladder[0]->value();
+  out.quarantine_drops = c.quarantine_drops->value();
+  return out;
 }
 
 RuntimeSummary RuntimeStats::summary(double wall_seconds) const {
-  RuntimeSummary out;
-  const std::uint64_t frames = frames_.value();
-  const std::uint64_t batches = batches_.value();
-  const std::uint64_t batched_frames = batched_frames_.value();
-  const std::uint64_t raw_bytes = raw_bytes_.value();
-  const std::uint64_t wire_bytes = wire_bytes_.value();
-  out.frames = frames;
-  out.batches = batches;
-  out.wall_seconds = wall_seconds;
-  out.aggregate_fps =
-      wall_seconds > 0.0 ? static_cast<double>(frames) / wall_seconds : 0.0;
-  out.mean_batch_size =
-      batches > 0 ? static_cast<double>(batched_frames) / static_cast<double>(batches) : 0.0;
-  out.queue_high_water = static_cast<std::size_t>(queue_high_water_.value());
-  out.classify_frames = classify_frames_.value();
-  out.reconstruct_frames = reconstruct_frames_.value();
-  out.fp32_frames = fp32_frames_.value();
-  out.int8_frames = int8_frames_.value();
-  out.flush_max_batch = flush_[static_cast<std::size_t>(FlushReason::kMaxBatch)]->value();
-  out.flush_max_latency =
-      flush_[static_cast<std::size_t>(FlushReason::kMaxLatency)]->value();
-  out.flush_exhausted = flush_[static_cast<std::size_t>(FlushReason::kExhausted)]->value();
-  out.flush_holdback = flush_[static_cast<std::size_t>(FlushReason::kHoldback)]->value();
-  out.flush_steal = flush_[static_cast<std::size_t>(FlushReason::kSteal)]->value();
-  out.capture = summarize(capture_);
-  out.queue_wait = summarize(queue_wait_);
-  out.inference = summarize(inference_);
-  out.end_to_end = summarize(end_to_end_);
-  out.e2e_realtime = summarize(*e2e_qos_[static_cast<std::size_t>(QosClass::kRealtime)]);
-  out.e2e_standard = summarize(*e2e_qos_[static_cast<std::size_t>(QosClass::kStandard)]);
-  out.e2e_best_effort =
-      summarize(*e2e_qos_[static_cast<std::size_t>(QosClass::kBestEffort)]);
-  for (const QosClass qos :
-       {QosClass::kRealtime, QosClass::kStandard, QosClass::kBestEffort}) {
-    std::uint64_t by_qos = 0;
-    for (const ShedReason reason : {ShedReason::kQueueFull, ShedReason::kDeadline}) {
-      const std::uint64_t n =
-          shed_[static_cast<std::size_t>(qos)][static_cast<std::size_t>(reason)]->value();
-      by_qos += n;
-      (reason == ShedReason::kQueueFull ? out.shed_queue_full : out.shed_deadline) += n;
-    }
-    switch (qos) {
-      case QosClass::kRealtime: out.shed_realtime = by_qos; break;
-      case QosClass::kStandard: out.shed_standard = by_qos; break;
-      case QosClass::kBestEffort: out.shed_best_effort = by_qos; break;
-    }
-  }
-  out.shed_frames = out.shed_queue_full + out.shed_deadline;
-  out.deadline_misses = deadline_miss_.value();
-  out.raw_bytes = raw_bytes;
-  out.wire_bytes = wire_bytes;
-  out.compression_ratio =
-      wire_bytes > 0 ? static_cast<double>(raw_bytes) / static_cast<double>(wire_bytes) : 0.0;
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  out.cache_fp32 = cache_fp32_;
-  out.cache_int8 = cache_int8_;
-  out.cache_hits = cache_fp32_.hits + cache_int8_.hits;
-  out.cache_misses = cache_fp32_.misses + cache_int8_.misses;
-  out.cache_evictions = cache_fp32_.evictions + cache_int8_.evictions;
-  const std::uint64_t lookups = out.cache_hits + out.cache_misses;
-  out.cache_hit_rate =
-      lookups > 0 ? static_cast<double>(out.cache_hits) / static_cast<double>(lookups) : 0.0;
-  out.shards = shards_;
-  for (const ShardStatsView& shard : shards_) {
-    out.steal_attempts += shard.steal_attempts;
-    out.steal_successes += shard.steal_successes;
-    out.stolen_frames += shard.stolen_frames;
-  }
-  for (const auto& [camera_id, counters] : shed_cameras_) {
-    out.shed_cameras.emplace_back(camera_id, counters);
-  }
-  out.watchdog_stalls = watchdog_stalls_;
-  out.rerouted_frames = rerouted_frames_;
-  for (const auto& [camera_id, counters] : health_cameras_) {
-    out.health_cameras.emplace_back(camera_id, counters);
-    out.health_transitions += counters.transitions;
-    out.ladder_steps_down += counters.steps_down;
-    out.ladder_steps_up += counters.steps_up;
-    out.quarantine_drops += counters.quarantine_drops;
-  }
-  for (const auto& [camera_id, counters] : transport_) {
-    out.transport_cameras.emplace_back(camera_id, counters);
-    out.transport.framed_frames += counters.framed_frames;
-    out.transport.ok_frames += counters.ok_frames;
-    out.transport.crc_errors += counters.crc_errors;
-    out.transport.truncated += counters.truncated;
-    out.transport.missing_lines += counters.missing_lines;
-    out.transport.retransmits += counters.retransmits;
-    out.transport.dropped_frames += counters.dropped_frames;
-    out.transport.codec_frames += counters.codec_frames;
-    out.transport.codec_planes_decoded += counters.codec_planes_decoded;
-    out.transport.codec_planes_total += counters.codec_planes_total;
-  }
-  return out;
+  return summarize(registry_.snapshot(), wall_seconds);
 }
 
 FleetEnergyReport RuntimeStats::fleet_energy(const energy::EnergyModel& model,
@@ -312,208 +279,323 @@ FleetEnergyReport RuntimeStats::fleet_energy(const energy::EnergyModel& model,
   return report;
 }
 
-std::string to_string(const RuntimeSummary& s) {
-  char buf[2048];
-  std::snprintf(
-      buf, sizeof(buf),
-      "  frames %llu in %.3f s -> %.1f fps (batches %llu, mean size %.2f)\n"
-      "  latency ms (mean/p50/p95/p99): capture %.3f/%.3f/%.3f/%.3f  queue "
-      "%.3f/%.3f/%.3f/%.3f\n"
-      "                                 infer %.3f/%.3f/%.3f/%.3f  e2e "
-      "%.3f/%.3f/%.3f/%.3f\n"
-      "  flushes: max_batch %llu max_latency %llu exhausted %llu holdback %llu "
-      "steal %llu\n"
-      "  queue high water %zu; bytes raw %llu vs wire %llu (%.1fx compression)\n"
-      "  tasks: classify %llu / reconstruct %llu; engine cache hit %llu miss %llu "
-      "evict %llu (hit rate %.2f)\n",
-      static_cast<unsigned long long>(s.frames), s.wall_seconds, s.aggregate_fps,
-      static_cast<unsigned long long>(s.batches), s.mean_batch_size, s.capture.mean_ms,
-      s.capture.p50_ms, s.capture.p95_ms, s.capture.p99_ms, s.queue_wait.mean_ms,
-      s.queue_wait.p50_ms, s.queue_wait.p95_ms, s.queue_wait.p99_ms, s.inference.mean_ms,
-      s.inference.p50_ms, s.inference.p95_ms, s.inference.p99_ms, s.end_to_end.mean_ms,
-      s.end_to_end.p50_ms, s.end_to_end.p95_ms, s.end_to_end.p99_ms,
-      static_cast<unsigned long long>(s.flush_max_batch),
-      static_cast<unsigned long long>(s.flush_max_latency),
-      static_cast<unsigned long long>(s.flush_exhausted),
-      static_cast<unsigned long long>(s.flush_holdback),
-      static_cast<unsigned long long>(s.flush_steal), s.queue_high_water,
-      static_cast<unsigned long long>(s.raw_bytes),
-      static_cast<unsigned long long>(s.wire_bytes), s.compression_ratio,
-      static_cast<unsigned long long>(s.classify_frames),
-      static_cast<unsigned long long>(s.reconstruct_frames),
-      static_cast<unsigned long long>(s.cache_hits),
-      static_cast<unsigned long long>(s.cache_misses),
-      static_cast<unsigned long long>(s.cache_evictions), s.cache_hit_rate);
-  std::string out(buf);
-  if (s.int8_frames > 0) {
-    char line[320];
-    std::snprintf(line, sizeof(line),
-                  "  precision: fp32 %llu / int8 %llu frames; cache fp32 %llu/%llu/%llu "
-                  "int8 %llu/%llu/%llu (hit/miss/evict)\n",
-                  static_cast<unsigned long long>(s.fp32_frames),
-                  static_cast<unsigned long long>(s.int8_frames),
-                  static_cast<unsigned long long>(s.cache_fp32.hits),
-                  static_cast<unsigned long long>(s.cache_fp32.misses),
-                  static_cast<unsigned long long>(s.cache_fp32.evictions),
-                  static_cast<unsigned long long>(s.cache_int8.hits),
-                  static_cast<unsigned long long>(s.cache_int8.misses),
-                  static_cast<unsigned long long>(s.cache_int8.evictions));
-    out += line;
-  }
-  if (!s.shards.empty()) {
-    char line[256];
-    std::snprintf(line, sizeof(line), "  steals: %llu/%llu succeeded (%llu frames stolen)\n",
-                  static_cast<unsigned long long>(s.steal_successes),
-                  static_cast<unsigned long long>(s.steal_attempts),
-                  static_cast<unsigned long long>(s.stolen_frames));
-    out += line;
-    for (const ShardStatsView& shard : s.shards) {
-      std::snprintf(line, sizeof(line),
-                    "  shard %zu: frames %llu batches %llu stolen %llu (%llu frames) "
-                    "cache %llu/%llu/%llu qhw %zu\n",
-                    shard.shard, static_cast<unsigned long long>(shard.frames),
-                    static_cast<unsigned long long>(shard.batches),
-                    static_cast<unsigned long long>(shard.steal_successes),
-                    static_cast<unsigned long long>(shard.stolen_frames),
-                    static_cast<unsigned long long>(shard.cache_hits),
-                    static_cast<unsigned long long>(shard.cache_misses),
-                    static_cast<unsigned long long>(shard.cache_evictions),
-                    shard.queue_high_water);
-      out += line;
+namespace {
+
+StageSummary stage(const obs::HistogramSnapshot& h) {
+  return {static_cast<std::size_t>(h.count), h.mean * 1e3, h.p50 * 1e3, h.p95 * 1e3,
+          h.p99 * 1e3};
+}
+
+// The value of label `key` in series `name` (`base{k="v",...}`); "" when the
+// series has no such label.
+std::string label_of(const std::string& name, const std::string& key) {
+  const std::string needle = key + "=\"";
+  for (std::size_t at = name.find(needle); at != std::string::npos;
+       at = name.find(needle, at + 1)) {
+    if (name[at - 1] == '{' || name[at - 1] == ',') {
+      const std::size_t begin = at + needle.size();
+      return name.substr(begin, name.find('"', begin) - begin);
     }
   }
-  if (s.shed_frames > 0 || s.deadline_misses > 0) {
-    char line[320];
-    std::snprintf(line, sizeof(line),
-                  "  overload: shed %llu (queue_full %llu deadline %llu; rt %llu std %llu "
-                  "be %llu) deadline misses %llu\n",
-                  static_cast<unsigned long long>(s.shed_frames),
-                  static_cast<unsigned long long>(s.shed_queue_full),
-                  static_cast<unsigned long long>(s.shed_deadline),
-                  static_cast<unsigned long long>(s.shed_realtime),
-                  static_cast<unsigned long long>(s.shed_standard),
-                  static_cast<unsigned long long>(s.shed_best_effort),
-                  static_cast<unsigned long long>(s.deadline_misses));
-    out += line;
-    for (const auto& [camera_id, c] : s.shed_cameras) {
-      std::snprintf(line, sizeof(line),
-                    "    camera %d: queue_full %llu deadline %llu misses %llu\n", camera_id,
-                    static_cast<unsigned long long>(c.queue_full),
-                    static_cast<unsigned long long>(c.deadline),
-                    static_cast<unsigned long long>(c.deadline_misses));
-      out += line;
+  return "";
+}
+
+// The enum index of the entry of `values` whose to_string is `text` (the last
+// entry when none is).
+template <typename Enum, std::size_t N>
+std::size_t index_of(const Enum (&values)[N], const std::string& text) {
+  std::size_t i = 0;
+  while (i + 1 < N && text != to_string(values[i])) {
+    ++i;
+  }
+  return idx(values[i]);
+}
+
+// Row fields indexed by the enum a series' label names.
+constexpr std::uint64_t ShardStatsView::*kShardFlush[] = {
+    &ShardStatsView::flush_max_batch, &ShardStatsView::flush_max_latency,
+    &ShardStatsView::flush_exhausted, &ShardStatsView::flush_holdback,
+    &ShardStatsView::flush_steal};  // [FlushReason]
+constexpr std::uint64_t TransportCounters::*kOutcome[] = {
+    nullptr, &TransportCounters::ok_frames, &TransportCounters::crc_errors,
+    &TransportCounters::truncated, &TransportCounters::missing_lines};  // [TransportStatus]
+constexpr std::uint64_t RuntimeSummary::*kShedByQos[] = {
+    &RuntimeSummary::shed_realtime, &RuntimeSummary::shed_standard,
+    &RuntimeSummary::shed_best_effort};  // [QosClass]
+constexpr StageSummary RuntimeSummary::*kE2eByQos[] = {
+    &RuntimeSummary::e2e_realtime, &RuntimeSummary::e2e_standard,
+    &RuntimeSummary::e2e_best_effort};  // [QosClass]
+
+}  // namespace
+
+RuntimeSummary summarize(const obs::MetricsSnapshot& snapshot, double wall_seconds) {
+  RuntimeSummary out;
+  // Rows keyed by number, so camera 10 sorts after camera 2.
+  std::map<std::size_t, ShardStatsView> shards;
+  std::map<int, TransportCounters> transport;
+  std::map<int, ShedCounters> shed;
+  std::map<int, HealthCounters> health;
+  for (const auto& [name, value] : snapshot.counters) {
+    const std::string base = name.substr(0, name.find('{'));
+    const std::string shard_id = label_of(name, "shard");
+    const std::string camera_id = label_of(name, "camera");
+    if (!shard_id.empty()) {
+      ShardStatsView& s = shards[std::stoul(shard_id)];
+      if (base == "snappix_batch_flush_total") {
+        s.batches += value;
+        s.*kShardFlush[index_of(kFlushReasons, label_of(name, "reason"))] += value;
+      } else if (base == "snappix_shard_frames_total") {
+        s.frames = value;
+      } else if (base == "snappix_steal_attempts_total") {
+        s.steal_attempts = value;
+      } else if (base == "snappix_stolen_frames_total") {
+        s.stolen_frames = value;
+      } else if (base.rfind("snappix_cache_", 0) == 0) {
+        CacheTierCounters& tier =
+            label_of(name, "precision") == to_string(Precision::kInt8) ? out.cache_int8
+                                                                       : out.cache_fp32;
+        const bool hit = base == "snappix_cache_hits_total";
+        const bool miss = base == "snappix_cache_misses_total";
+        (hit ? s.cache_hits : miss ? s.cache_misses : s.cache_evictions) += value;
+        (hit ? tier.hits : miss ? tier.misses : tier.evictions) += value;
+      } else if (base == "snappix_watchdog_stalls_total") {
+        out.watchdog_stalls += value;
+      } else if (base == "snappix_watchdog_rerouted_frames_total") {
+        out.rerouted_frames += value;
+      }
+    } else if (!camera_id.empty()) {
+      // Each series feeds its camera's row and the fleet total beside it.
+      const int camera = std::stoi(camera_id);
+      TransportCounters& t = transport[camera];
+      const auto tally = [&](std::uint64_t TransportCounters::*field) {
+        t.*field += value;
+        out.transport.*field += value;
+      };
+      ShedCounters& c = shed[camera];
+      HealthCounters& h = health[camera];
+      if (base == "snappix_transport_frames_total") {
+        const std::size_t outcome = index_of(kFramedOutcomes, label_of(name, "outcome"));
+        tally(&TransportCounters::framed_frames);
+        tally(kOutcome[outcome]);
+        if (outcome != idx(TransportStatus::kFramedOk)) {
+          tally(&TransportCounters::dropped_frames);  // still corrupt after the policy
+        }
+      } else if (base == "snappix_transport_retransmits_total") {
+        tally(&TransportCounters::retransmits);
+      } else if (base == "snappix_codec_frames_total") {
+        tally(&TransportCounters::codec_frames);
+      } else if (base == "snappix_codec_planes_decoded_total") {
+        tally(&TransportCounters::codec_planes_decoded);
+      } else if (base == "snappix_codec_planes_total") {
+        tally(&TransportCounters::codec_planes_total);
+      } else if (base == "snappix_shed_frames_total") {
+        const bool queue_full = label_of(name, "reason") == to_string(ShedReason::kQueueFull);
+        (queue_full ? c.queue_full : c.deadline) += value;
+        (queue_full ? out.shed_queue_full : out.shed_deadline) += value;
+        out.*kShedByQos[index_of(kQosClasses, label_of(name, "qos"))] += value;
+      } else if (base == "snappix_deadline_miss_total") {
+        c.deadline_misses += value;
+        out.deadline_misses += value;
+      } else if (base == "snappix_health_transitions_total") {
+        h.transitions += value;
+        out.health_transitions += value;
+      } else if (base == "snappix_ladder_steps_total") {
+        const bool down = label_of(name, "direction") == "down";
+        (down ? h.steps_down : h.steps_up) += value;
+        (down ? out.ladder_steps_down : out.ladder_steps_up) += value;
+      } else if (base == "snappix_quarantine_drops_total") {
+        h.quarantine_drops += value;
+        out.quarantine_drops += value;
+      }
+    } else if (base == "snappix_frames_total") {
+      out.frames = value;
+    } else if (base == "snappix_batches_total") {
+      out.batches = value;
+    } else if (base == "snappix_raw_bytes_total") {
+      out.raw_bytes = value;
+    } else if (base == "snappix_wire_bytes_total") {
+      out.wire_bytes = value;
+    } else if (base == "snappix_task_frames_total") {
+      (label_of(name, "task") == to_string(Task::kClassify) ? out.classify_frames
+                                                            : out.reconstruct_frames) = value;
+    } else if (base == "snappix_precision_frames_total") {
+      (label_of(name, "precision") == to_string(Precision::kFp32) ? out.fp32_frames
+                                                                  : out.int8_frames) = value;
     }
   }
-  if (s.health_transitions > 0 || s.watchdog_stalls > 0) {
-    char line[320];
-    std::snprintf(line, sizeof(line),
-                  "  health: transitions %llu ladder down %llu up %llu quarantine drops "
-                  "%llu; watchdog stalls %llu rerouted %llu\n",
-                  static_cast<unsigned long long>(s.health_transitions),
-                  static_cast<unsigned long long>(s.ladder_steps_down),
-                  static_cast<unsigned long long>(s.ladder_steps_up),
-                  static_cast<unsigned long long>(s.quarantine_drops),
-                  static_cast<unsigned long long>(s.watchdog_stalls),
-                  static_cast<unsigned long long>(s.rerouted_frames));
-    out += line;
-    for (const auto& [camera_id, c] : s.health_cameras) {
-      std::snprintf(line, sizeof(line),
-                    "    camera %d: transitions %llu down %llu up %llu quarantine %llu\n",
-                    camera_id, static_cast<unsigned long long>(c.transitions),
-                    static_cast<unsigned long long>(c.steps_down),
-                    static_cast<unsigned long long>(c.steps_up),
-                    static_cast<unsigned long long>(c.quarantine_drops));
-      out += line;
+  for (const auto& [name, value] : snapshot.gauges) {
+    if (name.rfind("snappix_queue_high_water{", 0) == 0) {
+      const auto depth = static_cast<std::size_t>(value);
+      shards[std::stoul(label_of(name, "shard"))].queue_high_water = depth;
+      out.queue_high_water = std::max(out.queue_high_water, depth);
     }
   }
-  if (s.transport.framed_frames > 0) {
-    char line[320];
-    std::snprintf(line, sizeof(line),
-                  "  transport: framed %llu ok %llu crc %llu trunc %llu missing %llu "
-                  "retransmits %llu dropped %llu\n",
-                  static_cast<unsigned long long>(s.transport.framed_frames),
-                  static_cast<unsigned long long>(s.transport.ok_frames),
-                  static_cast<unsigned long long>(s.transport.crc_errors),
-                  static_cast<unsigned long long>(s.transport.truncated),
-                  static_cast<unsigned long long>(s.transport.missing_lines),
-                  static_cast<unsigned long long>(s.transport.retransmits),
-                  static_cast<unsigned long long>(s.transport.dropped_frames));
-    out += line;
-    for (const auto& [camera_id, c] : s.transport_cameras) {
-      std::snprintf(line, sizeof(line),
-                    "    camera %d: framed %llu ok %llu crc %llu trunc %llu missing %llu "
-                    "retransmits %llu dropped %llu\n",
-                    camera_id, static_cast<unsigned long long>(c.framed_frames),
-                    static_cast<unsigned long long>(c.ok_frames),
-                    static_cast<unsigned long long>(c.crc_errors),
-                    static_cast<unsigned long long>(c.truncated),
-                    static_cast<unsigned long long>(c.missing_lines),
-                    static_cast<unsigned long long>(c.retransmits),
-                    static_cast<unsigned long long>(c.dropped_frames));
-      out += line;
-    }
-    if (s.transport.codec_frames > 0) {
-      std::snprintf(line, sizeof(line),
-                    "  codec: frames %llu planes decoded %llu of %llu\n",
-                    static_cast<unsigned long long>(s.transport.codec_frames),
-                    static_cast<unsigned long long>(s.transport.codec_planes_decoded),
-                    static_cast<unsigned long long>(s.transport.codec_planes_total));
-      out += line;
+  for (const obs::HistogramSnapshot& h : snapshot.histograms) {
+    if (h.name == "snappix_capture_seconds") {
+      out.capture = stage(h);
+    } else if (h.name == "snappix_queue_wait_seconds") {
+      out.queue_wait = stage(h);
+    } else if (h.name == "snappix_inference_seconds") {
+      out.inference = stage(h);
+    } else if (h.name == "snappix_e2e_seconds") {
+      out.end_to_end = stage(h);
+    } else if (h.name.rfind("snappix_e2e_seconds{", 0) == 0) {
+      out.*kE2eByQos[index_of(kQosClasses, label_of(h.name, "qos"))] = stage(h);
     }
   }
+
+  for (auto& [id, s] : shards) {
+    s.shard = id;
+    s.steal_successes = s.flush_steal;  // a successful steal IS a kSteal batch
+    out.flush_max_batch += s.flush_max_batch;
+    out.flush_max_latency += s.flush_max_latency;
+    out.flush_exhausted += s.flush_exhausted;
+    out.flush_holdback += s.flush_holdback;
+    out.flush_steal += s.flush_steal;
+    out.steal_attempts += s.steal_attempts;
+    out.steal_successes += s.steal_successes;
+    out.stolen_frames += s.stolen_frames;
+    out.shards.push_back(s);
+  }
+  // A camera gets a row only where it recorded an event.
+  for (const auto& [camera, t] : transport) {
+    if (t.framed_frames > 0) {
+      out.transport_cameras.emplace_back(camera, t);
+    }
+  }
+  for (const auto& [camera, c] : shed) {
+    if (c.queue_full + c.deadline + c.deadline_misses > 0) {
+      out.shed_cameras.emplace_back(camera, c);
+    }
+  }
+  for (const auto& [camera, h] : health) {
+    if (h.transitions + h.steps_down + h.steps_up + h.quarantine_drops > 0) {
+      out.health_cameras.emplace_back(camera, h);
+    }
+  }
+  out.shed_frames = out.shed_queue_full + out.shed_deadline;
+  out.cache_hits = out.cache_fp32.hits + out.cache_int8.hits;
+  out.cache_misses = out.cache_fp32.misses + out.cache_int8.misses;
+  out.cache_evictions = out.cache_fp32.evictions + out.cache_int8.evictions;
+  const std::uint64_t lookups = out.cache_hits + out.cache_misses;
+  out.cache_hit_rate =
+      lookups > 0 ? static_cast<double>(out.cache_hits) / static_cast<double>(lookups) : 0.0;
+  out.wall_seconds = wall_seconds;
+  out.aggregate_fps =
+      wall_seconds > 0.0 ? static_cast<double>(out.frames) / wall_seconds : 0.0;
+  out.mean_batch_size = out.batches > 0 ? static_cast<double>(out.frames) /
+                                              static_cast<double>(out.batches)
+                                        : 0.0;
+  out.compression_ratio = out.wire_bytes > 0 ? static_cast<double>(out.raw_bytes) /
+                                                   static_cast<double>(out.wire_bytes)
+                                             : 0.0;
   return out;
 }
 
-std::string to_json(const CacheTierCounters& c) {
-  std::ostringstream os;
-  os << "{\"hits\": " << c.hits << ", \"misses\": " << c.misses
-     << ", \"evictions\": " << c.evictions << "}";
-  return os.str();
+namespace {
+
+// snprintf onto the end of `out`.
+__attribute__((format(printf, 2, 3))) void appendf(std::string& out, const char* format, ...) {
+  char line[1024];
+  va_list args;
+  va_start(args, format);
+  std::vsnprintf(line, sizeof(line), format, args);
+  va_end(args);
+  out += line;
 }
 
-std::string to_json(const HealthCounters& c) {
-  std::ostringstream os;
-  os << "{\"transitions\": " << c.transitions << ", \"steps_down\": " << c.steps_down
-     << ", \"steps_up\": " << c.steps_up
-     << ", \"quarantine_drops\": " << c.quarantine_drops << "}";
-  return os.str();
-}
+// The %llu argument for a counter.
+unsigned long long u(std::uint64_t value) { return value; }
 
-std::string to_json(const TransportCounters& c) {
-  std::ostringstream os;
-  os << "{\"framed_frames\": " << c.framed_frames << ", \"ok_frames\": " << c.ok_frames
-     << ", \"crc_errors\": " << c.crc_errors << ", \"truncated\": " << c.truncated
-     << ", \"missing_lines\": " << c.missing_lines
-     << ", \"retransmits\": " << c.retransmits
-     << ", \"dropped_frames\": " << c.dropped_frames
-     << ", \"codec_frames\": " << c.codec_frames
-     << ", \"codec_planes_decoded\": " << c.codec_planes_decoded
-     << ", \"codec_planes_total\": " << c.codec_planes_total << "}";
-  return os.str();
-}
+}  // namespace
 
-std::string to_json(const ShedCounters& c) {
-  std::ostringstream os;
-  os << "{\"queue_full\": " << c.queue_full << ", \"deadline\": " << c.deadline
-     << ", \"deadline_misses\": " << c.deadline_misses << "}";
-  return os.str();
-}
-
-std::string to_json(const ShardStatsView& s) {
-  std::ostringstream os;
-  os << "{\"shard\": " << s.shard << ", \"frames\": " << s.frames
-     << ", \"batches\": " << s.batches << ", \"steal_attempts\": " << s.steal_attempts
-     << ", \"steal_successes\": " << s.steal_successes
-     << ", \"stolen_frames\": " << s.stolen_frames << ", \"cache_hits\": " << s.cache_hits
-     << ", \"cache_misses\": " << s.cache_misses
-     << ", \"cache_evictions\": " << s.cache_evictions
-     << ", \"queue_high_water\": " << s.queue_high_water
-     << ", \"flush_max_batch\": " << s.flush_max_batch
-     << ", \"flush_max_latency\": " << s.flush_max_latency
-     << ", \"flush_exhausted\": " << s.flush_exhausted
-     << ", \"flush_holdback\": " << s.flush_holdback
-     << ", \"flush_steal\": " << s.flush_steal << "}";
-  return os.str();
+std::string to_string(const RuntimeSummary& s) {
+  std::string out;
+  appendf(out, "  frames %llu in %.3f s -> %.1f fps (batches %llu, mean size %.2f)\n",
+          u(s.frames), s.wall_seconds, s.aggregate_fps, u(s.batches), s.mean_batch_size);
+  appendf(out,
+          "  latency ms (mean/p50/p95/p99): capture %.3f/%.3f/%.3f/%.3f  queue "
+          "%.3f/%.3f/%.3f/%.3f\n",
+          s.capture.mean_ms, s.capture.p50_ms, s.capture.p95_ms, s.capture.p99_ms,
+          s.queue_wait.mean_ms, s.queue_wait.p50_ms, s.queue_wait.p95_ms, s.queue_wait.p99_ms);
+  appendf(out,
+          "                                 infer %.3f/%.3f/%.3f/%.3f  e2e "
+          "%.3f/%.3f/%.3f/%.3f\n",
+          s.inference.mean_ms, s.inference.p50_ms, s.inference.p95_ms, s.inference.p99_ms,
+          s.end_to_end.mean_ms, s.end_to_end.p50_ms, s.end_to_end.p95_ms, s.end_to_end.p99_ms);
+  appendf(out,
+          "  flushes: max_batch %llu max_latency %llu exhausted %llu holdback %llu steal %llu\n",
+          u(s.flush_max_batch), u(s.flush_max_latency), u(s.flush_exhausted),
+          u(s.flush_holdback), u(s.flush_steal));
+  appendf(out, "  queue high water %zu; bytes raw %llu vs wire %llu (%.1fx compression)\n",
+          s.queue_high_water, u(s.raw_bytes), u(s.wire_bytes), s.compression_ratio);
+  appendf(out,
+          "  tasks: classify %llu / reconstruct %llu; engine cache hit %llu miss %llu evict "
+          "%llu (hit rate %.2f)\n",
+          u(s.classify_frames), u(s.reconstruct_frames), u(s.cache_hits), u(s.cache_misses),
+          u(s.cache_evictions), s.cache_hit_rate);
+  if (s.int8_frames > 0) {
+    appendf(out,
+            "  precision: fp32 %llu / int8 %llu frames; cache fp32 %llu/%llu/%llu int8 "
+            "%llu/%llu/%llu (hit/miss/evict)\n",
+            u(s.fp32_frames), u(s.int8_frames), u(s.cache_fp32.hits), u(s.cache_fp32.misses),
+            u(s.cache_fp32.evictions), u(s.cache_int8.hits), u(s.cache_int8.misses),
+            u(s.cache_int8.evictions));
+  }
+  if (!s.shards.empty()) {
+    appendf(out, "  steals: %llu/%llu succeeded (%llu frames stolen)\n", u(s.steal_successes),
+            u(s.steal_attempts), u(s.stolen_frames));
+    for (const ShardStatsView& shard : s.shards) {
+      appendf(out,
+              "  shard %zu: frames %llu batches %llu stolen %llu (%llu frames) cache "
+              "%llu/%llu/%llu qhw %zu\n",
+              shard.shard, u(shard.frames), u(shard.batches), u(shard.steal_successes),
+              u(shard.stolen_frames), u(shard.cache_hits), u(shard.cache_misses),
+              u(shard.cache_evictions), shard.queue_high_water);
+    }
+  }
+  if (s.shed_frames > 0 || s.deadline_misses > 0) {
+    appendf(out,
+            "  overload: shed %llu (queue_full %llu deadline %llu; rt %llu std %llu be %llu) "
+            "deadline misses %llu\n",
+            u(s.shed_frames), u(s.shed_queue_full), u(s.shed_deadline), u(s.shed_realtime),
+            u(s.shed_standard), u(s.shed_best_effort), u(s.deadline_misses));
+    for (const auto& [camera_id, c] : s.shed_cameras) {
+      appendf(out, "    camera %d: queue_full %llu deadline %llu misses %llu\n", camera_id,
+              u(c.queue_full), u(c.deadline), u(c.deadline_misses));
+    }
+  }
+  if (s.health_transitions > 0 || s.watchdog_stalls > 0) {
+    appendf(out,
+            "  health: transitions %llu ladder down %llu up %llu quarantine drops %llu; "
+            "watchdog stalls %llu rerouted %llu\n",
+            u(s.health_transitions), u(s.ladder_steps_down), u(s.ladder_steps_up),
+            u(s.quarantine_drops), u(s.watchdog_stalls), u(s.rerouted_frames));
+    for (const auto& [camera_id, c] : s.health_cameras) {
+      appendf(out, "    camera %d: transitions %llu down %llu up %llu quarantine %llu\n",
+              camera_id, u(c.transitions), u(c.steps_down), u(c.steps_up),
+              u(c.quarantine_drops));
+    }
+  }
+  if (s.transport.framed_frames > 0) {
+    const auto transport_line = [&out](const char* prefix, const TransportCounters& c) {
+      appendf(out,
+              "%s: framed %llu ok %llu crc %llu trunc %llu missing %llu retransmits %llu "
+              "dropped %llu\n",
+              prefix, u(c.framed_frames), u(c.ok_frames), u(c.crc_errors), u(c.truncated),
+              u(c.missing_lines), u(c.retransmits), u(c.dropped_frames));
+    };
+    transport_line("  transport", s.transport);
+    for (const auto& [camera_id, c] : s.transport_cameras) {
+      transport_line(("    camera " + std::to_string(camera_id)).c_str(), c);
+    }
+    if (s.transport.codec_frames > 0) {
+      appendf(out, "  codec: frames %llu planes decoded %llu of %llu\n",
+              u(s.transport.codec_frames), u(s.transport.codec_planes_decoded),
+              u(s.transport.codec_planes_total));
+    }
+  }
+  return out;
 }
 
 std::string to_json(const RuntimeSummary& s, const FleetEnergyReport& energy,
@@ -522,24 +604,20 @@ std::string to_json(const RuntimeSummary& s, const FleetEnergyReport& energy,
   // non-finite ratio render as valid JSON, never "nan"/"inf".
   const auto num = [](double v) { return obs::json_number(v); };
   std::ostringstream os;
-  os << "{\"label\": \"" << label << "\", \"frames\": " << s.frames
+  os << "{\"label\": \"" << obs::json_escape(label) << "\", \"frames\": " << s.frames
      << ", \"batches\": " << s.batches << ", \"wall_seconds\": " << num(s.wall_seconds)
      << ", \"aggregate_fps\": " << num(s.aggregate_fps)
      << ", \"mean_batch_size\": " << num(s.mean_batch_size)
-     << ", \"queue_high_water\": " << s.queue_high_water
-     << ", \"capture_p50_ms\": " << num(s.capture.p50_ms)
-     << ", \"capture_p95_ms\": " << num(s.capture.p95_ms)
-     << ", \"capture_p99_ms\": " << num(s.capture.p99_ms)
-     << ", \"queue_wait_p50_ms\": " << num(s.queue_wait.p50_ms)
-     << ", \"queue_wait_p95_ms\": " << num(s.queue_wait.p95_ms)
-     << ", \"queue_wait_p99_ms\": " << num(s.queue_wait.p99_ms)
-     << ", \"inference_p50_ms\": " << num(s.inference.p50_ms)
-     << ", \"inference_p95_ms\": " << num(s.inference.p95_ms)
-     << ", \"inference_p99_ms\": " << num(s.inference.p99_ms)
-     << ", \"e2e_p50_ms\": " << num(s.end_to_end.p50_ms)
-     << ", \"e2e_p95_ms\": " << num(s.end_to_end.p95_ms)
-     << ", \"e2e_p99_ms\": " << num(s.end_to_end.p99_ms)
-     << ", \"raw_bytes\": " << s.raw_bytes
+     << ", \"queue_high_water\": " << s.queue_high_water;
+  for (const auto& [key, stage] : {std::make_pair("capture", &s.capture),
+                                   std::make_pair("queue_wait", &s.queue_wait),
+                                   std::make_pair("inference", &s.inference),
+                                   std::make_pair("e2e", &s.end_to_end)}) {
+    os << ", \"" << key << "_p50_ms\": " << num(stage->p50_ms) << ", \"" << key
+       << "_p95_ms\": " << num(stage->p95_ms) << ", \"" << key
+       << "_p99_ms\": " << num(stage->p99_ms);
+  }
+  os << ", \"raw_bytes\": " << s.raw_bytes
      << ", \"wire_bytes\": " << s.wire_bytes
      << ", \"compression_ratio\": " << num(s.compression_ratio)
      << ", \"flush_max_batch\": " << s.flush_max_batch
@@ -553,15 +631,9 @@ std::string to_json(const RuntimeSummary& s, const FleetEnergyReport& energy,
      << ", \"cache_hits\": " << s.cache_hits << ", \"cache_misses\": " << s.cache_misses
      << ", \"cache_evictions\": " << s.cache_evictions
      << ", \"cache_hit_rate\": " << num(s.cache_hit_rate)
-     << ", \"cache_fp32\": " << to_json(s.cache_fp32)
-     << ", \"cache_int8\": " << to_json(s.cache_int8)
      << ", \"steal_attempts\": " << s.steal_attempts
      << ", \"steal_successes\": " << s.steal_successes
-     << ", \"stolen_frames\": " << s.stolen_frames << ", \"shards\": [";
-  for (std::size_t i = 0; i < s.shards.size(); ++i) {
-    os << (i > 0 ? ", " : "") << to_json(s.shards[i]);
-  }
-  os << "]"
+     << ", \"stolen_frames\": " << s.stolen_frames
      << ", \"shed_frames\": " << s.shed_frames
      << ", \"shed_queue_full\": " << s.shed_queue_full
      << ", \"shed_deadline\": " << s.shed_deadline
@@ -572,29 +644,12 @@ std::string to_json(const RuntimeSummary& s, const FleetEnergyReport& energy,
      << ", \"e2e_realtime_p99_ms\": " << num(s.e2e_realtime.p99_ms)
      << ", \"e2e_standard_p99_ms\": " << num(s.e2e_standard.p99_ms)
      << ", \"e2e_best_effort_p99_ms\": " << num(s.e2e_best_effort.p99_ms)
-     << ", \"shed_cameras\": [";
-  for (std::size_t i = 0; i < s.shed_cameras.size(); ++i) {
-    os << (i > 0 ? ", " : "") << "{\"camera_id\": " << s.shed_cameras[i].first
-       << ", \"counters\": " << to_json(s.shed_cameras[i].second) << "}";
-  }
-  os << "]"
-     << ", \"transport\": " << to_json(s.transport) << ", \"transport_cameras\": [";
-  for (std::size_t i = 0; i < s.transport_cameras.size(); ++i) {
-    os << (i > 0 ? ", " : "") << "{\"camera_id\": " << s.transport_cameras[i].first
-       << ", \"counters\": " << to_json(s.transport_cameras[i].second) << "}";
-  }
-  os << "]"
      << ", \"health_transitions\": " << s.health_transitions
      << ", \"ladder_steps_down\": " << s.ladder_steps_down
      << ", \"ladder_steps_up\": " << s.ladder_steps_up
      << ", \"quarantine_drops\": " << s.quarantine_drops
      << ", \"watchdog_stalls\": " << s.watchdog_stalls
-     << ", \"rerouted_frames\": " << s.rerouted_frames << ", \"health_cameras\": [";
-  for (std::size_t i = 0; i < s.health_cameras.size(); ++i) {
-    os << (i > 0 ? ", " : "") << "{\"camera_id\": " << s.health_cameras[i].first
-       << ", \"counters\": " << to_json(s.health_cameras[i].second) << "}";
-  }
-  os << "]"
+     << ", \"rerouted_frames\": " << s.rerouted_frames
      << ", \"energy_conventional_j\": " << num(energy.conventional_j)
      << ", \"energy_snappix_j\": " << num(energy.snappix_j)
      << ", \"energy_saving_factor\": " << num(energy.saving_factor) << "}";

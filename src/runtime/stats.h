@@ -1,28 +1,26 @@
 /// \file stats.h
-/// \brief RuntimeStats: thread-safe per-stage instrumentation for the
-/// streaming runtime, plus the bridge into the Sec. VI-D energy model.
+/// \brief RuntimeStats: per-stage instrumentation for the serving tier, as a
+/// pure view over the obs::MetricsRegistry it owns, plus the bridge into the
+/// Sec. VI-D energy model.
 ///
-/// RuntimeStats is a VIEW over an obs::MetricsRegistry it owns: every frame/
-/// batch/byte counter is a registry Counter and every latency series a
-/// registry Histogram, so the hot-path record_* methods are lock-free
-/// (relaxed atomics) and the registry can be snapshotted MID-RUN — that is
-/// what InferenceServer::metrics_snapshot() hands out, in JSON or Prometheus
-/// form via obs::to_json / obs::to_prometheus. The only mutex left guards
-/// the cold structures: the per-camera transport map and the post-run
-/// installs (shard views, per-tier cache counters).
-///
-/// summary() condenses the registry into percentiles/throughput — including
-/// per-shard views (queue depth, batches served, steal traffic, per-reason
-/// batch flush counts, cache hit/miss) installed by the sharded
-/// InferenceServer — and fleet_energy() prices the recorded traffic with
+/// Every event is counted once, where it happens, in one registry series:
+/// fleet-wide counters and latency histograms, and per-camera / per-shard
+/// counters labelled {camera="N"} / {shard="N"} (docs/observability.md lists
+/// every name). A camera's or shard's series are resolved once, when it is
+/// added, so the record_* hot paths are relaxed atomic adds: no lock, no
+/// by-name lookup. RuntimeStats stores nothing else, so the registry can be
+/// snapshotted MID-RUN and summarize() derives the whole RuntimeSummary from
+/// one snapshot. InferenceServer::metrics_snapshot() adds the live ledgers
+/// of its queues and engine caches (queue high water, cache traffic) to that
+/// snapshot; fleet_energy() prices the recorded traffic with
 /// energy::EnergyModel so a streaming run reports the same
 /// baseline-vs-SNAPPIX numbers as the static scenario calculators.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -31,29 +29,6 @@
 #include "runtime/frame.h"
 
 namespace snappix::runtime {
-
-/// \brief Latency series with percentile queries (seconds), backed by a
-/// fixed-bucket obs::Histogram (the same representation the metrics registry
-/// serves), so record() is lock-free and count-independent in memory.
-///
-/// Empty-series contract (pinned by tests/test_obs.cpp): count 0 reports 0
-/// for mean and every percentile — never NaN or infinity — so zero-frame
-/// runs render valid JSON. Percentiles interpolate linearly inside the
-/// bucket holding the rank and clamp into [min, max] observed; p50 <= p95 <=
-/// p99 always.
-class LatencySeries {
- public:
-  void record(double seconds) { histogram_.observe(seconds); }
-  std::size_t count() const { return static_cast<std::size_t>(histogram_.count()); }
-  double mean() const { return histogram_.mean(); }
-  /// \brief Interpolated percentile, `p` in [0, 100]; 0 when empty.
-  double percentile(double p) const { return histogram_.percentile(p); }
-
-  const obs::Histogram& histogram() const { return histogram_; }
-
- private:
-  obs::Histogram histogram_;
-};
 
 /// \brief Condensed view of one pipeline stage's latency series.
 struct StageSummary {
@@ -64,8 +39,9 @@ struct StageSummary {
   double p99_ms = 0.0;
 };
 
-/// \brief One consumer shard's share of a run, as installed by the sharded
-/// InferenceServer after the workers join.
+/// \brief One consumer shard's share of a run, read from its live
+/// {shard="N"} series (and, through InferenceServer, its queue and cache
+/// ledgers).
 ///
 /// `frames`/`batches` count everything THIS shard's worker served, including
 /// batches it stole; `steal_*` describe its thieving (attempts = victim
@@ -158,13 +134,11 @@ struct RuntimeSummary {
   double mean_batch_size = 0.0;
   std::size_t queue_high_water = 0;  ///< max over all shard queues
 
-  /// Per-task frame counts (classify + reconstruct == frames when the server
-  /// records tasks; both zero under direct RuntimeStats use).
+  /// Per-task frame counts (classify + reconstruct == frames).
   std::uint64_t classify_frames = 0;
   std::uint64_t reconstruct_frames = 0;
 
-  /// Per-precision frame counts (fp32 + int8 == frames when the server
-  /// records precisions; both zero under direct RuntimeStats use).
+  /// Per-precision frame counts (fp32 + int8 == frames).
   std::uint64_t fp32_frames = 0;
   std::uint64_t int8_frames = 0;
 
@@ -191,19 +165,21 @@ struct RuntimeSummary {
   std::uint64_t flush_holdback = 0;
   std::uint64_t flush_steal = 0;
 
-  /// Per-shard breakdown; empty unless a sharded server installed views.
+  /// Per-shard breakdown, one row per shard with {shard="N"} series (every
+  /// InferenceServer shard), sorted by shard index.
   std::vector<ShardStatsView> shards;
 
   /// Framed-transport totals summed over cameras (all zero when every frame
-  /// hops in memory), plus the per-camera breakdown sorted by camera id.
+  /// hops in memory), plus the per-camera breakdown. In every per-camera
+  /// breakdown a camera appears only if it recorded such an event, sorted
+  /// by numeric camera id.
   TransportCounters transport;
   std::vector<std::pair<int, TransportCounters>> transport_cameras;
 
   /// Overload totals: frames shed (never served) by reason and by QoS
-  /// class, late-served deadline misses, and the per-camera breakdown
-  /// sorted by camera id. Conservation per queue: admitted frames ==
-  /// served + shed_deadline + still queued at shutdown; queue_full sheds
-  /// never entered a queue at all.
+  /// class, late-served deadline misses, and the per-camera breakdown.
+  /// Conservation per queue: admitted frames == served + shed_deadline +
+  /// still queued at shutdown; queue_full sheds never entered a queue.
   std::uint64_t shed_frames = 0;      ///< total sheds (queue_full + deadline)
   std::uint64_t shed_queue_full = 0;  ///< admission rejects
   std::uint64_t shed_deadline = 0;    ///< drop-late expiries
@@ -214,7 +190,7 @@ struct RuntimeSummary {
   std::vector<std::pair<int, ShedCounters>> shed_cameras;
 
   /// Fleet-health supervision totals (runtime/health.h; all zero when the
-  /// controller is disabled), plus the per-camera breakdown sorted by id.
+  /// controller is disabled), plus the per-camera breakdown.
   /// Conservation with supervision on: offered == served + shed +
   /// transport dropped_frames + quarantine_drops (+ frames still queued at
   /// shutdown).
@@ -249,82 +225,77 @@ struct FleetEnergyReport {
   double saving_factor = 0.0;
 };
 
-/// \brief Thread-safe run-wide counters. Producers, shard workers, and the
-/// server all record into one instance. The record_* hot paths write
-/// registry counters/histograms lock-free; the cold installs and the
-/// transport map lock internally.
+/// \brief Thread-safe run-wide counters. Producers, shard workers, the
+/// health controller and the server all record into one instance; every
+/// record_* call is one or a few relaxed atomic adds on registry series.
 class RuntimeStats {
  public:
   RuntimeStats();
+  ~RuntimeStats();
+
+  // --- setup (before any thread records) -------------------------------------
+  /// \brief Resolves camera `camera_id`'s {camera="N"} series once
+  /// (idempotent). Recording for a camera never added throws.
+  void add_camera(int camera_id);
+  /// \brief Resolves consumer shard `shard`'s {shard="N"} series once
+  /// (idempotent). Recording for a shard never added throws.
+  void add_shard(std::size_t shard);
 
   // --- producer side ---------------------------------------------------------
   void record_capture(double seconds);
+  /// \brief Records one framed frame's FINAL transport fate: its last
+  /// outcome (`status`, never kInMemory; a corrupt one means the frame was
+  /// dropped) and the retries the policy spent on it. Called once per framed
+  /// frame by the producer loop. `codec` says whether the frame crossed an
+  /// entropy-coded link; when it did, the frame's decoded/total bit-plane
+  /// counts feed the progressive-decode tally.
+  void record_transport(int camera_id, TransportStatus status, int retransmits, bool codec,
+                        int decoded_planes, int total_planes);
 
   // --- consumer side (any shard worker) --------------------------------------
   void record_queue_wait(double seconds);
-  /// \brief `reason` feeds the per-reason flush counters
-  /// (snappix_batch_flush_total{reason=...}).
-  void record_batch(std::size_t batch_size, double inference_seconds, FlushReason reason);
-  /// \brief Attributes a served batch's frames to its task head.
-  void record_task_frames(Task task, std::size_t count);
-  /// \brief Attributes a served batch's frames to its precision tier.
-  void record_precision_frames(Precision precision, std::size_t count);
-  /// \brief Records one framed frame's FINAL transport fate: its last
-  /// outcome (`status`), the retries the policy spent on it, and whether it
-  /// was dropped instead of enqueued. Called once per framed frame by the
-  /// producer loop; never for in-memory cameras. `codec` says whether the
-  /// frame crossed an entropy-coded link; when it did, the frame's
-  /// decoded/total bit-plane counts feed the progressive-decode tally.
-  void record_transport(int camera_id, TransportStatus status, int retransmits,
-                        bool dropped, bool codec, int decoded_planes, int total_planes);
-  /// \brief Records one shed frame: bumps the per-(qos, reason) registry
-  /// counter (snappix_shed_frames_total{qos=...,reason=...}) and the
-  /// camera's ShedCounters row. Called by the queue shed observers the
-  /// scheduler/server install — once per shed, on whichever thread shed it.
-  void record_shed(int camera_id, QosClass qos, ShedReason reason);
-  /// \brief Records a frame that was SERVED but finished after its deadline
-  /// — a late answer delivered, distinct from a drop-late shed.
-  void record_deadline_miss(int camera_id);
-  /// \brief Records a camera health-state transition (runtime/health.h):
-  /// bumps snappix_health_transitions_total{from=...,to=...}, sets the
-  /// camera's snappix_camera_health gauge, and the per-camera tally. Called
-  /// by the HealthController on the camera's producer thread.
-  void record_health_transition(int camera_id, HealthState from, HealthState to);
-  /// \brief Records a degradation-ladder move to `step` rungs engaged
-  /// (`down` = a degradation, else a recovery step): bumps
-  /// snappix_ladder_steps_total{direction=...} and sets the camera's
-  /// snappix_camera_ladder_step gauge.
-  void record_ladder_step(int camera_id, bool down, int step);
-  /// \brief Records one capture skipped because its camera is quarantined.
-  void record_quarantine_drop(int camera_id);
-  /// \brief Records the watchdog declaring shard `shard` stalled.
-  void record_watchdog_stall(std::size_t shard);
-  /// \brief Records `count` frames the watchdog drained from a stalled shard
-  /// and re-admitted into a sibling's queue.
-  void record_rerouted_frames(std::size_t count);
+  /// \brief One batch of `batch_size` frames served by `shard`'s worker
+  /// through the `task` head at `precision`; `reason` is why it closed
+  /// (kSteal = a batch stolen from a sibling's tail).
+  void record_batch(std::size_t shard, Task task, Precision precision, std::size_t batch_size,
+                    double inference_seconds, FlushReason reason);
+  /// \brief One victim queue `shard`'s idle worker probed for a tail batch.
+  void record_steal_attempt(std::size_t shard);
   /// \brief `qos` additionally feeds the per-class e2e histogram
   /// (snappix_e2e_seconds{qos=...}).
   void record_frame_done(std::uint64_t raw_bytes, std::uint64_t wire_bytes,
                          double end_to_end_seconds, QosClass qos);
-  /// \brief Raises the recorded high water to `depth` (max over calls, so the
-  /// server feeds it each shard queue's own mark).
-  void set_queue_high_water(std::size_t depth);
-  /// \brief Installs the final per-precision cache snapshot (summed over
-  /// shard caches by the server; the EngineCache itself keeps the live
-  /// counters). summary() reports the totals as fp32 + int8.
-  void set_cache_tier_counters(const CacheTierCounters& fp32, const CacheTierCounters& int8);
-  /// \brief Installs the per-shard views once after a run; also derives the
-  /// steal totals reported in RuntimeSummary.
-  void set_shard_views(std::vector<ShardStatsView> shards);
+  /// \brief One shed frame, recorded by the queue shed observers on
+  /// whichever thread shed it.
+  void record_shed(int camera_id, QosClass qos, ShedReason reason);
+  /// \brief A frame SERVED after its deadline (a late answer, not a shed).
+  void record_deadline_miss(int camera_id);
+
+  // --- health supervision (runtime/health.h) ---------------------------------
+  /// \brief A health-state transition into `to`; also sets the camera's
+  /// snappix_camera_health gauge.
+  void record_health_transition(int camera_id, HealthState to);
+  /// \brief A degradation-ladder move to `step` rungs engaged (`down` = a
+  /// degradation); also sets the camera's snappix_camera_ladder_step gauge.
+  void record_ladder_step(int camera_id, bool down, int step);
+  /// \brief One capture skipped because its camera is quarantined.
+  void record_quarantine_drop(int camera_id);
+  /// \brief The watchdog declared shard `shard` stalled.
+  void record_watchdog_stall(std::size_t shard);
+  /// \brief `count` frames the watchdog drained from stalled shard `shard`
+  /// into a sibling's queue.
+  void record_rerouted_frames(std::size_t shard, std::size_t count);
+  /// \brief Live read of an added camera's health tallies.
+  HealthCounters health_counters(int camera_id) const;
 
   // --- reporting -------------------------------------------------------------
+  /// \brief summarize(registry().snapshot(), wall_seconds).
   RuntimeSummary summary(double wall_seconds) const;
 
   /// \brief The live metrics registry backing every record_* path. Safe to
   /// snapshot mid-run (obs::MetricsRegistry::snapshot is lock-free on the
-  /// value reads); InferenceServer::metrics_snapshot() is a thin wrapper.
+  /// value reads).
   const obs::MetricsRegistry& registry() const { return registry_; }
-  obs::MetricsRegistry& registry() { return registry_; }
 
   /// \brief Prices the recorded frame traffic: every served frame represents
   /// one T-slot capture that a conventional pipeline would read out and
@@ -335,6 +306,11 @@ class RuntimeStats {
                                  energy::WirelessTech tech) const;
 
  private:
+  struct CameraSeries;
+  struct ShardSeries;
+  const CameraSeries& camera_series(int camera_id) const;
+  const ShardSeries& shard_series(std::size_t shard) const;
+
   obs::MetricsRegistry registry_;
   // References resolved once at construction; recording through them is
   // lock-free (see obs/metrics.h).
@@ -344,40 +320,28 @@ class RuntimeStats {
   obs::Histogram& end_to_end_;
   obs::Counter& frames_;
   obs::Counter& batches_;
-  obs::Counter& batched_frames_;
   obs::Counter& classify_frames_;
   obs::Counter& reconstruct_frames_;
   obs::Counter& fp32_frames_;
   obs::Counter& int8_frames_;
   obs::Counter& raw_bytes_;
   obs::Counter& wire_bytes_;
-  obs::Counter* flush_[5];      // indexed by FlushReason
-  obs::Counter* shed_[3][2];    // indexed by [QosClass][ShedReason]
-  obs::Counter& deadline_miss_;
   obs::Histogram* e2e_qos_[3];  // indexed by QosClass
-  obs::Gauge& queue_high_water_;
-
-  // Cold structures: per-camera transport/shed tallies and post-run installs.
-  mutable std::mutex mutex_;
-  CacheTierCounters cache_fp32_;
-  CacheTierCounters cache_int8_;
-  std::vector<ShardStatsView> shards_;
-  std::map<int, TransportCounters> transport_;  // camera_id -> tally (sorted)
-  std::map<int, ShedCounters> shed_cameras_;    // camera_id -> tally (sorted)
-  std::map<int, HealthCounters> health_cameras_;  // camera_id -> tally (sorted)
-  std::uint64_t watchdog_stalls_ = 0;
-  std::uint64_t rerouted_frames_ = 0;
+  // Filled by add_camera/add_shard during setup, read-only while threads
+  // record.
+  std::unordered_map<int, std::unique_ptr<CameraSeries>> cameras_;
+  std::unordered_map<std::size_t, std::unique_ptr<ShardSeries>> shards_;
 };
 
-/// \brief Renders a summary as an aligned human-readable block / flat JSON
-/// object (used by bench/streaming_throughput.cpp to emit the BENCH_*.json
-/// artifacts). The JSON carries the per-shard views as a "shards" array.
+/// \brief Derives a RuntimeSummary from one metrics snapshot: the series
+/// RuntimeStats records plus, when present, the per-shard queue and cache
+/// ledger series InferenceServer::metrics_snapshot() adds.
+RuntimeSummary summarize(const obs::MetricsSnapshot& snapshot, double wall_seconds);
+
+/// \brief Renders a summary as an aligned human-readable block / a flat JSON
+/// object of its fleet-wide numbers (the per-shard and per-camera detail is
+/// in obs::to_json of the metrics snapshot).
 std::string to_string(const RuntimeSummary& summary);
-std::string to_json(const CacheTierCounters& counters);
-std::string to_json(const HealthCounters& counters);
-std::string to_json(const TransportCounters& counters);
-std::string to_json(const ShedCounters& counters);
-std::string to_json(const ShardStatsView& shard);
 std::string to_json(const RuntimeSummary& summary, const FleetEnergyReport& energy,
                     const std::string& label);
 

@@ -1,15 +1,19 @@
 // Observability tests: the histogram percentile / empty-series contract, the
 // metrics registry and its JSON + Prometheus exporters, the trace recorder's
 // Chrome trace-event output, and the InferenceServer integration — sampled
-// frames get complete lifecycles, tracing never changes a served bit, and
-// zero-frame summaries render valid JSON.
+// frames get complete lifecycles, tracing never changes a served bit,
+// zero-frame summaries render valid JSON, the per-shard and per-camera
+// series are live mid-run, and every exported metric name is documented.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -24,6 +28,7 @@
 #include "runtime/server.h"
 #include "runtime/stats.h"
 #include "serving_fixtures.h"
+#include "transport/link.h"
 #include "util/rng.h"
 
 namespace snappix {
@@ -114,36 +119,6 @@ TEST(ObsHistogram, NonFiniteObservationsAreIgnored) {
   h.observe(0.5);
   EXPECT_EQ(h.count(), 1U);
   EXPECT_NEAR(h.percentile(50.0), 0.5, 1e-12);
-}
-
-// --- runtime::LatencySeries (view over the histogram) ------------------------
-
-TEST(LatencySeries, EmptyThenSingleSample) {
-  runtime::LatencySeries series;
-  EXPECT_EQ(series.count(), 0U);
-  EXPECT_EQ(series.mean(), 0.0);
-  EXPECT_EQ(series.percentile(50.0), 0.0);
-  EXPECT_EQ(series.percentile(99.0), 0.0);
-
-  series.record(0.010);
-  EXPECT_EQ(series.count(), 1U);
-  EXPECT_NEAR(series.mean(), 0.010, 1e-12);
-  EXPECT_NEAR(series.percentile(50.0), 0.010, 1e-12);
-  EXPECT_NEAR(series.percentile(99.0), 0.010, 1e-12);
-}
-
-TEST(LatencySeries, PercentileOrderingHolds) {
-  runtime::LatencySeries series;
-  Rng rng(11);
-  for (int i = 0; i < 500; ++i) {
-    series.record(1e-4 + 0.05 * rng.uniform());
-  }
-  const double p50 = series.percentile(50.0);
-  const double p95 = series.percentile(95.0);
-  const double p99 = series.percentile(99.0);
-  EXPECT_LE(p50, p95);
-  EXPECT_LE(p95, p99);
-  EXPECT_GT(p50, 0.0);
 }
 
 // --- registry + exporters ----------------------------------------------------
@@ -249,6 +224,37 @@ TEST(ZeroFrameRun, SummaryToStringAndJsonAreNanFree) {
   const std::string js =
       runtime::to_json(summary, runtime::FleetEnergyReport{}, "zero_frames");
   EXPECT_NO_THROW(json::parse(js));
+}
+
+// --- RuntimeStats as a registry view -----------------------------------------
+
+// Per-camera rows sort by numeric camera id: as label strings "10" sorts
+// before "2".
+TEST(RuntimeStatsView, PerCameraRowsSortByNumericCameraId) {
+  runtime::RuntimeStats stats;
+  for (const int camera : {10, 2}) {
+    stats.add_camera(camera);
+    stats.record_shed(camera, runtime::QosClass::kBestEffort, runtime::ShedReason::kQueueFull);
+    stats.record_transport(camera, runtime::TransportStatus::kCrcError, /*retransmits=*/1,
+                           /*codec=*/false, 0, 0);
+    stats.record_quarantine_drop(camera);
+  }
+  const runtime::RuntimeSummary summary = stats.summary(1.0);
+  const auto ids = [](const auto& rows) {
+    std::vector<int> out;
+    for (const auto& row : rows) {
+      out.push_back(row.first);
+    }
+    return out;
+  };
+  EXPECT_EQ(ids(summary.shed_cameras), (std::vector<int>{2, 10}));
+  EXPECT_EQ(ids(summary.transport_cameras), (std::vector<int>{2, 10}));
+  EXPECT_EQ(ids(summary.health_cameras), (std::vector<int>{2, 10}));
+  EXPECT_EQ(summary.shed_best_effort, 2U);
+  EXPECT_EQ(summary.transport.crc_errors, 2U);
+  EXPECT_EQ(summary.transport.dropped_frames, 2U);
+  EXPECT_EQ(summary.transport.retransmits, 2U);
+  EXPECT_EQ(summary.quarantine_drops, 2U);
 }
 
 // --- trace recorder ----------------------------------------------------------
@@ -525,6 +531,176 @@ TEST(ServerTracing, MetricsSnapshotRendersBothExportFormats) {
   const std::string prom = obs::to_prometheus(snap);
   EXPECT_NE(prom.find("snappix_frames_total 8"), std::string::npos);
   EXPECT_NE(prom.find("snappix_e2e_seconds_bucket"), std::string::npos);
+}
+
+// --- live metrics and the documented schema ----------------------------------
+
+// The value of series `name` (a counter or a gauge) in `snap`; nullopt when
+// the snapshot lacks it.
+std::optional<double> series_value(const obs::MetricsSnapshot& snap, const std::string& name) {
+  for (const auto& [series, value] : snap.counters) {
+    if (series == name) {
+      return static_cast<double>(value);
+    }
+  }
+  for (const auto& [series, value] : snap.gauges) {
+    if (series == name) {
+      return value;
+    }
+  }
+  return std::nullopt;
+}
+
+// A snapshot taken mid-run, from inside a shard worker, already carries the
+// queue high water, every shard's steal series and the framed camera's
+// transport series: each is recorded (or read from its ledger) live, not
+// installed after the workers join.
+TEST(LiveMetrics, MidRunSnapshotCarriesQueueShardAndCameraSeries) {
+  core::SnapPixSystem system(small_system_config());
+  const auto patterns = distinct_patterns(2, 61);
+  const InferenceServer* server_ptr = nullptr;
+  std::uint64_t framed_pattern = 0;
+  // order: relaxed — only picks the one worker call that takes the snapshot;
+  // run()'s join publishes `live` to the test thread.
+  std::atomic<int> framed_batches{0};
+  obs::MetricsSnapshot live;
+
+  ServerConfig config;
+  config.batch.max_batch = 2;
+  config.shards = 2;
+  config.before_batch = [&](std::size_t, const runtime::BatchKey& key, std::size_t) {
+    if (key.pattern_id == framed_pattern &&
+        framed_batches.fetch_add(1, std::memory_order_relaxed) == 2) {
+      live = server_ptr->metrics_snapshot();
+    }
+  };
+  InferenceServer server(system, config);
+  server_ptr = &server;
+  for (int cam = 0; cam < 2; ++cam) {
+    auto camera = std::make_unique<runtime::SyntheticCameraSource>(
+        cam, small_scene(), patterns[static_cast<std::size_t>(cam)],
+        800 + static_cast<std::uint64_t>(cam));
+    if (cam == 0) {
+      camera->set_framed(transport::LinkConfig{});
+      framed_pattern = camera->pattern_id();
+    }
+    server.add_camera(std::move(camera));
+  }
+  ASSERT_EQ(server.run(12).size(), 24U);
+  ASSERT_FALSE(live.counters.empty()) << "the framed camera's third batch never ran";
+
+  double high_water = 0.0;
+  for (const std::string shard : {"0", "1"}) {
+    const auto depth = series_value(live, "snappix_queue_high_water{shard=\"" + shard + "\"}");
+    ASSERT_TRUE(depth.has_value()) << "shard " << shard;
+    high_water = std::max(high_water, *depth);
+    EXPECT_TRUE(
+        series_value(live, "snappix_steal_attempts_total{shard=\"" + shard + "\"}").has_value())
+        << "shard " << shard;
+  }
+  EXPECT_GT(high_water, 0.0);  // a frame was queued before any batch ran
+  // The frames of the two batches already served and of the one about to be
+  // crossed the link before they were queued.
+  const auto shipped = series_value(
+      live, "snappix_transport_frames_total{camera=\"0\",outcome=\"framed_ok\"}");
+  ASSERT_TRUE(shipped.has_value());
+  EXPECT_GE(*shipped, 3.0);
+}
+
+// `base{k="v",...}` reduced to the schema key `base{k,...}`.
+std::string schema_key(const std::string& name) {
+  const std::size_t brace = name.find('{');
+  if (brace == std::string::npos) {
+    return name;
+  }
+  std::string out = name.substr(0, brace + 1);
+  for (std::size_t key = brace + 1;;) {
+    const std::size_t eq = name.find('=', key);
+    out += name.substr(key, eq - key);
+    const std::size_t close = name.find('"', eq + 2);  // the value's closing quote
+    if (name[close + 1] == '}') {
+      return out + "}";
+    }
+    out += ",";
+    key = close + 2;
+  }
+}
+
+// The first column of the "Metric names" table in docs/observability.md.
+std::set<std::string> documented_metric_names() {
+  std::ifstream doc(std::string(SNAPPIX_SOURCE_DIR) + "/docs/observability.md");
+  std::set<std::string> names;
+  bool in_table = false;
+  for (std::string line; std::getline(doc, line);) {
+    if (line.rfind("### ", 0) == 0) {
+      in_table = line == "### Metric names";
+    } else if (in_table && line.rfind("| `", 0) == 0) {
+      names.insert(line.substr(3, line.find('`', 3) - 3));
+    }
+  }
+  return names;
+}
+
+// Every series a full-feature fleet exports is in the documented table, and
+// every documented name is exported: stealing shards, a lossy entropy-coded
+// link under retransmit, health supervision with the watchdog, a best-effort
+// camera on a tight queue, a deadline camera and an int8 camera.
+TEST(MetricSchema, FullFeatureFleetExportsExactlyTheDocumentedNames) {
+  core::SnapPixSystem system(small_system_config());
+  const auto patterns = distinct_patterns(4, 67);
+  ServerConfig config;
+  config.batch.max_batch = 2;
+  config.shards = 2;
+  config.queue_capacity = 2;
+  config.transport.corrupt = runtime::TransportPolicy::Corrupt::kRetransmit;
+  config.transport.max_retransmits = 4;
+  config.health.enabled = true;
+  config.health.watchdog.enabled = true;
+  config.health.watchdog.poll = std::chrono::milliseconds(5);
+  InferenceServer server(system, config);
+  for (int cam = 0; cam < 4; ++cam) {
+    auto camera = std::make_unique<runtime::SyntheticCameraSource>(
+        cam, small_scene(), patterns[static_cast<std::size_t>(cam)],
+        900 + static_cast<std::uint64_t>(cam));
+    if (cam == 0) {
+      transport::LinkConfig link;
+      link.codec = true;
+      link.faults.packet_drop_rate = 0.05;
+      link.faults.seed = 31;
+      camera->set_framed(link);
+    } else if (cam == 1) {
+      camera->set_qos(runtime::QosClass::kBestEffort);
+    } else if (cam == 2) {
+      camera->set_deadline_budget(std::chrono::milliseconds(50));
+    } else {
+      camera->set_precision(runtime::Precision::kInt8);
+    }
+    server.add_camera(std::move(camera));
+  }
+  server.run(12);
+  const runtime::RuntimeSummary summary = server.summary();
+  EXPECT_GT(summary.transport.retransmits, 0U) << "the lossy link never dropped a packet";
+  EXPECT_GT(summary.int8_frames, 0U);
+
+  std::set<std::string> exported;
+  const obs::MetricsSnapshot snap = server.metrics_snapshot();
+  for (const auto& [name, value] : snap.counters) {
+    exported.insert(schema_key(name));
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    exported.insert(schema_key(name));
+  }
+  for (const obs::HistogramSnapshot& h : snap.histograms) {
+    exported.insert(schema_key(h.name));
+  }
+  const std::set<std::string> documented = documented_metric_names();
+  ASSERT_FALSE(documented.empty()) << "no \"### Metric names\" table in docs/observability.md";
+  for (const std::string& name : exported) {
+    EXPECT_TRUE(documented.count(name)) << name << " is exported but not documented";
+  }
+  for (const std::string& name : documented) {
+    EXPECT_TRUE(exported.count(name)) << name << " is documented but never exported";
+  }
 }
 
 }  // namespace

@@ -316,6 +316,9 @@ TEST(Edf, QueueWithoutDeadlinesDegradesToExactFifo) {
 // registry counters + per-camera rows in the summary.
 TEST(ShedAccounting, QueueShedsFlowIntoRuntimeStatsPerCameraPerReason) {
   runtime::RuntimeStats stats;
+  for (const int camera : {7, 8, 9}) {
+    stats.add_camera(camera);
+  }
   runtime::StreamScheduler scheduler(stats, /*threads=*/1);
   FrameQueue queue(1);
   scheduler.register_queue(queue);
@@ -482,6 +485,9 @@ TEST(OverloadProperty, ConservationHoldsAcrossThreadedInterleavings) {
   for (int round = 0; round < 10; ++round) {
     FrameQueue queue(2);
     runtime::RuntimeStats stats;
+    for (int camera = 0; camera < 3; ++camera) {
+      stats.add_camera(camera);
+    }
     runtime::StreamScheduler scheduler(stats, /*threads=*/1);
     scheduler.register_queue(queue);  // installs the stats shed observer
 

@@ -371,28 +371,12 @@ TEST(InferenceServer, FourCameraSmokeAllAdapterKinds) {
 // --- stats -------------------------------------------------------------------
 
 TEST(RuntimeStats, PercentilesAndSummary) {
-  // LatencySeries is a view over a fixed-bucket obs::Histogram: percentiles
-  // are interpolated within the rank's bucket and clamped to the observed
-  // [min, max], so they are bucket-resolution estimates, not exact order
-  // statistics. The mean is exact (sum / count).
-  runtime::LatencySeries series;
-  for (int i = 1; i <= 100; ++i) {
-    series.record(static_cast<double>(i) * 1e-3);
-  }
-  EXPECT_EQ(series.count(), 100U);
-  EXPECT_NEAR(series.mean(), 0.0505, 1e-9);
-  // 50 ms sits in the (20 ms, 50 ms] bucket; 99 ms in (50 ms, 100 ms]. The
-  // interpolated estimates must land in the right bucket and stay ordered.
-  EXPECT_GT(series.percentile(50.0), 0.020);
-  EXPECT_LE(series.percentile(50.0), 0.050 + 1e-12);
-  EXPECT_GT(series.percentile(99.0), 0.050);
-  EXPECT_LE(series.percentile(99.0), 0.100 + 1e-12);
-  EXPECT_LE(series.percentile(50.0), series.percentile(95.0));
-  EXPECT_LE(series.percentile(95.0), series.percentile(99.0));
-
   runtime::RuntimeStats stats;
-  stats.record_batch(4, 0.002, runtime::FlushReason::kMaxBatch);
-  stats.record_batch(2, 0.001, runtime::FlushReason::kExhausted);
+  stats.add_shard(0);
+  stats.record_batch(/*shard=*/0, runtime::Task::kClassify, runtime::Precision::kFp32, 4,
+                     0.002, runtime::FlushReason::kMaxBatch);
+  stats.record_batch(/*shard=*/0, runtime::Task::kClassify, runtime::Precision::kFp32, 2,
+                     0.001, runtime::FlushReason::kExhausted);
   for (int i = 0; i < 6; ++i) {
     stats.record_frame_done(/*raw=*/1000, /*wire=*/125, /*e2e=*/0.01,
                             runtime::QosClass::kStandard);
