@@ -29,55 +29,36 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <fstream>
+#include <limits>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "../tests/json_lite.h"
 #include "bench_util.h"
 #include "core/snappix.h"
+#include "fleet.h"
+#include "json_lite.h"
 #include "obs/trace.h"
-#include "runtime/camera.h"
 #include "runtime/server.h"
 #include "serving_fixtures.h"
 
 namespace {
 
 using namespace snappix;
+using bench::HeteroFleet;
 
-constexpr int kStreamImage = 16;
-constexpr int kStreamFrames = 8;
-constexpr int kCameras = 8;
-constexpr int kHeteroPatterns = 4;
+constexpr int kCameras = HeteroFleet::kCameras;
 constexpr int kSampleEvery = 8;
-
-struct RecordedStream {
-  std::vector<Tensor> coded;
-  std::vector<std::int64_t> labels;
-};
 
 struct ArmResult {
   std::string label;
   std::vector<double> fps;  // one entry per rep
   double max_fps = 0.0;
-  std::vector<runtime::TaskResult> results;  // from the last rep
-  std::unique_ptr<runtime::InferenceServer> server;  // last rep's server
+  bench::ArmRun last;       // the last rep: its results and its live server
 };
-
-data::SceneConfig camera_scene(int camera) {
-  data::SceneConfig scene;
-  scene.frames = kStreamFrames;
-  scene.height = kStreamImage;
-  scene.width = kStreamImage;
-  scene.num_classes = 6;
-  scene.speed = 1.0F + 0.2F * static_cast<float>(camera % 4);
-  return scene;
-}
 
 }  // namespace
 
@@ -85,43 +66,18 @@ int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
   const std::int64_t frames_per_camera = quick ? 120 : 240;
   const int reps = quick ? 3 : 4;
+  bench::Gate gate;
 
   bench::print_header("Observability overhead: frame-lifecycle tracing vs untraced serving");
   std::printf("%d cameras x %lld frames, %d patterns, AR+REC mix, 2 shards, %d reps/arm "
               "(max fps gates)\n",
-              kCameras, static_cast<long long>(frames_per_camera), kHeteroPatterns, reps);
+              kCameras, static_cast<long long>(frames_per_camera), HeteroFleet::kPatterns, reps);
 
-  core::SnapPixConfig cfg;
-  cfg.image = kStreamImage;
-  cfg.frames = kStreamFrames;
-  cfg.num_classes = 6;
-  cfg.seed = 42;
+  const core::SnapPixConfig cfg = bench::serving_config();
   core::SnapPixSystem system(cfg);
-
-  std::vector<runtime::PatternRef> patterns;
-  {
-    Rng pattern_rng(19);
-    for (int p = 0; p < kHeteroPatterns; ++p) {
-      patterns.push_back(runtime::make_pattern_ref(
-          ce::CePattern::random(kStreamFrames, cfg.tile, pattern_rng, 0.5F)));
-    }
-  }
-
-  // Pre-code each camera's stream once; every arm and rep replays the same
-  // bytes, so fps differences measure tracing, not scene synthesis.
-  std::vector<RecordedStream> streams;
-  for (int cam = 0; cam < kCameras; ++cam) {
-    runtime::SyntheticCameraSource source(
-        cam, camera_scene(cam), patterns[static_cast<std::size_t>(cam % kHeteroPatterns)],
-        2000 + static_cast<std::uint64_t>(cam));
-    RecordedStream stream;
-    for (std::int64_t i = 0; i < frames_per_camera; ++i) {
-      runtime::Frame frame = source.next_frame();
-      stream.coded.push_back(std::move(frame.coded));
-      stream.labels.push_back(frame.label);
-    }
-    streams.push_back(std::move(stream));
-  }
+  // Every arm and rep replays the same recorded bytes, so fps differences
+  // measure tracing, not scene synthesis.
+  const HeteroFleet fleet(cfg, frames_per_camera);
 
   const auto run_once = [&](ArmResult& arm, bool trace_enabled, int sample_every) {
     runtime::ServerConfig server_cfg;
@@ -132,20 +88,9 @@ int main(int argc, char** argv) {
     server_cfg.shards = 2;
     server_cfg.trace.enabled = trace_enabled;
     server_cfg.trace.sample_every = sample_every;
-    auto server = std::make_unique<runtime::InferenceServer>(system, server_cfg);
-    for (int cam = 0; cam < kCameras; ++cam) {
-      auto camera = std::make_unique<runtime::ReplayCameraSource>(
-          cam, patterns[static_cast<std::size_t>(cam % kHeteroPatterns)],
-          streams[static_cast<std::size_t>(cam)].coded,
-          streams[static_cast<std::size_t>(cam)].labels);
-      if (cam >= kCameras - 2) {
-        camera->set_task(runtime::Task::kReconstruct);
-      }
-      server->add_camera(std::move(camera));
-    }
-    arm.results = server->run(frames_per_camera);
-    arm.fps.push_back(server->summary().aggregate_fps);
-    arm.server = std::move(server);
+    arm.last = bench::run_arm(system, server_cfg, [&fleet](int cam) { return fleet.camera(cam); },
+                              kCameras, frames_per_camera);
+    arm.fps.push_back(arm.last.summary.aggregate_fps);
   };
 
   // Reps are interleaved round-robin across arms so scheduler/thermal drift
@@ -175,11 +120,9 @@ int main(int argc, char** argv) {
       untraced.max_fps > 0.0 ? unsampled.max_fps / untraced.max_fps : 0.0;
   const double sampled_ratio =
       untraced.max_fps > 0.0 ? sampled.max_fps / untraced.max_fps : 0.0;
-  const bool unsampled_fast_enough = unsampled_ratio >= 0.98;
-  const bool sampled_fast_enough = sampled_ratio >= 0.95;
   const bool bits_identical =
-      fixtures::first_divergence(untraced.results, unsampled.results).empty() &&
-      fixtures::first_divergence(untraced.results, sampled.results).empty();
+      fixtures::first_divergence(untraced.last.results, unsampled.last.results).empty() &&
+      fixtures::first_divergence(untraced.last.results, sampled.last.results).empty();
 
   bench::print_rule();
   std::printf("unsampled tracing: %.3fx untraced (gate >= 0.98)   sampled 1-in-%d: %.3fx "
@@ -188,7 +131,7 @@ int main(int argc, char** argv) {
   std::printf("served bits identical across arms: %s\n", bits_identical ? "yes" : "NO");
 
   // --- trace completeness: every sampled served frame has a full lifecycle --
-  const obs::TraceRecorder* recorder = sampled.server->trace_recorder();
+  const obs::TraceRecorder* recorder = sampled.last.server->trace_recorder();
   const std::size_t dropped = recorder->dropped_events();
   bool sorted = true;
   std::map<std::uint64_t, std::map<std::string, std::pair<int, int>>> lifecycle;
@@ -208,7 +151,7 @@ int main(int argc, char** argv) {
   }
   std::size_t sampled_frames = 0;
   bool lifecycles_complete = true;
-  for (const runtime::TaskResult& result : sampled.results) {
+  for (const runtime::TaskResult& result : sampled.last.results) {
     if (result.sequence % kSampleEvery != 0) {
       continue;
     }
@@ -233,7 +176,7 @@ int main(int argc, char** argv) {
   // No extra lifecycles either: exactly one async track per sampled frame.
   lifecycles_complete &= lifecycle.size() == sampled_frames;
 
-  const std::string trace_text = sampled.server->trace_json();
+  const std::string trace_text = sampled.last.server->trace_json();
   bool json_valid = true;
   std::size_t trace_events = 0;
   try {
@@ -256,58 +199,46 @@ int main(int argc, char** argv) {
               json_valid ? "yes" : "NO");
 
   const auto arm_json = [](const ArmResult& arm) {
-    std::string out = "{\"fps\": [";
-    for (std::size_t i = 0; i < arm.fps.size(); ++i) {
-      out += (i > 0 ? ", " : "") + std::to_string(arm.fps[i]);
+    std::vector<std::string> fps;
+    for (const double f : arm.fps) {
+      fps.push_back(obs::json_number(f));
     }
-    out += "], \"max_fps\": " + std::to_string(arm.max_fps) + "}";
+    bench::JsonObject out;
+    out.raw("fps", bench::json_array(fps)).add("max_fps", arm.max_fps);
     return out;
   };
-  {
-    std::ofstream json("BENCH_obs.json");
-    json << "{\n  \"cameras\": " << kCameras
-         << ",\n  \"frames_per_camera\": " << frames_per_camera
-         << ",\n  \"patterns\": " << kHeteroPatterns << ",\n  \"reps\": " << reps
-         << ",\n  \"sample_every\": " << kSampleEvery
-         << ",\n  \"untraced\": " << arm_json(untraced)
-         << ",\n  \"unsampled_tracing\": " << arm_json(unsampled)
-         << ",\n  \"sampled_tracing\": " << arm_json(sampled)
-         << ",\n  \"unsampled_fps_ratio\": " << unsampled_ratio
-         << ",\n  \"sampled_fps_ratio\": " << sampled_ratio
-         << ",\n  \"unsampled_gate\": 0.98,\n  \"sampled_gate\": 0.95"
-         << ",\n  \"bit_identical\": " << (bits_identical ? "true" : "false")
-         << ",\n  \"sampled_frames\": " << sampled_frames
-         << ",\n  \"trace_events\": " << trace_events
-         << ",\n  \"dropped_events\": " << dropped
-         << ",\n  \"lifecycles_complete\": " << (lifecycles_complete ? "true" : "false")
-         << ",\n  \"trace_time_sorted\": " << (sorted ? "true" : "false")
-         << ",\n  \"stage_spans_present\": " << (stage_spans_present ? "true" : "false")
-         << ",\n  \"trace_json_valid\": " << (json_valid ? "true" : "false") << "\n}\n";
-  }
-  std::printf("wrote BENCH_obs.json\n");
+  bench::JsonObject()
+      .add("cameras", kCameras)
+      .add("frames_per_camera", frames_per_camera)
+      .add("patterns", HeteroFleet::kPatterns)
+      .add("reps", reps)
+      .add("sample_every", kSampleEvery)
+      .add("untraced", arm_json(untraced))
+      .add("unsampled_tracing", arm_json(unsampled))
+      .add("sampled_tracing", arm_json(sampled))
+      .add("unsampled_fps_ratio", unsampled_ratio)
+      .add("sampled_fps_ratio", sampled_ratio)
+      .add("unsampled_gate", 0.98)
+      .add("sampled_gate", 0.95)
+      .add("bit_identical", bits_identical)
+      .add("sampled_frames", sampled_frames)
+      .add("trace_events", trace_events)
+      .add("dropped_events", dropped)
+      .add("lifecycles_complete", lifecycles_complete)
+      .add("trace_time_sorted", sorted)
+      .add("stage_spans_present", stage_spans_present)
+      .add("trace_json_valid", json_valid)
+      .write("BENCH_obs.json");
 
-  if (!unsampled_fast_enough) {
-    std::printf("FAIL: unsampled tracing %.3fx untraced (gate 0.98x)\n", unsampled_ratio);
-  }
-  if (!sampled_fast_enough) {
-    std::printf("FAIL: 1-in-%d sampling %.3fx untraced (gate 0.95x)\n", kSampleEvery,
-                sampled_ratio);
-  }
-  if (!bits_identical) {
-    std::printf("FAIL: tracing changed served bits\n");
-  }
-  if (!lifecycles_complete || sampled_frames == 0) {
-    std::printf("FAIL: sampled frames missing complete trace lifecycles\n");
-  }
-  if (dropped != 0) {
-    std::printf("FAIL: trace lanes dropped %zu events\n", dropped);
-  }
-  if (!sorted || !json_valid || !stage_spans_present) {
-    std::printf("FAIL: trace export invalid (sorted=%d json=%d stages=%d)\n", sorted,
-                json_valid, stage_spans_present);
-  }
-  const bool ok = unsampled_fast_enough && sampled_fast_enough && bits_identical &&
-                  lifecycles_complete && sampled_frames > 0 && dropped == 0 && sorted &&
-                  json_valid && stage_spans_present;
-  return ok ? 0 : 1;
+  gate(unsampled_ratio >= 0.98, "unsampled tracing %.3fx untraced (gate 0.98x)", unsampled_ratio);
+  gate(sampled_ratio >= 0.95, "1-in-%d sampling %.3fx untraced (gate 0.95x)", kSampleEvery,
+       sampled_ratio);
+  gate(bits_identical, "tracing changed served bits");
+  gate(lifecycles_complete && sampled_frames > 0,
+       "sampled frames missing complete trace lifecycles");
+  gate(dropped == 0, "trace lanes dropped %zu events", dropped);
+  gate(sorted && json_valid && stage_spans_present,
+       "trace export invalid (sorted=%d json=%d stages=%d)", sorted, json_valid,
+       stage_spans_present);
+  return gate.exit_code();
 }

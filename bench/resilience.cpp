@@ -33,12 +33,11 @@
 //     (nothing lost to the hang), zero realtime sheds
 //
 // Writes BENCH_resilience.json.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -46,22 +45,18 @@
 
 #include "bench_util.h"
 #include "chaos.h"
-#include "codec/bitplane.h"
 #include "core/snappix.h"
-#include "obs/metrics.h"
+#include "fleet.h"
 #include "runtime/camera.h"
 #include "runtime/health.h"
 #include "runtime/server.h"
-#include "util/rng.h"
+#include "serving_fixtures.h"
 
 namespace {
 
 using namespace snappix;
 
-constexpr int kStreamImage = 16;
-constexpr int kStreamFrames = 8;
 constexpr int kCameras = 4;
-constexpr int kBufferFrames = 6;
 constexpr int kWindow = 8;  // health observation window (frames per camera)
 
 // Episode geometry for the degradation arm, in sequence numbers: windows
@@ -73,33 +68,6 @@ constexpr std::int64_t kEpisodeStart = 1 * kWindow;
 constexpr std::int64_t kEpisodeEnd = 4 * kWindow;
 constexpr std::int64_t kRecoveryDeadlineSeq = kEpisodeEnd + 4 * kWindow;
 
-struct CameraLedger {
-  std::uint64_t served = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t quarantined = 0;
-  std::uint64_t transitions = 0;
-};
-
-std::map<int, CameraLedger> ledger_from(const runtime::RuntimeSummary& summary,
-                                        const std::vector<runtime::TaskResult>& results) {
-  std::map<int, CameraLedger> ledger;
-  for (const runtime::TaskResult& r : results) {
-    ++ledger[r.camera_id].served;
-  }
-  for (const auto& [camera_id, counters] : summary.shed_cameras) {
-    ledger[camera_id].shed = counters.queue_full + counters.deadline;
-  }
-  for (const auto& [camera_id, counters] : summary.transport_cameras) {
-    ledger[camera_id].dropped = counters.dropped_frames;
-  }
-  for (const auto& [camera_id, counters] : summary.health_cameras) {
-    ledger[camera_id].quarantined = counters.quarantine_drops;
-    ledger[camera_id].transitions = counters.transitions;
-  }
-  return ledger;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -109,281 +77,206 @@ int main(int argc, char** argv) {
   const std::int64_t degrade_frames = quick ? kRecoveryDeadlineSeq + 2 * kWindow
                                             : kRecoveryDeadlineSeq + 6 * kWindow;
   const std::int64_t watchdog_frames = quick ? 60 : 120;
+  bench::Gate gate;
 
   bench::print_header("Resilience: degradation ladder + shard watchdog under chaos");
   std::printf("%d cameras, entropy-coded links, episode windows [%lld, %lld), window %d\n",
               kCameras, static_cast<long long>(kEpisodeStart),
               static_cast<long long>(kEpisodeEnd), kWindow);
 
-  core::SnapPixConfig cfg;
-  cfg.image = kStreamImage;
-  cfg.frames = kStreamFrames;
-  cfg.num_classes = 4;
-  cfg.seed = 42;
-  core::SnapPixSystem system(cfg);
-
+  core::SnapPixSystem system(bench::serving_config(/*classes=*/4));
   // Deterministic replay buffers + the fault-free batch-1 reference. The
   // clean codec wire reconstructs exactly dequantize(quantize(frame)), so
   // that round-trip IS the full-fidelity baseline every gate compares to.
-  std::vector<std::vector<Tensor>> buffers;
-  std::vector<std::vector<std::int64_t>> reference;
-  for (int cam = 0; cam < kCameras; ++cam) {
-    Rng rng(700 + static_cast<std::uint64_t>(cam));
-    std::vector<Tensor> coded;
-    std::vector<std::int64_t> predictions;
-    for (int i = 0; i < kBufferFrames; ++i) {
-      std::vector<float> data(kStreamImage * kStreamImage);
-      for (float& v : data) {
-        v = rng.uniform(0.0F, 1.0F);
-      }
-      Tensor frame = Tensor::from_vector(std::move(data), Shape{kStreamImage, kStreamImage});
-      const Tensor wire = codec::dequantize_frame(codec::quantize_frame(frame));
-      predictions.push_back(system.classify_coded(
-          Tensor::from_vector(wire.data(), Shape{1, kStreamImage, kStreamImage}))[0]);
-      coded.push_back(std::move(frame));
-    }
-    buffers.push_back(std::move(coded));
-    reference.push_back(std::move(predictions));
-  }
-
-  bool ok = true;
-  const auto gate = [&ok](bool pass, const char* what) {
-    if (!pass) {
-      std::printf("FAIL: %s\n", what);
-      ok = false;
-    }
-    return pass;
-  };
-
-  const auto expect_reference = [&](const runtime::TaskResult& r) {
-    return reference[static_cast<std::size_t>(r.camera_id)]
-                    [static_cast<std::size_t>(r.sequence % kBufferFrames)];
-  };
+  const fixtures::ReplayOracle oracle(system, kCameras, /*frames=*/6, /*seed=*/700,
+                                      /*codec_wire=*/true);
 
   // --- arm 1: degradation ladder + hysteretic recovery ------------------------
-  runtime::RuntimeSummary degrade_summary;
-  runtime::CameraHealthSnapshot afflicted;
-  std::int64_t last_degraded_seq = -1;
-  bool healthy_bit_identical = true;
-  bool full_fidelity_bit_identical = true;
-  std::uint64_t full_fidelity_checked = 0;
-  double degrade_wall = 0.0;
-  {
-    runtime::ServerConfig server_cfg;
-    server_cfg.batch.max_batch = 8;
-    server_cfg.shards = 1;
-    server_cfg.queue_capacity = 64;  // unloaded: resilience, not overload
-    server_cfg.transport.corrupt = runtime::TransportPolicy::Corrupt::kRetransmit;
-    server_cfg.transport.max_retransmits = 3;
-    server_cfg.transport.backoff_initial = std::chrono::microseconds(20);
-    // NOTE: retransmit_budget stays 0 — a wall-clock budget would make the
-    // retry count (and so each link's fault-Rng stream) timing-dependent.
-    server_cfg.health.enabled = true;
-    server_cfg.health.window = kWindow;
-    server_cfg.health.degrade_error_rate = 0.25;
-    server_cfg.health.degrade_retransmit_rate = 1.0;
-    // The episode must exercise the LADDER: park the quarantine thresholds
-    // far above anything the burst can reach.
-    server_cfg.health.quarantine_error_rate = 0.99;
-    server_cfg.health.quarantine_consecutive_losses = 1000;
-    server_cfg.health.recover_clean_windows = 1;
-    runtime::InferenceServer server(system, server_cfg);
-    for (int cam = 0; cam < kCameras; ++cam) {
-      std::vector<chaos::Episode> schedule;
-      if (cam == 0) {
-        // Tuned so most attempts are corrupt (heavy retransmit traffic) and
-        // a meaningful fraction of frames stay corrupt through the retry
-        // budget — well over the degrade thresholds, under quarantine's.
-        schedule.push_back(chaos::burst(kEpisodeStart, kEpisodeEnd,
-                                        /*bit_flip_per_byte=*/0.0005,
-                                        /*packet_drop_rate=*/0.12));
-      }
-      auto camera = std::make_unique<chaos::ChaosReplaySource>(
-          cam, system.pattern_ref(), buffers[static_cast<std::size_t>(cam)],
-          std::vector<std::int64_t>{}, std::move(schedule));
-      transport::LinkConfig link;
-      link.codec = true;
-      link.faults.seed = 40 + static_cast<std::uint64_t>(cam);
-      camera->set_framed(link);
-      server.add_camera(std::move(camera));
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<runtime::TaskResult> results = server.run(degrade_frames);
-    degrade_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    degrade_summary = server.summary();
-    afflicted = server.health()->snapshot(0);
-
-    for (const runtime::TaskResult& r : results) {
-      const bool full_fidelity =
-          r.decode_depth == 0 && r.precision == runtime::Precision::kFp32;
-      if (r.camera_id == 0) {
-        if (!full_fidelity) {
-          last_degraded_seq = std::max(last_degraded_seq, r.sequence);
-        } else {
-          ++full_fidelity_checked;
-          if (r.predicted != expect_reference(r)) {
-            full_fidelity_bit_identical = false;
-          }
+  runtime::ServerConfig degrade_cfg;
+  degrade_cfg.batch.max_batch = 8;
+  degrade_cfg.shards = 1;
+  degrade_cfg.queue_capacity = 64;  // unloaded: resilience, not overload
+  // Retries are bounded by count, so each link's fault-Rng stream (and the
+  // whole fault history) is a pure function of its seed and schedule.
+  degrade_cfg.transport.corrupt = runtime::TransportPolicy::Corrupt::kRetransmit;
+  degrade_cfg.transport.max_retransmits = 3;
+  degrade_cfg.transport.backoff_initial = std::chrono::microseconds(20);
+  degrade_cfg.health.enabled = true;
+  degrade_cfg.health.window = kWindow;
+  degrade_cfg.health.degrade_error_rate = 0.25;
+  degrade_cfg.health.degrade_retransmit_rate = 1.0;
+  // The episode must exercise the LADDER: park the quarantine thresholds
+  // far above anything the burst can reach.
+  degrade_cfg.health.quarantine_error_rate = 0.99;
+  degrade_cfg.health.quarantine_consecutive_losses = 1000;
+  degrade_cfg.health.recover_clean_windows = 1;
+  const bench::ArmRun degrade = bench::run_arm(
+      system, degrade_cfg,
+      [&oracle](int cam) {
+        std::vector<chaos::Episode> schedule;
+        if (cam == 0) {
+          // Tuned so most attempts are corrupt (heavy retransmit traffic) and
+          // a meaningful fraction of frames stay corrupt through the retry
+          // budget — well over the degrade thresholds, under quarantine's.
+          schedule.push_back(chaos::burst(kEpisodeStart, kEpisodeEnd,
+                                          /*bit_flip_per_byte=*/0.0005,
+                                          /*packet_drop_rate=*/0.12));
         }
-      } else if (r.predicted != expect_reference(r)) {
-        healthy_bit_identical = false;
-      }
+        auto camera = std::make_unique<chaos::ChaosReplaySource>(
+            cam, oracle.pattern(), oracle.buffer(cam), std::vector<std::int64_t>{},
+            std::move(schedule));
+        transport::LinkConfig link;
+        link.codec = true;
+        link.faults.seed = 40 + static_cast<std::uint64_t>(cam);
+        camera->set_framed(link);
+        return camera;
+      },
+      kCameras, degrade_frames);
+  const runtime::CameraHealthSnapshot afflicted = degrade.server->health()->snapshot(0);
+
+  // Camera 0's full-fidelity answers (base depth + fp32) and every answer of
+  // the healthy cameras must equal the reference.
+  std::int64_t last_degraded_seq = -1;
+  std::vector<runtime::TaskResult> healthy, full_fidelity;
+  for (const runtime::TaskResult& r : degrade.results) {
+    if (r.camera_id != 0) {
+      healthy.push_back(r);
+    } else if (r.decode_depth == 0 && r.precision == runtime::Precision::kFp32) {
+      full_fidelity.push_back(r);
+    } else {
+      last_degraded_seq = std::max(last_degraded_seq, r.sequence);
     }
-
-    const std::map<int, CameraLedger> ledger = ledger_from(degrade_summary, results);
-    for (int cam = 0; cam < kCameras; ++cam) {
-      const CameraLedger& c = ledger.count(cam) ? ledger.at(cam) : CameraLedger{};
-      if (c.served + c.shed + c.dropped + c.quarantined !=
-          static_cast<std::uint64_t>(degrade_frames)) {
-        std::printf("FAIL: [degradation] camera %d conservation broke: "
-                    "%llu served + %llu shed + %llu dropped + %llu quarantined != %lld\n",
-                    cam, static_cast<unsigned long long>(c.served),
-                    static_cast<unsigned long long>(c.shed),
-                    static_cast<unsigned long long>(c.dropped),
-                    static_cast<unsigned long long>(c.quarantined),
-                    static_cast<long long>(degrade_frames));
-        ok = false;
-      }
-      if (cam != 0) {
-        gate(c.transitions == 0, "the ladder leaked onto a healthy camera");
-        gate(c.dropped == 0, "a clean link dropped frames");
-      }
-    }
-
-    std::printf("\n[degradation] wall %.2fs  camera 0: %llu steps down, %llu up, "
-                "%llu transitions, final %s @ step %d, last degraded seq %lld\n",
-                degrade_wall, static_cast<unsigned long long>(afflicted.steps_down),
-                static_cast<unsigned long long>(afflicted.steps_up),
-                static_cast<unsigned long long>(afflicted.transitions),
-                runtime::to_string(afflicted.state), afflicted.ladder_step,
-                static_cast<long long>(last_degraded_seq));
-
-    gate(afflicted.steps_down > 0, "the burst never engaged the ladder");
-    gate(afflicted.steps_up == afflicted.steps_down,
-         "recovery did not retrace every ladder step");
-    gate(afflicted.state == runtime::HealthState::kHealthy,
-         "afflicted camera did not end kHealthy");
-    gate(afflicted.ladder_step == 0, "afflicted camera did not end at ladder step 0");
-    gate(last_degraded_seq >= 0, "no frame was ever served degraded — chaos was inert");
-    gate(last_degraded_seq < kRecoveryDeadlineSeq,
-         "recovery exceeded the 4-window deadline after the episode");
-    gate(healthy_bit_identical, "a healthy camera's answers diverged from the reference");
-    gate(full_fidelity_checked > 0 && full_fidelity_bit_identical,
-         "a full-fidelity answer from the afflicted camera diverged from the reference");
   }
+  const std::string healthy_divergence = oracle.divergence(healthy);
+  const std::string full_fidelity_divergence = oracle.divergence(full_fidelity);
+
+  const std::vector<fixtures::CameraLedger> ledger =
+      fixtures::ledger_from(degrade.results, degrade.summary, kCameras);
+  const std::string degrade_gap = fixtures::conservation_gap(
+      ledger, std::vector<std::int64_t>(kCameras, degrade_frames));
+  gate(degrade_gap.empty(), "[degradation] conservation broke: %s", degrade_gap.c_str());
+  for (int cam = 1; cam < kCameras; ++cam) {
+    const fixtures::CameraLedger& c = ledger[static_cast<std::size_t>(cam)];
+    gate(c.transitions == 0, "the ladder leaked onto healthy camera %d", cam);
+    gate(c.wire_dropped == 0, "clean link of camera %d dropped frames", cam);
+  }
+
+  std::printf("\n[degradation] wall %.2fs  camera 0: %llu steps down, %llu up, "
+              "%llu transitions, final %s @ step %d, last degraded seq %lld\n",
+              degrade.wall_seconds, static_cast<unsigned long long>(afflicted.steps_down),
+              static_cast<unsigned long long>(afflicted.steps_up),
+              static_cast<unsigned long long>(afflicted.transitions),
+              runtime::to_string(afflicted.state), afflicted.ladder_step,
+              static_cast<long long>(last_degraded_seq));
+
+  gate(afflicted.steps_down > 0, "the burst never engaged the ladder");
+  gate(afflicted.steps_up == afflicted.steps_down, "recovery did not retrace every ladder step");
+  gate(afflicted.state == runtime::HealthState::kHealthy, "afflicted camera did not end kHealthy");
+  gate(afflicted.ladder_step == 0, "afflicted camera did not end at ladder step 0");
+  gate(last_degraded_seq >= 0, "no frame was ever served degraded — chaos was inert");
+  gate(last_degraded_seq < kRecoveryDeadlineSeq,
+       "recovery exceeded the 4-window deadline after the episode");
+  gate(healthy_divergence.empty(), "a healthy camera's answers diverged from the reference: %s",
+       healthy_divergence.c_str());
+  gate(!full_fidelity.empty() && full_fidelity_divergence.empty(),
+       "a full-fidelity answer from the afflicted camera diverged from the reference: %s",
+       full_fidelity_divergence.c_str());
 
   // --- arm 2: shard stall, watchdog rescue, re-route --------------------------
-  runtime::RuntimeSummary watchdog_summary;
-  bool rescue_bit_identical = true;
-  double watchdog_wall = 0.0;
-  {
-    runtime::ServerConfig server_cfg;
-    server_cfg.batch.max_batch = 4;
-    server_cfg.shards = 2;
-    server_cfg.queue_capacity = 4;
-    server_cfg.work_stealing = false;  // the rescue path, not the thief, moves frames
-    server_cfg.health.enabled = true;
-    server_cfg.health.window = kWindow;
-    server_cfg.health.watchdog.enabled = true;
-    server_cfg.health.watchdog.poll = std::chrono::milliseconds(5);
-    server_cfg.health.watchdog.stall_polls = 4;  // 20 ms >> the 2 ms batch max_delay
-    // All cameras share the system pattern and home on one shard; wedge it.
-    const std::size_t home = system.pattern_ref()->hash() % 2;
-    chaos::SlowShard slow(home, /*after_batches=*/2,
-                          std::chrono::milliseconds(quick ? 150 : 250));
-    server_cfg.before_batch = slow;
-    runtime::InferenceServer server(system, server_cfg);
-    for (int cam = 0; cam < kCameras; ++cam) {
-      auto camera = std::make_unique<runtime::ReplayCameraSource>(
-          cam, system.pattern_ref(), buffers[static_cast<std::size_t>(cam)],
-          std::vector<std::int64_t>{});
-      transport::LinkConfig link;
-      link.codec = true;
-      link.faults.seed = 80 + static_cast<std::uint64_t>(cam);
-      camera->set_framed(link);
-      if (cam == 0) {
-        camera->set_qos(runtime::QosClass::kRealtime);
-      }
-      server.add_camera(std::move(camera));
-    }
+  runtime::ServerConfig watchdog_cfg;
+  watchdog_cfg.batch.max_batch = 4;
+  watchdog_cfg.shards = 2;
+  watchdog_cfg.queue_capacity = 4;
+  watchdog_cfg.work_stealing = false;  // the rescue path, not the thief, moves frames
+  watchdog_cfg.health.enabled = true;
+  watchdog_cfg.health.window = kWindow;
+  watchdog_cfg.health.watchdog.enabled = true;
+  watchdog_cfg.health.watchdog.poll = std::chrono::milliseconds(5);
+  watchdog_cfg.health.watchdog.stall_polls = 4;  // 20 ms >> the 2 ms batch max_delay
+  // All cameras share the system pattern and home on one shard; wedge it.
+  const std::size_t home = system.pattern_ref()->hash() % 2;
+  chaos::SlowShard slow(home, /*after_batches=*/2, std::chrono::milliseconds(quick ? 150 : 250));
+  watchdog_cfg.before_batch = slow;
+  const bench::ArmRun watchdog = bench::run_arm(
+      system, watchdog_cfg,
+      [&oracle](int cam) {
+        auto camera = oracle.camera(cam);
+        transport::LinkConfig link;
+        link.codec = true;
+        link.faults.seed = 80 + static_cast<std::uint64_t>(cam);
+        camera->set_framed(link);
+        if (cam == 0) {
+          camera->set_qos(runtime::QosClass::kRealtime);
+        }
+        return camera;
+      },
+      kCameras, watchdog_frames);
+  const runtime::RuntimeSummary& ws = watchdog.summary;
+  const std::string rescue_divergence = oracle.divergence(watchdog.results);
 
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<runtime::TaskResult> results = server.run(watchdog_frames);
-    watchdog_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    watchdog_summary = server.summary();
+  std::printf("\n[watchdog] wall %.2fs  %llu stalls detected, %llu frames re-routed, "
+              "%llu served\n",
+              watchdog.wall_seconds, static_cast<unsigned long long>(ws.watchdog_stalls),
+              static_cast<unsigned long long>(ws.rerouted_frames),
+              static_cast<unsigned long long>(ws.frames));
 
-    std::map<int, std::uint64_t> served;
-    for (const runtime::TaskResult& r : results) {
-      ++served[r.camera_id];
-      if (r.predicted != expect_reference(r)) {
-        rescue_bit_identical = false;
-      }
-    }
-
-    std::printf("\n[watchdog] wall %.2fs  %llu stalls detected, %llu frames re-routed, "
-                "%llu served\n",
-                watchdog_wall,
-                static_cast<unsigned long long>(watchdog_summary.watchdog_stalls),
-                static_cast<unsigned long long>(watchdog_summary.rerouted_frames),
-                static_cast<unsigned long long>(watchdog_summary.frames));
-
-    gate(slow.stalls_left() == 0, "the injected stall never fired");
-    gate(watchdog_summary.watchdog_stalls >= 1, "the watchdog never detected the stall");
-    gate(watchdog_summary.rerouted_frames >= 1, "the rescue re-routed nothing");
-    gate(watchdog_summary.shed_realtime == 0, "realtime frames were shed during the rescue");
-    // Clean links, no overload: conservation here means EVERY offered frame
-    // of EVERY camera was served despite the hang — the stalled shard's
-    // traffic survived the re-route exactly.
-    for (int cam = 0; cam < kCameras; ++cam) {
-      if (served[cam] != static_cast<std::uint64_t>(watchdog_frames)) {
-        std::printf("FAIL: [watchdog] camera %d served %llu of %lld offered frames\n", cam,
-                    static_cast<unsigned long long>(served[cam]),
-                    static_cast<long long>(watchdog_frames));
-        ok = false;
-      }
-    }
-    gate(rescue_bit_identical, "a re-routed answer diverged from the reference");
+  gate(slow.stalls_left() == 0, "the injected stall never fired");
+  gate(ws.watchdog_stalls >= 1, "the watchdog never detected the stall");
+  gate(ws.rerouted_frames >= 1, "the rescue re-routed nothing");
+  gate(ws.shed_realtime == 0, "realtime frames were shed during the rescue");
+  // Clean links, no overload: conservation here means EVERY offered frame
+  // of EVERY camera was served despite the hang — the stalled shard's
+  // traffic survived the re-route exactly.
+  const std::vector<fixtures::CameraLedger> rescued =
+      fixtures::ledger_from(watchdog.results, ws, kCameras);
+  for (int cam = 0; cam < kCameras; ++cam) {
+    const std::uint64_t served = rescued[static_cast<std::size_t>(cam)].served;
+    gate(served == static_cast<std::uint64_t>(watchdog_frames),
+         "[watchdog] camera %d served %llu of %lld offered frames", cam,
+         static_cast<unsigned long long>(served), static_cast<long long>(watchdog_frames));
   }
+  gate(rescue_divergence.empty(), "a re-routed answer diverged from the reference: %s",
+       rescue_divergence.c_str());
 
   bench::print_rule();
-  {
-    std::ofstream json("BENCH_resilience.json");
-    json << "{\n  \"cameras\": " << kCameras << ",\n  \"quick\": " << (quick ? "true" : "false")
-         << ",\n  \"window\": " << kWindow
-         << ",\n  \"degradation\": {"
-         << "\n    \"offered_per_camera\": " << degrade_frames
-         << ",\n    \"served\": " << degrade_summary.frames
-         << ",\n    \"steps_down\": " << afflicted.steps_down
-         << ",\n    \"steps_up\": " << afflicted.steps_up
-         << ",\n    \"transitions\": " << afflicted.transitions
-         << ",\n    \"quarantine_drops\": " << afflicted.quarantine_drops
-         << ",\n    \"final_state\": \"" << runtime::to_string(afflicted.state) << "\""
-         << ",\n    \"final_ladder_step\": " << afflicted.ladder_step
-         << ",\n    \"last_degraded_sequence\": " << last_degraded_seq
-         << ",\n    \"recovery_deadline_sequence\": " << kRecoveryDeadlineSeq
-         << ",\n    \"retransmits\": " << degrade_summary.transport.retransmits
-         << ",\n    \"transport_dropped\": " << degrade_summary.transport.dropped_frames
-         << ",\n    \"healthy_bit_identical\": " << (healthy_bit_identical ? "true" : "false")
-         << ",\n    \"full_fidelity_bit_identical\": "
-         << (full_fidelity_bit_identical ? "true" : "false")
-         << ",\n    \"wall_seconds\": " << obs::json_number(degrade_wall) << "\n  }"
-         << ",\n  \"watchdog\": {"
-         << "\n    \"offered_per_camera\": " << watchdog_frames
-         << ",\n    \"served\": " << watchdog_summary.frames
-         << ",\n    \"watchdog_stalls\": " << watchdog_summary.watchdog_stalls
-         << ",\n    \"rerouted_frames\": " << watchdog_summary.rerouted_frames
-         << ",\n    \"shed_realtime\": " << watchdog_summary.shed_realtime
-         << ",\n    \"bit_identical\": " << (rescue_bit_identical ? "true" : "false")
-         << ",\n    \"wall_seconds\": " << obs::json_number(watchdog_wall) << "\n  }"
-         << ",\n  \"gates_passed\": " << (ok ? "true" : "false") << "\n}\n";
-  }
-  std::printf("wrote BENCH_resilience.json\n");
+  const runtime::RuntimeSummary& ds = degrade.summary;
+  bench::JsonObject degradation;
+  degradation.add("offered_per_camera", degrade_frames)
+      .add("served", ds.frames)
+      .add("steps_down", afflicted.steps_down)
+      .add("steps_up", afflicted.steps_up)
+      .add("transitions", afflicted.transitions)
+      .add("quarantine_drops", afflicted.quarantine_drops)
+      .add("final_state", runtime::to_string(afflicted.state))
+      .add("final_ladder_step", afflicted.ladder_step)
+      .add("last_degraded_sequence", last_degraded_seq)
+      .add("recovery_deadline_sequence", kRecoveryDeadlineSeq)
+      .add("retransmits", ds.transport.retransmits)
+      .add("transport_dropped", ds.transport.dropped_frames)
+      .add("healthy_bit_identical", healthy_divergence.empty())
+      .add("full_fidelity_bit_identical", full_fidelity_divergence.empty())
+      .add("wall_seconds", degrade.wall_seconds)
+      .raw("metrics", degrade.metrics);
+  bench::JsonObject rescue;
+  rescue.add("offered_per_camera", watchdog_frames)
+      .add("served", ws.frames)
+      .add("watchdog_stalls", ws.watchdog_stalls)
+      .add("rerouted_frames", ws.rerouted_frames)
+      .add("shed_realtime", ws.shed_realtime)
+      .add("bit_identical", rescue_divergence.empty())
+      .add("wall_seconds", watchdog.wall_seconds)
+      .raw("metrics", watchdog.metrics);
+  bench::JsonObject()
+      .add("cameras", kCameras)
+      .add("quick", quick)
+      .add("window", kWindow)
+      .add("degradation", degradation)
+      .add("watchdog", rescue)
+      .add("gates_passed", gate.ok())
+      .write("BENCH_resilience.json");
 
-  if (ok) {
+  if (gate.ok()) {
     std::printf("all resilience gates passed\n");
   }
-  return ok ? 0 : 1;
+  return gate.exit_code();
 }

@@ -35,9 +35,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -45,17 +44,15 @@
 
 #include "bench_util.h"
 #include "core/snappix.h"
-#include "obs/metrics.h"
+#include "fleet.h"
 #include "runtime/camera.h"
 #include "runtime/server.h"
-#include "util/rng.h"
+#include "serving_fixtures.h"
 
 namespace {
 
 using namespace snappix;
 
-constexpr int kStreamImage = 16;
-constexpr int kStreamFrames = 8;
 constexpr int kCameras = 6;       // camera 0 realtime, 1..5 best-effort
 constexpr int kBufferFrames = 8;  // replay buffer depth per camera
 
@@ -94,21 +91,16 @@ class PacedReplaySource : public runtime::ReplayCameraSource {
 
 struct ArmOutcome {
   std::string label;
-  std::vector<std::int64_t> offered;            // per camera
-  std::map<int, std::uint64_t> served;          // per camera
-  std::map<int, std::uint64_t> shed;            // per camera (all reasons)
-  runtime::RuntimeSummary summary;
-  double wall_seconds = 0.0;
-  bool bit_identical = true;
-  std::uint64_t checked = 0;
+  std::vector<std::int64_t> offered;  // per camera
+  bench::ArmRun run;
+  std::vector<fixtures::CameraLedger> ledger;
+  std::string divergence;  // vs the batch-1 reference; "" when bit-identical
 };
 
 double offered_fps(const ArmOutcome& arm) {
-  std::int64_t total = 0;
-  for (const std::int64_t n : arm.offered) {
-    total += n;
-  }
-  return arm.wall_seconds > 0.0 ? static_cast<double>(total) / arm.wall_seconds : 0.0;
+  const std::int64_t total =
+      std::accumulate(arm.offered.begin(), arm.offered.end(), std::int64_t{0});
+  return arm.run.wall_seconds > 0.0 ? static_cast<double>(total) / arm.run.wall_seconds : 0.0;
 }
 
 std::int64_t clamp64(double value, std::int64_t lo, std::int64_t hi) {
@@ -122,40 +114,16 @@ int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
   const double duration_s = quick ? 0.6 : 1.5;      // target wall per overload arm
   const std::int64_t baseline_frames = quick ? 40 : 80;  // per camera
+  bench::Gate gate;
 
   bench::print_header("Saturation: QoS admission control + drop-late under 3x offered load");
   std::printf("%d cameras (1 realtime, %d best-effort), shared pattern, 1 shard\n", kCameras,
               kCameras - 1);
 
-  core::SnapPixConfig cfg;
-  cfg.image = kStreamImage;
-  cfg.frames = kStreamFrames;
-  cfg.num_classes = 4;
-  cfg.seed = 42;
-  core::SnapPixSystem system(cfg);
-
-  // Deterministic replay buffers + the batch-1 reference predictions every
-  // served frame is checked against (the engines are batch-invariant, so
-  // batch-1 IS the unloaded answer).
-  std::vector<std::vector<Tensor>> buffers;
-  std::vector<std::vector<std::int64_t>> reference;
-  for (int cam = 0; cam < kCameras; ++cam) {
-    Rng rng(300 + static_cast<std::uint64_t>(cam));
-    std::vector<Tensor> coded;
-    std::vector<std::int64_t> predictions;
-    for (int i = 0; i < kBufferFrames; ++i) {
-      std::vector<float> data(kStreamImage * kStreamImage);
-      for (float& v : data) {
-        v = rng.uniform(0.0F, 1.0F);
-      }
-      Tensor frame = Tensor::from_vector(std::move(data), Shape{kStreamImage, kStreamImage});
-      predictions.push_back(system.classify_coded(
-          Tensor::from_vector(frame.data(), Shape{1, kStreamImage, kStreamImage}))[0]);
-      coded.push_back(std::move(frame));
-    }
-    buffers.push_back(std::move(coded));
-    reference.push_back(std::move(predictions));
-  }
+  core::SnapPixSystem system(bench::serving_config(/*classes=*/4));
+  // Deterministic replay buffers + the batch-1 reference every served frame
+  // is checked against.
+  const fixtures::ReplayOracle oracle(system, kCameras, kBufferFrames, /*seed=*/300);
 
   // One arm: build the fleet, run it, tally per-camera conservation and
   // check every served bit against the reference.
@@ -170,48 +138,32 @@ int main(int argc, char** argv) {
     server_cfg.shards = 1;
     server_cfg.queue_capacity = queue_capacity;
     server_cfg.qos = fleet_qos;
-    runtime::InferenceServer server(system, server_cfg);
-    for (int cam = 0; cam < kCameras; ++cam) {
-      auto camera = std::make_unique<PacedReplaySource>(
-          cam, system.pattern_ref(), buffers[static_cast<std::size_t>(cam)],
-          cam == 0 ? realtime_gap : best_effort_gap);
-      if (cam == 0) {
-        camera->set_qos(runtime::QosClass::kRealtime);
-      } else if (best_effort_deadline.count() > 0) {
-        camera->set_deadline_budget(best_effort_deadline);
-      }
-      server.add_camera(std::move(camera));
-    }
-
     ArmOutcome arm;
     arm.label = label;
     arm.offered = frames_per_camera;
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<runtime::TaskResult> results = server.run(frames_per_camera);
-    arm.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    arm.summary = server.summary();
-
-    for (const runtime::TaskResult& r : results) {
-      ++arm.served[r.camera_id];
-      ++arm.checked;
-      const std::int64_t expect =
-          reference[static_cast<std::size_t>(r.camera_id)]
-                   [static_cast<std::size_t>(r.sequence % kBufferFrames)];
-      if (r.predicted != expect) {
-        arm.bit_identical = false;
-      }
-    }
-    for (const auto& [camera_id, counters] : arm.summary.shed_cameras) {
-      arm.shed[camera_id] = counters.queue_full + counters.deadline;
-    }
+    arm.run = bench::run_arm(
+        system, server_cfg,
+        [&](int cam) {
+          auto camera = std::make_unique<PacedReplaySource>(
+              cam, oracle.pattern(), oracle.buffer(cam), cam == 0 ? realtime_gap : best_effort_gap);
+          if (cam == 0) {
+            camera->set_qos(runtime::QosClass::kRealtime);
+          } else if (best_effort_deadline.count() > 0) {
+            camera->set_deadline_budget(best_effort_deadline);
+          }
+          return camera;
+        },
+        frames_per_camera);
+    const runtime::RuntimeSummary& s = arm.run.summary;
+    arm.ledger = fixtures::ledger_from(arm.run.results, s, kCameras);
+    arm.divergence = oracle.divergence(arm.run.results);
     std::printf("\n[%s] wall %.2fs  offered %.0f fps  served %llu frames "
                 "(shed: %llu queue_full, %llu deadline; %llu misses)\n",
-                arm.label.c_str(), arm.wall_seconds, offered_fps(arm),
-                static_cast<unsigned long long>(arm.summary.frames),
-                static_cast<unsigned long long>(arm.summary.shed_queue_full),
-                static_cast<unsigned long long>(arm.summary.shed_deadline),
-                static_cast<unsigned long long>(arm.summary.deadline_misses));
+                arm.label.c_str(), arm.run.wall_seconds, offered_fps(arm),
+                static_cast<unsigned long long>(s.frames),
+                static_cast<unsigned long long>(s.shed_queue_full),
+                static_cast<unsigned long long>(s.shed_deadline),
+                static_cast<unsigned long long>(s.deadline_misses));
     return arm;
   };
 
@@ -222,7 +174,7 @@ int main(int argc, char** argv) {
               std::chrono::microseconds(0), std::chrono::microseconds(0),
               std::chrono::microseconds(0));
   const double capacity_fps =
-      std::max(50.0, std::min(200000.0, baseline.summary.aggregate_fps));
+      std::max(50.0, std::min(200000.0, baseline.run.summary.aggregate_fps));
   std::printf("measured serving capacity: %.0f fps\n", capacity_fps);
 
   // --- overload geometry: offer ~3x capacity ----------------------------------
@@ -248,56 +200,37 @@ int main(int argc, char** argv) {
               rt_gap, be_gap, be_deadline);
 
   // --- gates -------------------------------------------------------------------
-  bool ok = true;
-  const auto gate = [&ok](bool pass, const char* what) {
-    if (!pass) {
-      std::printf("FAIL: %s\n", what);
-      ok = false;
-    }
-    return pass;
-  };
-
-  gate(baseline.summary.shed_frames == 0, "baseline run shed frames while unloaded");
-  gate(baseline.bit_identical && baseline.checked > 0, "baseline predictions diverged");
+  gate(baseline.run.summary.shed_frames == 0, "baseline run shed frames while unloaded");
+  gate(baseline.divergence.empty() && !baseline.run.results.empty(),
+       "baseline predictions diverged: %s", baseline.divergence.c_str());
 
   const auto check_overload_arm = [&](const ArmOutcome& arm, bool require_progress_everywhere,
                                       bool require_deadline_sheds) {
+    const runtime::RuntimeSummary& s = arm.run.summary;
+    const char* label = arm.label.c_str();
     // Conservation, per camera, exactly.
-    for (int cam = 0; cam < kCameras; ++cam) {
-      const std::uint64_t served =
-          arm.served.count(cam) ? arm.served.at(cam) : 0;
-      const std::uint64_t shed = arm.shed.count(cam) ? arm.shed.at(cam) : 0;
-      if (served + shed != static_cast<std::uint64_t>(arm.offered[static_cast<std::size_t>(cam)])) {
-        std::printf("FAIL: [%s] camera %d conservation broke: %llu served + %llu shed != %lld "
-                    "offered\n",
-                    arm.label.c_str(), cam, static_cast<unsigned long long>(served),
-                    static_cast<unsigned long long>(shed),
-                    static_cast<long long>(arm.offered[static_cast<std::size_t>(cam)]));
-        ok = false;
-      }
-    }
-    gate(arm.summary.shed_realtime == 0, "realtime frames were shed");
-    gate(arm.served.count(0) != 0 &&
-             arm.served.at(0) == static_cast<std::uint64_t>(arm.offered[0]),
-         "realtime camera not served in full");
-    gate(arm.summary.shed_best_effort > 0, "overload arm shed nothing — not saturated");
-    gate(arm.summary.frames < static_cast<std::uint64_t>(arm.offered[0]) +
-                                  static_cast<std::uint64_t>(kCameras - 1) *
-                                      static_cast<std::uint64_t>(arm.offered[1]),
-         "overload arm served everything — offered load did not exceed capacity");
-    gate(arm.bit_identical && arm.checked > 0, "served predictions diverged from reference");
-    gate(arm.summary.e2e_realtime.count > 0 && arm.summary.e2e_realtime.p99_ms < 500.0,
-         "realtime p99 unbounded under overload");
+    const std::string gap = fixtures::conservation_gap(arm.ledger, arm.offered);
+    gate(gap.empty(), "[%s] conservation broke: %s", label, gap.c_str());
+    gate(s.shed_realtime == 0, "[%s] realtime frames were shed", label);
+    gate(arm.ledger[0].served == static_cast<std::uint64_t>(arm.offered[0]),
+         "[%s] realtime camera not served in full", label);
+    gate(s.shed_best_effort > 0, "[%s] overload arm shed nothing — not saturated", label);
+    gate(s.frames < static_cast<std::uint64_t>(arm.offered[0]) +
+                        static_cast<std::uint64_t>(kCameras - 1) *
+                            static_cast<std::uint64_t>(arm.offered[1]),
+         "[%s] overload arm served everything — offered load did not exceed capacity", label);
+    gate(arm.divergence.empty() && !arm.run.results.empty(),
+         "[%s] served predictions diverged from reference: %s", label, arm.divergence.c_str());
+    gate(s.e2e_realtime.count > 0 && s.e2e_realtime.p99_ms < 500.0,
+         "[%s] realtime p99 unbounded under overload", label);
     if (require_progress_everywhere) {
       for (int cam = 0; cam < kCameras; ++cam) {
-        if (!arm.served.count(cam) || arm.served.at(cam) == 0) {
-          std::printf("FAIL: [%s] camera %d starved\n", arm.label.c_str(), cam);
-          ok = false;
-        }
+        gate(arm.ledger[static_cast<std::size_t>(cam)].served > 0, "[%s] camera %d starved",
+             label, cam);
       }
     }
     if (require_deadline_sheds) {
-      gate(arm.summary.shed_deadline > 0, "drop-late arm shed nothing for kDeadline");
+      gate(s.shed_deadline > 0, "[%s] drop-late arm shed nothing for kDeadline", label);
     }
   };
   check_overload_arm(saturation, /*require_progress_everywhere=*/true,
@@ -307,46 +240,42 @@ int main(int argc, char** argv) {
 
   bench::print_rule();
   std::printf("realtime p99: baseline %s ms, saturation %s ms, drop_late %s ms\n",
-              obs::json_number(baseline.summary.e2e_realtime.p99_ms).c_str(),
-              obs::json_number(saturation.summary.e2e_realtime.p99_ms).c_str(),
-              obs::json_number(drop_late.summary.e2e_realtime.p99_ms).c_str());
+              obs::json_number(baseline.run.summary.e2e_realtime.p99_ms).c_str(),
+              obs::json_number(saturation.run.summary.e2e_realtime.p99_ms).c_str(),
+              obs::json_number(drop_late.run.summary.e2e_realtime.p99_ms).c_str());
 
-  const auto arm_json = [&](const ArmOutcome& arm) {
-    std::int64_t offered_total = 0;
-    for (const std::int64_t n : arm.offered) {
-      offered_total += n;
-    }
-    std::string out = "{\n    \"offered\": " + std::to_string(offered_total) +
-                      ",\n    \"served\": " + std::to_string(arm.summary.frames) +
-                      ",\n    \"shed_queue_full\": " + std::to_string(arm.summary.shed_queue_full) +
-                      ",\n    \"shed_deadline\": " + std::to_string(arm.summary.shed_deadline) +
-                      ",\n    \"shed_realtime\": " + std::to_string(arm.summary.shed_realtime) +
-                      ",\n    \"deadline_misses\": " + std::to_string(arm.summary.deadline_misses) +
-                      ",\n    \"offered_fps\": " + obs::json_number(offered_fps(arm)) +
-                      ",\n    \"served_fps\": " + obs::json_number(arm.summary.aggregate_fps) +
-                      ",\n    \"wall_seconds\": " + obs::json_number(arm.wall_seconds) +
-                      ",\n    \"realtime_p99_ms\": " +
-                      obs::json_number(arm.summary.e2e_realtime.p99_ms) +
-                      ",\n    \"bit_identical\": " + (arm.bit_identical ? "true" : "false") +
-                      "\n  }";
+  const auto arm_json = [](const ArmOutcome& arm) {
+    const runtime::RuntimeSummary& s = arm.run.summary;
+    bench::JsonObject out;
+    out.add("offered", std::accumulate(arm.offered.begin(), arm.offered.end(), std::int64_t{0}))
+        .add("served", s.frames)
+        .add("shed_queue_full", s.shed_queue_full)
+        .add("shed_deadline", s.shed_deadline)
+        .add("shed_realtime", s.shed_realtime)
+        .add("deadline_misses", s.deadline_misses)
+        .add("offered_fps", offered_fps(arm))
+        .add("served_fps", s.aggregate_fps)
+        .add("wall_seconds", arm.run.wall_seconds)
+        .add("realtime_p99_ms", s.e2e_realtime.p99_ms)
+        .add("bit_identical", arm.divergence.empty())
+        .raw("metrics", arm.run.metrics);
     return out;
   };
-  {
-    std::ofstream json("BENCH_saturation.json");
-    json << "{\n  \"cameras\": " << kCameras << ",\n  \"quick\": " << (quick ? "true" : "false")
-         << ",\n  \"capacity_fps\": " << obs::json_number(capacity_fps)
-         << ",\n  \"target_overload_factor\": 3.0"
-         << ",\n  \"achieved_overload_factor\": "
-         << obs::json_number(capacity_fps > 0.0 ? offered_fps(saturation) / capacity_fps : 0.0)
-         << ",\n  \"baseline\": " << arm_json(baseline)
-         << ",\n  \"saturation\": " << arm_json(saturation)
-         << ",\n  \"drop_late\": " << arm_json(drop_late)
-         << ",\n  \"gates_passed\": " << (ok ? "true" : "false") << "\n}\n";
-  }
-  std::printf("wrote BENCH_saturation.json\n");
+  bench::JsonObject()
+      .add("cameras", kCameras)
+      .add("quick", quick)
+      .add("capacity_fps", capacity_fps)
+      .add("target_overload_factor", 3.0)
+      .add("achieved_overload_factor",
+           capacity_fps > 0.0 ? offered_fps(saturation) / capacity_fps : 0.0)
+      .add("baseline", arm_json(baseline))
+      .add("saturation", arm_json(saturation))
+      .add("drop_late", arm_json(drop_late))
+      .add("gates_passed", gate.ok())
+      .write("BENCH_saturation.json");
 
-  if (ok) {
+  if (gate.ok()) {
     std::printf("all saturation gates passed\n");
   }
-  return ok ? 0 : 1;
+  return gate.exit_code();
 }

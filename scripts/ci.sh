@@ -11,7 +11,9 @@
 #                            BENCH_int8.json, BENCH_obs.json,
 #                            BENCH_saturation.json, BENCH_codec.json,
 #                            BENCH_resilience.json and trace_obs.json in
-#                            build/), and finally build the fleet benchmark
+#                            build/), parse every one of those files as
+#                            strict JSON (no NaN/Infinity tokens), and
+#                            finally build the fleet benchmark
 #                            (perfbench/) and run each of its workloads for
 #                            one second.
 #   SANITIZER=tsan           build everything under -fsanitize=thread and run
@@ -122,19 +124,24 @@ cat "$BUILD_DIR/BENCH_codec.json"
 echo "BENCH_resilience.json:"
 cat "$BUILD_DIR/BENCH_resilience.json"
 
-# Independent check that the exported trace parses as JSON (the bench already
-# validates it with the in-repo parser; this cross-checks with a second
-# implementation when python3 is around).
-if command -v python3 > /dev/null 2>&1; then
-  python3 - "$BUILD_DIR/trace_obs.json" << 'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    trace = json.load(f, parse_constant=lambda tok: sys.exit(f"non-finite token {tok!r} in trace"))
-events = trace["traceEvents"]
+# Every bench artifact and the exported trace must parse as strict JSON with
+# a second implementation: python's json module, with NaN and Infinity tokens
+# rejected (the emitters render every double through obs::json_number, which
+# never prints them). A missing artifact fails too.
+python3 - "$BUILD_DIR" << 'EOF'
+import json, os, sys
+def strict(name):
+    path = os.path.join(sys.argv[1], name)
+    with open(path) as f:
+        return json.load(f, parse_constant=lambda tok: sys.exit(f"{name}: non-finite token {tok!r}"))
+for bench in ("streaming", "pattern_cache", "sharded", "framed", "int8", "obs", "saturation",
+              "codec", "resilience"):
+    strict(f"BENCH_{bench}.json")
+    print(f"BENCH_{bench}.json: valid JSON")
+events = strict("trace_obs.json")["traceEvents"]
 assert events, "trace has no events"
 print(f"trace_obs.json: valid JSON, {len(events)} trace events")
 EOF
-fi
 
 # Fleet benchmark: perfbench/ is its own CMake package, so the build above
 # never compiles it. Build it against this tree (into $BUILD_DIR/perfbench)

@@ -225,9 +225,12 @@ std::unique_ptr<ReplayCameraSource> ReplayCameraSource::record(CameraSource& sou
   auto replay = std::make_unique<ReplayCameraSource>(source.id(), source.pattern_ref(),
                                                      std::move(coded), std::move(labels));
   replay->set_task(source.task());
-  // Mirror the source's QoS/deadline OVERRIDES only: a replay of a camera
-  // running on fleet defaults keeps following whatever defaults its server
-  // installs, exactly like the source would.
+  // Mirror the source's precision/QoS/deadline/codec-plane OVERRIDES only: a
+  // replay of a camera running on fleet defaults keeps following whatever
+  // defaults its server installs, exactly like the source would.
+  if (source.precision_overridden()) {
+    replay->set_precision(source.precision());
+  }
   if (source.qos_overridden()) {
     replay->set_qos(source.qos());
   }

@@ -19,17 +19,8 @@ void validate(const TransportPolicy& policy) {
        << policy.max_retransmits;
     throw std::invalid_argument(os.str());
   }
-  if (policy.backoff_initial.count() < 0 || policy.backoff_max.count() < 0 ||
-      policy.retransmit_budget.count() < 0) {
-    throw std::invalid_argument(
-        "TransportPolicy backoff/budget durations must be non-negative");
-  }
-  // The negated form rejects NaN multipliers too.
-  if (!(policy.backoff_multiplier >= 1.0) || policy.backoff_multiplier > 1e6) {
-    std::ostringstream os;
-    os << "TransportPolicy.backoff_multiplier must be finite and >= 1, got "
-       << policy.backoff_multiplier;
-    throw std::invalid_argument(os.str());
+  if (policy.backoff_initial.count() < 0 || policy.backoff_max.count() < 0) {
+    throw std::invalid_argument("TransportPolicy backoff durations must be non-negative");
   }
   if (policy.backoff_initial.count() > 0 &&
       policy.backoff_max < policy.backoff_initial) {
@@ -157,29 +148,16 @@ void StreamScheduler::start(const std::vector<std::int64_t>& frames_per_camera) 
 
 void StreamScheduler::retransmit_with_backoff(CameraSource& camera, Frame& frame) {
   // Edge-side integrity gate: a corrupt framed frame is retried (fresh fault
-  // draws over the same payload) until it recovers, the retry count runs
-  // out, or the per-frame wall-clock budget (measured from the FIRST
-  // attempt) would be blown by the next backoff sleep.
-  const Clock::time_point budget_end =
-      transport_.retransmit_budget.count() > 0
-          ? frame.transport_start + transport_.retransmit_budget
-          : Clock::time_point::max();
+  // draws over the same payload) until it recovers or the retry count runs
+  // out.
   std::chrono::microseconds backoff = transport_.backoff_initial;
   while (is_corrupt(frame.transport) &&
          frame.retransmits < transport_.max_retransmits) {
     if (backoff.count() > 0) {
-      if (Clock::now() + backoff > budget_end) {
-        break;  // budget exhausted: drop rather than sleep past it
-      }
       if (!backoff_wait(backoff)) {
         break;  // scheduler is shutting down; abandon the frame
       }
-      const double next_us =
-          static_cast<double>(backoff.count()) * transport_.backoff_multiplier;
-      backoff = std::min(transport_.backoff_max,
-                         std::chrono::microseconds(static_cast<std::int64_t>(next_us)));
-    } else if (Clock::now() > budget_end) {
-      break;
+      backoff = std::min(transport_.backoff_max, 2 * backoff);
     }
     camera.retransmit(frame);
   }

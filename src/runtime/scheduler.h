@@ -46,27 +46,20 @@ struct TransportPolicy {
   int max_retransmits = 3;  // per-frame retry budget under kRetransmit
 
   // Exponential retransmit backoff: the producer sleeps `backoff_initial`
-  // before the first retry, multiplying by `backoff_multiplier` (capped at
-  // `backoff_max`) between attempts — a degrading link gets breathing room
-  // instead of a tight retry storm. Zero initial backoff (the default)
-  // keeps the legacy immediate-retry loop. The wait is interruptible: a
-  // scheduler shutting down wakes mid-backoff producers immediately.
+  // before the first retry, doubling it (capped at `backoff_max`) between
+  // attempts — a degrading link gets breathing room instead of a tight retry
+  // storm. Zero initial backoff (the default) keeps the immediate-retry
+  // loop. Retries stay bounded by max_retransmits, so the retry count (and
+  // each link's fault-Rng stream) never depends on timing. The wait is
+  // interruptible: a scheduler shutting down wakes mid-backoff producers
+  // immediately.
   std::chrono::microseconds backoff_initial{0};
-  double backoff_multiplier = 2.0;
   std::chrono::microseconds backoff_max{5000};
-  // Per-frame wall-clock retransmit budget, measured from the frame's first
-  // transfer attempt: once spending the next backoff would exceed it, the
-  // frame is dropped rather than retried further. 0 = unlimited (the
-  // max_retransmits count is then the only bound). NOTE: a nonzero budget
-  // makes the retry COUNT timing-dependent, which advances each link's
-  // fault-Rng stream differently run to run — determinism-sensitive tests
-  // and benches should bound retries by count, not time.
-  std::chrono::microseconds retransmit_budget{0};
 };
 
-// Throws std::invalid_argument when the policy is unusable (negative
-// max_retransmits, negative backoff/budget durations, a multiplier below 1
-// or non-finite). The single validation site for both the scheduler and
+// Throws std::invalid_argument when the policy is unusable (max_retransmits
+// outside [0, 65535], negative backoff durations, backoff_max below a nonzero
+// backoff_initial). The single validation site for both the scheduler and
 // ServerConfig.
 void validate(const TransportPolicy& policy);
 
@@ -139,8 +132,7 @@ class StreamScheduler {
 
   void produce(CameraSource& camera, Route& route, std::int64_t frames);
   // Runs the kRetransmit policy on a corrupt framed frame: exponential
-  // interruptible backoff between attempts, bounded by max_retransmits and
-  // (when set) the per-frame wall-clock budget.
+  // interruptible backoff between attempts, bounded by max_retransmits.
   void retransmit_with_backoff(CameraSource& camera, Frame& frame);
   // Interruptible sleep for retransmit backoff; false when the scheduler is
   // stopping (the producer must abandon the frame and exit).

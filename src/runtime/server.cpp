@@ -36,12 +36,6 @@ void validate(const ServerConfig& config) {
     throw std::invalid_argument(
         "ServerConfig.shards must be >= 1 (someone has to serve the batches)");
   }
-  if (config.steal_poll.count() <= 0) {
-    std::ostringstream os;
-    os << "ServerConfig.steal_poll must be positive (idle shards would spin), got "
-       << config.steal_poll.count() << " us";
-    throw std::invalid_argument(os.str());
-  }
   if (config.calibration.frames < 1) {
     std::ostringstream os;
     os << "ServerConfig.calibration.frames must be >= 1 (an int8 engine cannot be "
@@ -68,6 +62,10 @@ void validate(const ServerConfig& config) {
 }
 
 namespace {
+
+// How long an idle stealing shard waits on its own empty queue before
+// probing victims, and between fruitless probe rounds.
+constexpr std::chrono::microseconds kStealPoll{200};
 
 const ServerConfig& validated(const ServerConfig& config) {
   validate(config);
@@ -389,7 +387,7 @@ void InferenceServer::shard_loop(std::size_t index) {
   try {
     if (!config_.work_stealing || shards_.size() == 1) {
       // No one to steal from (or stealing disabled): the bounded-wait poll
-      // loop would only add idle wakeups every steal_poll. Block properly.
+      // loop would only add idle wakeups every kStealPoll. Block properly.
       while (aggregator.next_batch(batch)) {
         self.heartbeat.fetch_add(1, std::memory_order_relaxed);
         serve_batch(self, aggregator.last_key(), batch, aggregator.last_flush_reason());
@@ -404,7 +402,7 @@ void InferenceServer::shard_loop(std::size_t index) {
       // Own queue first: a shard prefers the patterns routed to it, keeping
       // its cache view hot.
       const BatchAggregator::Poll poll =
-          aggregator.poll_batch(batch, Clock::now() + config_.steal_poll);
+          aggregator.poll_batch(batch, Clock::now() + kStealPoll);
       if (poll == BatchAggregator::Poll::kBatch) {
         serve_batch(self, aggregator.last_key(), batch, aggregator.last_flush_reason());
         continue;
@@ -447,7 +445,7 @@ void InferenceServer::shard_loop(std::size_t index) {
         }
         // Our queue is done but siblings may still be filling; poll_batch on
         // an exhausted queue returns immediately, so pace the probe loop.
-        std::this_thread::sleep_for(config_.steal_poll);
+        std::this_thread::sleep_for(kStealPoll);
       }
     }
   } catch (const std::exception& e) {

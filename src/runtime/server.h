@@ -67,10 +67,6 @@ struct ServerConfig {
   /// When true (default) an idle shard steals key-pure tail batches from
   /// loaded siblings. No effect with one shard.
   bool work_stealing = true;
-  /// How long an idle shard waits on its own empty queue before probing
-  /// victims (and between fruitless probe rounds). Small values tighten
-  /// steal latency at the cost of idle wakeups.
-  std::chrono::microseconds steal_poll{200};
   /// What to do with framed frames that arrive corrupt (CRC error,
   /// truncated, missing lines): drop them, or retransmit up to
   /// `transport.max_retransmits` times before dropping. Inert for cameras

@@ -4,7 +4,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <map>
-#include <sstream>
 
 #include "util/common.h"
 
@@ -596,64 +595,6 @@ std::string to_string(const RuntimeSummary& s) {
     }
   }
   return out;
-}
-
-std::string to_json(const RuntimeSummary& s, const FleetEnergyReport& energy,
-                    const std::string& label) {
-  // Every double goes through obs::json_number: an empty run's 0s and any
-  // non-finite ratio render as valid JSON, never "nan"/"inf".
-  const auto num = [](double v) { return obs::json_number(v); };
-  std::ostringstream os;
-  os << "{\"label\": \"" << obs::json_escape(label) << "\", \"frames\": " << s.frames
-     << ", \"batches\": " << s.batches << ", \"wall_seconds\": " << num(s.wall_seconds)
-     << ", \"aggregate_fps\": " << num(s.aggregate_fps)
-     << ", \"mean_batch_size\": " << num(s.mean_batch_size)
-     << ", \"queue_high_water\": " << s.queue_high_water;
-  for (const auto& [key, stage] : {std::make_pair("capture", &s.capture),
-                                   std::make_pair("queue_wait", &s.queue_wait),
-                                   std::make_pair("inference", &s.inference),
-                                   std::make_pair("e2e", &s.end_to_end)}) {
-    os << ", \"" << key << "_p50_ms\": " << num(stage->p50_ms) << ", \"" << key
-       << "_p95_ms\": " << num(stage->p95_ms) << ", \"" << key
-       << "_p99_ms\": " << num(stage->p99_ms);
-  }
-  os << ", \"raw_bytes\": " << s.raw_bytes
-     << ", \"wire_bytes\": " << s.wire_bytes
-     << ", \"compression_ratio\": " << num(s.compression_ratio)
-     << ", \"flush_max_batch\": " << s.flush_max_batch
-     << ", \"flush_max_latency\": " << s.flush_max_latency
-     << ", \"flush_exhausted\": " << s.flush_exhausted
-     << ", \"flush_holdback\": " << s.flush_holdback
-     << ", \"flush_steal\": " << s.flush_steal
-     << ", \"classify_frames\": " << s.classify_frames
-     << ", \"reconstruct_frames\": " << s.reconstruct_frames
-     << ", \"fp32_frames\": " << s.fp32_frames << ", \"int8_frames\": " << s.int8_frames
-     << ", \"cache_hits\": " << s.cache_hits << ", \"cache_misses\": " << s.cache_misses
-     << ", \"cache_evictions\": " << s.cache_evictions
-     << ", \"cache_hit_rate\": " << num(s.cache_hit_rate)
-     << ", \"steal_attempts\": " << s.steal_attempts
-     << ", \"steal_successes\": " << s.steal_successes
-     << ", \"stolen_frames\": " << s.stolen_frames
-     << ", \"shed_frames\": " << s.shed_frames
-     << ", \"shed_queue_full\": " << s.shed_queue_full
-     << ", \"shed_deadline\": " << s.shed_deadline
-     << ", \"shed_realtime\": " << s.shed_realtime
-     << ", \"shed_standard\": " << s.shed_standard
-     << ", \"shed_best_effort\": " << s.shed_best_effort
-     << ", \"deadline_misses\": " << s.deadline_misses
-     << ", \"e2e_realtime_p99_ms\": " << num(s.e2e_realtime.p99_ms)
-     << ", \"e2e_standard_p99_ms\": " << num(s.e2e_standard.p99_ms)
-     << ", \"e2e_best_effort_p99_ms\": " << num(s.e2e_best_effort.p99_ms)
-     << ", \"health_transitions\": " << s.health_transitions
-     << ", \"ladder_steps_down\": " << s.ladder_steps_down
-     << ", \"ladder_steps_up\": " << s.ladder_steps_up
-     << ", \"quarantine_drops\": " << s.quarantine_drops
-     << ", \"watchdog_stalls\": " << s.watchdog_stalls
-     << ", \"rerouted_frames\": " << s.rerouted_frames
-     << ", \"energy_conventional_j\": " << num(energy.conventional_j)
-     << ", \"energy_snappix_j\": " << num(energy.snappix_j)
-     << ", \"energy_saving_factor\": " << num(energy.saving_factor) << "}";
-  return os.str();
 }
 
 }  // namespace snappix::runtime

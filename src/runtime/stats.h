@@ -338,11 +338,9 @@ class RuntimeStats {
 /// ledger series InferenceServer::metrics_snapshot() adds.
 RuntimeSummary summarize(const obs::MetricsSnapshot& snapshot, double wall_seconds);
 
-/// \brief Renders a summary as an aligned human-readable block / a flat JSON
-/// object of its fleet-wide numbers (the per-shard and per-camera detail is
-/// in obs::to_json of the metrics snapshot).
+/// \brief Renders a summary as an aligned human-readable block. The
+/// machine-readable export is obs::to_json of the metrics snapshot the
+/// summary derives from.
 std::string to_string(const RuntimeSummary& summary);
-std::string to_json(const RuntimeSummary& summary, const FleetEnergyReport& energy,
-                    const std::string& label);
 
 }  // namespace snappix::runtime

@@ -21,6 +21,7 @@
 
 #include "ce/pattern.h"
 #include "codec/bitplane.h"
+#include "obs/metrics.h"
 #include "runtime/camera.h"
 #include "runtime/health.h"
 #include "runtime/stats.h"
@@ -335,11 +336,11 @@ TEST(HealthPlumbing, SummaryAggregatesHealthCountersPerCamera) {
   EXPECT_EQ(summary.health_cameras[0].second.transitions, 1U);
   EXPECT_EQ(summary.health_cameras[0].second.quarantine_drops, 1U);
 
-  // The counters render into both human and JSON reports.
+  // The counters render into the human report and the registry's JSON export.
   EXPECT_NE(runtime::to_string(summary).find("health"), std::string::npos);
-  EXPECT_NE(runtime::to_json(summary, runtime::FleetEnergyReport{}, "test")
-                .find("\"health_transitions\": 1"),
-            std::string::npos);
+  const std::string transitions =
+      R"("snappix_health_transitions_total{camera=\"11\",to=\"quarantined\"}": 1)";
+  EXPECT_NE(obs::to_json(stats.registry().snapshot()).find(transitions), std::string::npos);
 }
 
 TEST(HealthPlumbing, ControllerRejectsDisabledConfigAndDuplicateAttach) {

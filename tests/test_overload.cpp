@@ -20,7 +20,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -35,6 +34,7 @@
 #include "runtime/scheduler.h"
 #include "runtime/server.h"
 #include "runtime/stats.h"
+#include "serving_fixtures.h"
 #include "util/rng.h"
 
 namespace snappix {
@@ -354,12 +354,7 @@ TEST(ShedAccounting, QueueShedsFlowIntoRuntimeStatsPerCameraPerReason) {
 }
 
 TEST(ShedAccounting, ServerConfigValidatesDeadlineBudget) {
-  core::SnapPixConfig sys_cfg;
-  sys_cfg.image = 16;
-  sys_cfg.frames = 8;
-  sys_cfg.num_classes = 4;
-  sys_cfg.seed = 3;
-  core::SnapPixSystem system(sys_cfg);
+  core::SnapPixSystem system(fixtures::small_system_config());
   ServerConfig config;
   config.deadline_budget = std::chrono::microseconds(-1);
   EXPECT_THROW(InferenceServer(system, config), std::invalid_argument);
@@ -570,37 +565,10 @@ TEST(OverloadProperty, ConservationHoldsAcrossThreadedInterleavings) {
 // coded input — overload changes WHICH frames are answered, never the bits
 // of an answer.
 TEST(SaturatedServer, ShedsOnlyBestEffortConservesExactlyAndServesBitIdentical) {
-  core::SnapPixConfig sys_cfg;
-  sys_cfg.image = 16;
-  sys_cfg.frames = 8;
-  sys_cfg.num_classes = 4;
-  sys_cfg.seed = 3;
-  core::SnapPixSystem system(sys_cfg);
-
-  // Deterministic replay buffers; reference predictions computed sequentially
-  // (engines are batch-invariant, so batch-1 is the unloaded baseline).
+  core::SnapPixSystem system(fixtures::small_system_config());
   constexpr int kCameras = 4;
-  constexpr int kBufferFrames = 6;
   constexpr std::int64_t kFramesPerCamera = 40;
-  std::vector<std::vector<Tensor>> buffers;
-  std::vector<std::vector<std::int64_t>> reference;
-  for (int cam = 0; cam < kCameras; ++cam) {
-    Rng rng(100 + static_cast<std::uint64_t>(cam));
-    std::vector<Tensor> coded;
-    std::vector<std::int64_t> predictions;
-    for (int i = 0; i < kBufferFrames; ++i) {
-      std::vector<float> data(16 * 16);
-      for (float& v : data) {
-        v = rng.uniform(0.0F, 1.0F);
-      }
-      Tensor frame = Tensor::from_vector(std::move(data), Shape{16, 16});
-      const Tensor batch1 = Tensor::from_vector(frame.data(), Shape{1, 16, 16});
-      predictions.push_back(system.classify_coded(batch1)[0]);
-      coded.push_back(std::move(frame));
-    }
-    buffers.push_back(std::move(coded));
-    reference.push_back(std::move(predictions));
-  }
+  const fixtures::ReplayOracle oracle(system, kCameras, /*frames=*/6, /*seed=*/100);
 
   ServerConfig config;
   config.batch.max_batch = 4;
@@ -609,9 +577,7 @@ TEST(SaturatedServer, ShedsOnlyBestEffortConservesExactlyAndServesBitIdentical) 
   config.qos = QosClass::kBestEffort;  // fleet default: absorb the overload
   InferenceServer server(system, config);
   for (int cam = 0; cam < kCameras; ++cam) {
-    auto camera = std::make_unique<runtime::ReplayCameraSource>(
-        cam, system.pattern_ref(), buffers[static_cast<std::size_t>(cam)],
-        std::vector<std::int64_t>{});
+    auto camera = oracle.camera(cam);
     if (cam == 0) {
       camera->set_qos(QosClass::kRealtime);  // override beats the fleet default
     }
@@ -623,18 +589,12 @@ TEST(SaturatedServer, ShedsOnlyBestEffortConservesExactlyAndServesBitIdentical) 
 
   // Bit-identity of the served subset: every answer matches the unloaded
   // baseline for that camera and replay slot.
-  std::map<int, std::uint64_t> served;
-  for (const runtime::TaskResult& r : results) {
-    ++served[r.camera_id];
-    const auto& expect =
-        reference[static_cast<std::size_t>(r.camera_id)]
-                 [static_cast<std::size_t>(r.sequence % kBufferFrames)];
-    ASSERT_EQ(r.predicted, expect)
-        << "camera " << r.camera_id << " sequence " << r.sequence;
-  }
+  EXPECT_EQ(oracle.divergence(results), "");
 
   // Realtime: everything served, nothing shed.
-  EXPECT_EQ(served[0], static_cast<std::uint64_t>(kFramesPerCamera));
+  const std::vector<fixtures::CameraLedger> ledger =
+      fixtures::ledger_from(results, summary, kCameras);
+  EXPECT_EQ(ledger[0].served, static_cast<std::uint64_t>(kFramesPerCamera));
   EXPECT_EQ(summary.shed_realtime, 0U);
   for (const auto& [camera_id, counters] : summary.shed_cameras) {
     EXPECT_NE(camera_id, 0) << "realtime camera shed a frame";
@@ -643,14 +603,9 @@ TEST(SaturatedServer, ShedsOnlyBestEffortConservesExactlyAndServesBitIdentical) 
 
   // Exact per-camera conservation: offered == served + shed (the run drains
   // every queue before returning, so nothing is in flight afterwards).
-  std::map<int, std::uint64_t> shed;
-  for (const auto& [camera_id, counters] : summary.shed_cameras) {
-    shed[camera_id] = counters.queue_full + counters.deadline;
-  }
-  for (int cam = 0; cam < kCameras; ++cam) {
-    EXPECT_EQ(served[cam] + shed[cam], static_cast<std::uint64_t>(kFramesPerCamera))
-        << "camera " << cam;
-  }
+  EXPECT_EQ(fixtures::conservation_gap(
+                ledger, std::vector<std::int64_t>(kCameras, kFramesPerCamera)),
+            "");
   EXPECT_EQ(summary.shed_frames, summary.shed_best_effort);
 
   // The overload was real: best-effort traffic actually got shed (replay

@@ -267,6 +267,27 @@ TEST(CameraSource, ReplayLoopsRecordedFrames) {
   }
 }
 
+// record() mirrors the source's precision override like its QoS override: a
+// replay of an int8 camera is served at int8 by a server on fp32 defaults.
+TEST(CameraSource, RecordMirrorsPrecisionOverride) {
+  core::SnapPixSystem system(small_system_config());
+  runtime::SyntheticCameraSource source(0, small_scene(), system.pattern(), 5);
+  source.set_precision(runtime::Precision::kInt8);
+  source.set_qos(runtime::QosClass::kRealtime);
+  auto replay = runtime::ReplayCameraSource::record(source, 2);
+  EXPECT_TRUE(replay->precision_overridden());
+  EXPECT_EQ(replay->precision(), runtime::Precision::kInt8);
+  EXPECT_EQ(replay->qos(), runtime::QosClass::kRealtime);
+
+  InferenceServer server(system, ServerConfig{});
+  server.add_camera(std::move(replay));
+  const std::vector<runtime::TaskResult> results = server.run(2);
+  ASSERT_EQ(results.size(), 2U);
+  for (const runtime::TaskResult& r : results) {
+    EXPECT_EQ(r.precision, runtime::Precision::kInt8) << "sequence " << r.sequence;
+  }
+}
+
 TEST(CameraSource, SensorCameraReportsSimulatedWireBytes) {
   core::SnapPixSystem system(small_system_config());
   Rng rng(23);

@@ -1023,11 +1023,6 @@ TEST(ShardedServer, ValidatesShardConfiguration) {
     EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
   }
   {
-    ServerConfig cfg;
-    cfg.steal_poll = std::chrono::microseconds(0);
-    EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
-  }
-  {
     // Per-camera frame counts must be parallel to the fleet and positive.
     InferenceServer server(system, {});
     server.add_camera(std::make_unique<runtime::SyntheticCameraSource>(

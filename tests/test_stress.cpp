@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -26,7 +25,6 @@
 
 #include "ce/pattern.h"
 #include "chaos.h"
-#include "codec/bitplane.h"
 #include "core/snappix.h"
 #include "json_lite.h"
 #include "obs/metrics.h"
@@ -825,32 +823,12 @@ TEST(SchedulerStress, ExternalCloseThenDestructionWhileQuarantinedTearsDown) {
 TEST(ChaosStress, BurstFaultsAndStalledShardRescueConserveEveryFrame) {
   core::SnapPixSystem system(small_system_config());
   constexpr int kCameras = 4;
-  constexpr int kBufferFrames = 6;
   constexpr std::int64_t kFramesPerCamera = 60;
-
   // Replay buffers + unloaded batch-1 references, computed over the codec
   // wire's quantize->dequantize round-trip (a clean full-depth codec link
   // reconstructs exactly that).
-  std::vector<std::vector<Tensor>> buffers;
-  std::vector<std::vector<std::int64_t>> reference;
-  for (int cam = 0; cam < kCameras; ++cam) {
-    Rng rng(100 + static_cast<std::uint64_t>(cam));
-    std::vector<Tensor> coded;
-    std::vector<std::int64_t> predictions;
-    for (int i = 0; i < kBufferFrames; ++i) {
-      std::vector<float> data(16 * 16);
-      for (float& v : data) {
-        v = rng.uniform(0.0F, 1.0F);
-      }
-      Tensor frame = Tensor::from_vector(std::move(data), Shape{16, 16});
-      const Tensor wire = codec::dequantize_frame(codec::quantize_frame(frame));
-      const Tensor batch1 = Tensor::from_vector(wire.data(), Shape{1, 16, 16});
-      predictions.push_back(system.classify_coded(batch1)[0]);
-      coded.push_back(std::move(frame));
-    }
-    buffers.push_back(std::move(coded));
-    reference.push_back(std::move(predictions));
-  }
+  const fixtures::ReplayOracle oracle(system, kCameras, /*frames=*/6, /*seed=*/100,
+                                      /*codec_wire=*/true);
 
   ServerConfig config;
   config.batch.max_batch = 4;
@@ -882,8 +860,8 @@ TEST(ChaosStress, BurstFaultsAndStalledShardRescueConserveEveryFrame) {
                                       /*packet_drop_rate=*/0.5));
     }
     auto camera = std::make_unique<chaos::ChaosReplaySource>(
-        cam, system.pattern_ref(), buffers[static_cast<std::size_t>(cam)],
-        std::vector<std::int64_t>{}, std::move(schedule));
+        cam, oracle.pattern(), oracle.buffer(cam), std::vector<std::int64_t>{},
+        std::move(schedule));
     transport::LinkConfig link;
     link.codec = true;
     link.faults.seed = 500 + static_cast<std::uint64_t>(cam);
@@ -899,50 +877,32 @@ TEST(ChaosStress, BurstFaultsAndStalledShardRescueConserveEveryFrame) {
   EXPECT_GE(summary.watchdog_stalls, 1U);
 
   // Bit-identity: cameras 1-3 never left full fidelity, so every answer
-  // matches the unloaded baseline no matter which shard served it.
-  std::map<int, std::uint64_t> served;
+  // matches the unloaded baseline no matter which shard served it (the
+  // ladder may have lowered the afflicted camera 0's fidelity).
+  std::vector<runtime::TaskResult> healthy;
   for (const runtime::TaskResult& r : results) {
-    ++served[r.camera_id];
-    if (r.camera_id == 0) {
-      continue;  // the ladder may have lowered the afflicted camera's fidelity
+    if (r.camera_id != 0) {
+      healthy.push_back(r);
     }
-    ASSERT_EQ(r.predicted,
-              reference[static_cast<std::size_t>(r.camera_id)]
-                       [static_cast<std::size_t>(r.sequence % kBufferFrames)])
-        << "camera " << r.camera_id << " sequence " << r.sequence;
   }
-
-  std::map<int, std::uint64_t> shed;
-  for (const auto& [camera_id, counters] : summary.shed_cameras) {
-    shed[camera_id] = counters.queue_full + counters.deadline;
-  }
-  std::map<int, std::uint64_t> dropped;
-  for (const auto& [camera_id, counters] : summary.transport_cameras) {
-    dropped[camera_id] = counters.dropped_frames;
-  }
-  std::map<int, std::uint64_t> quarantined;
-  std::map<int, std::uint64_t> transitions;
-  for (const auto& [camera_id, counters] : summary.health_cameras) {
-    quarantined[camera_id] = counters.quarantine_drops;
-    transitions[camera_id] = counters.transitions;
-  }
+  EXPECT_EQ(oracle.divergence(healthy), "");
 
   // The chaos was real: the burst drove camera 0's state machine, and only
   // camera 0's — the episode never leaks sideways.
-  EXPECT_GE(transitions[0], 1U);
+  const std::vector<fixtures::CameraLedger> ledger =
+      fixtures::ledger_from(results, summary, kCameras);
+  EXPECT_GE(ledger[0].transitions, 1U);
   for (int cam = 1; cam < kCameras; ++cam) {
-    EXPECT_EQ(transitions[cam], 0U) << "camera " << cam;
-    EXPECT_EQ(dropped[cam], 0U) << "camera " << cam;
+    EXPECT_EQ(ledger[static_cast<std::size_t>(cam)].transitions, 0U) << "camera " << cam;
+    EXPECT_EQ(ledger[static_cast<std::size_t>(cam)].wire_dropped, 0U) << "camera " << cam;
   }
 
   // Exact per-camera conservation: offered == served + shed + dropped on the
   // wire + dropped in quarantine, for the afflicted and healthy alike,
   // across stall, rescue, and recovery.
-  for (int cam = 0; cam < kCameras; ++cam) {
-    EXPECT_EQ(served[cam] + shed[cam] + dropped[cam] + quarantined[cam],
-              static_cast<std::uint64_t>(kFramesPerCamera))
-        << "camera " << cam;
-  }
+  EXPECT_EQ(fixtures::conservation_gap(
+                ledger, std::vector<std::int64_t>(kCameras, kFramesPerCamera)),
+            "");
 }
 
 }  // namespace
