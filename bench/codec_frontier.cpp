@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
 
   // --- full-depth bit-identity through the framed codec wire ------------------
   const transport::CodedFramePacketizer packetizer(0);
-  const transport::Depacketizer depacketizer;
+  transport::Depacketizer depacketizer;
   bool full_depth_identical = true;
   std::uint64_t raw_framed_bytes = 0;
   int max_depth = 0;

@@ -3,7 +3,8 @@
 #
 #   SANITIZER=off (default)  configure, build (-Werror), run the test suite,
 #                            run the static lint gate (scripts/check_static.sh),
-#                            check the docs tree's links, then run the
+#                            check the docs tree's links, diff the wire-bits
+#                            hashes against bench/wire_bits.golden, then run the
 #                            streaming throughput, observability, and
 #                            saturation benches in quick mode (emits
 #                            BENCH_streaming.json, BENCH_pattern_cache.json,
@@ -58,6 +59,14 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 
 # Docs: every relative link in docs/*.md and README.md must resolve.
 ./scripts/check_docs_links.sh
+
+# Wire bits: one hash per edge-path stage (CE encode, quantize, bit-plane
+# chunks, packets, depacketized tensors, link transfers, header ECC, CRC) for
+# fixed seeds. Every stage is integer or exact IEEE arithmetic, so the output
+# must equal the committed golden file on any host; a diff means some wire
+# byte moved.
+"$BUILD_DIR/bench_wire_bits" | diff bench/wire_bits.golden -
+echo "bench_wire_bits: identical to bench/wire_bits.golden"
 
 # Streaming bench: quick mode keeps CI fast; the binary exits non-zero if any
 # serving arm (batched, pattern-cache, sharded work-stealing, framed MIPI

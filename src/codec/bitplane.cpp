@@ -1,5 +1,6 @@
 #include "codec/bitplane.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -14,7 +15,9 @@ namespace {
 // 11-bit probabilities, shift-5 adaptation, 32-bit range with byte-wise
 // renormalization and carry propagation through a cache byte. Encoder and
 // decoder update `prob` identically, so they stay in lockstep by
-// construction.
+// construction. Both select on the coded bit with an all-ones/all-zeros mask
+// instead of a branch: the bits are close to random, and a mispredicted
+// branch per bit cost more than the arithmetic.
 
 constexpr std::uint32_t kProbBits = 11;
 constexpr std::uint16_t kProbOne = 1U << kProbBits;
@@ -26,20 +29,25 @@ constexpr std::uint32_t kTopValue = 1U << 24;
 // below this cannot be decoded at all.
 constexpr std::size_t kMinChunkBytes = 5;
 
+// `prob` moved toward the coded bit: + (kProbOne - prob) >> 5 after a 0,
+// - prob >> 5 after a 1. `one` is all ones when the bit is 1.
+inline std::uint16_t adapt(std::uint16_t prob, std::uint32_t one) {
+  const std::uint32_t p = prob;
+  const std::uint32_t after0 = p + ((kProbOne - p) >> kAdaptShift);
+  const std::uint32_t after1 = p - (p >> kAdaptShift);
+  return static_cast<std::uint16_t>((after1 & one) | (after0 & ~one));
+}
+
 class RangeEncoder {
  public:
   explicit RangeEncoder(std::vector<std::uint8_t>& out) : out_(out) {}
 
   void encode(std::uint16_t& prob, int bit) {
     const std::uint32_t bound = (range_ >> kProbBits) * prob;
-    if (bit == 0) {
-      range_ = bound;
-      prob = static_cast<std::uint16_t>(prob + ((kProbOne - prob) >> kAdaptShift));
-    } else {
-      low_ += bound;
-      range_ -= bound;
-      prob = static_cast<std::uint16_t>(prob - (prob >> kAdaptShift));
-    }
+    const std::uint32_t one = 0U - static_cast<std::uint32_t>(bit);
+    low_ += bound & one;
+    range_ = ((range_ - bound) & one) | (bound & ~one);
+    prob = adapt(prob, one);
     while (range_ < kTopValue) {
       range_ <<= 8;
       shift_low();
@@ -84,22 +92,15 @@ class RangeDecoder {
 
   int decode(std::uint16_t& prob) {
     const std::uint32_t bound = (range_ >> kProbBits) * prob;
-    int bit;
-    if (code_ < bound) {
-      range_ = bound;
-      prob = static_cast<std::uint16_t>(prob + ((kProbOne - prob) >> kAdaptShift));
-      bit = 0;
-    } else {
-      code_ -= bound;
-      range_ -= bound;
-      prob = static_cast<std::uint16_t>(prob - (prob >> kAdaptShift));
-      bit = 1;
-    }
+    const std::uint32_t one = 0U - static_cast<std::uint32_t>(code_ >= bound);
+    code_ -= bound & one;
+    range_ = ((range_ - bound) & one) | (bound & ~one);
+    prob = adapt(prob, one);
     while (range_ < kTopValue) {
       range_ <<= 8;
       code_ = (code_ << 8) | next_byte();
     }
-    return bit;
+    return static_cast<int>(one & 1U);
   }
 
   bool overran() const { return overran_; }
@@ -153,12 +154,17 @@ int magnitude_plane_count(const std::vector<std::uint16_t>& mag) {
 // --- quantization ------------------------------------------------------------
 
 QuantizedFrame quantize_frame(const Tensor& coded) {
+  QuantizedFrame frame;
+  quantize_frame(coded, frame);
+  return frame;
+}
+
+void quantize_frame(const Tensor& coded, QuantizedFrame& out) {
   if (!coded.defined() || coded.ndim() != 2) {
     throw std::runtime_error("quantize_frame: expected a (H, W) tensor");
   }
-  QuantizedFrame frame;
-  frame.height = coded.shape()[0];
-  frame.width = coded.shape()[1];
+  out.height = coded.shape()[0];
+  out.width = coded.shape()[1];
   const std::vector<float>& data = coded.data();
 
   float max_abs = 0.0F;
@@ -169,19 +175,19 @@ QuantizedFrame quantize_frame(const Tensor& coded) {
     const float a = std::fabs(x);
     max_abs = a > max_abs ? a : max_abs;
   }
-  frame.values.resize(data.size(), 0);
   if (max_abs == 0.0F) {
-    frame.scale = 0.0F;
-    return frame;
+    out.scale = 0.0F;
+    out.values.assign(data.size(), 0);
+    return;
   }
-  frame.scale = max_abs / 32767.0F;
+  out.scale = max_abs / 32767.0F;
+  out.values.resize(data.size());
   for (std::size_t i = 0; i < data.size(); ++i) {
-    long q = std::lround(data[i] / frame.scale);
+    long q = std::lround(data[i] / out.scale);
     q = q > 32767 ? 32767 : q;
     q = q < -32767 ? -32767 : q;
-    frame.values[i] = static_cast<std::int16_t>(q);
+    out.values[i] = static_cast<std::int16_t>(q);
   }
-  return frame;
 }
 
 Tensor dequantize_frame(const QuantizedFrame& frame) {
@@ -263,6 +269,12 @@ bool parse_stream_header(const std::uint8_t* data, std::size_t size,
 // --- encode ------------------------------------------------------------------
 
 PlaneStream encode_bitplanes(const QuantizedFrame& frame, int max_planes) {
+  PlaneStream stream;
+  BitplaneCoder().encode(frame, max_planes, stream);
+  return stream;
+}
+
+void BitplaneCoder::encode(const QuantizedFrame& frame, int max_planes, PlaneStream& out) {
   if (frame.height <= 0 || frame.width <= 0 || frame.height > 0xFFFF ||
       frame.width > 0xFFFF ||
       frame.values.size() !=
@@ -274,132 +286,149 @@ PlaneStream encode_bitplanes(const QuantizedFrame& frame, int max_planes) {
   }
 
   const std::size_t n = frame.values.size();
-  std::vector<std::uint16_t> mag(n);
-  std::vector<std::uint8_t> negative(n);
+  mag_.resize(n);
+  negative_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const int v = frame.values[i];
-    mag[i] = static_cast<std::uint16_t>(v < 0 ? -v : v);
-    negative[i] = v < 0 ? 1 : 0;
+    mag_[i] = static_cast<std::uint16_t>(v < 0 ? -v : v);
+    negative_[i] = v < 0 ? 1 : 0;
   }
 
-  PlaneStream stream;
-  stream.scale = frame.scale;
-  stream.height = static_cast<std::uint16_t>(frame.height);
-  stream.width = static_cast<std::uint16_t>(frame.width);
-  stream.plane_count = static_cast<std::uint8_t>(magnitude_plane_count(mag));
+  out.scale = frame.scale;
+  out.height = static_cast<std::uint16_t>(frame.height);
+  out.width = static_cast<std::uint16_t>(frame.width);
+  out.plane_count = static_cast<std::uint8_t>(magnitude_plane_count(mag_));
 
   const int chunks = max_planes == 0
-                         ? stream.plane_count
-                         : (max_planes < stream.plane_count ? max_planes
-                                                            : stream.plane_count);
+                         ? out.plane_count
+                         : (max_planes < out.plane_count ? max_planes : out.plane_count);
+  out.planes.resize(static_cast<std::size_t>(chunks));
   Contexts ctx;
-  std::vector<std::uint8_t> significant(n, 0);
+  significant_.assign(n, 0);
   const std::size_t width = static_cast<std::size_t>(frame.width);
   for (int j = 0; j < chunks; ++j) {
-    const int bitpos = stream.plane_count - 1 - j;
-    std::vector<std::uint8_t> chunk;
+    const int bitpos = out.plane_count - 1 - j;
+    std::vector<std::uint8_t>& chunk = out.planes[static_cast<std::size_t>(j)];
+    chunk.clear();
+    chunk.reserve(n / 4 + 2 * kMinChunkBytes);
     RangeEncoder encoder(chunk);
+    std::size_t col = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const int bit = (mag[i] >> bitpos) & 1;
-      if (significant[i] != 0) {
+      const int bit = (mag_[i] >> bitpos) & 1;
+      if (significant_[i] != 0) {
         encoder.encode(ctx.refinement, bit);
-        continue;
+      } else {
+        int neighbors = 0;
+        neighbors += (col > 0 && significant_[i - 1] != 0) ? 1 : 0;
+        neighbors += (i >= width && significant_[i - width] != 0) ? 1 : 0;
+        encoder.encode(ctx.significance[neighbors], bit);
+        if (bit != 0) {
+          encoder.encode(ctx.sign, negative_[i]);
+          significant_[i] = 1;
+        }
       }
-      const std::size_t col = i % width;
-      int neighbors = 0;
-      neighbors += (col > 0 && significant[i - 1] != 0) ? 1 : 0;
-      neighbors += (i >= width && significant[i - width] != 0) ? 1 : 0;
-      encoder.encode(ctx.significance[neighbors], bit);
-      if (bit != 0) {
-        encoder.encode(ctx.sign, negative[i]);
-        significant[i] = 1;
-      }
+      col = col + 1 == width ? 0 : col + 1;
     }
     encoder.flush();
-    stream.planes.push_back(std::move(chunk));
   }
-  return stream;
 }
 
 // --- decode ------------------------------------------------------------------
 
 BitplaneDecode decode_bitplanes(const PlaneStream& stream, int max_planes) {
-  if (stream.height == 0 || stream.width == 0) {
+  std::array<ChunkView, kMaxBitplanes> chunks{};
+  const std::size_t count = std::min(stream.planes.size(), chunks.size());
+  for (std::size_t j = 0; j < count; ++j) {
+    chunks[j] = {stream.planes[j].data(), stream.planes[j].size()};
+  }
+  BitplaneDecode result;
+  result.decoded_planes =
+      BitplaneCoder().decode(stream, chunks.data(), count, max_planes, result.frame);
+  return result;
+}
+
+int BitplaneCoder::decode(const PlaneStream& header, const ChunkView* chunks,
+                          std::size_t count, int max_planes, QuantizedFrame& out) {
+  if (header.height == 0 || header.width == 0) {
     throw std::runtime_error("decode_bitplanes: bad stream geometry");
+  }
+  if (header.plane_count > kMaxBitplanes) {
+    throw std::runtime_error("decode_bitplanes: more planes than an int16 magnitude has");
   }
   if (max_planes < 0) {
     throw std::runtime_error("decode_bitplanes: max_planes must be >= 0");
   }
 
-  BitplaneDecode result;
-  result.frame.scale = stream.scale;
-  result.frame.height = stream.height;
-  result.frame.width = stream.width;
+  out.scale = header.scale;
+  out.height = header.height;
+  out.width = header.width;
 
   const std::size_t n =
-      static_cast<std::size_t>(stream.height) * static_cast<std::size_t>(stream.width);
-  std::vector<std::uint16_t> mag(n, 0);
-  std::vector<std::uint8_t> negative(n, 0);
-  std::vector<std::uint8_t> significant(n, 0);
+      static_cast<std::size_t>(header.height) * static_cast<std::size_t>(header.width);
+  mag_.assign(n, 0);
+  negative_.assign(n, 0);
+  significant_.assign(n, 0);
   Contexts ctx;
 
-  std::size_t available = stream.planes.size();
-  if (available > stream.plane_count) {
-    available = stream.plane_count;  // chunks beyond the full depth are noise
+  std::size_t available = count;
+  if (available > header.plane_count) {
+    available = header.plane_count;  // chunks beyond the full depth are noise
   }
   std::size_t want = available;
   if (max_planes != 0 && static_cast<std::size_t>(max_planes) < want) {
     want = static_cast<std::size_t>(max_planes);
   }
 
-  const std::size_t width = stream.width;
+  const std::size_t width = header.width;
+  int decoded = 0;
   for (std::size_t j = 0; j < want; ++j) {
-    const std::vector<std::uint8_t>& chunk = stream.planes[j];
-    if (chunk.size() < kMinChunkBytes) {
+    const ChunkView chunk = chunks[j];
+    if (chunk.size < kMinChunkBytes) {
       break;  // cannot even hold the coder's flush tail
     }
     // Stage the plane so a chunk that overruns its bytes can be discarded
     // whole: partially applied garbage must not leak into the output.
-    std::vector<std::uint16_t> mag_stage = mag;
-    std::vector<std::uint8_t> negative_stage = negative;
-    std::vector<std::uint8_t> significant_stage = significant;
+    mag_stage_.assign(mag_.begin(), mag_.end());
+    negative_stage_.assign(negative_.begin(), negative_.end());
+    significant_stage_.assign(significant_.begin(), significant_.end());
     Contexts ctx_stage = ctx;
 
-    const int bitpos = static_cast<int>(stream.plane_count) - 1 - static_cast<int>(j);
-    RangeDecoder decoder(chunk.data(), chunk.size());
+    const int bitpos = static_cast<int>(header.plane_count) - 1 - static_cast<int>(j);
+    RangeDecoder decoder(chunk.data, chunk.size);
+    std::size_t col = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (significant_stage[i] != 0) {
+      if (significant_stage_[i] != 0) {
         const int bit = decoder.decode(ctx_stage.refinement);
-        mag_stage[i] = static_cast<std::uint16_t>(mag_stage[i] | (bit << bitpos));
-        continue;
+        mag_stage_[i] = static_cast<std::uint16_t>(mag_stage_[i] | (bit << bitpos));
+      } else {
+        int neighbors = 0;
+        neighbors += (col > 0 && significant_stage_[i - 1] != 0) ? 1 : 0;
+        neighbors += (i >= width && significant_stage_[i - width] != 0) ? 1 : 0;
+        const int bit = decoder.decode(ctx_stage.significance[neighbors]);
+        if (bit != 0) {
+          mag_stage_[i] = static_cast<std::uint16_t>(mag_stage_[i] | (1U << bitpos));
+          negative_stage_[i] = static_cast<std::uint8_t>(decoder.decode(ctx_stage.sign));
+          significant_stage_[i] = 1;
+        }
       }
-      const std::size_t col = i % width;
-      int neighbors = 0;
-      neighbors += (col > 0 && significant_stage[i - 1] != 0) ? 1 : 0;
-      neighbors += (i >= width && significant_stage[i - width] != 0) ? 1 : 0;
-      const int bit = decoder.decode(ctx_stage.significance[neighbors]);
-      if (bit != 0) {
-        mag_stage[i] = static_cast<std::uint16_t>(mag_stage[i] | (1U << bitpos));
-        negative_stage[i] = static_cast<std::uint8_t>(decoder.decode(ctx_stage.sign));
-        significant_stage[i] = 1;
-      }
+      col = col + 1 == width ? 0 : col + 1;
     }
     if (decoder.overran()) {
       break;
     }
-    mag = std::move(mag_stage);
-    negative = std::move(negative_stage);
-    significant = std::move(significant_stage);
+    mag_.swap(mag_stage_);
+    negative_.swap(negative_stage_);
+    significant_.swap(significant_stage_);
     ctx = ctx_stage;
-    ++result.decoded_planes;
+    ++decoded;
   }
 
-  result.frame.values.resize(n);
+  out.values.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const int m = mag[i];
-    result.frame.values[i] = static_cast<std::int16_t>(negative[i] != 0 ? -m : m);
+    const int m = mag_[i];
+    out.values[i] = static_cast<std::int16_t>(negative_[i] != 0 ? -m : m);
   }
-  return result;
+  return decoded;
 }
 
 }  // namespace snappix::codec

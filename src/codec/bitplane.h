@@ -14,7 +14,11 @@
 //                       Bits go through an adaptive binary range coder
 //                       (LZMA-style, 11-bit probabilities); each plane is
 //                       flushed into its own byte-aligned chunk so the stream
-//                       can be cut at any plane boundary.
+//                       can be cut at any plane boundary. The coder selects
+//                       on the coded bit with masks rather than branches (the
+//                       bits are near-random, so a branch mispredicts); its
+//                       bound/range/low/code and probability arithmetic is
+//                       the textbook LZMA coder's, so the bytes are too.
 //   decode_bitplanes()  decodes the first d chunks and zero-fills the
 //                       undecoded low bits. Per-coefficient error is monotone
 //                       non-increasing in d, and decoding every plane
@@ -51,8 +55,10 @@ struct QuantizedFrame {
 };
 
 // Per-frame scale quantization: scale = max|x| / 32767, q = round(x / scale)
-// clamped to [-32767, 32767]. Requires a (H, W) tensor.
+// clamped to [-32767, 32767]. Requires a (H, W) tensor. The second form
+// writes into `out`, reusing its value buffer.
 QuantizedFrame quantize_frame(const Tensor& coded);
+void quantize_frame(const Tensor& coded, QuantizedFrame& out);
 Tensor dequantize_frame(const QuantizedFrame& frame);
 
 // An encoded frame: geometry + scale + MSB-first plane chunks. `plane_count`
@@ -93,5 +99,36 @@ struct BitplaneDecode {
 // chunk that is too short to hold a range-coder stream or that overruns its
 // bytes; everything decoded before the bad chunk is kept.
 BitplaneDecode decode_bitplanes(const PlaneStream& stream, int max_planes = 0);
+
+// One plane chunk's bytes, not owned.
+struct ChunkView {
+  const std::uint8_t* data = nullptr;
+  std::size_t size = 0;
+};
+
+// The coder behind encode_bitplanes()/decode_bitplanes(), for callers that
+// code frame after frame (transport::FramedLink): it keeps its pass scratch,
+// and encode() reuses the chunk buffers of the stream it writes, so a warm
+// coder allocates nothing per frame.
+class BitplaneCoder {
+ public:
+  // Same stream as encode_bitplanes(frame, max_planes), written into `out`.
+  void encode(const QuantizedFrame& frame, int max_planes, PlaneStream& out);
+  // Same values as decode_bitplanes() on a stream with `header`'s geometry,
+  // scale and plane_count (its `planes` are not read) and these `count`
+  // chunks, written into `out`. Returns the number of planes decoded.
+  int decode(const PlaneStream& header, const ChunkView* chunks, std::size_t count,
+             int max_planes, QuantizedFrame& out);
+
+ private:
+  std::vector<std::uint16_t> mag_;
+  std::vector<std::uint8_t> negative_;
+  std::vector<std::uint8_t> significant_;
+  // Decode decodes each plane into copies of the state above and keeps them
+  // only if the chunk did not overrun its bytes.
+  std::vector<std::uint16_t> mag_stage_;
+  std::vector<std::uint8_t> negative_stage_;
+  std::vector<std::uint8_t> significant_stage_;
+};
 
 }  // namespace snappix::codec

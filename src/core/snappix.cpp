@@ -59,7 +59,7 @@ Tensor SnapPixSystem::normalized_input(const Tensor& coded) const {
 
 Tensor SnapPixSystem::encode(const Tensor& videos) const {
   NoGradGuard guard;
-  return normalized_input(ce::ce_encode(videos, *pattern_));
+  return ce::encode_normalized(videos, ce::EncodeTable(*pattern_));
 }
 
 float SnapPixSystem::pretrain(const data::VideoDataset& dataset, int epochs, float lr,

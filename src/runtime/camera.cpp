@@ -7,11 +7,19 @@
 
 namespace snappix::runtime {
 
-CameraSource::CameraSource(int id, PatternRef pattern)
-    : id_(id), pattern_(std::move(pattern)) {
-  SNAPPIX_CHECK(pattern_ != nullptr, "camera " << id << " needs a CE pattern");
-  pattern_id_ = pattern_->hash();  // computed once, stamped on every frame
+namespace {
+
+const ce::CePattern& checked_pattern(const PatternRef& pattern, int id) {
+  SNAPPIX_CHECK(pattern != nullptr, "camera " << id << " needs a CE pattern");
+  return *pattern;
 }
+
+}  // namespace
+
+// The pattern id and encode table are computed once, used on every frame.
+CameraSource::CameraSource(int id, PatternRef pattern)
+    : id_(id), pattern_(std::move(pattern)), pattern_id_(checked_pattern(pattern_, id).hash()),
+      encode_table_(*pattern_) {}
 
 Frame CameraSource::next_frame() {
   Frame frame = capture_frame();
@@ -114,11 +122,9 @@ Frame CameraSource::begin_frame(std::int64_t height, std::int64_t width) {
 }
 
 Tensor CameraSource::encode_normalized(const Tensor& clip) const {
-  NoGradGuard guard;
-  const Tensor batched = Tensor::from_vector(
-      clip.data(), Shape{1, clip.shape()[0], clip.shape()[1], clip.shape()[2]});
-  const Tensor coded = ce::normalize_by_exposure(ce::ce_encode(batched, *pattern_), *pattern_);
-  return Tensor::from_vector(coded.data(), Shape{clip.shape()[1], clip.shape()[2]});
+  SNAPPIX_CHECK(clip.ndim() == 3, "camera " << id_ << " encodes (T, H, W) clips, got "
+                                            << clip.shape().to_string());
+  return ce::encode_normalized(clip, encode_table_);
 }
 
 // --- SyntheticCameraSource ---------------------------------------------------
@@ -183,11 +189,7 @@ Frame SensorCameraSource::capture_frame() {
   // attribution correct even if several cameras share one sensor instance.
   sensor::CaptureStats stats;
   const Tensor captured = sensor_.capture_normalized(sample.video, rng_, &stats);
-  const Tensor batched = Tensor::from_vector(
-      captured.data(), Shape{1, captured.shape()[0], captured.shape()[1]});
-  const Tensor normalized = ce::normalize_by_exposure(batched, *pattern_);
-  frame.coded =
-      Tensor::from_vector(normalized.data(), Shape{captured.shape()[0], captured.shape()[1]});
+  frame.coded = ce::normalize_by_exposure(captured, encode_table());
   frame.label = sample.label;
   // Replace the analytic byte estimate with the simulated link's accounting.
   frame.wire_bytes = stats.mipi_bytes;

@@ -29,6 +29,7 @@
 #include <optional>
 #include <vector>
 
+#include "ce/encode.h"
 #include "ce/pattern.h"
 #include "data/dataset.h"
 #include "data/synthetic.h"
@@ -168,9 +169,11 @@ class CameraSource {
   Frame begin_frame(std::int64_t height, std::int64_t width);
 
   // Encodes a (T, H, W) clip with this camera's pattern and exposure-
-  // normalizes it — the mathematical sensor model shared by the synthetic and
-  // dataset adapters.
+  // normalizes it in one pass over the camera's encode table — the
+  // mathematical sensor model shared by the synthetic and dataset adapters.
   Tensor encode_normalized(const Tensor& clip) const;
+  // The camera's pattern tables, built once at construction.
+  const ce::EncodeTable& encode_table() const { return encode_table_; }
 
   int id_;
   PatternRef pattern_;
@@ -193,6 +196,7 @@ class CameraSource {
   // fields and coded payload with the receiver-side view.
   void transfer_framed(Frame& frame);
 
+  ce::EncodeTable encode_table_;
   std::unique_ptr<transport::FramedLink> link_;  // null = in-memory hop
   Tensor last_coded_;        // pre-transport payload of the latest capture
   std::int64_t last_sequence_ = -1;

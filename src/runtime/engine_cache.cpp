@@ -8,41 +8,6 @@
 
 namespace snappix::runtime {
 
-// --- PatternNormalizer -------------------------------------------------------
-
-PatternNormalizer::PatternNormalizer(const ce::CePattern& pattern) : tile_(pattern.tile()) {
-  const auto counts = pattern.exposure_counts();
-  inv_counts_.resize(counts.size());
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    // Same reciprocal-then-multiply as ce::normalize_by_exposure, so apply()
-    // is bit-identical to the library path.
-    inv_counts_[i] = counts[i] > 0 ? 1.0F / static_cast<float>(counts[i]) : 0.0F;
-  }
-}
-
-Tensor PatternNormalizer::apply(const Tensor& coded) const {
-  SNAPPIX_CHECK(coded.ndim() == 3, "PatternNormalizer expects (B, H, W), got "
-                                       << coded.shape().to_string());
-  const std::int64_t batch = coded.shape()[0];
-  const std::int64_t h = coded.shape()[1];
-  const std::int64_t w = coded.shape()[2];
-  SNAPPIX_CHECK(h % tile_ == 0 && w % tile_ == 0,
-                "frame " << h << "x" << w << " not divisible by tile " << tile_);
-  std::vector<float> out(coded.data().size());
-  const auto& dc = coded.data();
-  for (std::int64_t b = 0; b < batch; ++b) {
-    const float* src = dc.data() + b * h * w;
-    float* dst = out.data() + b * h * w;
-    for (std::int64_t y = 0; y < h; ++y) {
-      const float* irow = inv_counts_.data() + (y % tile_) * tile_;
-      for (std::int64_t x = 0; x < w; ++x) {
-        dst[y * w + x] = src[y * w + x] * irow[x % tile_];
-      }
-    }
-  }
-  return Tensor::from_vector(std::move(out), coded.shape());
-}
-
 // --- EngineCache -------------------------------------------------------------
 
 EngineCache::EngineCache(const EngineCacheConfig& config, EngineFactory factory)
@@ -92,7 +57,6 @@ std::shared_ptr<const ServingEntry> EngineCache::resolve(
   ++counters.misses;
   auto entry = std::make_shared<ServingEntry>();
   entry->pattern = pattern;
-  entry->normalizer = std::make_unique<PatternNormalizer>(*pattern);
   entry->engine = factory_(*pattern, precision);
   entry->precision = precision;
   SNAPPIX_CHECK(entry->engine != nullptr, "engine factory returned null");

@@ -4,12 +4,12 @@
 ///
 /// A SNAPPIX deployment serves a fleet whose cameras carry *different*
 /// learned CE patterns; each distinct pattern needs server-side state to
-/// serve its frames — the exposure normalizer derived from the pattern bits
-/// and a fused BatchedVitEngine workspace. Millions of cameras cannot each
-/// keep an engine resident, so the cache bounds residency: N independent
-/// shards (keyed by the pattern's stable content hash, so no cross-shard
-/// coordination on the hot path) each hold at most `capacity_per_shard`
-/// entries and evict the least recently used beyond that. A miss rebuilds the
+/// serve its frames — a fused engine and its workspace. Millions of cameras
+/// cannot each keep an engine resident, so the cache bounds residency: N
+/// independent shards (keyed by the pattern's stable content hash, so no
+/// cross-shard coordination on the hot path) each hold at most
+/// `capacity_per_shard` entries and evict the least recently used beyond
+/// that. A miss rebuilds the
 /// entry through the factory the server installed; because engines are
 /// deterministic snapshots of the model, an evicted-and-refetched pattern
 /// serves bit-identical results.
@@ -61,38 +61,14 @@ struct EngineCacheCounters {
   std::uint64_t evictions = 0;
 };
 
-/// \brief Precomputed exposure normalizer for one pattern: the reciprocal
-/// exposure counts per within-tile pixel (never-exposed pixels map to 0).
-///
-/// apply() is bit-identical to ce::normalize_by_exposure — same reciprocal
-/// table, same multiply — but skips recomputing the table per batch.
-class PatternNormalizer {
- public:
-  explicit PatternNormalizer(const ce::CePattern& pattern);
-
-  /// \brief (B, H, W) raw coded images -> exposure-normalized (B, H, W).
-  Tensor apply(const Tensor& coded) const;
-
-  int tile() const { return tile_; }
-
- private:
-  int tile_;
-  std::vector<float> inv_counts_;  // (tile, tile) reciprocal exposure counts
-};
-
 /// \brief One resident cache entry: everything a shard worker needs to serve
 /// a pattern.
 ///
-/// Note on the normalizer: the in-repo camera adapters normalize at the edge
-/// (frames arrive exposure-normalized), so the serving loop reads only
-/// `engine` — do NOT apply the normalizer to frames from those cameras, that
-/// would divide by the exposure counts twice. It is resident state for ingest
-/// paths that ship raw coded pixels. (The framed MIPI transport in
-/// src/transport/ is NOT such a path: it serializes the already-normalized
-/// float32 coded image, so framed frames arrive normalized like every other.)
+/// Frames arrive exposure-normalized: every camera adapter normalizes at the
+/// edge with its pattern's ce::EncodeTable, and the framed MIPI transport
+/// carries that normalized image. The server therefore keeps no normalizer.
 struct ServingEntry {
   std::shared_ptr<const ce::CePattern> pattern;
-  std::unique_ptr<PatternNormalizer> normalizer;
   std::shared_ptr<VitEngine> engine;
   Precision precision = Precision::kFp32;
 };

@@ -69,18 +69,15 @@ Tensor make_calibration_frames(const ce::CePattern& pattern, std::int64_t image_
   Rng rng(config.seed);
 
   NoGradGuard guard;
+  // The same edge-side kernel camera frames take: CE-encode with the
+  // pattern and exposure-normalize, straight into the batch.
+  const ce::EncodeTable table(pattern);
   std::vector<float> frames(static_cast<std::size_t>(config.frames) *
                             static_cast<std::size_t>(image_h * image_w));
   for (int i = 0; i < config.frames; ++i) {
     const data::VideoSample sample = generator.sample(rng);
-    // The same edge-side path camera frames take: CE-encode with the
-    // pattern, then exposure-normalize.
-    const Tensor clip = Tensor::from_vector(
-        sample.video.data(), Shape{1, sample.video.shape()[0], sample.video.shape()[1],
-                                   sample.video.shape()[2]});
-    const Tensor coded = ce::normalize_by_exposure(ce::ce_encode(clip, pattern), pattern);
-    std::copy(coded.data().begin(), coded.data().end(),
-              frames.begin() + static_cast<std::int64_t>(i) * image_h * image_w);
+    ce::encode_frame(table, sample.video.data().data(), image_h, image_w, /*normalize=*/true,
+                     frames.data() + static_cast<std::int64_t>(i) * image_h * image_w);
   }
   return Tensor::from_vector(std::move(frames),
                              Shape{config.frames, image_h, image_w});

@@ -250,9 +250,7 @@ Tensor StackedSensor::capture_normalized(const Tensor& scene, Rng& rng,
 
 Tensor StackedSensor::ideal_codes(const Tensor& scene) const {
   NoGradGuard guard;
-  const Tensor batched = Tensor::from_vector(
-      scene.data(), Shape{1, scene.shape()[0], scene.shape()[1], scene.shape()[2]});
-  Tensor coded = ce::ce_encode(batched, *pattern_);  // scene units
+  const Tensor coded = ce::ce_encode_single(scene, *pattern_);  // scene units
   const ColumnAdc adc(config_.adc);
   std::vector<float> out(coded.data().size());
   for (std::size_t i = 0; i < out.size(); ++i) {

@@ -1,26 +1,37 @@
 #include "transport/csi2.h"
 
+#include <array>
 #include <cstring>
 
 #include "util/common.h"
 
 namespace snappix::transport {
 
-std::uint16_t crc16_ccitt(const std::uint8_t* data, std::size_t size) {
-  // The accumulator is deliberately uint32: a uint16 operand would promote
-  // to *signed* int under the shifts below, making the bit math depend on
-  // implicit promotion (and UB on any platform where int is 16 bits).
-  // Unsigned 32-bit shifts of a value masked to 16 bits are always defined;
-  // the 0xFFFFU mask keeps each round's result exactly the CRC-16 state.
-  // Pinned by CrcMatchesSpecCheckValue (0x29B1 over "123456789") and the
-  // all-0xFF edge-case regression in tests/test_transport.cpp.
-  std::uint32_t crc = 0xFFFFU;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc ^= static_cast<std::uint32_t>(data[i]) << 8;
+namespace {
+
+// CRC-16/CCITT-FALSE, one byte at a time: entry b is the register after
+// shifting b through the polynomial (MSB first) from zero.
+constexpr std::array<std::uint16_t, 256> make_crc_table() {
+  std::array<std::uint16_t, 256> table{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    std::uint32_t crc = b << 8;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 0x8000U) != 0 ? ((crc << 1) ^ 0x1021U) : (crc << 1);
-      crc &= 0xFFFFU;
     }
+    table[b] = static_cast<std::uint16_t>(crc & 0xFFFFU);
+  }
+  return table;
+}
+constexpr std::array<std::uint16_t, 256> kCrcTable = make_crc_table();
+
+}  // namespace
+
+std::uint16_t crc16_ccitt(const std::uint8_t* data, std::size_t size) {
+  // uint32 accumulator: a uint16 operand would promote to signed int under
+  // the shift. The mask keeps each step's result exactly the CRC-16 state.
+  std::uint32_t crc = 0xFFFFU;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc = ((crc << 8) ^ kCrcTable[((crc >> 8) ^ data[i]) & 0xFFU]) & 0xFFFFU;
   }
   return static_cast<std::uint16_t>(crc);
 }
@@ -32,81 +43,61 @@ std::uint16_t crc16_ccitt(const std::uint8_t* data, std::size_t size) {
 // 24 positions hold data bits d0..d23 in increasing position order. A sixth,
 // overall parity bit covers the whole codeword, turning single-error
 // correction into single-correct/double-detect.
+//
+// The code is linear over GF(2), so the ECC of a header is the XOR of the
+// ECCs of its set bits, and those of one header byte come from a 256-entry
+// table. Data bit k at codeword position pos feeds parity bit m iff pos has
+// bit m set, so its ECC is pos itself plus the overall parity of the data bit
+// and the parity bits it sets.
 
 namespace {
 
 constexpr int kCodewordBits = 29;  // 24 data + 5 Hamming parity positions
 
-inline bool is_parity_position(int pos) { return (pos & (pos - 1)) == 0; }
+constexpr bool is_parity_position(int pos) { return (pos & (pos - 1)) == 0; }
 
-// Spreads the 24 data bits over the non-parity codeword positions.
-// codeword[pos] for pos in 1..29; index 0 unused.
-void fill_data_positions(std::uint32_t data24, bool (&codeword)[kCodewordBits + 1]) {
-  int bit = 0;
-  for (int pos = 1; pos <= kCodewordBits; ++pos) {
-    if (is_parity_position(pos)) {
-      codeword[pos] = false;
-    } else {
-      codeword[pos] = ((data24 >> bit) & 1U) != 0;
-      ++bit;
-    }
+constexpr std::uint8_t data_bit_ecc(int k) {
+  int pos = 0;
+  for (int seen = -1; seen < k;) {
+    ++pos;
+    seen += is_parity_position(pos) ? 0 : 1;
   }
+  unsigned overall = 1;
+  for (int m = pos; m != 0; m >>= 1) {
+    overall ^= static_cast<unsigned>(m & 1);
+  }
+  return static_cast<std::uint8_t>(pos | (overall << 5));
 }
 
-// Hamming parity for the position-group `mask` (1, 2, 4, 8 or 16): XOR of
-// every codeword bit whose position has that bit set.
-bool group_parity(const bool (&codeword)[kCodewordBits + 1], int mask) {
-  bool parity = false;
-  for (int pos = 1; pos <= kCodewordBits; ++pos) {
-    if ((pos & mask) != 0) {
-      parity ^= codeword[pos];
-    }
-  }
-  return parity;
-}
-
-// Packs the data positions of a codeword back into 24 bits.
-//
-// The load and the shift are deliberately separate statements: gcc 12.2
-// miscompiles the one-liner `data |= (codeword[pos] ? 1U : 0U) << bit` under
-// -fsanitize=bounds,shift (both in -fsanitize=undefined) — the instrumented
-// bounds check evaluates a clobbered index and the function returns garbage.
-// This shape compiles correctly under every preset; pinned by
-// HeaderEcc.CorrectsEverySingleBitFlip running in the asan CI job.
-std::uint32_t collect_data_positions(const bool (&codeword)[kCodewordBits + 1]) {
-  std::uint32_t data = 0;
-  int bit = 0;
-  for (int pos = 1; pos <= kCodewordBits; ++pos) {
-    if (!is_parity_position(pos)) {
-      const bool set = codeword[pos];
-      if (set) {
-        data |= std::uint32_t{1} << bit;
+using EccTable = std::array<std::array<std::uint8_t, 256>, 3>;
+constexpr EccTable make_ecc_tables() {
+  EccTable tables{};
+  for (int byte = 0; byte < 3; ++byte) {
+    for (int v = 0; v < 256; ++v) {
+      std::uint8_t ecc = 0;
+      for (int bit = 0; bit < 8; ++bit) {
+        if (((v >> bit) & 1) != 0) {
+          ecc = static_cast<std::uint8_t>(ecc ^ data_bit_ecc(8 * byte + bit));
+        }
       }
-      ++bit;
+      tables[static_cast<std::size_t>(byte)][static_cast<std::size_t>(v)] = ecc;
     }
   }
-  return data;
+  return tables;
+}
+constexpr EccTable kEccTables = make_ecc_tables();
+
+std::uint8_t ecc_of(std::uint32_t header24) {
+  return static_cast<std::uint8_t>(kEccTables[0][header24 & 0xFFU] ^
+                                   kEccTables[1][(header24 >> 8) & 0xFFU] ^
+                                   kEccTables[2][(header24 >> 16) & 0xFFU]);
 }
 
 }  // namespace
 
 std::uint8_t ecc_encode(std::uint32_t header24) {
   SNAPPIX_CHECK((header24 >> 24) == 0, "header ECC covers 24 bits, got " << header24);
-  bool codeword[kCodewordBits + 1];
-  fill_data_positions(header24, codeword);
-  std::uint8_t ecc = 0;
-  bool overall = false;
-  int ecc_bit = 0;
-  for (int mask = 1; mask <= 16; mask <<= 1, ++ecc_bit) {
-    const bool p = group_parity(codeword, mask);
-    codeword[mask] = p;
-    ecc |= static_cast<std::uint8_t>((p ? 1U : 0U) << ecc_bit);
-  }
-  for (int pos = 1; pos <= kCodewordBits; ++pos) {
-    overall ^= codeword[pos];
-  }
-  ecc |= static_cast<std::uint8_t>((overall ? 1U : 0U) << 5);
-  return ecc;
+  return ecc_of(header24);
 }
 
 EccDecode ecc_decode(std::uint32_t header24, std::uint8_t ecc) {
@@ -114,33 +105,19 @@ EccDecode ecc_decode(std::uint32_t header24, std::uint8_t ecc) {
   if ((header24 >> 24) != 0 || (ecc >> 6) != 0) {
     return out;  // reserved bits set: not a parseable header
   }
-  bool codeword[kCodewordBits + 1];
-  fill_data_positions(header24, codeword);
-  int ecc_bit = 0;
-  for (int mask = 1; mask <= 16; mask <<= 1, ++ecc_bit) {
-    codeword[mask] = ((ecc >> ecc_bit) & 1U) != 0;
-  }
-  const bool overall_rx = ((ecc >> 5) & 1U) != 0;
-
-  // Syndrome: which parity groups disagree. Nonzero => its value is the
-  // (claimed) position of a single-bit error.
-  int syndrome = 0;
-  for (int mask = 1; mask <= 16; mask <<= 1) {
-    if (group_parity(codeword, mask)) {
-      syndrome |= mask;
-    }
-  }
-  bool overall_calc = false;
-  for (int pos = 1; pos <= kCodewordBits; ++pos) {
-    overall_calc ^= codeword[pos];
-  }
-  const bool overall_ok = overall_calc == overall_rx;
-
-  if (syndrome == 0 && overall_ok) {
+  const unsigned diff = static_cast<unsigned>(ecc_of(header24) ^ ecc);
+  if (diff == 0) {
     out.status = EccDecode::Status::kClean;
     out.header24 = header24;
     return out;
   }
+  // A damaged header. Syndrome: which parity groups disagree; nonzero => its
+  // value is the (claimed) position of a single-bit error. The received
+  // codeword's overall parity is off iff the overall bits differ by other
+  // than the parity of the disagreeing groups.
+  const int syndrome = static_cast<int>(diff & 0x1FU);
+  const bool overall_ok = ((diff >> 5) & 1U) ==
+                          (static_cast<unsigned>(__builtin_popcount(diff & 0x1FU)) & 1U);
   if (syndrome == 0) {
     // Only the overall parity bit itself flipped; the data is intact.
     out.status = EccDecode::Status::kCorrected;
@@ -148,10 +125,14 @@ EccDecode ecc_decode(std::uint32_t header24, std::uint8_t ecc) {
     return out;
   }
   if (!overall_ok && syndrome <= kCodewordBits) {
-    // Single-bit error at position `syndrome`: flip it back.
-    codeword[syndrome] = !codeword[syndrome];
+    // Single-bit error at position `syndrome`: a parity bit leaves the data
+    // intact; a data position holds bit (pos - 2 - floor(log2 pos)).
     out.status = EccDecode::Status::kCorrected;
-    out.header24 = collect_data_positions(codeword);
+    out.header24 = header24;
+    if (!is_parity_position(syndrome)) {
+      const int log2 = 31 - __builtin_clz(static_cast<unsigned>(syndrome));
+      out.header24 ^= std::uint32_t{1} << (syndrome - 2 - log2);
+    }
     return out;
   }
   // syndrome != 0 with overall parity consistent (or an impossible position):
@@ -187,11 +168,47 @@ CodedFramePacketizer::CodedFramePacketizer(int virtual_channel)
                 "CSI-2 virtual channel " << virtual_channel << " out of [0, 3]");
 }
 
-Packet CodedFramePacketizer::short_packet(std::uint8_t data_id, std::uint16_t value) {
+namespace {
+
+// Starts `packet` over with its 4-byte header (DI, 16-bit value, ECC),
+// keeping its buffer, with room for `payload` bytes and the CRC footer.
+void begin_packet(Packet& packet, std::uint8_t data_id, std::uint16_t value,
+                  std::size_t payload) {
   const std::uint32_t header24 = static_cast<std::uint32_t>(data_id) |
                                  (static_cast<std::uint32_t>(value) << 8);
-  return Packet{data_id, static_cast<std::uint8_t>(value & 0xFF),
-                static_cast<std::uint8_t>(value >> 8), ecc_encode(header24)};
+  packet.reserve(kHeaderBytes + payload + (payload > 0 ? kCrcBytes : 0));
+  packet.assign({data_id, static_cast<std::uint8_t>(value & 0xFF),
+                 static_cast<std::uint8_t>(value >> 8), ecc_of(header24)});
+}
+
+// Appends the long-packet footer: the CRC of everything after the header.
+void end_long_packet(Packet& packet) {
+  const std::uint16_t crc =
+      crc16_ccitt(packet.data() + kHeaderBytes, packet.size() - kHeaderBytes);
+  packet.push_back(static_cast<std::uint8_t>(crc & 0xFF));
+  packet.push_back(static_cast<std::uint8_t>(crc >> 8));
+}
+
+void write_long_packet(Packet& packet, std::uint8_t data_id, const std::uint8_t* payload,
+                       std::uint16_t word_count) {
+  begin_packet(packet, data_id, word_count, word_count);
+  packet.insert(packet.end(), payload, payload + word_count);
+  end_long_packet(packet);
+}
+
+}  // namespace
+
+Packet CodedFramePacketizer::short_packet(std::uint8_t data_id, std::uint16_t value) {
+  Packet packet;
+  begin_packet(packet, data_id, value, 0);
+  return packet;
+}
+
+Packet CodedFramePacketizer::long_packet(std::uint8_t data_id, const std::uint8_t* payload,
+                                         std::uint16_t word_count) {
+  Packet packet;
+  write_long_packet(packet, data_id, payload, word_count);
+  return packet;
 }
 
 WireFrame CodedFramePacketizer::packetize_codec(const Tensor& coded,
@@ -201,47 +218,47 @@ WireFrame CodedFramePacketizer::packetize_codec(const Tensor& coded,
                 "packetize_codec expects a (H, W) coded frame, got rank "
                     << coded.shape().ndim());
   SNAPPIX_CHECK(max_planes >= 0, "max_planes " << max_planes << " negative");
-  const codec::QuantizedFrame quantized = codec::quantize_frame(coded);
-  const codec::PlaneStream stream = codec::encode_bitplanes(quantized, max_planes);
-  const std::uint8_t vc_bits = static_cast<std::uint8_t>(virtual_channel_ << 6);
-
   WireFrame wire;
-  wire.packets.reserve(stream.planes.size() + 3);
-  wire.packets.push_back(
-      short_packet(static_cast<std::uint8_t>(vc_bits | kDtFrameStart), frame_number));
+  packetize_codec(codec::encode_bitplanes(codec::quantize_frame(coded), max_planes),
+                  frame_number, wire);
+  return wire;
+}
+
+void CodedFramePacketizer::packetize_codec(const codec::PlaneStream& stream,
+                                           std::uint16_t frame_number,
+                                           WireFrame& wire) const {
+  const std::uint8_t vc_bits = static_cast<std::uint8_t>(virtual_channel_ << 6);
+  wire.packets.resize(stream.planes.size() + 3);
+  begin_packet(wire.packets.front(), static_cast<std::uint8_t>(vc_bits | kDtFrameStart),
+               frame_number, 0);
   const auto header = codec::serialize_stream_header(stream);
-  wire.packets.push_back(long_packet(static_cast<std::uint8_t>(vc_bits | kDtCodecHeader),
-                                     header.data(),
-                                     static_cast<std::uint16_t>(header.size())));
-  std::vector<std::uint8_t> payload;
+  write_long_packet(wire.packets[1], static_cast<std::uint8_t>(vc_bits | kDtCodecHeader),
+                    header.data(), static_cast<std::uint16_t>(header.size()));
   for (std::size_t j = 0; j < stream.planes.size(); ++j) {
     const std::vector<std::uint8_t>& chunk = stream.planes[j];
     SNAPPIX_CHECK(chunk.size() + 1 <= 0xFFFF,
                   "plane chunk of " << chunk.size() << " bytes overflows the word count");
-    payload.clear();
-    payload.push_back(static_cast<std::uint8_t>(j));
-    payload.insert(payload.end(), chunk.begin(), chunk.end());
-    wire.packets.push_back(long_packet(static_cast<std::uint8_t>(vc_bits | kDtCodecPlane),
-                                       payload.data(),
-                                       static_cast<std::uint16_t>(payload.size())));
+    // Payload: the plane index, then the chunk.
+    Packet& packet = wire.packets[j + 2];
+    begin_packet(packet, static_cast<std::uint8_t>(vc_bits | kDtCodecPlane),
+                 static_cast<std::uint16_t>(chunk.size() + 1), chunk.size() + 1);
+    packet.push_back(static_cast<std::uint8_t>(j));
+    packet.insert(packet.end(), chunk.begin(), chunk.end());
+    end_long_packet(packet);
   }
-  wire.packets.push_back(
-      short_packet(static_cast<std::uint8_t>(vc_bits | kDtFrameEnd), frame_number));
-  return wire;
-}
-
-Packet CodedFramePacketizer::long_packet(std::uint8_t data_id, const std::uint8_t* payload,
-                                         std::uint16_t word_count) {
-  Packet packet = short_packet(data_id, word_count);  // same 4-byte header layout
-  packet.insert(packet.end(), payload, payload + word_count);
-  const std::uint16_t crc = crc16_ccitt(payload, word_count);
-  packet.push_back(static_cast<std::uint8_t>(crc & 0xFF));
-  packet.push_back(static_cast<std::uint8_t>(crc >> 8));
-  return packet;
+  begin_packet(wire.packets.back(), static_cast<std::uint8_t>(vc_bits | kDtFrameEnd),
+               frame_number, 0);
 }
 
 WireFrame CodedFramePacketizer::packetize(const Tensor& coded,
                                           std::uint16_t frame_number) const {
+  WireFrame wire;
+  packetize(coded, frame_number, wire);
+  return wire;
+}
+
+void CodedFramePacketizer::packetize(const Tensor& coded, std::uint16_t frame_number,
+                                     WireFrame& wire) const {
   SNAPPIX_CHECK(coded.shape().ndim() == 2,
                 "packetize expects a (H, W) coded frame, got rank " << coded.shape().ndim());
   const std::int64_t height = coded.shape()[0];
@@ -251,19 +268,18 @@ WireFrame CodedFramePacketizer::packetize(const Tensor& coded,
                 "row of " << width << " float32 pixels overflows the 16-bit word count");
   const std::uint8_t vc_bits = static_cast<std::uint8_t>(virtual_channel_ << 6);
 
-  WireFrame wire;
-  wire.packets.reserve(static_cast<std::size_t>(height) + 2);
-  wire.packets.push_back(
-      short_packet(static_cast<std::uint8_t>(vc_bits | kDtFrameStart), frame_number));
+  wire.packets.resize(static_cast<std::size_t>(height) + 2);
+  begin_packet(wire.packets.front(), static_cast<std::uint8_t>(vc_bits | kDtFrameStart),
+               frame_number, 0);
   const std::uint16_t wc = static_cast<std::uint16_t>(width * 4);
   for (std::int64_t r = 0; r < height; ++r) {
-    wire.packets.push_back(long_packet(
+    write_long_packet(
+        wire.packets[static_cast<std::size_t>(r) + 1],
         static_cast<std::uint8_t>(vc_bits | kDtRaw32),
-        reinterpret_cast<const std::uint8_t*>(coded.data().data() + r * width), wc));
+        reinterpret_cast<const std::uint8_t*>(coded.data().data() + r * width), wc);
   }
-  wire.packets.push_back(
-      short_packet(static_cast<std::uint8_t>(vc_bits | kDtFrameEnd), frame_number));
-  return wire;
+  begin_packet(wire.packets.back(), static_cast<std::uint8_t>(vc_bits | kDtFrameEnd),
+               frame_number, 0);
 }
 
 // --- Depacketizer ------------------------------------------------------------
@@ -360,7 +376,7 @@ RxFrame Depacketizer::depacketize(const WireFrame& wire, std::int64_t height,
 }
 
 RxCodecFrame Depacketizer::depacketize_codec(const WireFrame& wire, std::int64_t height,
-                                             std::int64_t width, int max_planes) const {
+                                             std::int64_t width, int max_planes) {
   SNAPPIX_CHECK(height >= 1 && width >= 1,
                 "depacketize_codec needs positive geometry, got " << height << "x" << width);
   SNAPPIX_CHECK(max_planes >= 0, "max_planes " << max_planes << " negative");
@@ -370,8 +386,9 @@ RxCodecFrame Depacketizer::depacketize_codec(const WireFrame& wire, std::int64_t
   bool truncated = false;
   bool have_header = false;
   codec::PlaneStream stream;
-  std::vector<std::vector<std::uint8_t>> planes(codec::kMaxBitplanes);
-  std::vector<bool> plane_seen(codec::kMaxBitplanes, false);
+  // Each received plane's chunk, read in place from its packet.
+  std::array<codec::ChunkView, codec::kMaxBitplanes> chunks{};
+  std::array<bool, codec::kMaxBitplanes> plane_seen{};
 
   for (const Packet& packet : wire.packets) {
     if (packet.size() < static_cast<std::size_t>(kHeaderBytes)) {
@@ -429,7 +446,7 @@ RxCodecFrame Depacketizer::depacketize_codec(const WireFrame& wire, std::int64_t
     } else if (data_type == kDtCodecPlane) {
       const std::uint8_t index = wc >= 1 ? payload[0] : codec::kMaxBitplanes;
       if (wc >= 1 && index < codec::kMaxBitplanes && !plane_seen[index]) {
-        planes[index].assign(payload + 1, payload + wc);
+        chunks[index] = {payload + 1, static_cast<std::size_t>(wc - 1)};
         plane_seen[index] = true;
         ++rx.planes_received;
       } else {
@@ -450,14 +467,15 @@ RxCodecFrame Depacketizer::depacketize_codec(const WireFrame& wire, std::int64_t
   if (max_planes != 0 && max_planes < needed) {
     needed = max_planes;
   }
-  for (int j = 0; j < needed && plane_seen[static_cast<std::size_t>(j)]; ++j) {
-    stream.planes.push_back(std::move(planes[static_cast<std::size_t>(j)]));
+  std::size_t present = 0;
+  while (present < static_cast<std::size_t>(needed) && plane_seen[present]) {
+    ++present;
   }
-  const codec::BitplaneDecode decode = codec::decode_bitplanes(stream, needed);
-  rx.coded = codec::dequantize_frame(decode.frame);
-  rx.decoded_planes = static_cast<std::uint8_t>(decode.decoded_planes);
+  const int decoded = coder_.decode(stream, chunks.data(), present, needed, decoded_);
+  rx.coded = codec::dequantize_frame(decoded_);
+  rx.decoded_planes = static_cast<std::uint8_t>(decoded);
   rx.total_planes = stream.plane_count;
-  if (decode.decoded_planes >= needed) {
+  if (decoded >= needed) {
     rx.outcome = RxOutcome::kOk;
   } else if (rx.crc_errors > 0) {
     rx.outcome = RxOutcome::kCrcError;

@@ -13,9 +13,12 @@
 // of a row packet is the row's float32 pixels in host byte order (a RAW32-
 // style user-defined data type — full precision, so the framed path can be
 // bit-identical to the in-memory path). The footer is CRC-16/CCITT-FALSE over
-// the payload; the header is protected by a 6-bit SEC-DED Hamming code over
-// its 24 bits (single-bit errors corrected, double-bit errors detected), in
-// the spirit of the CSI-2 packet-header ECC.
+// the payload, computed a byte at a time from a 256-entry table; the header
+// is protected by a 6-bit SEC-DED Hamming code over its 24 bits (single-bit
+// errors corrected, double-bit errors detected), in the spirit of the CSI-2
+// packet-header ECC. The code is linear, so encoding XORs three per-byte
+// tables, and a receiver re-encodes the header and runs the syndrome
+// correction only when the ECCs differ.
 //
 // `CodedFramePacketizer` serializes; `Depacketizer` reassembles, verifies
 // CRC/ECC, and classifies the frame-level outcome (`RxOutcome`). The wire
@@ -88,6 +91,8 @@ class CodedFramePacketizer {
   // (wc = W * 4, so W must stay under 16384 pixels), FE. `frame_number`
   // rides in the FS/FE short packets.
   WireFrame packetize(const Tensor& coded, std::uint16_t frame_number) const;
+  // The same packets written into `wire`, reusing its packet buffers.
+  void packetize(const Tensor& coded, std::uint16_t frame_number, WireFrame& wire) const;
 
   // Entropy-coded mode: quantizes the frame (codec::quantize_frame), encodes
   // its bit-planes, and serializes FS, a kDtCodecHeader packet, one
@@ -96,6 +101,10 @@ class CodedFramePacketizer {
   // just the decoder reading fewer (0 = every plane).
   WireFrame packetize_codec(const Tensor& coded, std::uint16_t frame_number,
                             int max_planes = 0) const;
+  // Serializes an already-encoded stream (every chunk it holds) into `wire`,
+  // reusing its packet buffers.
+  void packetize_codec(const codec::PlaneStream& stream, std::uint16_t frame_number,
+                       WireFrame& wire) const;
 
   // Building blocks, exposed so tests can pin byte-exact golden vectors.
   static Packet short_packet(std::uint8_t data_id, std::uint16_t value);
@@ -171,9 +180,15 @@ class Depacketizer {
   //                  still be damaged without demoting the outcome
   // Plane packets failing their CRC are discarded whole — their index byte
   // cannot be trusted — and corrupt chunk contents end the decode at that
-  // plane instead of invoking UB (see codec/bitplane.h).
+  // plane instead of invoking UB (see codec/bitplane.h). Chunks are decoded
+  // in place from their packets, and the decode buffers persist across
+  // calls, so a warm depacketizer allocates only the returned tensor.
   RxCodecFrame depacketize_codec(const WireFrame& wire, std::int64_t height,
-                                 std::int64_t width, int max_planes = 0) const;
+                                 std::int64_t width, int max_planes = 0);
+
+ private:
+  codec::BitplaneCoder coder_;
+  codec::QuantizedFrame decoded_;
 };
 
 }  // namespace snappix::transport

@@ -68,16 +68,19 @@ void FramedLink::set_faults(const FaultConfig& faults) {
 }
 
 TransferResult FramedLink::transfer(const Tensor& coded, std::uint16_t frame_number) {
-  WireFrame wire = config_.codec
-                       ? packetizer_.packetize_codec(coded, frame_number,
-                                                     config_.codec_planes)
-                       : packetizer_.packetize(coded, frame_number);
+  if (config_.codec) {
+    codec::quantize_frame(coded, quantized_);
+    coder_.encode(quantized_, config_.codec_planes, stream_);
+    packetizer_.packetize_codec(stream_, frame_number, wire_);
+  } else {
+    packetizer_.packetize(coded, frame_number, wire_);
+  }
 
   // Account the transmit side first: every framed byte goes on the wire and
   // costs its lane time whether or not it survives the trip. This runs once
   // per ATTEMPT — a retransmit of the same frame pays the wire again.
   TransferResult result;
-  for (const Packet& packet : wire.packets) {
+  for (const Packet& packet : wire_.packets) {
     const std::uint64_t payload =
         packet.size() > static_cast<std::size_t>(kHeaderBytes + kCrcBytes)
             ? packet.size() - kHeaderBytes - kCrcBytes
@@ -85,12 +88,12 @@ TransferResult FramedLink::transfer(const Tensor& coded, std::uint16_t frame_num
     result.wire_bytes += mipi_.send_packet(packet.size(), payload);
   }
 
-  injector_.apply(wire);
+  injector_.apply(wire_);
 
   RxFrame rx;
   if (config_.codec) {
     RxCodecFrame codec_rx = depacketizer_.depacketize_codec(
-        wire, coded.shape()[0], coded.shape()[1], config_.codec_planes);
+        wire_, coded.shape()[0], coded.shape()[1], config_.codec_planes);
     result.decoded_planes = codec_rx.decoded_planes;
     result.total_planes = codec_rx.total_planes;
     rx.outcome = codec_rx.outcome;
@@ -99,7 +102,7 @@ TransferResult FramedLink::transfer(const Tensor& coded, std::uint16_t frame_num
     rx.corrected_headers = codec_rx.corrected_headers;
     rx.lost_packets = codec_rx.lost_packets;
   } else {
-    rx = depacketizer_.depacketize(wire, coded.shape()[0], coded.shape()[1]);
+    rx = depacketizer_.depacketize(wire_, coded.shape()[0], coded.shape()[1]);
   }
   result.outcome = rx.outcome;
   result.coded = std::move(rx.coded);

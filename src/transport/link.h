@@ -14,7 +14,9 @@
 //
 // A FramedLink is owned by one camera and driven from that camera's producer
 // thread only; its Rng stream makes the fault sequence a pure function of
-// FaultConfig::seed.
+// FaultConfig::seed. The link keeps its wire frame, plane chunks and codec
+// scratch across transfers, so a steady transfer allocates only the tensor
+// it returns, however many planes or rows the frame has.
 #pragma once
 
 #include <cstdint>
@@ -100,6 +102,11 @@ class FramedLink {
   FaultInjector injector_;
   Depacketizer depacketizer_;
   LinkCounters counters_;
+  // Transmit-side buffers, reused by every transfer.
+  codec::QuantizedFrame quantized_;
+  codec::BitplaneCoder coder_;
+  codec::PlaneStream stream_;
+  WireFrame wire_;
 };
 
 }  // namespace snappix::transport

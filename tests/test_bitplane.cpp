@@ -173,6 +173,245 @@ TEST(Bitplane, EncodeWithCapEmitsPrefixOfFullEncode) {
   }
 }
 
+// --- the branching reference coder --------------------------------------------
+//
+// The coder as first written: the textbook LZMA range coder, branching on
+// every coded bit, driving the same significance/sign/refinement passes with
+// `i % width` columns and fresh buffers per plane. The library's mask-select
+// coder must produce the same chunk bytes and decode the same values — on
+// damaged chunks too.
+
+namespace reference {
+
+constexpr std::uint16_t kProbOne = 1U << 11;
+constexpr std::uint16_t kProbInit = kProbOne / 2;
+
+struct Contexts {
+  std::uint16_t significance[3] = {kProbInit, kProbInit, kProbInit};
+  std::uint16_t sign = kProbInit;
+  std::uint16_t refinement = kProbInit;
+};
+
+class Encoder {
+ public:
+  explicit Encoder(std::vector<std::uint8_t>& out) : out_(out) {}
+  void encode(std::uint16_t& prob, int bit) {
+    const std::uint32_t bound = (range_ >> 11) * prob;
+    if (bit == 0) {
+      range_ = bound;
+      prob = static_cast<std::uint16_t>(prob + ((kProbOne - prob) >> 5));
+    } else {
+      low_ += bound;
+      range_ -= bound;
+      prob = static_cast<std::uint16_t>(prob - (prob >> 5));
+    }
+    while (range_ < (1U << 24)) {
+      range_ <<= 8;
+      shift_low();
+    }
+  }
+  void flush() {
+    for (int i = 0; i < 5; ++i) {
+      shift_low();
+    }
+  }
+
+ private:
+  void shift_low() {
+    if (static_cast<std::uint32_t>(low_) < 0xFF000000U || (low_ >> 32) != 0) {
+      std::uint8_t byte = cache_;
+      do {
+        out_.push_back(static_cast<std::uint8_t>(byte + static_cast<std::uint8_t>(low_ >> 32)));
+        byte = 0xFF;
+      } while (--cache_size_ != 0);
+      cache_ = static_cast<std::uint8_t>(low_ >> 24);
+    }
+    ++cache_size_;
+    low_ = (low_ & 0x00FFFFFFULL) << 8;
+  }
+  std::vector<std::uint8_t>& out_;
+  std::uint64_t low_ = 0;
+  std::uint32_t range_ = 0xFFFFFFFFU;
+  std::uint8_t cache_ = 0;
+  std::uint64_t cache_size_ = 1;
+};
+
+class Decoder {
+ public:
+  explicit Decoder(const std::vector<std::uint8_t>& data) : data_(data) {
+    next_byte();
+    for (int i = 0; i < 4; ++i) {
+      code_ = (code_ << 8) | next_byte();
+    }
+  }
+  int decode(std::uint16_t& prob) {
+    const std::uint32_t bound = (range_ >> 11) * prob;
+    int bit;
+    if (code_ < bound) {
+      range_ = bound;
+      prob = static_cast<std::uint16_t>(prob + ((kProbOne - prob) >> 5));
+      bit = 0;
+    } else {
+      code_ -= bound;
+      range_ -= bound;
+      prob = static_cast<std::uint16_t>(prob - (prob >> 5));
+      bit = 1;
+    }
+    while (range_ < (1U << 24)) {
+      range_ <<= 8;
+      code_ = (code_ << 8) | next_byte();
+    }
+    return bit;
+  }
+  bool overran() const { return overran_; }
+
+ private:
+  std::uint32_t next_byte() {
+    if (pos_ >= data_.size()) {
+      overran_ = true;
+      return 0;
+    }
+    return data_[pos_++];
+  }
+  const std::vector<std::uint8_t>& data_;
+  std::size_t pos_ = 0;
+  std::uint32_t code_ = 0;
+  std::uint32_t range_ = 0xFFFFFFFFU;
+  bool overran_ = false;
+};
+
+std::vector<std::vector<std::uint8_t>> encode(const QuantizedFrame& frame, int planes,
+                                              int chunks) {
+  const std::size_t n = frame.values.size();
+  const std::size_t width = static_cast<std::size_t>(frame.width);
+  std::vector<std::uint8_t> significant(n, 0);
+  Contexts ctx;
+  std::vector<std::vector<std::uint8_t>> out;
+  for (int j = 0; j < chunks; ++j) {
+    const int bitpos = planes - 1 - j;
+    std::vector<std::uint8_t> chunk;
+    Encoder encoder(chunk);
+    for (std::size_t i = 0; i < n; ++i) {
+      const int v = frame.values[i];
+      const int bit = ((v < 0 ? -v : v) >> bitpos) & 1;
+      if (significant[i] != 0) {
+        encoder.encode(ctx.refinement, bit);
+        continue;
+      }
+      const std::size_t col = i % width;
+      int neighbors = 0;
+      neighbors += (col > 0 && significant[i - 1] != 0) ? 1 : 0;
+      neighbors += (i >= width && significant[i - width] != 0) ? 1 : 0;
+      encoder.encode(ctx.significance[neighbors], bit);
+      if (bit != 0) {
+        encoder.encode(ctx.sign, v < 0 ? 1 : 0);
+        significant[i] = 1;
+      }
+    }
+    encoder.flush();
+    out.push_back(std::move(chunk));
+  }
+  return out;
+}
+
+// Values after decoding the first `want` chunks; *decoded counts the planes
+// that decoded cleanly (staged per plane, dropped whole on overrun).
+std::vector<std::int16_t> decode(const PlaneStream& stream, std::size_t want, int* decoded) {
+  const std::size_t n = static_cast<std::size_t>(stream.height) * stream.width;
+  const std::size_t width = stream.width;
+  std::vector<std::uint16_t> mag(n, 0);
+  std::vector<std::uint8_t> negative(n, 0);
+  std::vector<std::uint8_t> significant(n, 0);
+  Contexts ctx;
+  *decoded = 0;
+  for (std::size_t j = 0; j < want; ++j) {
+    if (stream.planes[j].size() < 5) {
+      break;
+    }
+    std::vector<std::uint16_t> mag_stage = mag;
+    std::vector<std::uint8_t> negative_stage = negative;
+    std::vector<std::uint8_t> significant_stage = significant;
+    Contexts ctx_stage = ctx;
+    const int bitpos = static_cast<int>(stream.plane_count) - 1 - static_cast<int>(j);
+    Decoder decoder(stream.planes[j]);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (significant_stage[i] != 0) {
+        const int bit = decoder.decode(ctx_stage.refinement);
+        mag_stage[i] = static_cast<std::uint16_t>(mag_stage[i] | (bit << bitpos));
+        continue;
+      }
+      const std::size_t col = i % width;
+      int neighbors = 0;
+      neighbors += (col > 0 && significant_stage[i - 1] != 0) ? 1 : 0;
+      neighbors += (i >= width && significant_stage[i - width] != 0) ? 1 : 0;
+      if (decoder.decode(ctx_stage.significance[neighbors]) != 0) {
+        mag_stage[i] = static_cast<std::uint16_t>(mag_stage[i] | (1U << bitpos));
+        negative_stage[i] = static_cast<std::uint8_t>(decoder.decode(ctx_stage.sign));
+        significant_stage[i] = 1;
+      }
+    }
+    if (decoder.overran()) {
+      break;
+    }
+    mag = std::move(mag_stage);
+    negative = std::move(negative_stage);
+    significant = std::move(significant_stage);
+    ctx = ctx_stage;
+    ++*decoded;
+  }
+  std::vector<std::int16_t> values(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    values[i] = static_cast<std::int16_t>(negative[i] != 0 ? -mag[i] : mag[i]);
+  }
+  return values;
+}
+
+}  // namespace reference
+
+TEST(Bitplane, CoderMatchesBranchingReference) {
+  Rng rng(404);
+  int early_stops = 0;  // damaged decodes that ended before their last chunk
+  for (const Geometry g : kGeometries) {
+    for (int trial = 0; trial < 6; ++trial) {
+      // Scene-like, signed and sparse frames: every context and carry path.
+      Tensor coded = Tensor::rand_uniform(Shape{g.height, g.width}, rng,
+                                          trial % 2 == 0 ? 0.0F : -1.0F, 1.0F);
+      if (trial >= 4) {
+        for (float& v : coded.data()) {
+          v = rng.bernoulli(0.1F) ? v : 0.0F;
+        }
+      }
+      const QuantizedFrame q = quantize_frame(coded);
+      for (const int cap : {0, 3, 8}) {
+        const PlaneStream stream = encode_bitplanes(q, cap);
+        const int chunks = static_cast<int>(stream.planes.size());
+        ASSERT_EQ(stream.planes, reference::encode(q, stream.plane_count, chunks))
+            << g.height << "x" << g.width << " trial " << trial << " cap " << cap;
+
+        // Decode the clean stream, then one with a damaged chunk.
+        PlaneStream damaged = stream;
+        if (!damaged.planes.empty()) {
+          auto& chunk = damaged.planes[damaged.planes.size() / 2];
+          chunk.resize(chunk.size() * 2 / 3);
+          if (!chunk.empty()) {
+            chunk[chunk.size() / 2] ^= 0x5A;
+          }
+        }
+        for (const PlaneStream* s : {&stream, static_cast<const PlaneStream*>(&damaged)}) {
+          int want_decoded = 0;
+          const std::vector<std::int16_t> want =
+              reference::decode(*s, s->planes.size(), &want_decoded);
+          const BitplaneDecode got = decode_bitplanes(*s, cap);
+          ASSERT_EQ(got.decoded_planes, want_decoded);
+          ASSERT_EQ(got.frame.values, want);
+          early_stops += got.decoded_planes < static_cast<int>(s->planes.size()) ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(early_stops, 0);
+}
+
 TEST(StreamHeader, SerializeParseRoundTrip) {
   Rng rng(3);
   const QuantizedFrame q =

@@ -2,8 +2,11 @@
 // decorrelation statistics of Sec. III.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "ce/encode.h"
 #include "ce/pattern.h"
@@ -168,6 +171,119 @@ TEST(CeEncode, MismatchedSlotsThrow) {
 TEST(CeEncode, IndivisibleTileThrows) {
   const Tensor video = Tensor::zeros(Shape{1, 4, 6, 6});
   EXPECT_THROW(ce::ce_encode(video, CePattern::long_exposure(4, 4)), std::runtime_error);
+}
+
+// Eqn. 1 straight from its definition, as the encoder was first written:
+// each pixel starts at +0 and adds mask * value for t = 0, 1, ... with every
+// slot multiplied, exposed or not; normalization then multiplies by the
+// reciprocal exposure count (0 for a never-exposed pixel).
+Tensor eqn1_reference(const Tensor& videos, const CePattern& p, bool normalize) {
+  const std::int64_t batch = videos.shape()[0];
+  const std::int64_t frames = videos.shape()[1];
+  const std::int64_t h = videos.shape()[2];
+  const std::int64_t w = videos.shape()[3];
+  const std::vector<int> counts = p.exposure_counts();
+  std::vector<float> out(static_cast<std::size_t>(batch * h * w), 0.0F);
+  for (std::int64_t b = 0; b < batch; ++b) {
+    for (std::int64_t y = 0; y < h; ++y) {
+      for (std::int64_t x = 0; x < w; ++x) {
+        const int ty = static_cast<int>(y % p.tile());
+        const int tx = static_cast<int>(x % p.tile());
+        float acc = 0.0F;
+        for (std::int64_t t = 0; t < frames; ++t) {
+          const float m = p.bit(static_cast<int>(t), ty, tx) ? 1.0F : 0.0F;
+          acc += m * videos.data()[static_cast<std::size_t>(((b * frames + t) * h + y) * w + x)];
+        }
+        if (normalize) {
+          const int c = counts[static_cast<std::size_t>(ty * p.tile() + tx)];
+          acc *= c > 0 ? 1.0F / static_cast<float>(c) : 0.0F;
+        }
+        out[static_cast<std::size_t>((b * h + y) * w + x)] = acc;
+      }
+    }
+  }
+  return Tensor::from_vector(std::move(out), Shape{batch, h, w});
+}
+
+::testing::AssertionResult same_bits(const Tensor& expected, const Tensor& actual) {
+  if (expected.data().size() != actual.data().size()) {
+    return ::testing::AssertionFailure() << "sizes differ";
+  }
+  for (std::size_t i = 0; i < expected.data().size(); ++i) {
+    std::uint32_t e = 0;
+    std::uint32_t a = 0;
+    std::memcpy(&e, &expected.data()[i], sizeof e);
+    std::memcpy(&a, &actual.data()[i], sizeof a);
+    if (e != a) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": expected bits " << std::hex << e << ", got " << a;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(CeEncode, KernelMatchesEquationOneOnSpecialValues) {
+  // Signed zeros, subnormals, infinities and NaN, mixed with ordinary values.
+  // The only NaN fed in is the one 0 * inf produces on this host, so every
+  // NaN in play has the same bits and the comparison can stay bitwise.
+  const float inf = std::numeric_limits<float>::infinity();
+  volatile float zero = 0.0F;
+  const float nan = zero * inf;
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float pool[] = {0.0F,  -0.0F, denorm, -denorm, 3.0F * denorm, 1e-39F,
+                        inf,   -inf,  nan,    std::numeric_limits<float>::max(),
+                        -std::numeric_limits<float>::max(), 0.5F, -1.25F, 7.0F};
+  constexpr std::size_t kPool = sizeof(pool) / sizeof(pool[0]);
+  Rng rng(29);
+  CePattern p = CePattern::random(4, 4, rng, 0.5F);
+  for (int t = 0; t < 4; ++t) {
+    p.set_bit(t, 1, 2, false);  // a never-exposed pixel: 0 * inf must still be NaN
+  }
+  const Shape shape{3, 4, 8, 8};
+  std::vector<float> values(static_cast<std::size_t>(shape.numel()));
+  for (float& v : values) {
+    // Mostly ordinary values, so that pixels also come out finite.
+    v = rng.bernoulli(0.3F) ? pool[rng.uniform_int(0, kPool - 1)] : rng.uniform(-2.0F, 2.0F);
+  }
+  const Tensor videos = Tensor::from_vector(values, shape);
+
+  const Tensor coded = ce::ce_encode(videos, p);
+  const Tensor normalized = ce::encode_normalized(videos, ce::EncodeTable(p));
+  EXPECT_TRUE(same_bits(eqn1_reference(videos, p, false), coded));
+  EXPECT_TRUE(same_bits(eqn1_reference(videos, p, true), normalized));
+  EXPECT_TRUE(same_bits(normalized, ce::normalize_by_exposure(coded, p)));
+
+  // The single-clip forms agree with the batch.
+  for (std::int64_t b = 0; b < shape[0]; ++b) {
+    const auto begin = values.begin() + b * 4 * 8 * 8;
+    const Tensor clip = Tensor::from_vector(std::vector<float>(begin, begin + 4 * 8 * 8),
+                                            Shape{4, 8, 8});
+    const auto frame = [b](const Tensor& batch) {
+      const auto first = batch.data().begin() + b * 8 * 8;
+      return Tensor::from_vector(std::vector<float>(first, first + 8 * 8), Shape{8, 8});
+    };
+    EXPECT_TRUE(same_bits(frame(coded), ce::ce_encode_single(clip, p)));
+    EXPECT_TRUE(same_bits(frame(normalized), ce::encode_normalized(clip, ce::EncodeTable(p))));
+  }
+
+  // The never-exposed pixel multiplied every slot: any inf or NaN in its
+  // clip left a NaN behind.
+  std::size_t checked = 0;
+  for (std::int64_t b = 0; b < shape[0]; ++b) {
+    for (std::int64_t y = 1; y < 8; y += 4) {
+      for (std::int64_t x = 2; x < 8; x += 4) {
+        bool non_finite = false;
+        for (std::int64_t t = 0; t < 4; ++t) {
+          non_finite = non_finite || !std::isfinite(videos.at({b, t, y, x}));
+        }
+        if (non_finite) {
+          EXPECT_TRUE(std::isnan(coded.at({b, y, x})));
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0U);
 }
 
 TEST(CeEncodeDiff, MatchesFastPathForBinaryWeights) {

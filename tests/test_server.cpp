@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -390,18 +391,24 @@ TEST(BatchedVitEngine, ClassifierOnlyEngineRejectsReconstruct) {
                std::runtime_error);
 }
 
-// --- PatternNormalizer -------------------------------------------------------
+// --- Camera encode -----------------------------------------------------------
 
-TEST(PatternNormalizer, MatchesLibraryNormalization) {
+// A camera encodes on its prebuilt ce::EncodeTable in one pass; its frames
+// carry exactly the library's two-step encode-then-normalize bits.
+TEST(CameraEncode, MatchesLibraryEncodeThenNormalize) {
   Rng rng(43);
   const ce::CePattern pattern = ce::CePattern::random(8, 8, rng, 0.4F);
-  runtime::PatternNormalizer normalizer(pattern);
-  const Tensor coded = Tensor::rand_uniform(Shape{3, 16, 16}, rng);
-  const Tensor expected = ce::normalize_by_exposure(coded, pattern);
-  const Tensor actual = normalizer.apply(coded);
-  ASSERT_EQ(expected.shape(), actual.shape());
-  for (std::size_t i = 0; i < expected.data().size(); ++i) {
-    ASSERT_EQ(expected.data()[i], actual.data()[i]);
+  runtime::SyntheticCameraSource camera(0, small_scene(), pattern, /*seed=*/44);
+  const data::SyntheticVideoGenerator generator(small_scene());
+  Rng clip_rng(44);
+  for (int i = 0; i < 3; ++i) {
+    const Tensor clip = generator.sample(clip_rng).video;
+    const Tensor expected = ce::normalize_by_exposure(
+        ce::ce_encode(Tensor::from_vector(clip.data(), Shape{1, 8, 16, 16}), pattern), pattern);
+    const Frame frame = camera.next_frame();
+    ASSERT_EQ(frame.coded.shape(), (Shape{16, 16}));
+    ASSERT_EQ(0, std::memcmp(expected.data().data(), frame.coded.data().data(),
+                             expected.data().size() * sizeof(float)));
   }
 }
 

@@ -1,13 +1,18 @@
 // Transport test suite: golden CSI-2 packet layouts (byte-exact header / CRC
-// vectors), header-ECC correction behavior, packetize -> depacketize
+// vectors), the table CRC and ECC against their bit-serial and Hamming-loop
+// references, header-ECC correction behavior, packetize -> depacketize
 // round-trip bit-identity across frame sizes and lane counts, the
 // deterministic fault-injection matrix (each fault class -> its expected
-// Depacketizer outcome), and the FramedLink's byte/lane/outcome accounting.
+// Depacketizer outcome), the FramedLink's byte/lane/outcome accounting, and
+// — through a counting global operator new — the heap allocations of a
+// camera encode and of a steady transfer.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <new>
 #include <stdexcept>
 #include <vector>
 
@@ -38,6 +43,60 @@ using transport::WireFrame;
 
 // --- integrity primitives ----------------------------------------------------
 
+// Bit-serial CRC-16/CCITT-FALSE reference: one input BIT per step, entirely
+// in unsigned arithmetic — the definition the table-driven crc16_ccitt must
+// reproduce.
+std::uint16_t crc16_bit_serial(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFU;
+  for (std::size_t i = 0; i < size; ++i) {
+    for (int bit = 7; bit >= 0; --bit) {
+      const std::uint32_t in = (static_cast<std::uint32_t>(data[i]) >> bit) & 1U;
+      const std::uint32_t top = (crc >> 15) & 1U;
+      crc = (crc << 1) & 0xFFFFU;
+      if (top != in) {
+        crc ^= 0x1021U;
+      }
+    }
+  }
+  return static_cast<std::uint16_t>(crc);
+}
+
+// The SEC-DED Hamming construction the ECC tables are derived from, one bit
+// at a time: the 24 data bits fill the non-power-of-two codeword positions
+// 1..29 in order, parity bit m is the XOR of every position with bit m set,
+// and the overall bit is the XOR of the whole codeword.
+std::uint8_t ecc_hamming_reference(std::uint32_t header24) {
+  bool codeword[30] = {};
+  int data_bit = 0;
+  for (int pos = 1; pos <= 29; ++pos) {
+    if ((pos & (pos - 1)) != 0) {
+      codeword[pos] = ((header24 >> data_bit) & 1U) != 0;
+      ++data_bit;
+    }
+  }
+  std::uint8_t ecc = 0;
+  for (int m = 0; m < 5; ++m) {
+    bool parity = false;
+    for (int pos = 1; pos <= 29; ++pos) {
+      if (((pos >> m) & 1) != 0) {
+        parity = parity != codeword[pos];
+      }
+    }
+    codeword[1 << m] = parity;
+    if (parity) {
+      ecc = static_cast<std::uint8_t>(ecc | (1U << m));
+    }
+  }
+  bool overall = false;
+  for (int pos = 1; pos <= 29; ++pos) {
+    overall = overall != codeword[pos];
+  }
+  if (overall) {
+    ecc = static_cast<std::uint8_t>(ecc | 0x20U);
+  }
+  return ecc;
+}
+
 TEST(Crc16, MatchesSpecCheckValue) {
   // CRC-16/CCITT-FALSE over "123456789" is 0x29B1 in every published table.
   const std::uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
@@ -51,31 +110,12 @@ TEST(Crc16, MatchesSpecCheckValue) {
 }
 
 TEST(Crc16, MatchesBitSerialReferenceOnEdgePayloads) {
-  // Bit-serial CRC-16/CCITT-FALSE reference: processes one input BIT per
-  // step, entirely in unsigned arithmetic. Any promotion/shift slip in the
-  // byte-at-a-time production code (uint16 << 8 silently promotes to signed
-  // int, UB at bit 31 without the explicit uint32 accumulator it now uses)
-  // diverges from this on dense-MSB payloads like all-0xFF.
-  const auto reference = [](const std::uint8_t* data, std::size_t size) {
-    std::uint32_t crc = 0xFFFFU;
-    for (std::size_t i = 0; i < size; ++i) {
-      for (int bit = 7; bit >= 0; --bit) {
-        const std::uint32_t in = (static_cast<std::uint32_t>(data[i]) >> bit) & 1U;
-        const std::uint32_t top = (crc >> 15) & 1U;
-        crc = (crc << 1) & 0xFFFFU;
-        if (top != in) {
-          crc ^= 0x1021U;
-        }
-      }
-    }
-    return static_cast<std::uint16_t>(crc);
-  };
-
-  // All-0xFF keeps the accumulator's top bit set on nearly every step — the
-  // exact payload shape that exercised the old signed-promotion hazard.
+  // All-0xFF keeps the accumulator's top bit set on nearly every step: any
+  // promotion/shift slip (uint16 << 8 silently promotes to signed int)
+  // diverges from the reference on dense-MSB payloads like this.
   for (const std::size_t len : {1U, 2U, 15U, 64U, 257U}) {
     const std::vector<std::uint8_t> ones(len, 0xFF);
-    EXPECT_EQ(transport::crc16_ccitt(ones.data(), len), reference(ones.data(), len))
+    EXPECT_EQ(transport::crc16_ccitt(ones.data(), len), crc16_bit_serial(ones.data(), len))
         << "all-0xFF length " << len;
   }
   // And a deterministic mixed payload for good measure.
@@ -84,7 +124,56 @@ TEST(Crc16, MatchesBitSerialReferenceOnEdgePayloads) {
     mixed[i] = static_cast<std::uint8_t>(i * 37 + 11);
   }
   EXPECT_EQ(transport::crc16_ccitt(mixed.data(), mixed.size()),
-            reference(mixed.data(), mixed.size()));
+            crc16_bit_serial(mixed.data(), mixed.size()));
+}
+
+TEST(Crc16, TableMatchesBitSerialReferenceAtEveryLength) {
+  Rng rng(1024);
+  std::vector<std::uint8_t> buffer(1024);
+  for (std::uint8_t& b : buffer) {
+    b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  }
+  for (std::size_t len = 0; len <= buffer.size(); ++len) {
+    ASSERT_EQ(transport::crc16_ccitt(buffer.data(), len), crc16_bit_serial(buffer.data(), len))
+        << "length " << len;
+  }
+}
+
+TEST(HeaderEcc, TableMatchesHammingConstruction) {
+  // Every header with a single nonzero byte: each table entry on its own.
+  for (int byte = 0; byte < 3; ++byte) {
+    for (std::uint32_t v = 0; v < 256; ++v) {
+      const std::uint32_t header = v << (8 * byte);
+      ASSERT_EQ(transport::ecc_encode(header), ecc_hamming_reference(header))
+          << "header " << header;
+    }
+  }
+  // A stride over all 2^24 headers: the tables combine by XOR.
+  for (std::uint32_t header = 0; header < (1U << 24); header += 257) {
+    ASSERT_EQ(transport::ecc_encode(header), ecc_hamming_reference(header))
+        << "header " << header;
+  }
+}
+
+TEST(HeaderEcc, CorrectsEverySingleBitFlipOverAHeaderStride) {
+  std::uint64_t wrong = 0;
+  std::uint32_t first_wrong = 0;
+  for (std::uint32_t header = 0; header < (1U << 24); header += 257) {
+    const std::uint8_t ecc = transport::ecc_encode(header);
+    const EccDecode clean = transport::ecc_decode(header, ecc);
+    bool ok = clean.status == EccDecode::Status::kClean && clean.header24 == header;
+    for (int bit = 0; bit < 30; ++bit) {  // 24 data bits, then the 6 ECC bits
+      const EccDecode dec =
+          bit < 24 ? transport::ecc_decode(header ^ (1U << bit), ecc)
+                   : transport::ecc_decode(header,
+                                           static_cast<std::uint8_t>(ecc ^ (1U << (bit - 24))));
+      ok = ok && dec.status == EccDecode::Status::kCorrected && dec.header24 == header;
+    }
+    if (!ok && wrong++ == 0) {
+      first_wrong = header;
+    }
+  }
+  EXPECT_EQ(wrong, 0U) << "first wrong header " << first_wrong;
 }
 
 TEST(HeaderEcc, CleanHeaderDecodesClean) {
@@ -826,5 +915,92 @@ TEST(CodecWire, RetransmitRecoversBitIdenticallyAndChargesEveryAttempt) {
   ASSERT_TRUE(exercised) << "no seed in [1, 64] produced corrupt-then-recovered";
 }
 
+// --- heap allocations on the edge path ---------------------------------------
+//
+// This binary replaces the global operator new (below) with one that counts
+// the calls made on the current thread while a counter is armed.
+
+thread_local bool g_count_allocations = false;
+thread_local std::uint64_t g_allocations = 0;
+
+template <typename Fn>
+std::uint64_t allocations_of(Fn&& fn) {
+  g_allocations = 0;
+  g_count_allocations = true;
+  fn();
+  g_count_allocations = false;
+  return g_allocations;
+}
+
+// A camera whose protected encode the tests can call directly.
+class EncodingCamera final : public runtime::CameraSource {
+ public:
+  explicit EncodingCamera(runtime::PatternRef pattern) : CameraSource(0, std::move(pattern)) {}
+  using CameraSource::encode_normalized;
+
+ protected:
+  runtime::Frame capture_frame() override { return runtime::Frame{}; }
+};
+
+// A returned tensor costs 4 allocations: its values, the Shape passed in,
+// the TensorImpl and the Shape copied into it. The edge path allocates
+// nothing else per frame.
+constexpr std::uint64_t kTensorAllocations = 4;
+
+TEST(EdgeAllocations, EncodeNormalizedAllocatesOnlyItsResult) {
+  Rng rng(61);
+  const EncodingCamera camera(runtime::make_pattern_ref(ce::CePattern::random(8, 8, rng)));
+  const Tensor clip = Tensor::rand_uniform(Shape{8, 16, 16}, rng);
+  EXPECT_EQ(allocations_of([&] { camera.encode_normalized(clip); }), kTensorAllocations);
+}
+
+TEST(EdgeAllocations, SteadyTransferAllocatesTheSameAtEveryDepth) {
+  Rng rng(62);
+  std::vector<Tensor> frames;
+  for (int i = 0; i < 3; ++i) {
+    frames.push_back(Tensor::rand_uniform(Shape{16, 16}, rng, -1.0F, 1.0F));
+  }
+  for (const bool codec : {true, false}) {
+    for (const int depth : {8, 0}) {
+      LinkConfig cfg;
+      cfg.codec = codec;
+      cfg.codec_planes = depth;
+      FramedLink link(cfg);
+      for (const Tensor& frame : frames) {  // warm the link's buffers
+        link.transfer(frame, 0);
+      }
+      TransferResult result;
+      const std::uint64_t allocations =
+          allocations_of([&] { result = link.transfer(frames[1], 1); });
+      ASSERT_EQ(result.outcome, RxOutcome::kOk);
+      if (codec) {
+        ASSERT_EQ(result.decoded_planes, depth == 0 ? result.total_planes : depth);
+      }
+      EXPECT_EQ(allocations, kTensorAllocations)
+          << (codec ? "codec" : "RAW32") << " link, depth " << depth;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace snappix
+
+// Counts on the calling thread while armed. The nothrow, array and sized
+// forms route through these in libstdc++. gcc's mismatched-new-delete check
+// flags the free() below wherever it inlines a delete; malloc/free is the
+// pair this replacement defines.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  if (snappix::g_count_allocations) {
+    ++snappix::g_allocations;
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
