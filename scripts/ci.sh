@@ -4,9 +4,10 @@
 #   SANITIZER=off (default)  configure, build (-Werror), run the test suite,
 #                            run the static lint gate (scripts/check_static.sh),
 #                            check the docs tree's links, diff the wire-bits
-#                            hashes against bench/wire_bits.golden, then run the
-#                            streaming throughput, observability, and
-#                            saturation benches in quick mode (emits
+#                            and engine-bits hashes against their golden files
+#                            (bench/wire_bits.golden, bench/engine_bits.golden),
+#                            then run the streaming throughput, observability,
+#                            and saturation benches in quick mode (emits
 #                            BENCH_streaming.json, BENCH_pattern_cache.json,
 #                            BENCH_sharded.json, BENCH_framed.json,
 #                            BENCH_int8.json, BENCH_obs.json,
@@ -67,6 +68,16 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 # byte moved.
 "$BUILD_DIR/bench_wire_bits" | diff bench/wire_bits.golden -
 echo "bench_wire_bits: identical to bench/wire_bits.golden"
+
+# Engine bits: one hash per serving output (tape and fp32 engine logits and
+# reconstructions, the calibrated QuantSpec, int8 logits and reconstructions)
+# at 16x16 and 32x32. Every engine stage is integer or exact IEEE arithmetic
+# except std::exp in the fp32 softmax, whose glibc build differs by 1 ulp on
+# two inputs between its FMA and non-FMA variants (ROADMAP item 3). So this
+# golden file holds on x86-64 hosts where glibc runs its FMA expf (CPUs with
+# AVX2 and FMA); a diff on such a host means some served bit moved.
+"$BUILD_DIR/bench_engine_bits" | diff bench/engine_bits.golden -
+echo "bench_engine_bits: identical to bench/engine_bits.golden"
 
 # Streaming bench: quick mode keeps CI fast; the binary exits non-zero if any
 # serving arm (batched, pattern-cache, sharded work-stealing, framed MIPI

@@ -23,6 +23,39 @@ namespace {
 
 constexpr float kLayerNormEps = 1e-5F;  // nn::LayerNorm's default
 
+// The elementwise helpers below run one IEEE operation per element, which is
+// exact at any vector width: the 8-lane forms give the scalar loops' (and
+// the tape ops') bits. Explicit intrinsics throughout this file: the library
+// builds at -O2, where gcc leaves runtime-width loops scalar.
+
+// out[i] = out[i] + in[i]: the bias, positional, residual and pooling adds
+// of both tiers.
+inline void add_into(float* out, const float* in, std::int64_t count) {
+  std::int64_t i = 0;
+#if defined(__AVX2__)
+  for (; i + 8 <= count; i += 8) {
+    _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_loadu_ps(out + i), _mm256_loadu_ps(in + i)));
+  }
+#endif
+  for (; i < count; ++i) {
+    out[i] = out[i] + in[i];
+  }
+}
+
+// x[i] = x[i] * s.
+inline void scale_into(float* x, std::int64_t count, float s) {
+  std::int64_t i = 0;
+#if defined(__AVX2__)
+  const __m256 vs = _mm256_set1_ps(s);
+  for (; i + 8 <= count; i += 8) {
+    _mm256_storeu_ps(x + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), vs));
+  }
+#endif
+  for (; i < count; ++i) {
+    x[i] = x[i] * s;
+  }
+}
+
 // out(rows, n) = in(rows, k) @ w(k, n) + bias(n), matching Linear::forward:
 // matmul into zeroed accumulators, then a separate broadcast bias add.
 void linear_rows(const float* in, const float* w, const float* bias, float* out,
@@ -30,33 +63,85 @@ void linear_rows(const float* in, const float* w, const float* bias, float* out,
   std::memset(out, 0, static_cast<std::size_t>(rows * n) * sizeof(float));
   detail::gemm_nn(in, w, out, rows, k, n);
   for (std::int64_t r = 0; r < rows; ++r) {
-    float* row = out + r * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      row[j] = row[j] + bias[j];
+    add_into(out + r * n, bias, n);
+  }
+}
+
+// --- 8 rows in 8 lanes ------------------------------------------------------
+//
+// A per-row reduction (a LayerNorm mean, a softmax max or denominator) is a
+// serial chain along the row whose order the bits depend on, so it cannot be
+// split across lanes. Transposing 8 rows into a (width, 8) tile instead
+// lets lane r run row r's own chain, op for op, 8 rows per instruction.
+
+#if defined(__AVX2__)
+// dst[i * dst_stride + j] = src[j * src_stride + i] for an 8 x 8 block: pure
+// data movement (unpack, shuffle, 128-bit lane swap).
+inline void transpose8x8(const float* src, std::int64_t src_stride, float* dst,
+                         std::int64_t dst_stride) {
+  __m256 r[8];
+  for (int i = 0; i < 8; ++i) {
+    r[i] = _mm256_loadu_ps(src + i * src_stride);
+  }
+  __m256 t[8];
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+  }
+  __m256 u[8];
+  for (int i = 0; i < 8; i += 4) {
+    u[i] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    u[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    u[i + 2] = _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    u[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (int i = 0; i < 4; ++i) {
+    _mm256_storeu_ps(dst + i * dst_stride, _mm256_permute2f128_ps(u[i], u[i + 4], 0x20));
+    _mm256_storeu_ps(dst + (i + 4) * dst_stride, _mm256_permute2f128_ps(u[i], u[i + 4], 0x31));
+  }
+}
+
+// tile[c * 8 + r] = rows[r * stride + c] for c < width; lanes >= `lanes`
+// (the absent rows of a last partial group) read +0.
+void rows_to_lanes(const float* rows, std::int64_t stride, std::int64_t lanes, std::int64_t width,
+                   float* tile) {
+  std::int64_t c = 0;
+  if (lanes == 8) {
+    for (; c + 8 <= width; c += 8) {
+      transpose8x8(rows + c, stride, tile + c * 8, 8);
+    }
+  }
+  for (; c < width; ++c) {
+    for (std::int64_t r = 0; r < 8; ++r) {
+      tile[c * 8 + r] = r < lanes ? rows[r * stride + c] : 0.0F;
     }
   }
 }
 
-void softmax_row(float* row, std::int64_t n) {
-  float mx = -std::numeric_limits<float>::infinity();
-  for (std::int64_t i = 0; i < n; ++i) {
-    mx = std::max(mx, row[i]);
+// The inverse for the first `lanes` rows: rows[r * stride + c] = tile[c * 8 + r].
+void lanes_to_rows(const float* tile, std::int64_t lanes, std::int64_t width, float* rows,
+                   std::int64_t stride) {
+  std::int64_t c = 0;
+  if (lanes == 8) {
+    for (; c + 8 <= width; c += 8) {
+      transpose8x8(tile + c * 8, 8, rows + c, stride);
+    }
   }
-  float denom = 0.0F;
-  for (std::int64_t i = 0; i < n; ++i) {
-    row[i] = std::exp(row[i] - mx);
-    denom += row[i];
-  }
-  for (std::int64_t i = 0; i < n; ++i) {
-    row[i] /= denom;
+  for (; c < width; ++c) {
+    for (std::int64_t r = 0; r < lanes; ++r) {
+      rows[r * stride + c] = tile[c * 8 + r];
+    }
   }
 }
+#endif
+
+// --- softmax -----------------------------------------------------------------
 
 // Fast exp for the int8 tier's softmax: 2^(x log2 e) assembled from the
 // exponent bits and a cubic on the fraction (~1e-3 relative error, which the
 // softmax normalization largely cancels). Pure float arithmetic — no libm —
 // so it is deterministic across runs and hosts, just not bit-equal to
-// std::exp. The fp32 engine MUST keep softmax_row above; only the already-
+// std::exp. The fp32 engine MUST keep std::exp; only the already-
 // approximate int8 tier may trade exp accuracy for the ~10x speedup.
 inline float fast_exp_negative(float x) {
   x = std::max(x, -80.0F);  // softmax inputs are <= 0 after max subtraction
@@ -69,6 +154,25 @@ inline float fast_exp_negative(float x) {
   float scale = 0.0F;
   std::memcpy(&scale, &bits, sizeof scale);
   return scale * p;
+}
+
+// The tape's softmax on one row: max-subtracted exp, a sequential sum, a
+// divide; exp is std::exp for the fp32 tier, fast_exp_negative for int8
+// (kFastExp).
+template <bool kFastExp>
+void softmax_row(float* row, std::int64_t n) {
+  float mx = -std::numeric_limits<float>::infinity();
+  for (std::int64_t i = 0; i < n; ++i) {
+    mx = std::max(mx, row[i]);
+  }
+  float denom = 0.0F;
+  for (std::int64_t i = 0; i < n; ++i) {
+    row[i] = kFastExp ? fast_exp_negative(row[i] - mx) : std::exp(row[i] - mx);
+    denom += row[i];
+  }
+  for (std::int64_t i = 0; i < n; ++i) {
+    row[i] /= denom;
+  }
 }
 
 #if defined(__AVX2__)
@@ -89,39 +193,113 @@ inline __m256 fast_exp_negative8(__m256 x) {
 }
 #endif
 
-void softmax_row_fast(float* row, std::int64_t n) {
-  float mx = -std::numeric_limits<float>::infinity();
-  for (std::int64_t i = 0; i < n; ++i) {
-    mx = std::max(mx, row[i]);
-  }
-  std::int64_t i = 0;
+// softmax_row<kFastExp> over `count` rows of n (stride n). The AVX2 path
+// runs 8 rows in the 8 lanes of a (n, 8) `tile`: each lane runs its row's
+// max chain (_mm256_max_ps(x, mx) picks exactly what std::max(mx, x) picks,
+// ±0 and NaN included), its exps (std::exp per element for fp32, so libm
+// still decides those bits), its sequential sum and its divides, in the
+// scalar order.
+template <bool kFastExp>
+void softmax_rows(float* rows, std::int64_t count, std::int64_t n, float* tile) {
 #if defined(__AVX2__)
-  const __m256 vmx = _mm256_set1_ps(mx);
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(row + i, fast_exp_negative8(_mm256_sub_ps(_mm256_loadu_ps(row + i), vmx)));
+  for (std::int64_t r0 = 0; r0 < count; r0 += 8) {
+    float* block = rows + r0 * n;
+    const std::int64_t lanes = std::min<std::int64_t>(8, count - r0);
+    rows_to_lanes(block, n, lanes, n, tile);
+    __m256 mx = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+    for (std::int64_t j = 0; j < n; ++j) {
+      mx = _mm256_max_ps(_mm256_loadu_ps(tile + j * 8), mx);
+    }
+    __m256 denom = _mm256_setzero_ps();
+    for (std::int64_t j = 0; j < n; ++j) {
+      float* t = tile + j * 8;
+      const __m256 shifted = _mm256_sub_ps(_mm256_loadu_ps(t), mx);
+      if constexpr (kFastExp) {
+        _mm256_storeu_ps(t, fast_exp_negative8(shifted));
+      } else {
+        _mm256_storeu_ps(t, shifted);
+        for (std::int64_t r = 0; r < lanes; ++r) {
+          t[r] = std::exp(t[r]);
+        }
+      }
+      denom = _mm256_add_ps(denom, _mm256_loadu_ps(t));
+    }
+    for (std::int64_t j = 0; j < n; ++j) {
+      _mm256_storeu_ps(tile + j * 8, _mm256_div_ps(_mm256_loadu_ps(tile + j * 8), denom));
+    }
+    lanes_to_rows(tile, lanes, n, block, n);
+  }
+#else
+  (void)tile;
+  for (std::int64_t r = 0; r < count; ++r) {
+    softmax_row<kFastExp>(rows + r * n, n);
   }
 #endif
-  for (; i < n; ++i) {
-    row[i] = fast_exp_negative(row[i] - mx);
+}
+
+// --- LayerNorm ---------------------------------------------------------------
+
+// y = ((x - mu) / denom) * gamma + beta along one row: the tape LayerNorm's
+// normalize pass, elementwise (sqrt and the divide are exact IEEE
+// operations, so this pass runs along d at any width).
+inline void normalize_row(const float* x, float* y, std::int64_t d, float mu, float denom,
+                          const float* gamma, const float* beta) {
+  std::int64_t j = 0;
+#if defined(__AVX2__)
+  const __m256 vmu = _mm256_set1_ps(mu);
+  const __m256 vdenom = _mm256_set1_ps(denom);
+  for (; j + 8 <= d; j += 8) {
+    const __m256 normalized = _mm256_div_ps(_mm256_sub_ps(_mm256_loadu_ps(x + j), vmu), vdenom);
+    _mm256_storeu_ps(y + j, _mm256_add_ps(_mm256_mul_ps(normalized, _mm256_loadu_ps(gamma + j)),
+                                          _mm256_loadu_ps(beta + j)));
   }
-  float denom = 0.0F;  // sequential, like softmax_row
-  for (i = 0; i < n; ++i) {
-    denom += row[i];
-  }
-  for (i = 0; i < n; ++i) {
-    row[i] /= denom;
+#endif
+  for (; j < d; ++j) {
+    const float normalized = (x[j] - mu) / denom;
+    y[j] = normalized * gamma[j] + beta[j];
   }
 }
 
 // LayerNorm over (rows, d), replicating the tape op's formula (mean() is sum
-// times reciprocal). The fp32 engine's bit-exactness depends on this exact
-// operation sequence; the int8 engine runs layer_norm_rows_fast below.
+// times reciprocal). Each row's mean and variance are ascending chains over
+// d that the fp32 engine's bit-exactness depends on; the AVX2 path runs 8
+// rows in the lanes of a (d, 8) `tile`, then normalizes along d. The int8
+// engine runs layer_norm_rows_fast below.
 void layer_norm_rows(const float* in, float* out, std::int64_t rows, std::int64_t d,
-                     const float* gamma, const float* beta) {
+                     const float* gamma, const float* beta, float* tile) {
   const float inv_d = 1.0F / static_cast<float>(d);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* x = in + r * d;
-    float* y = out + r * d;
+  std::int64_t r0 = 0;
+#if defined(__AVX2__)
+  const __m256 vinv_d = _mm256_set1_ps(inv_d);
+  for (; r0 < rows; r0 += 8) {
+    const float* x = in + r0 * d;
+    const std::int64_t lanes = std::min<std::int64_t>(8, rows - r0);
+    rows_to_lanes(x, d, lanes, d, tile);
+    __m256 acc = _mm256_setzero_ps();
+    for (std::int64_t j = 0; j < d; ++j) {
+      acc = _mm256_add_ps(acc, _mm256_loadu_ps(tile + j * 8));
+    }
+    const __m256 mu = _mm256_mul_ps(acc, vinv_d);
+    __m256 var_acc = _mm256_setzero_ps();
+    for (std::int64_t j = 0; j < d; ++j) {
+      const __m256 centered = _mm256_sub_ps(_mm256_loadu_ps(tile + j * 8), mu);
+      var_acc = _mm256_add_ps(var_acc, _mm256_mul_ps(centered, centered));
+    }
+    const __m256 var = _mm256_mul_ps(var_acc, vinv_d);
+    const __m256 denom = _mm256_sqrt_ps(_mm256_add_ps(var, _mm256_set1_ps(kLayerNormEps)));
+    float mus[8] = {};
+    float denoms[8] = {};
+    _mm256_storeu_ps(mus, mu);
+    _mm256_storeu_ps(denoms, denom);
+    for (std::int64_t r = 0; r < lanes; ++r) {
+      normalize_row(x + r * d, out + (r0 + r) * d, d, mus[r], denoms[r], gamma, beta);
+    }
+  }
+#else
+  (void)tile;
+#endif
+  for (; r0 < rows; ++r0) {  // the builds without AVX2
+    const float* x = in + r0 * d;
     float acc = 0.0F;
     for (std::int64_t j = 0; j < d; ++j) {
       acc += x[j];
@@ -133,32 +311,135 @@ void layer_norm_rows(const float* in, float* out, std::int64_t rows, std::int64_
       var_acc += centered * centered;
     }
     const float var = var_acc * inv_d;
-    const float denom = std::sqrt(var + kLayerNormEps);
-    for (std::int64_t j = 0; j < d; ++j) {
-      const float normalized = (x[j] - mu) / denom;
-      y[j] = normalized * gamma[j] + beta[j];
+    normalize_row(x, out + r0 * d, d, mu, std::sqrt(var + kLayerNormEps), gamma, beta);
+  }
+}
+
+// --- attention ---------------------------------------------------------------
+
+#if defined(__AVX2__)
+// A kRows x (kVec8 8-lane blocks + an optional 4-lane block) output tile,
+// accumulated in ONE reduction loop so its kRows * (kVec8 + kVec4) add chains
+// overlap: out[r * out_stride + e] = sum over ascending l of
+// coef[r * coef_stride + l] * rows[l * stride + e].
+template <int kRows, int kVec8, bool kVec4>
+inline void dot_tile(const float* coef, std::int64_t coef_stride, const float* rows,
+                     std::int64_t stride, std::int64_t len, float* out,
+                     std::int64_t out_stride) {
+  static_assert(kVec8 >= 0 && kVec8 <= 2, "at most two 8-lane blocks");
+  __m256 acc0[kRows];
+  __m256 acc1[kRows];
+  __m128 acc4[kRows];
+#pragma GCC unroll 4
+  for (int r = 0; r < kRows; ++r) {
+    acc0[r] = _mm256_setzero_ps();
+    acc1[r] = _mm256_setzero_ps();
+    acc4[r] = _mm_setzero_ps();
+  }
+  for (std::int64_t l = 0; l < len; ++l) {
+    const float* src = rows + l * stride;
+#pragma GCC unroll 4
+    for (int r = 0; r < kRows; ++r) {
+      const float c = coef[r * coef_stride + l];
+      if constexpr (kVec8 >= 1) {
+        acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(_mm256_set1_ps(c), _mm256_loadu_ps(src)));
+      }
+      if constexpr (kVec8 >= 2) {
+        acc1[r] =
+            _mm256_add_ps(acc1[r], _mm256_mul_ps(_mm256_set1_ps(c), _mm256_loadu_ps(src + 8)));
+      }
+      if constexpr (kVec4) {
+        acc4[r] = _mm_add_ps(acc4[r], _mm_mul_ps(_mm_set1_ps(c), _mm_loadu_ps(src + 8 * kVec8)));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < kRows; ++r) {
+    float* dst = out + r * out_stride;
+    if constexpr (kVec8 >= 1) {
+      _mm256_storeu_ps(dst, acc0[r]);
+    }
+    if constexpr (kVec8 >= 2) {
+      _mm256_storeu_ps(dst + 8, acc1[r]);
+    }
+    if constexpr (kVec4) {
+      _mm_storeu_ps(dst + 8 * kVec8, acc4[r]);
     }
   }
 }
 
+// dot_tile over a row group's width: 16-lane blocks, then 8+4 or 8, then 4
+// lanes. Leaves `e` at the first column it did not cover.
+template <int kRows>
+void dot_tiles(const float* coef, std::int64_t coef_stride, const float* rows,
+               std::int64_t stride, std::int64_t len, std::int64_t width, float* out,
+               std::int64_t out_stride, std::int64_t& e) {
+  for (; e + 16 <= width; e += 16) {
+    dot_tile<kRows, 2, false>(coef, coef_stride, rows + e, stride, len, out + e, out_stride);
+  }
+  if (width - e >= 12) {
+    dot_tile<kRows, 1, true>(coef, coef_stride, rows + e, stride, len, out + e, out_stride);
+    e += 12;
+  } else if (width - e >= 8) {
+    dot_tile<kRows, 1, false>(coef, coef_stride, rows + e, stride, len, out + e, out_stride);
+    e += 8;
+  }
+  if (width - e >= 4) {
+    dot_tile<kRows, 0, true>(coef, coef_stride, rows + e, stride, len, out + e, out_stride);
+    e += 4;
+  }
+}
+#endif
+
+// out[r * out_stride + e] = sum over ascending l of coef[r * coef_stride + l]
+// * rows[l * stride + e] for r < count, e < width: broadcast-times-row
+// products, vectorized across the OUTPUT elements in tiles of 4 (then 1)
+// rows by 16, 8+4, 8 or 4 lanes. Each element stays its own +0-started
+// chain of separate mul and add.
+void dot_rows(const float* coef, std::int64_t coef_stride, const float* rows,
+              std::int64_t stride, std::int64_t len, std::int64_t count, std::int64_t width,
+              float* out, std::int64_t out_stride) {
+  for (std::int64_t r0 = 0; r0 < count;) {
+    const std::int64_t group = count - r0 >= 4 ? 4 : 1;
+    const float* c = coef + r0 * coef_stride;
+    float* o = out + r0 * out_stride;
+    std::int64_t e = 0;
+#if defined(__AVX2__)
+    if (group == 4) {
+      dot_tiles<4>(c, coef_stride, rows, stride, len, width, o, out_stride, e);
+    } else {
+      dot_tiles<1>(c, coef_stride, rows, stride, len, width, o, out_stride, e);
+    }
+#endif
+    for (std::int64_t r = 0; r < group; ++r) {
+      for (std::int64_t j = e; j < width; ++j) {  // scalar tail (non-AVX2: whole rows)
+        float acc = 0.0F;
+        for (std::int64_t l = 0; l < len; ++l) {
+          acc += c[r * coef_stride + l] * rows[l * stride + j];
+        }
+        o[r * out_stride + j] = acc;
+      }
+    }
+    r0 += group;
+  }
+}
+
 // Multi-head self-attention over the fused qkv rows (batch*N, 3D), context
-// into ctx (batch*N, D); `scores` ((N, N)) and `kt` ((hd, N)) are scratch,
-// reused per (b, head). Both tiers run this one loop nest and differ only in
-// `Softmax`: softmax_row (std::exp, bit-exact vs the tape) for fp32,
-// softmax_row_fast for int8.
+// into ctx (batch*N, D); `scores` ((N, N)), `kt` ((hd, N)) and `tile`
+// ((N, 8)) are scratch, reused per (b, head). Both tiers run this one loop
+// nest and differ only in the softmax: std::exp (bit-exact vs the tape) for
+// fp32, fast_exp_negative (kFastExp) for int8.
 //
-// Vectorized across OUTPUT elements, never across a reduction: the head's k
-// rows are packed into a contiguous k^T tile so q . k^T fills 8 (then 4)
-// scores at a time as broadcast-times-row, and attn . v fills head_dim in 8-
-// and 4-lane blocks (12 = 8 + 4 at SnapPix-S). Every score and context
-// element is still its own zero-started chain of separate mul and add in
-// ascending reduction order — exactly the tape's q @ k^T -> scale ->
-// softmax -> @ v (scale as its own multiply, after the dot) — so lanes
-// change the speed, not a bit. Explicit intrinsics: the library builds at
-// -O2, where gcc leaves these runtime-width loops scalar.
-template <void (*Softmax)(float*, std::int64_t)>
-void attention_rows(const float* qkv, float* ctx, float* scores, float* kt, std::int64_t batch,
-                    std::int64_t n, std::int64_t d, std::int64_t heads) {
+// The head's k rows are packed into a contiguous k^T tile, so the scores are
+// q rows times the tile's rows and the context is attn rows times v's rows
+// (dot_rows: 4 query rows x 16 tokens, or x 8+4 head lanes, per loop), and
+// the softmax runs 8 query rows in lanes (softmax_rows). Every score,
+// probability and context element keeps its scalar operation chain —
+// exactly the tape's q @ k^T -> scale -> softmax -> @ v (scale as its own
+// multiply, after the dot) — so lanes change the speed, not a bit.
+template <bool kFastExp>
+void attention_rows(const float* qkv, float* ctx, float* scores, float* kt, float* tile,
+                    std::int64_t batch, std::int64_t n, std::int64_t d, std::int64_t heads) {
   const std::int64_t hd = d / heads;
   const float scale = 1.0F / std::sqrt(static_cast<float>(hd));
   for (std::int64_t b = 0; b < batch; ++b) {
@@ -173,84 +454,12 @@ void attention_rows(const float* qkv, float* ctx, float* scores, float* kt, std:
           kt[l * n + j] = k_row[l];
         }
       }
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float* q_row = qkv_base + i * 3 * d + q_off;
-        float* score_row = scores + i * n;
-        std::int64_t j0 = 0;
-#if defined(__AVX2__)
-        for (; j0 + 8 <= n; j0 += 8) {
-          __m256 acc = _mm256_setzero_ps();
-          for (std::int64_t l = 0; l < hd; ++l) {
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(q_row[l]),
-                                                   _mm256_loadu_ps(kt + l * n + j0)));
-          }
-          _mm256_storeu_ps(score_row + j0, _mm256_mul_ps(acc, _mm256_set1_ps(scale)));
-        }
-        for (; j0 + 4 <= n; j0 += 4) {
-          __m128 acc = _mm_setzero_ps();
-          for (std::int64_t l = 0; l < hd; ++l) {
-            acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(q_row[l]), _mm_loadu_ps(kt + l * n + j0)));
-          }
-          _mm_storeu_ps(score_row + j0, _mm_mul_ps(acc, _mm_set1_ps(scale)));
-        }
-#endif
-        for (; j0 < n; ++j0) {  // scalar tail (and the non-AVX2 whole loop)
-          float acc = 0.0F;
-          for (std::int64_t l = 0; l < hd; ++l) {
-            acc += q_row[l] * kt[l * n + j0];
-          }
-          score_row[j0] = acc * scale;
-        }
-        Softmax(score_row, n);
-      }
-      for (std::int64_t t = 0; t < n; ++t) {
-        const float* attn_row = scores + t * n;
-        const float* v_base = qkv_base + 2 * d + q_off;  // v row j at v_base + j*3D
-        float* ctx_row = ctx + (b * n + t) * d + q_off;
-        std::int64_t e0 = 0;
-#if defined(__AVX2__)
-        for (; e0 + 8 <= hd; e0 += 8) {
-          __m256 acc = _mm256_setzero_ps();
-          for (std::int64_t j = 0; j < n; ++j) {
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(attn_row[j]),
-                                                   _mm256_loadu_ps(v_base + j * 3 * d + e0)));
-          }
-          _mm256_storeu_ps(ctx_row + e0, acc);
-        }
-        for (; e0 + 4 <= hd; e0 += 4) {
-          __m128 acc = _mm_setzero_ps();
-          for (std::int64_t j = 0; j < n; ++j) {
-            acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(attn_row[j]),
-                                             _mm_loadu_ps(v_base + j * 3 * d + e0)));
-          }
-          _mm_storeu_ps(ctx_row + e0, acc);
-        }
-#endif
-        for (; e0 < hd; ++e0) {
-          float acc = 0.0F;
-          for (std::int64_t j = 0; j < n; ++j) {
-            acc += attn_row[j] * v_base[j * 3 * d + e0];
-          }
-          ctx_row[e0] = acc;
-        }
-      }
+      dot_rows(qkv_base + q_off, 3 * d, kt, n, hd, n, n, scores, n);
+      scale_into(scores, n * n, scale);
+      softmax_rows<kFastExp>(scores, n, n, tile);
+      dot_rows(scores, n, qkv_base + 2 * d + q_off, 3 * d, n, n, hd, ctx + b * n * d + q_off,
+               d);
     }
-  }
-}
-
-// out[i] (+)= in[i] elementwise, AVX2-wide (the -O2 build does not vectorize
-// runtime-width loops on its own). Int8 tier only — the fp32 engine's
-// residual adds stay in its own pinned loops.
-inline void add_rows_fast(float* out, const float* in, std::int64_t count) {
-  std::int64_t i = 0;
-#if defined(__AVX2__)
-  for (; i + 8 <= count; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_loadu_ps(out + i),
-                                            _mm256_loadu_ps(in + i)));
-  }
-#endif
-  for (; i < count; ++i) {
-    out[i] += in[i];
   }
 }
 
@@ -485,6 +694,7 @@ BatchedVitEngine::BatchedVitEngine(const models::SnapPixClassifier& model, int m
   ws_.scores.resize(static_cast<std::size_t>(n * n));
   ws_.kt.resize(static_cast<std::size_t>((d / config_.heads) * n));
   ws_.pooled.resize(static_cast<std::size_t>(static_cast<std::int64_t>(max_batch) * d));
+  ws_.lane_tile.resize(static_cast<std::size_t>(8 * std::max(d, n)));
 }
 
 void BatchedVitEngine::encode_chunk(const float* coded, std::int64_t batch,
@@ -511,10 +721,8 @@ void BatchedVitEngine::encode_chunk(const float* coded, std::int64_t batch,
     for (std::int64_t b = 0; b < batch; ++b) {
       for (std::int64_t t = 0; t < n; ++t) {
         float* row = ws_.x.data() + (b * n + t) * d;
-        const float* pos = pos_embed.data() + t * d;
-        for (std::int64_t j = 0; j < d; ++j) {
-          row[j] = (row[j] + embed_b[j]) + pos[j];
-        }
+        add_into(row, embed_b.data(), d);
+        add_into(row, pos_embed.data() + t * d, d);
       }
     }
   }
@@ -527,7 +735,7 @@ void BatchedVitEngine::encode_chunk(const float* coded, std::int64_t batch,
     {
       obs::ScopedSpan span("qkv");
       layer_norm_rows(ws_.x.data(), ws_.norm.data(), rows, d, blk.norm1_gamma.data(),
-                      blk.norm1_beta.data());
+                      blk.norm1_beta.data(), ws_.lane_tile.data());
       if (blk_ranges != nullptr) {
         fold_absmax(blk_ranges->qkv_in, ws_.norm.data(), rows * d);
       }
@@ -536,8 +744,8 @@ void BatchedVitEngine::encode_chunk(const float* coded, std::int64_t batch,
     }
     {
       obs::ScopedSpan span("attention");
-      attention_rows<softmax_row>(ws_.qkv.data(), ws_.ctx.data(), ws_.scores.data(),
-                                  ws_.kt.data(), batch, n, d, heads);
+      attention_rows<false>(ws_.qkv.data(), ws_.ctx.data(), ws_.scores.data(), ws_.kt.data(),
+                            ws_.lane_tile.data(), batch, n, d, heads);
     }
     if (blk_ranges != nullptr) {
       fold_absmax(blk_ranges->proj_in, ws_.ctx.data(), rows * d);
@@ -546,16 +754,13 @@ void BatchedVitEngine::encode_chunk(const float* coded, std::int64_t batch,
       obs::ScopedSpan span("proj");
       linear_rows(ws_.ctx.data(), blk.proj_w.data(), blk.proj_b.data(), ws_.proj.data(), rows,
                   d, d);
-      for (std::int64_t i = 0; i < rows * d; ++i) {
-        ws_.x[static_cast<std::size_t>(i)] =
-            ws_.x[static_cast<std::size_t>(i)] + ws_.proj[static_cast<std::size_t>(i)];
-      }
+      add_into(ws_.x.data(), ws_.proj.data(), rows * d);
     }
 
     // --- MLP sublayer ----------------------------------------------------
     obs::ScopedSpan mlp_span("mlp");
     layer_norm_rows(ws_.x.data(), ws_.norm.data(), rows, d, blk.norm2_gamma.data(),
-                    blk.norm2_beta.data());
+                    blk.norm2_beta.data(), ws_.lane_tile.data());
     if (blk_ranges != nullptr) {
       fold_absmax(blk_ranges->fc1_in, ws_.norm.data(), rows * d);
     }
@@ -570,13 +775,11 @@ void BatchedVitEngine::encode_chunk(const float* coded, std::int64_t batch,
     }
     linear_rows(ws_.hidden.data(), blk.fc2_w.data(), blk.fc2_b.data(), ws_.proj.data(), rows,
                 hidden_, d);
-    for (std::int64_t i = 0; i < rows * d; ++i) {
-      ws_.x[static_cast<std::size_t>(i)] =
-          ws_.x[static_cast<std::size_t>(i)] + ws_.proj[static_cast<std::size_t>(i)];
-    }
+    add_into(ws_.x.data(), ws_.proj.data(), rows * d);
   }
 
-  layer_norm_rows(ws_.x.data(), ws_.norm.data(), rows, d, norm_gamma.data(), norm_beta.data());
+  layer_norm_rows(ws_.x.data(), ws_.norm.data(), rows, d, norm_gamma.data(), norm_beta.data(),
+                  ws_.lane_tile.data());
   if (ranges != nullptr) {
     fold_absmax(ranges->rec_in, ws_.norm.data(), rows * d);
   }
@@ -593,14 +796,9 @@ void BatchedVitEngine::classify_chunk(std::int64_t batch, float* logits) const {
   for (std::int64_t b = 0; b < batch; ++b) {
     float* pooled = ws_.pooled.data() + b * d;
     for (std::int64_t t = 0; t < n; ++t) {
-      const float* row = ws_.norm.data() + (b * n + t) * d;
-      for (std::int64_t j = 0; j < d; ++j) {
-        pooled[j] += row[j];
-      }
+      add_into(pooled, ws_.norm.data() + (b * n + t) * d, d);
     }
-    for (std::int64_t j = 0; j < d; ++j) {
-      pooled[j] *= inv_n;
-    }
+    scale_into(pooled, d, inv_n);
   }
 
   linear_rows(ws_.pooled.data(), head_w.data(), head_b.data(), logits, batch, d,
@@ -695,13 +893,12 @@ QuantizedVitEngine::QuantLinear QuantizedVitEngine::make_quant_linear(
     const std::vector<float>& w, const std::vector<float>& bias, float act_scale,
     std::int64_t k, std::int64_t n) {
   QuantLinear lin;
-  lin.k = k;
-  lin.n = n;
   lin.act_scale = act_scale;
   lin.bias = bias;
-  lin.wq.resize(static_cast<std::size_t>(n * k));
+  std::vector<std::int8_t> wq(static_cast<std::size_t>(n * k));
   std::vector<float> scales(static_cast<std::size_t>(n));
-  detail::quantize_weights_per_channel(w.data(), k, n, lin.wq.data(), scales.data());
+  detail::quantize_weights_per_channel(w.data(), k, n, wq.data(), scales.data());
+  lin.w = detail::pack_s8_weights(wq.data(), k, n);
   lin.deq.resize(static_cast<std::size_t>(n));
   for (std::int64_t j = 0; j < n; ++j) {
     lin.deq[static_cast<std::size_t>(j)] = act_scale * scales[static_cast<std::size_t>(j)];
@@ -789,6 +986,7 @@ QuantizedVitEngine::QuantizedVitEngine(const models::SnapPixClassifier& model,
   ws_.proj.resize(static_cast<std::size_t>(rows * d));
   ws_.scores.resize(static_cast<std::size_t>(n * n));
   ws_.kt.resize(static_cast<std::size_t>((d / config_.heads) * n));
+  ws_.lane_tile.resize(static_cast<std::size_t>(8 * n));
   ws_.pooled.resize(static_cast<std::size_t>(static_cast<std::int64_t>(max_batch) * d));
   // One quantized-input and one int32-accumulator buffer cover every linear:
   // size them for the widest input row / output row the trunk sees. (There
@@ -797,6 +995,7 @@ QuantizedVitEngine::QuantizedVitEngine(const models::SnapPixClassifier& model,
   const std::int64_t max_in = std::max({pp, d, hidden_});
   const std::int64_t max_out = std::max({3 * d, hidden_, d, config_.num_classes});
   ws_.qin.resize(static_cast<std::size_t>(rows * max_in));
+  ws_.a16.resize(static_cast<std::size_t>(rows * 2 * detail::s8_pair_count(max_in)));
   ws_.acc.resize(static_cast<std::size_t>(rows * max_out));
 }
 
@@ -804,50 +1003,51 @@ void QuantizedVitEngine::linear_s8(const float* in, const QuantLinear& lin, floa
                                    std::int64_t rows) const {
   {
     obs::ScopedSpan span("quantize");
-    detail::quantize_symmetric(in, rows * lin.k, lin.act_scale, ws_.qin.data());
+    detail::quantize_symmetric(in, rows * lin.w.k, lin.act_scale, ws_.qin.data());
+    detail::widen_s8_rows(ws_.qin.data(), rows, lin.w.k, ws_.a16.data());
   }
   {
     obs::ScopedSpan span("gemm_s8");
-    detail::gemm_s8_nt(ws_.qin.data(), lin.wq.data(), ws_.acc.data(), rows, lin.k, lin.n);
+    detail::gemm_s8_packed(ws_.a16.data(), lin.w, ws_.acc.data(), rows);
   }
   obs::ScopedSpan span("requant");
-  dequant_rows_fast(ws_.acc.data(), lin.deq.data(), lin.bias.data(), out, rows, lin.n);
+  dequant_rows_fast(ws_.acc.data(), lin.deq.data(), lin.bias.data(), out, rows, lin.w.n);
 }
 
 void QuantizedVitEngine::mlp_s8(const float* in, const BlockWeights& blk, float* out,
                                 std::int64_t rows) const {
   {
     obs::ScopedSpan span("quantize");
-    detail::quantize_symmetric(in, rows * blk.fc1.k, blk.fc1.act_scale, ws_.qin.data());
+    detail::quantize_symmetric(in, rows * blk.fc1.w.k, blk.fc1.act_scale, ws_.qin.data());
+    detail::widen_s8_rows(ws_.qin.data(), rows, blk.fc1.w.k, ws_.a16.data());
   }
   {
     obs::ScopedSpan span("gemm_s8");
-    detail::gemm_s8_nt(ws_.qin.data(), blk.fc1.wq.data(), ws_.acc.data(), rows, blk.fc1.k,
-                       blk.fc1.n);
+    detail::gemm_s8_packed(ws_.a16.data(), blk.fc1.w, ws_.acc.data(), rows);
   }
   {
     // fc1 output -> GELU -> fc2 input without leaving int8: requantize each
     // accumulator onto the gelu_in grid (tensor/gemm_s8.h's shared pack
     // pipeline), then map through the 256-entry LUT. ws_.qin is rewritten in
-    // place (the fc1 input it held is spent).
+    // place (the fc1 input it held is spent), then widened for fc2.
     obs::ScopedSpan span("requant");
-    const std::int64_t total = rows * blk.fc1.n;
+    const std::int64_t total = rows * blk.fc1.w.n;
     detail::requantize_rows(ws_.acc.data(), blk.fc1.deq.data(), blk.fc1.bias.data(),
-                            blk.gelu_inv_scale, ws_.qin.data(), rows, blk.fc1.n);
+                            blk.gelu_inv_scale, ws_.qin.data(), rows, blk.fc1.w.n);
     const std::int8_t* lut = blk.gelu_lut.data();
     std::int8_t* q = ws_.qin.data();
     for (std::int64_t i = 0; i < total; ++i) {
       q[i] = lut[static_cast<std::uint8_t>(q[i])];
     }
+    detail::widen_s8_rows(ws_.qin.data(), rows, blk.fc2.w.k, ws_.a16.data());
   }
   {
     obs::ScopedSpan span("gemm_s8");
-    detail::gemm_s8_nt(ws_.qin.data(), blk.fc2.wq.data(), ws_.acc.data(), rows, blk.fc2.k,
-                       blk.fc2.n);
+    detail::gemm_s8_packed(ws_.a16.data(), blk.fc2.w, ws_.acc.data(), rows);
   }
   obs::ScopedSpan span("requant");
   dequant_rows_fast(ws_.acc.data(), blk.fc2.deq.data(), blk.fc2.bias.data(), out, rows,
-                    blk.fc2.n);
+                    blk.fc2.w.n);
 }
 
 void QuantizedVitEngine::encode_chunk(const float* coded, std::int64_t batch) const {
@@ -861,7 +1061,7 @@ void QuantizedVitEngine::encode_chunk(const float* coded, std::int64_t batch) co
   linear_s8(ws_.patches.data(), embed_, ws_.x.data(), rows);
   for (std::int64_t b = 0; b < batch; ++b) {
     for (std::int64_t t = 0; t < n; ++t) {
-      add_rows_fast(ws_.x.data() + (b * n + t) * d, pos_embed.data() + t * d, d);
+      add_into(ws_.x.data() + (b * n + t) * d, pos_embed.data() + t * d, d);
     }
   }
 
@@ -869,15 +1069,15 @@ void QuantizedVitEngine::encode_chunk(const float* coded, std::int64_t batch) co
     layer_norm_rows_fast(ws_.x.data(), ws_.norm.data(), rows, d, blk.norm1_gamma.data(),
                          blk.norm1_beta.data());
     linear_s8(ws_.norm.data(), blk.qkv, ws_.qkv.data(), rows);
-    attention_rows<softmax_row_fast>(ws_.qkv.data(), ws_.ctx.data(), ws_.scores.data(),
-                                     ws_.kt.data(), batch, n, d, heads);
+    attention_rows<true>(ws_.qkv.data(), ws_.ctx.data(), ws_.scores.data(), ws_.kt.data(),
+                         ws_.lane_tile.data(), batch, n, d, heads);
     linear_s8(ws_.ctx.data(), blk.proj, ws_.proj.data(), rows);
-    add_rows_fast(ws_.x.data(), ws_.proj.data(), rows * d);
+    add_into(ws_.x.data(), ws_.proj.data(), rows * d);
 
     layer_norm_rows_fast(ws_.x.data(), ws_.norm.data(), rows, d, blk.norm2_gamma.data(),
                          blk.norm2_beta.data());
     mlp_s8(ws_.norm.data(), blk, ws_.proj.data(), rows);
-    add_rows_fast(ws_.x.data(), ws_.proj.data(), rows * d);
+    add_into(ws_.x.data(), ws_.proj.data(), rows * d);
   }
 
   layer_norm_rows_fast(ws_.x.data(), ws_.norm.data(), rows, d, norm_gamma.data(),
@@ -893,11 +1093,9 @@ void QuantizedVitEngine::classify_chunk(std::int64_t batch, float* logits) const
   for (std::int64_t b = 0; b < batch; ++b) {
     float* pooled = ws_.pooled.data() + b * d;
     for (std::int64_t t = 0; t < n; ++t) {
-      add_rows_fast(pooled, ws_.norm.data() + (b * n + t) * d, d);
+      add_into(pooled, ws_.norm.data() + (b * n + t) * d, d);
     }
-    for (std::int64_t j = 0; j < d; ++j) {
-      pooled[j] *= inv_n;
-    }
+    scale_into(pooled, d, inv_n);
   }
   linear_s8(ws_.pooled.data(), head_, logits, batch);
 }
@@ -944,7 +1142,7 @@ Tensor QuantizedVitEngine::reconstruct(const Tensor& coded) const {
     std::lock_guard<std::mutex> lock(mutex_);
     const std::int64_t rec_rows =
         static_cast<std::int64_t>(max_batch_) * config_.tokens();
-    const std::size_t rec_size = static_cast<std::size_t>(rec_rows * rec_.n);
+    const std::size_t rec_size = static_cast<std::size_t>(rec_rows * rec_.w.n);
     if (ws_.rec.size() < rec_size) {
       ws_.rec.resize(rec_size);
     }

@@ -26,8 +26,13 @@
 // reciprocal mean, max-subtracted std::exp softmax with a sequential sum,
 // scale-after-matmul attention). The invariant that permits SIMD: each
 // output element keeps its own ascending-order chain of separate mul and add
-// (no FMA, no reassociation), so vectorizing ACROSS output elements — as the
-// GEMM, GELU and attention loops do — never moves a bit. Because every
+// (no FMA, no reassociation). So the loops vectorize ACROSS output elements
+// (GEMM tiles, GELU lanes, attention score and context lanes) or, for a
+// per-row reduction (LayerNorm's mean and variance, the softmax's max and
+// sum), across ROWS: 8 rows transposed into the 8 lanes, each lane running
+// its row's chain. Elementwise add, mul, div and sqrt are single IEEE
+// operations, exact at any width, so the bias, positional, residual and
+// pooling adds run 8 lanes wide too. None of it moves a bit. Because every
 // per-row computation is independent of which batch it rides in, batched
 // outputs are also bit-identical to batch-1 outputs — the property the
 // streaming runtime's determinism tests pin down. This holds for
@@ -35,10 +40,11 @@
 // reconstruct() against SnapPixSystem::reconstruct_coded.
 //
 // Determinism contract (int8 tier): QuantizedVitEngine runs every linear as
-// an int8 x int8 -> int32 GEMM (tensor/gemm_s8.h) with per-output-channel
-// weight scales and calibrated per-tensor activation scales, dequantizing to
-// fp32 at each layer boundary; LayerNorm/GELU/softmax/attention/residuals
-// stay fp32. Integer accumulation is exact, so outputs are deterministic
+// an int8 x int8 -> int32 GEMM (tensor/gemm_s8.h) over weights packed once,
+// when the engine is built, with per-output-channel weight scales and
+// calibrated per-tensor activation scales, dequantizing to fp32 at each
+// layer boundary; LayerNorm/GELU/softmax/attention/residuals stay fp32.
+// Integer accumulation is exact, so outputs are deterministic
 // across runs, thread counts, and batch compositions (batch == batch-1
 // bitwise) — but they are NOT bit-identical to the fp32 tier: quantization
 // is a bounded approximation, measured by the accuracy-vs-throughput
@@ -47,7 +53,9 @@
 // Thread-safety: classify_logits()/reconstruct() serialize on an internal
 // mutex (one workspace). The intended topology is one engine per resident
 // EngineCache entry; concurrency comes from sharding the cache, not from
-// sharing one engine.
+// sharing one engine. A forward runs on its caller's thread (the GEMM
+// kernels never fan out; only the tape's matmul op does) and, once warm,
+// allocates only the tensor it returns.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +65,7 @@
 #include "models/vit.h"
 #include "runtime/precision.h"
 #include "runtime/quant.h"
+#include "tensor/gemm_s8.h"
 #include "tensor/tensor.h"
 
 namespace snappix::runtime {
@@ -149,6 +158,7 @@ class BatchedVitEngine : public VitEngine {
     std::vector<float> kt;       // (head_dim, N) packed k^T per (b, head)
     std::vector<float> pooled;   // (B, D)
     std::vector<float> rec;      // (B*N, T*p*p), only with a REC head
+    std::vector<float> lane_tile;  // (max(D, N), 8): 8 rows transposed, one per lane
   };
 
   // Shared trunk: patchify -> embed -> blocks -> final norm. Leaves the
@@ -178,7 +188,7 @@ class BatchedVitEngine : public VitEngine {
 };
 
 // Int8 tier: snapshots the model ONCE as per-output-channel int8 weights
-// (transposed for the gemm_s8_nt layout) and serves both heads with int8
+// (packed into gemm_s8_packed's panels) and serves both heads with int8
 // GEMMs, int32 accumulation, and fp32 requantization at layer boundaries.
 // Same workspace discipline as the fp32 engine: zero steady-state
 // allocations, one mutex, chunked batches.
@@ -205,15 +215,14 @@ class QuantizedVitEngine : public VitEngine {
   const QuantSpec& spec() const { return spec_; }
 
  private:
-  // One quantized linear: int8 weights pre-transposed to (n, k) with one
-  // output channel per row, the fused dequantization scale per channel
-  // (act_scale * weight_scale[j]), and the fp32 bias.
+  // One quantized linear: per-output-channel int8 weights, packed once into
+  // the int8 kernel's panels (tensor/gemm_s8.h), the fused dequantization
+  // scale per channel (act_scale * weight_scale[j]), and the fp32 bias.
   struct QuantLinear {
-    std::vector<std::int8_t> wq;  // (n, k)
-    std::vector<float> deq;       // (n)
-    std::vector<float> bias;      // (n)
+    detail::PackedS8Weights w;  // (n, k) as 16-channel panels of int16 k-pairs
+    std::vector<float> deq;     // (n)
+    std::vector<float> bias;    // (n)
     float act_scale = 1.0F;
-    std::int64_t k = 0, n = 0;
   };
 
   struct BlockWeights {
@@ -235,9 +244,11 @@ class QuantizedVitEngine : public VitEngine {
     std::vector<float> proj;         // (B*N, D)
     std::vector<float> scores;       // (N, N) per (b, head)
     std::vector<float> kt;           // (head_dim, N) packed k^T per (b, head)
+    std::vector<float> lane_tile;    // (N, 8): 8 score rows transposed, one per lane
     std::vector<float> pooled;       // (B, D)
     std::vector<float> rec;          // (B*N, T*p*p), only with a REC head
     std::vector<std::int8_t> qin;    // quantized GEMM input, max row width
+    std::vector<std::int16_t> a16;   // qin widened to int16 k-pairs (gemm_s8_packed)
     std::vector<std::int32_t> acc;   // int32 GEMM output, max row width
   };
 

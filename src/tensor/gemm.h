@@ -14,7 +14,8 @@ namespace snappix::detail {
 // c(m,n) = a(m,k) * b(k,n). `c` MUST be zero-initialized: the tiled kernel
 // sums each element's k products (in ascending order) into a local
 // accumulator and stores the total, which rounds differently from
-// element-wise accumulation if c started nonzero.
+// element-wise accumulation if c started nonzero. Runs on the calling
+// thread; the tape's matmul op fans large products out over row blocks.
 void gemm_nn(const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
              std::int64_t n);
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/common.h"
-#include "util/parallel.h"
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -14,166 +14,169 @@ namespace snappix::detail {
 
 namespace {
 
+// Writes the first `width` of 16 accumulators to c (a panel's last columns
+// may run past n).
+inline void store_channels(const std::int32_t (&acc)[kS8PanelWidth], std::int32_t* c,
+                           std::int64_t width) {
+  std::memcpy(c, acc, static_cast<std::size_t>(width) * sizeof(std::int32_t));
+}
+
 #if defined(__AVX2__)
 
-inline std::int32_t hsum_epi32(__m256i v) {
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(s);
+// Reads the int16 k-pair at p as one int32 (low half first), ready to
+// broadcast across the 8 channel lanes of a panel load.
+inline std::int32_t load_pair(const std::int16_t* p) {
+  std::int32_t pair = 0;
+  std::memcpy(&pair, p, sizeof pair);
+  return pair;
 }
 
-// The four horizontal sums [sum(a), sum(b), sum(c), sum(d)] in one vector:
-// two rounds of hadd pair the lanes up across all four accumulators, then
-// the 128-bit halves add. Integer adds are exact, so the grouping cannot
-// change a result.
-inline __m128i hsum4_epi32(__m256i a, __m256i b, __m256i c, __m256i d) {
-  const __m256i s = _mm256_hadd_epi32(_mm256_hadd_epi32(a, b), _mm256_hadd_epi32(c, d));
-  return _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256(s, 1));
+// acc += pair(a) * panel k-pair, 8 channels per vpmaddwd: each int32 lane
+// gets a[2q] * b[2q] + a[2q+1] * b[2q+1], formed exactly at 32-bit width.
+inline __m256i madd_pair(__m256i acc, std::int32_t a_pair, __m256i b) {
+  return _mm256_add_epi32(acc, _mm256_madd_epi16(_mm256_set1_epi32(a_pair), b));
 }
 
-// Sign-extend 16 int8 lanes to int16 and multiply-accumulate pairs into
-// int32 (vpmaddwd). Every intermediate fits: |a*b| <= 127^2 and madd's pair
-// sum is formed at 32-bit width, so the arithmetic is exact.
-inline __m256i dot16(__m256i acc, const std::int8_t* a, const std::int8_t* b) {
-  const __m256i va = _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(a)));
-  const __m256i vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(b)));
-  return _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
-}
-
-// 2-row x 4-channel register tile: the two a-row vectors are loaded once per
-// 16-k chunk and shared across four b rows, so the kernel retires ~16 MACs
-// per instruction pair instead of re-streaming a for every output.
-void gemm_s8_rows(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
-                  std::int64_t i0, std::int64_t i1, std::int64_t k, std::int64_t n) {
-  std::int64_t i = i0;
-  for (; i + 2 <= i1; i += 2) {
-    const std::int8_t* a0 = a + i * k;
-    const std::int8_t* a1 = a0 + k;
-    std::int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const std::int8_t* b0 = b + j * k;
-      const std::int8_t* b1 = b0 + k;
-      const std::int8_t* b2 = b1 + k;
-      const std::int8_t* b3 = b2 + k;
-      __m256i acc00 = _mm256_setzero_si256(), acc01 = _mm256_setzero_si256();
-      __m256i acc02 = _mm256_setzero_si256(), acc03 = _mm256_setzero_si256();
-      __m256i acc10 = _mm256_setzero_si256(), acc11 = _mm256_setzero_si256();
-      __m256i acc12 = _mm256_setzero_si256(), acc13 = _mm256_setzero_si256();
-      std::int64_t l = 0;
-      for (; l + 16 <= k; l += 16) {
-        const __m256i va0 =
-            _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(a0 + l)));
-        const __m256i va1 =
-            _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(a1 + l)));
-        const __m256i vb0 =
-            _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(b0 + l)));
-        const __m256i vb1 =
-            _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(b1 + l)));
-        const __m256i vb2 =
-            _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(b2 + l)));
-        const __m256i vb3 =
-            _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(b3 + l)));
-        acc00 = _mm256_add_epi32(acc00, _mm256_madd_epi16(va0, vb0));
-        acc01 = _mm256_add_epi32(acc01, _mm256_madd_epi16(va0, vb1));
-        acc02 = _mm256_add_epi32(acc02, _mm256_madd_epi16(va0, vb2));
-        acc03 = _mm256_add_epi32(acc03, _mm256_madd_epi16(va0, vb3));
-        acc10 = _mm256_add_epi32(acc10, _mm256_madd_epi16(va1, vb0));
-        acc11 = _mm256_add_epi32(acc11, _mm256_madd_epi16(va1, vb1));
-        acc12 = _mm256_add_epi32(acc12, _mm256_madd_epi16(va1, vb2));
-        acc13 = _mm256_add_epi32(acc13, _mm256_madd_epi16(va1, vb3));
-      }
-      std::int32_t* c0 = c + i * n + j;
-      std::int32_t* c1 = c0 + n;
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(c0), hsum4_epi32(acc00, acc01, acc02, acc03));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(c1), hsum4_epi32(acc10, acc11, acc12, acc13));
-      for (; l < k; ++l) {
-        const std::int32_t av0 = a0[l], av1 = a1[l];
-        c0[0] += av0 * b0[l];
-        c0[1] += av0 * b1[l];
-        c0[2] += av0 * b2[l];
-        c0[3] += av0 * b3[l];
-        c1[0] += av1 * b0[l];
-        c1[1] += av1 * b1[l];
-        c1[2] += av1 * b2[l];
-        c1[3] += av1 * b3[l];
-      }
-    }
-    for (; j < n; ++j) {  // channel tail
-      const std::int8_t* brow = b + j * k;
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      std::int64_t l = 0;
-      for (; l + 16 <= k; l += 16) {
-        acc0 = dot16(acc0, a0 + l, brow + l);
-        acc1 = dot16(acc1, a1 + l, brow + l);
-      }
-      std::int32_t s0 = hsum_epi32(acc0), s1 = hsum_epi32(acc1);
-      for (; l < k; ++l) {
-        s0 += static_cast<std::int32_t>(a0[l]) * brow[l];
-        s1 += static_cast<std::int32_t>(a1[l]) * brow[l];
-      }
-      c[i * n + j] = s0;
-      c[(i + 1) * n + j] = s1;
-    }
+// Stores one tile row's 16 channel sums, or the first `width` of them in a
+// panel that runs past n.
+inline void store_tile_row(__m256i lo, __m256i hi, std::int32_t* c, std::int64_t width) {
+  if (width == kS8PanelWidth) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(c), lo);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 8), hi);
+    return;
   }
-  for (; i < i1; ++i) {  // row tail
-    const std::int8_t* arow = a + i * k;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const std::int8_t* brow = b + j * k;
-      __m256i acc = _mm256_setzero_si256();
-      std::int64_t l = 0;
-      for (; l + 16 <= k; l += 16) {
-        acc = dot16(acc, arow + l, brow + l);
-      }
-      std::int32_t s = hsum_epi32(acc);
-      for (; l < k; ++l) {
-        s += static_cast<std::int32_t>(arow[l]) * brow[l];
-      }
-      c[i * n + j] = s;
-    }
-  }
-}
-
-#else  // scalar fallback
-
-void gemm_s8_rows(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
-                  std::int64_t i0, std::int64_t i1, std::int64_t k, std::int64_t n) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const std::int8_t* arow = a + i * k;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const std::int8_t* brow = b + j * k;
-      std::int32_t acc = 0;
-      for (std::int64_t l = 0; l < k; ++l) {
-        acc += static_cast<std::int32_t>(arow[l]) * static_cast<std::int32_t>(brow[l]);
-      }
-      c[i * n + j] = acc;
-    }
-  }
+  std::int32_t acc[kS8PanelWidth] = {};
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc), lo);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 8), hi);
+  store_channels(acc, c, width);
 }
 
 #endif
 
 }  // namespace
 
-void gemm_s8_nt(const std::int8_t* a, const std::int8_t* b, std::int32_t* c, std::int64_t m,
-                std::int64_t k, std::int64_t n) {
-  SNAPPIX_CHECK(k <= kGemmS8MaxK, "gemm_s8_nt reduction depth k = "
+PackedS8Weights pack_s8_weights(const std::int8_t* b, std::int64_t k, std::int64_t n) {
+  SNAPPIX_CHECK(k <= kGemmS8MaxK, "int8 GEMM reduction depth k = "
                                       << k << " can overflow the int32 accumulator (max "
                                       << kGemmS8MaxK << ")");
-  auto rows = [&](std::int64_t i0, std::int64_t i1) { gemm_s8_rows(a, b, c, i0, i1, k, n); };
-  // Same fan-out policy as the float gemm_nn: spawning threads only pays off
-  // past real work, and int32 accumulation is exact, so the partition can
-  // never change an output value. The threshold comparison divides instead
-  // of multiplying — m * k * n itself could overflow int64 on adversarial
-  // shapes, and signed overflow is UB.
-  constexpr std::int64_t kParallelWork = 1 << 22;
-  const std::int64_t row_work = std::max<std::int64_t>(1, k * n);
-  if (m < (kParallelWork + row_work - 1) / row_work) {
-    rows(0, m);
-    return;
+  PackedS8Weights packed;
+  packed.k = k;
+  packed.n = n;
+  const std::int64_t pairs = s8_pair_count(k);
+  const std::int64_t panels = (n + kS8PanelWidth - 1) / kS8PanelWidth;
+  packed.panels.assign(static_cast<std::size_t>(panels * pairs * kS8PanelWidth * 2), 0);
+  for (std::int64_t j = 0; j < n; ++j) {
+    std::int16_t* dst = packed.panels.data() + (j / kS8PanelWidth) * pairs * kS8PanelWidth * 2 +
+                        (j % kS8PanelWidth) * 2;
+    for (std::int64_t l = 0; l < k; ++l) {
+      dst[(l / 2) * kS8PanelWidth * 2 + (l % 2)] = b[j * k + l];
+    }
   }
-  parallel_for(m, rows, /*grain=*/std::max<std::int64_t>(1, kParallelWork / row_work));
+  return packed;
+}
+
+void widen_s8_rows(const std::int8_t* a, std::int64_t m, std::int64_t k, std::int16_t* panel) {
+  const std::int64_t row = 2 * s8_pair_count(k);
+  for (std::int64_t i = 0; i < m; ++i) {
+    const std::int8_t* src = a + i * k;
+    std::int16_t* dst = panel + i * row;
+    std::int64_t l = 0;
+#if defined(__AVX2__)
+    for (; l + 16 <= k; l += 16) {
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(dst + l),
+          _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(src + l))));
+    }
+#endif
+    for (; l < k; ++l) {
+      dst[l] = src[l];
+    }
+    if (l < row) {
+      dst[l] = 0;  // odd k: the last pair's second value
+    }
+  }
+}
+
+// Outer-product kernel over the packed panels. Per panel, a 4-row x
+// 16-channel tile keeps 8 int32 accumulators in registers: each k-pair step
+// loads the panel's two 8-channel vectors once and multiplies them against
+// each row's broadcast activation pair (vpmaddwd), so no horizontal sum is
+// ever needed. Integer accumulation is exact and k <= kGemmS8MaxK keeps
+// every partial sum inside int32, so any tile shape or order gives the
+// reference's answer.
+void gemm_s8_packed(const std::int16_t* a_panel, const PackedS8Weights& b, std::int32_t* c,
+                    std::int64_t m) {
+  const std::int64_t pairs = s8_pair_count(b.k);
+  const std::int64_t row = 2 * pairs;
+  const std::int64_t n = b.n;
+  for (std::int64_t j0 = 0; j0 < n; j0 += kS8PanelWidth) {
+    const std::int16_t* panel = b.panels.data() + (j0 / kS8PanelWidth) * pairs * kS8PanelWidth * 2;
+    const std::int64_t width = std::min<std::int64_t>(kS8PanelWidth, n - j0);
+    std::int64_t i = 0;
+#if defined(__AVX2__)
+    for (; i + 4 <= m; i += 4) {
+      const std::int16_t* a0 = a_panel + i * row;
+      const std::int16_t* a1 = a0 + row;
+      const std::int16_t* a2 = a1 + row;
+      const std::int16_t* a3 = a2 + row;
+      __m256i c00 = _mm256_setzero_si256(), c01 = _mm256_setzero_si256();
+      __m256i c10 = _mm256_setzero_si256(), c11 = _mm256_setzero_si256();
+      __m256i c20 = _mm256_setzero_si256(), c21 = _mm256_setzero_si256();
+      __m256i c30 = _mm256_setzero_si256(), c31 = _mm256_setzero_si256();
+      for (std::int64_t q = 0; q < pairs; ++q) {
+        const std::int16_t* bp = panel + q * kS8PanelWidth * 2;
+        const __m256i b0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp));
+        const __m256i b1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp + 16));
+        const std::int32_t p0 = load_pair(a0 + 2 * q), p1 = load_pair(a1 + 2 * q);
+        const std::int32_t p2 = load_pair(a2 + 2 * q), p3 = load_pair(a3 + 2 * q);
+        c00 = madd_pair(c00, p0, b0);
+        c01 = madd_pair(c01, p0, b1);
+        c10 = madd_pair(c10, p1, b0);
+        c11 = madd_pair(c11, p1, b1);
+        c20 = madd_pair(c20, p2, b0);
+        c21 = madd_pair(c21, p2, b1);
+        c30 = madd_pair(c30, p3, b0);
+        c31 = madd_pair(c31, p3, b1);
+      }
+      store_tile_row(c00, c01, c + i * n + j0, width);
+      store_tile_row(c10, c11, c + (i + 1) * n + j0, width);
+      store_tile_row(c20, c21, c + (i + 2) * n + j0, width);
+      store_tile_row(c30, c31, c + (i + 3) * n + j0, width);
+    }
+    for (; i < m; ++i) {  // row tail: one row x 16 channels
+      const std::int16_t* arow = a_panel + i * row;
+      __m256i lo = _mm256_setzero_si256(), hi = _mm256_setzero_si256();
+      for (std::int64_t q = 0; q < pairs; ++q) {
+        const std::int16_t* bp = panel + q * kS8PanelWidth * 2;
+        const std::int32_t pair = load_pair(arow + 2 * q);
+        lo = madd_pair(lo, pair, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp)));
+        hi = madd_pair(hi, pair, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp + 16)));
+      }
+      store_tile_row(lo, hi, c + i * n + j0, width);
+    }
+#else
+    for (; i < m; ++i) {  // scalar: the same pairs over the same layout
+      const std::int16_t* arow = a_panel + i * row;
+      std::int32_t acc[kS8PanelWidth] = {};
+      for (std::int64_t q = 0; q < pairs; ++q) {
+        const std::int16_t* bp = panel + q * kS8PanelWidth * 2;
+        const std::int32_t x0 = arow[2 * q], x1 = arow[2 * q + 1];
+        for (std::int64_t ch = 0; ch < kS8PanelWidth; ++ch) {
+          acc[ch] += x0 * bp[2 * ch] + x1 * bp[2 * ch + 1];
+        }
+      }
+      store_channels(acc, c + i * n + j0, width);
+    }
+#endif
+  }
+}
+
+void gemm_s8_nt(const std::int8_t* a, const std::int8_t* b, std::int32_t* c, std::int64_t m,
+                std::int64_t k, std::int64_t n) {
+  const PackedS8Weights packed = pack_s8_weights(b, k, n);  // checks k
+  std::vector<std::int16_t> panel(static_cast<std::size_t>(m * 2 * s8_pair_count(k)));
+  widen_s8_rows(a, m, k, panel.data());
+  gemm_s8_packed(panel.data(), packed, c, m);
 }
 
 void gemm_s8_nt_ref(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,

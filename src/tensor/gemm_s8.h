@@ -8,12 +8,18 @@
 // here is exactness against the naive reference (gemm_s8_nt_ref), which the
 // quantization tests pin down.
 //
-// Weights are stored PRE-TRANSPOSED: b is (n, k) row-major, one output
-// channel per row, so both operands stream contiguously along k and the
-// per-output-channel dequantization scale lives next to its weights.
+// Weights are quantized PRE-TRANSPOSED: b is (n, k) row-major, one output
+// channel per row (quantize_weights_per_channel), and then packed once into
+// the kernel's layout (pack_s8_weights): 16-channel panels of int16 k-pairs.
+// Activations are widened to int16 k-pairs per call (widen_s8_rows). The
+// kernel (gemm_s8_packed) is an outer product: a broadcast activation pair
+// times a panel's 8-channel vector per vpmaddwd, so it never sums
+// horizontally. The packed layout only reorders and zero-pads exact integer
+// operands, so it cannot change a result.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 namespace snappix::detail {
 
@@ -22,14 +28,43 @@ namespace snappix::detail {
 // k <= 2^31 / 2^14 keeps the scalar accumulation inside int32 — beyond it a
 // dot product could overflow, which for the SIGNED scalar accumulator is
 // undefined behavior (the AVX2 lanes would silently wrap to a different
-// answer). gemm_s8_nt and gemm_s8_nt_ref reject larger k up front; pinned by
-// GemmS8.RejectsAccumulatorOverflowDepth in tests/test_quant.cpp.
+// answer). pack_s8_weights (so gemm_s8_nt) and gemm_s8_nt_ref reject larger
+// k up front; pinned by GemmS8.RejectsAccumulatorOverflowDepth in
+// tests/test_quant.cpp.
 constexpr std::int64_t kGemmS8MaxK = (std::int64_t{1} << 31) / (128 * 128) - 1;
 
-// c(m, n) = a(m, k) @ b(n, k)^T with int32 accumulation. `c` is fully
-// overwritten. AVX2 (vpmaddwd over sign-extended int8 lanes) when compiled
-// in, scalar otherwise — bit-identical either way. Rows are independent, so
-// large problems fan out across threads without changing any output.
+// Channels per packed weight panel: one 4-row x 16-channel tile of the
+// kernel, two 8-lane vectors.
+constexpr std::int64_t kS8PanelWidth = 16;
+
+// k values travel in pairs (one vpmaddwd lane each); odd k pads one zero.
+constexpr std::int64_t s8_pair_count(std::int64_t k) { return (k + 1) / 2; }
+
+// b (n, k) packed for gemm_s8_packed: panels[((p * pairs + q) * 16 + ch) * 2
+// + e] = b[16 p + ch, 2 q + e], zero where 16 p + ch >= n or 2 q + e >= k.
+struct PackedS8Weights {
+  std::vector<std::int16_t> panels;
+  std::int64_t k = 0, n = 0;
+};
+
+// Packs (n, k) int8 weights once, when an engine is built. Requires
+// k <= kGemmS8MaxK (throws std::runtime_error beyond it).
+PackedS8Weights pack_s8_weights(const std::int8_t* b, std::int64_t k, std::int64_t n);
+
+// Widens a(m, k) to the int16 activation panel gemm_s8_packed reads: m rows
+// of 2 * s8_pair_count(k) values, an odd k's last pair padded with zero.
+void widen_s8_rows(const std::int8_t* a, std::int64_t m, std::int64_t k,
+                   std::int16_t* panel);
+
+// c(m, n) = a(m, k) @ b(n, k)^T with int32 accumulation, from a widened
+// activation panel and packed weights. `c` is fully overwritten. AVX2 4x16
+// vpmaddwd tiles when compiled in, scalar over the same layout otherwise —
+// bit-identical either way. Runs on the calling thread.
+void gemm_s8_packed(const std::int16_t* a_panel, const PackedS8Weights& b, std::int32_t* c,
+                    std::int64_t m);
+
+// c(m, n) = a(m, k) @ b(n, k)^T from unpacked operands: packs b and widens a
+// into per-call scratch, then runs gemm_s8_packed — the one int8 kernel.
 // Requires k <= kGemmS8MaxK (throws std::runtime_error beyond it).
 void gemm_s8_nt(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
                 std::int64_t m, std::int64_t k, std::int64_t n);
@@ -38,7 +73,7 @@ void gemm_s8_nt(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
 void gemm_s8_nt_ref(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
                     std::int64_t m, std::int64_t k, std::int64_t n);
 
-// True when gemm_s8_nt runs the AVX2 path (build had -mavx2).
+// True when gemm_s8_packed runs the AVX2 path (build had -mavx2).
 bool gemm_s8_simd_enabled();
 
 // max(|x[i]|) over n values; 0 for an empty range.

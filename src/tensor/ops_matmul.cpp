@@ -1,4 +1,5 @@
 // Matrix multiplication with 2-D, batched 3-D, and batch-broadcast forms.
+#include <algorithm>
 #include <utility>
 
 #include "tensor/gemm.h"
@@ -6,25 +7,83 @@
 #include "util/common.h"
 #include "util/parallel.h"
 
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
 namespace snappix {
 
 namespace detail {
 
-// c(m,n) (+)= a(m,k) * b(k,n), register-tiled.
+// c(m,n) (+)= a(m,k) * b(k,n), register-tiled, single-threaded.
 //
-// 4-row x 8-column accumulator tiles are held in registers across the whole
-// k loop, so each b element is loaded once per 4 rows and each c element is
-// touched once instead of k times — ~5x over the streaming row-at-a-time
-// kernel at transformer-block shapes. Every output element still accumulates
-// its k products in ascending-l order with separate mul and add, so results
-// are bit-identical to the naive triple loop (the fused serving engine and
-// determinism tests rely on this).
-void gemm_rows_nn(const float* a, const float* b, float* c, std::int64_t i0, std::int64_t i1,
-                  std::int64_t k, std::int64_t n) {
+// Accumulator tiles are held in registers across the whole k loop, so each b
+// element is loaded once per 4 rows and each c element is touched once
+// instead of k times. The AVX2 tile is 4 rows x 16 columns: 8 independent
+// 8-lane add chains, enough to cover the add latency. The 4x8 tile below it
+// serves a remaining 8-column block (and the whole width in builds without
+// AVX2), and the streaming loop serves the last n % 8 columns. Every output
+// element, in every tile and tail, accumulates its k products from +0 in
+// ascending-l order with separate mul and add and folds the total into c
+// with one add, so results are bit-identical to the naive triple loop (the
+// fused serving engine and the determinism tests rely on this).
+void gemm_nn(const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
+             std::int64_t n) {
   std::int64_t j0 = 0;
+#if defined(__AVX2__)
+  for (; j0 + 16 <= n; j0 += 16) {
+    std::int64_t i = 0;
+    for (; i + 4 <= m; i += 4) {
+      const float* a0 = a + i * k;
+      const float* a1 = a0 + k;
+      const float* a2 = a1 + k;
+      const float* a3 = a2 + k;
+      __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
+      __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
+      __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
+      __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
+      for (std::int64_t l = 0; l < k; ++l) {
+        const float* bp = b + l * n + j0;
+        const __m256 b0 = _mm256_loadu_ps(bp);
+        const __m256 b1 = _mm256_loadu_ps(bp + 8);
+        const __m256 av0 = _mm256_set1_ps(a0[l]);
+        const __m256 av1 = _mm256_set1_ps(a1[l]);
+        const __m256 av2 = _mm256_set1_ps(a2[l]);
+        const __m256 av3 = _mm256_set1_ps(a3[l]);
+        c00 = _mm256_add_ps(c00, _mm256_mul_ps(av0, b0));
+        c01 = _mm256_add_ps(c01, _mm256_mul_ps(av0, b1));
+        c10 = _mm256_add_ps(c10, _mm256_mul_ps(av1, b0));
+        c11 = _mm256_add_ps(c11, _mm256_mul_ps(av1, b1));
+        c20 = _mm256_add_ps(c20, _mm256_mul_ps(av2, b0));
+        c21 = _mm256_add_ps(c21, _mm256_mul_ps(av2, b1));
+        c30 = _mm256_add_ps(c30, _mm256_mul_ps(av3, b0));
+        c31 = _mm256_add_ps(c31, _mm256_mul_ps(av3, b1));
+      }
+      const __m256 acc[4][2] = {{c00, c01}, {c10, c11}, {c20, c21}, {c30, c31}};
+      for (int r = 0; r < 4; ++r) {
+        float* crow = c + (i + r) * n + j0;
+        _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc[r][0]));
+        _mm256_storeu_ps(crow + 8, _mm256_add_ps(_mm256_loadu_ps(crow + 8), acc[r][1]));
+      }
+    }
+    for (; i < m; ++i) {  // row tail: one row x 16 columns
+      const float* arow = a + i * k;
+      __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
+      for (std::int64_t l = 0; l < k; ++l) {
+        const float* bp = b + l * n + j0;
+        const __m256 av = _mm256_set1_ps(arow[l]);
+        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(av, _mm256_loadu_ps(bp)));
+        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(av, _mm256_loadu_ps(bp + 8)));
+      }
+      float* crow = c + i * n + j0;
+      _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc0));
+      _mm256_storeu_ps(crow + 8, _mm256_add_ps(_mm256_loadu_ps(crow + 8), acc1));
+    }
+  }
+#endif
   for (; j0 + 8 <= n; j0 += 8) {
-    std::int64_t i = i0;
-    for (; i + 4 <= i1; i += 4) {
+    std::int64_t i = 0;
+    for (; i + 4 <= m; i += 4) {
       const float* a0 = a + i * k;
       const float* a1 = a0 + k;
       const float* a2 = a1 + k;
@@ -47,7 +106,7 @@ void gemm_rows_nn(const float* a, const float* b, float* c, std::int64_t i0, std
         }
       }
     }
-    for (; i < i1; ++i) {  // row tail
+    for (; i < m; ++i) {  // row tail
       const float* arow = a + i * k;
       float acc[8] = {};
       for (std::int64_t l = 0; l < k; ++l) {
@@ -64,7 +123,7 @@ void gemm_rows_nn(const float* a, const float* b, float* c, std::int64_t i0, std
   }
   if (j0 < n) {  // column tail: streaming accumulation over the remainder
     const std::int64_t nt = n - j0;
-    for (std::int64_t i = i0; i < i1; ++i) {
+    for (std::int64_t i = 0; i < m; ++i) {
       float* crow = c + i * n + j0;
       const float* arow = a + i * k;
       for (std::int64_t l = 0; l < k; ++l) {
@@ -76,20 +135,6 @@ void gemm_rows_nn(const float* a, const float* b, float* c, std::int64_t i0, std
       }
     }
   }
-}
-
-void gemm_nn(const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
-             std::int64_t n) {
-  auto rows = [&](std::int64_t i0, std::int64_t i1) { gemm_rows_nn(a, b, c, i0, i1, k, n); };
-  // Thread-spawn cost dwarfs small matmuls (transformer blocks issue many of
-  // them); only fan out when there is real work per thread. Row results are
-  // independent, so the chunking does not change any output bit.
-  constexpr std::int64_t kParallelWork = 1 << 22;
-  if (m * k * n < kParallelWork) {
-    rows(0, m);
-    return;
-  }
-  parallel_for(m, rows, /*grain=*/std::max<std::int64_t>(1, kParallelWork / (k * n)));
 }
 
 // c(m,k) += a(m,n) * b(k,n)^T  (i.e. a * b^T), register-tiled.
@@ -279,8 +324,29 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   std::vector<float> out(static_cast<std::size_t>(out_shape.numel()), 0.0F);
   const float* pa = a.data().data();
   const float* pb = b.data().data();
+  // Thread-spawn cost dwarfs small matmuls (transformer blocks issue many of
+  // them), so a product fans its rows out only when there is real work per
+  // thread. Row results are independent, so the partition does not change
+  // any output bit. The fan-out lives here, in the tape op, and not in
+  // gemm_nn: the serving engines call the kernel directly and must stay on
+  // their caller's thread (their concurrency comes from sharding). The
+  // threshold divides instead of multiplying m * k * n, which could overflow.
+  constexpr std::int64_t kParallelWork = 1 << 22;
+  const std::int64_t row_work = std::max<std::int64_t>(1, k * n);
   for (std::int64_t bi = 0; bi < batch; ++bi) {
-    gemm_nn(pa + bi * m * k, b_batched ? pb + bi * k * n : pb, out.data() + bi * m * n, m, k, n);
+    const float* a_rows = pa + bi * m * k;
+    const float* b_mat = b_batched ? pb + bi * k * n : pb;
+    float* c_rows = out.data() + bi * m * n;
+    if (m < (kParallelWork + row_work - 1) / row_work) {
+      gemm_nn(a_rows, b_mat, c_rows, m, k, n);
+      continue;
+    }
+    parallel_for(
+        m,
+        [&](std::int64_t i0, std::int64_t i1) {
+          gemm_nn(a_rows + i0 * k, b_mat, c_rows + i0 * n, i1 - i0, k, n);
+        },
+        /*grain=*/std::max<std::int64_t>(1, kParallelWork / row_work));
   }
 
   auto ai = a.impl();

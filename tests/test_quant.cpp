@@ -1,8 +1,10 @@
 // Quantized serving tier tests: per-channel quantize/dequantize round-trip
 // bounds, int8 GEMM exactness against the scalar reference, calibration
 // determinism, the QuantizedVitEngine's determinism/batch-invariance
-// contracts, precision-keyed caching, config validation, and a mixed
-// fp32/int8 heterogeneous fleet through the sharded InferenceServer.
+// contracts, the heap allocations of a warm forward at both precision tiers
+// (through alloc_counter.h's counting operator new), precision-keyed
+// caching, config validation, and a mixed fp32/int8 heterogeneous fleet
+// through the sharded InferenceServer.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,6 +14,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "core/snappix.h"
 #include "runtime/camera.h"
 #include "runtime/engine.h"
@@ -154,29 +157,46 @@ TEST(QuantizeWeights, PerChannelScalesAndTransposedLayout) {
 
 // --- int8 GEMM ---------------------------------------------------------------
 
+// Operands over the whole int8 range, with a share of the extremes +-127 and
+// -128 (the packed kernel widens to int16 pairs; -128 * -128 is the largest
+// product).
+std::vector<std::int8_t> s8_operand(std::int64_t count, Rng& rng) {
+  constexpr std::array<std::int8_t, 3> kExtremes = {127, -127, -128};
+  std::vector<std::int8_t> v(static_cast<std::size_t>(count));
+  for (auto& x : v) {
+    const bool extreme = rng.uniform() < 0.25F;
+    const float u = rng.uniform();
+    x = extreme ? kExtremes[static_cast<std::size_t>(u * 2.999F)]
+                : static_cast<std::int8_t>(static_cast<int>(u * 255.999F) - 128);
+  }
+  return v;
+}
+
+void expect_s8_matches_reference(const std::vector<std::int8_t>& a,
+                                 const std::vector<std::int8_t>& b, std::int64_t m,
+                                 std::int64_t k, std::int64_t n) {
+  std::vector<std::int32_t> c(static_cast<std::size_t>(m * n), -1),
+      expected(static_cast<std::size_t>(m * n), -1);
+  detail::gemm_s8_nt(a.data(), b.data(), c.data(), m, k, n);
+  detail::gemm_s8_nt_ref(a.data(), b.data(), expected.data(), m, k, n);
+  for (std::int64_t i = 0; i < m * n; ++i) {
+    ASSERT_EQ(c[static_cast<std::size_t>(i)], expected[static_cast<std::size_t>(i)])
+        << "m=" << m << " k=" << k << " n=" << n << " i=" << i;
+  }
+}
+
 TEST(GemmS8, MatchesScalarReferenceExactly) {
   Rng rng(19);
-  // Shapes straddle every tile boundary: row/channel/k tails, single rows,
-  // and a size big enough to engage the parallel fan-out path.
+  // Shapes straddle every tile boundary of the packed 4-row x 16-channel
+  // kernel: m % 4 in {0..3}, n % 16 in {0, 1, 5, 8, 15}, odd and even k
+  // (odd k pads the last int16 pair), k below one pair, single rows and
+  // channels, and the engine's shapes.
   const std::vector<std::array<std::int64_t, 3>> shapes = {
-      {1, 1, 1}, {2, 16, 4}, {3, 17, 5}, {8, 64, 48}, {33, 100, 7}, {130, 192, 67}};
+      {1, 1, 1},     {2, 16, 4},    {3, 17, 5},   {8, 64, 48},  {33, 100, 7},
+      {130, 192, 67}, {4, 1, 16},   {5, 3, 17},   {6, 97, 31},  {7, 48, 8},
+      {128, 48, 144}, {128, 192, 48}, {9, 255, 32}, {11, 2, 15}};
   for (const auto& [m, k, n] : shapes) {
-    std::vector<std::int8_t> a(static_cast<std::size_t>(m * k)),
-        b(static_cast<std::size_t>(n * k));
-    for (auto& v : a) {
-      v = static_cast<std::int8_t>(static_cast<int>(rng.uniform() * 255.0F) - 127);
-    }
-    for (auto& v : b) {
-      v = static_cast<std::int8_t>(static_cast<int>(rng.uniform() * 255.0F) - 127);
-    }
-    std::vector<std::int32_t> c(static_cast<std::size_t>(m * n), -1),
-        expected(static_cast<std::size_t>(m * n), -1);
-    detail::gemm_s8_nt(a.data(), b.data(), c.data(), m, k, n);
-    detail::gemm_s8_nt_ref(a.data(), b.data(), expected.data(), m, k, n);
-    for (std::int64_t i = 0; i < m * n; ++i) {
-      ASSERT_EQ(c[static_cast<std::size_t>(i)], expected[static_cast<std::size_t>(i)])
-          << "m=" << m << " k=" << k << " n=" << n << " i=" << i;
-    }
+    expect_s8_matches_reference(s8_operand(m * k, rng), s8_operand(n * k, rng), m, k, n);
   }
 }
 
@@ -195,7 +215,7 @@ TEST(GemmS8, ExtremeValuesAccumulateExactly) {
 
 TEST(GemmS8, RejectsAccumulatorOverflowDepth) {
   // Beyond kGemmS8MaxK a single dot product can exceed int32
-  // (127 * 127 * k > 2^31 - 1), so both kernels must refuse up front rather
+  // (128 * 128 * k > 2^31 - 1), so both kernels must refuse up front rather
   // than return silently wrapped accumulators.
   const std::int64_t k_bad = detail::kGemmS8MaxK + 1;
   std::vector<std::int8_t> a(static_cast<std::size_t>(k_bad), 1),
@@ -205,12 +225,28 @@ TEST(GemmS8, RejectsAccumulatorOverflowDepth) {
                std::runtime_error);
   EXPECT_THROW(detail::gemm_s8_nt_ref(a.data(), b.data(), c.data(), 1, k_bad, 1),
                std::runtime_error);
+  EXPECT_THROW(detail::pack_s8_weights(b.data(), k_bad, 1), std::runtime_error);
 
   // The boundary itself is serviceable — and exact: a 1 x kMaxK dot product
   // of all-ones is just kMaxK.
   const std::int64_t k_ok = detail::kGemmS8MaxK;
   detail::gemm_s8_nt(a.data(), b.data(), c.data(), 1, k_ok, 1);
   EXPECT_EQ(c[0], static_cast<std::int32_t>(k_ok));
+
+  // At the boundary depth (odd, so the last pair is padded) with m % 4 != 0
+  // and n % 16 != 0: all -128 reaches the largest sum, 2^14 * kMaxK, one
+  // step below INT32_MAX; mixed extremes must match the reference.
+  const std::int64_t m = 5, n = 17;
+  std::vector<std::int8_t> a_min(static_cast<std::size_t>(m * k_ok), -128),
+      b_min(static_cast<std::size_t>(n * k_ok), -128);
+  std::vector<std::int32_t> c_min(static_cast<std::size_t>(m * n));
+  detail::gemm_s8_nt(a_min.data(), b_min.data(), c_min.data(), m, k_ok, n);
+  for (const std::int32_t v : c_min) {
+    EXPECT_EQ(v, static_cast<std::int32_t>(128 * 128 * k_ok));
+  }
+  Rng rng(43);
+  expect_s8_matches_reference(s8_operand(m * k_ok, rng), s8_operand(n * k_ok, rng), m, k_ok,
+                              n);
 }
 
 // --- calibration -------------------------------------------------------------
@@ -339,6 +375,42 @@ TEST_F(QuantEngineTest, RejectsSpecFromAnotherDepth) {
   QuantSpec wrong = spec_;
   wrong.blocks.pop_back();
   EXPECT_THROW(QuantizedVitEngine(*system_->classifier(), wrong, 4), std::runtime_error);
+}
+
+// --- heap allocations of a warm forward --------------------------------------
+
+// A warm forward at either tier allocates its returned tensor and nothing
+// else: no scratch (the workspace holds it) and no worker thread (the
+// engines run their kernels on the calling thread). 32x32 at batch 8 puts
+// the REC head's GEMM past the tape matmul's fan-out threshold.
+TEST(EngineAllocations, WarmForwardAllocatesOnlyItsResult) {
+  for (const std::int64_t image : {16, 32}) {
+    core::SnapPixConfig cfg = small_system_config();
+    cfg.image = image;
+    cfg.frames = image == 16 ? 8 : 16;
+    core::SnapPixSystem system(cfg);
+    const QuantSpec spec =
+        runtime::calibrate(*system.classifier(), *system.reconstructor(),
+                           runtime::make_calibration_frames(system.pattern(), image, image, {}));
+    const runtime::BatchedVitEngine fp32(*system.classifier(), *system.reconstructor(), 8);
+    const QuantizedVitEngine int8(*system.classifier(), *system.reconstructor(), spec, 8);
+    Rng rng(37);
+    for (const std::int64_t batch : {1, 8}) {
+      const Tensor coded = Tensor::rand_uniform(Shape{batch, image, image}, rng);
+      for (const runtime::VitEngine* engine :
+           std::array<const runtime::VitEngine*, 2>{&fp32, &int8}) {
+        engine->classify_logits(coded);  // warm: the REC scratch is sized on first use
+        engine->reconstruct(coded);
+        const char* tier = engine->precision() == Precision::kFp32 ? "fp32" : "int8";
+        EXPECT_EQ(fixtures::allocations_of([&] { engine->classify_logits(coded); }),
+                  fixtures::kTensorAllocations)
+            << tier << " classify, " << image << "x" << image << " batch " << batch;
+        EXPECT_EQ(fixtures::allocations_of([&] { engine->reconstruct(coded); }),
+                  fixtures::kTensorAllocations)
+            << tier << " reconstruct, " << image << "x" << image << " batch " << batch;
+      }
+    }
+  }
 }
 
 // --- precision-keyed EngineCache --------------------------------------------

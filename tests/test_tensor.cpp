@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -270,6 +271,88 @@ TEST(GemmBackwardKernels, TiledTnBitIdenticalToStreaming) {
           << "tn m=" << m << " k=" << k << " n=" << n << " i=" << i;
     }
   }
+}
+
+// --- forward GEMM kernel ------------------------------------------------------
+//
+// gemm_nn (4x16 AVX2 tiles, a 4x8 tile for a remaining 8-column block, a
+// streaming column tail) must equal the naive triple loop bit for bit: the
+// fused serving engine's bit-exactness against the tape rests on it.
+
+namespace {
+
+// The contract: c starts at +0; each element sums its k products from +0 in
+// ascending l with separate mul and add, then folds the sum into c.
+void gemm_nn_naive(const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
+                   std::int64_t n) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float acc = 0.0F;
+      for (std::int64_t l = 0; l < k; ++l) {
+        acc += a[i * k + l] * b[l * n + j];
+      }
+      c[i * n + j] += acc;
+    }
+  }
+}
+
+// Uniform values mixed with +-0, subnormals and (at `inf_rate`) +-inf.
+float gemm_operand(Rng& rng, float inf_rate) {
+  const float u = rng.uniform();
+  const float sign = rng.uniform() < 0.5F ? -1.0F : 1.0F;
+  if (u < inf_rate) {
+    return sign * std::numeric_limits<float>::infinity();
+  }
+  if (u < 0.1F) {
+    return sign * 0.0F;
+  }
+  if (u < 0.15F) {
+    return sign * std::numeric_limits<float>::denorm_min() *
+           static_cast<float>(1 + static_cast<int>(rng.uniform() * 1000.0F));
+  }
+  return rng.uniform(-2.0F, 2.0F);
+}
+
+}  // namespace
+
+TEST(GemmForwardKernel, TiledNnBitIdenticalToNaiveOnEveryTileAndTail) {
+  std::uint64_t seed = 400;
+  int nan_outputs = 0, inf_outputs = 0, subnormal_outputs = 0;
+  // m % 4 in {0..3}; n % 16 in {0, 8, 5}, with and without a 16-column tile
+  // before it; k from a single product to past two tile heights.
+  for (const std::int64_t m : {4, 5, 6, 7}) {
+    for (const std::int64_t n : {16, 32, 8, 24, 5, 21}) {
+      for (const std::int64_t k : {1, 48, 97}) {
+        Rng rng(seed++);
+        std::vector<float> a(static_cast<std::size_t>(m * k)), b(static_cast<std::size_t>(k * n));
+        for (float& v : a) {
+          v = gemm_operand(rng, 0.01F);
+        }
+        for (float& v : b) {
+          v = gemm_operand(rng, 0.005F);
+        }
+        std::vector<float> c(static_cast<std::size_t>(m * n), 0.0F), expected = c;
+        detail::gemm_nn(a.data(), b.data(), c.data(), m, k, n);
+        gemm_nn_naive(a.data(), b.data(), expected.data(), m, k, n);
+        for (std::size_t i = 0; i < c.size(); ++i) {
+          if (std::isnan(expected[i])) {
+            ASSERT_TRUE(std::isnan(c[i])) << "m=" << m << " n=" << n << " k=" << k << " i=" << i;
+            ++nan_outputs;
+            continue;
+          }
+          ASSERT_EQ(std::memcmp(&c[i], &expected[i], sizeof(float)), 0)
+              << "m=" << m << " n=" << n << " k=" << k << " i=" << i << ": " << c[i]
+              << " vs " << expected[i];
+          inf_outputs += std::isinf(expected[i]) ? 1 : 0;
+          subnormal_outputs += std::fpclassify(expected[i]) == FP_SUBNORMAL ? 1 : 0;
+        }
+      }
+    }
+  }
+  // The special inputs reached the outputs.
+  EXPECT_GT(nan_outputs, 0);
+  EXPECT_GT(inf_outputs, 0);
+  EXPECT_GT(subnormal_outputs, 0);
 }
 
 // --- shared GELU kernel (tensor/gelu.h) ---------------------------------------

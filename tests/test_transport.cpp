@@ -9,13 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <new>
 #include <stdexcept>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "codec/bitplane.h"
 #include "runtime/camera.h"
 #include "runtime/frame.h"
@@ -917,20 +916,11 @@ TEST(CodecWire, RetransmitRecoversBitIdenticallyAndChargesEveryAttempt) {
 
 // --- heap allocations on the edge path ---------------------------------------
 //
-// This binary replaces the global operator new (below) with one that counts
-// the calls made on the current thread while a counter is armed.
+// alloc_counter.h replaces this binary's global operator new with one that
+// counts the calls made on the current thread while a counter is armed.
 
-thread_local bool g_count_allocations = false;
-thread_local std::uint64_t g_allocations = 0;
-
-template <typename Fn>
-std::uint64_t allocations_of(Fn&& fn) {
-  g_allocations = 0;
-  g_count_allocations = true;
-  fn();
-  g_count_allocations = false;
-  return g_allocations;
-}
+using fixtures::allocations_of;
+using fixtures::kTensorAllocations;
 
 // A camera whose protected encode the tests can call directly.
 class EncodingCamera final : public runtime::CameraSource {
@@ -942,10 +932,7 @@ class EncodingCamera final : public runtime::CameraSource {
   runtime::Frame capture_frame() override { return runtime::Frame{}; }
 };
 
-// A returned tensor costs 4 allocations: its values, the Shape passed in,
-// the TensorImpl and the Shape copied into it. The edge path allocates
-// nothing else per frame.
-constexpr std::uint64_t kTensorAllocations = 4;
+// The edge path allocates nothing per frame beyond its returned tensor.
 
 TEST(EdgeAllocations, EncodeNormalizedAllocatesOnlyItsResult) {
   Rng rng(61);
@@ -984,23 +971,3 @@ TEST(EdgeAllocations, SteadyTransferAllocatesTheSameAtEveryDepth) {
 
 }  // namespace
 }  // namespace snappix
-
-// Counts on the calling thread while armed. The nothrow, array and sized
-// forms route through these in libstdc++. gcc's mismatched-new-delete check
-// flags the free() below wherever it inlines a delete; malloc/free is the
-// pair this replacement defines.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  if (snappix::g_count_allocations) {
-    ++snappix::g_allocations;
-  }
-  if (void* p = std::malloc(size == 0 ? 1 : size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
