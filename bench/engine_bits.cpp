@@ -8,15 +8,19 @@
 //   diff <(parent/build/bench_engine_bits) <(build/bench_engine_bits)
 //
 // Exits non-zero if, within this build, an fp32 engine output differs from
-// the tape's.
+// the tape's. `--pair-kernel` pins the int8 GEMM to its pair kernel (the
+// engines otherwise run AMX tiles where the host grants them), so both int8
+// kernels diff against one golden file; stderr names the kernel that ran.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "core/snappix.h"
 #include "runtime/engine.h"
 #include "runtime/quant.h"
+#include "tensor/gemm_s8.h"
 #include "util/rng.h"
 
 namespace {
@@ -49,7 +53,15 @@ void print_hash(std::int64_t image, std::uint64_t seed, const char* name,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  std::optional<detail::ScopedS8PairKernel> pair_kernel;
+  if (argc > 1 && std::strcmp(argv[1], "--pair-kernel") == 0) {
+    pair_kernel.emplace();
+  }
+  std::fprintf(stderr, "int8 GEMM kernel: %s\n",
+               detail::gemm_s8_amx_enabled()   ? "AMX-INT8 tiles"
+               : detail::gemm_s8_simd_enabled() ? "AVX2 pairs"
+                                                : "scalar pairs");
   NoGradGuard guard;
   bool fp32_matches_tape = true;
   for (const std::int64_t image : {16, 32}) {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "nn/attention.h"
+#include "tensor/exp.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_s8.h"
 #include "tensor/tensor.h"
@@ -82,7 +83,11 @@ void BM_GemmTnBackward(benchmark::State& state) {
 BENCHMARK(BM_GemmTnBackward)->Arg(64)->Arg(128)->Arg(256);
 
 // The int8 serving GEMM against the fp32 forward kernel at the same shape —
-// the kernel-level slice of the BENCH_int8.json frontier.
+// the kernel-level slice of the BENCH_int8.json frontier. Times what the
+// int8 engine runs per linear: gemm_s8_rows over weights packed once (the
+// engine packs at build) on int8 activations, so AMX tiles where the host
+// grants them. Second argument 1: weights packed with the pair kernel
+// pinned, so the AVX2 pair kernel runs (widening included).
 void BM_GemmS8Forward(benchmark::State& state) {
   const auto n = state.range(0);
   Rng rng(41);
@@ -95,13 +100,60 @@ void BM_GemmS8Forward(benchmark::State& state) {
   for (auto& v : b) {
     v = static_cast<std::int8_t>(static_cast<int>(rng.uniform() * 255.0F) - 127);
   }
+  const detail::PackedS8Weights packed = [&] {
+    if (state.range(1) == 0) {
+      return detail::pack_s8_weights(b.data(), n, n);
+    }
+    const detail::ScopedS8PairKernel pin;
+    return detail::pack_s8_weights(b.data(), n, n);
+  }();
+  std::vector<std::int16_t> scratch(static_cast<std::size_t>(n * 2 * detail::s8_pair_count(n)));
   for (auto _ : state) {
-    detail::gemm_s8_nt(a.data(), b.data(), c.data(), n, n, n);
+    detail::gemm_s8_rows(a.data(), packed, c.data(), n, scratch.data());
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_GemmS8Forward)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_GemmS8Forward)->ArgsProduct({{64, 128, 256}, {0, 1}});
+
+// The fp32 softmax's exps for one 32x32 batch-8 classify (24,576 values,
+// max-subtracted scores in [-16, 0]): exp_array, as the engine calls it, and
+// a per-element exp_ref loop. Same bits; the ratio is the kernel's width.
+std::vector<float> softmax_range_inputs() {
+  Rng rng(43);
+  std::vector<float> x(24576);
+  for (auto& v : x) {
+    v = rng.uniform(-16.0F, 0.0F);
+  }
+  return x;
+}
+
+void BM_ExpArray(benchmark::State& state) {
+  const std::vector<float> x = softmax_range_inputs();
+  std::vector<float> y(x.size());
+  for (auto _ : state) {
+    detail::exp_array(x.data(), static_cast<std::int64_t>(x.size()), y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_ExpArray);
+
+void BM_ExpRef(benchmark::State& state) {
+  const std::vector<float> x = softmax_range_inputs();
+  std::vector<float> y(x.size());
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      y[i] = detail::exp_ref(x[i]);
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_ExpRef);
 
 void BM_SoftmaxForward(benchmark::State& state) {
   Rng rng(3);

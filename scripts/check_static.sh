@@ -32,6 +32,11 @@
 #        - no std::mutex / std::lock_guard in src/runtime/stats.{h,cpp} —
 #          RuntimeStats stays a lock-free view over its metrics registry;
 #          a tally that seems to need a lock belongs in a registry series
+#        - no libm exp (std::exp*, ::exp, expf/expl/exp2*/expm1*,
+#          __builtin_exp*) in src/ outside the shared exp kernel
+#          (src/tensor/exp.{h,cpp}) — the tape and the fp32 engine must run
+#          ONE exp, and its bits must not depend on which expf build the
+#          host's libm dispatches to
 #
 # Usage: scripts/check_static.sh [build-dir]   (default: build)
 set -uo pipefail
@@ -129,6 +134,24 @@ for f in src/runtime/stats.h src/runtime/stats.cpp; do
   HITS=$(strip_noise "$f" | grep -nE 'std::(mutex|lock_guard)')
   if [ -n "$HITS" ]; then
     fail "std::mutex/std::lock_guard in $f — record into a registry series instead:
+$HITS"
+  fi
+done
+
+# --- 8. one exp: the shared exp kernel ---------------------------------------
+# Whole libm names only (exp, expf, expl, exp2*, expm1*): std::exponential_
+# distribution, __builtin_expect, expm1_ref, expm1_tanh_args, exp_ref and
+# fast_exp_negative pass. A bare unqualified exp( is the tape's Tensor op —
+# inside namespace snappix it hides the C function, so exp(float) does not
+# compile there.
+EXP_NAME='exp(2|m1)?[fl]?([^_[:alnum:]]|$)'
+for f in $SRC_FILES; do
+  case "$f" in
+    src/tensor/exp.h | src/tensor/exp.cpp) continue ;;
+  esac
+  HITS=$(strip_noise "$f" | grep -nE "(std::|__builtin_|(^|[^_[:alnum:]:])::)$EXP_NAME|(^|[^_[:alnum:]:])exp(2|m1|[fl])[fl]?([^_[:alnum:]]|\$)")
+  if [ -n "$HITS" ]; then
+    fail "libm exp in $f — call detail::exp_ref/exp_array (tensor/exp.h):
 $HITS"
   fi
 done

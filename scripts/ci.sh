@@ -21,13 +21,18 @@
 #   SANITIZER=tsan           build everything under -fsanitize=thread and run
 #                            the full test suite (the stress suite included)
 #                            with the pinned runtime options from
-#                            scripts/san_env.sh. halt_on_error=1: the first
+#                            scripts/san_env.sh, then diff the engine-bits
+#                            hashes against bench/engine_bits.golden. The
+#                            TSan build runs the scalar SIMD fallbacks, so
+#                            this checks them against the same file as the
+#                            AVX2 kernels. halt_on_error=1: the first
 #                            finding fails CI.
 #   SANITIZER=asan           same, under -fsanitize=address,undefined (+LSan).
 #
-# Sanitizer modes skip the benches and lints: their job is the race/UB gate,
-# and sanitized timings would only add noise. Perf claims come from the
-# default job's benches.
+# Sanitizer modes skip the timing benches and lints: their job is the
+# race/UB gate (and, through the engine bits, the scalar-path gate), and
+# sanitized timings would only add noise. Perf claims come from the default
+# job's benches.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,6 +45,20 @@ case "$SANITIZER" in
      exit 2 ;;
 esac
 
+# Engine bits: one hash per serving output (tape and fp32 engine logits and
+# reconstructions, the calibrated QuantSpec, int8 logits and reconstructions)
+# at 16x16 and 32x32. Every engine stage is integer or exact IEEE arithmetic,
+# and tanh and exp are the library's own ports (tensor/gelu.h, tensor/exp.h),
+# so the output must equal the committed golden file on any host and on every
+# code path (the int8 GEMM's AMX tiles or its pair kernel, AVX2 kernels or
+# scalar fallbacks); a diff means some served bit moved.
+check_engine_bits() {
+  "$BUILD_DIR/bench_engine_bits" | diff bench/engine_bits.golden -
+  "$BUILD_DIR/bench_engine_bits" --pair-kernel | diff bench/engine_bits.golden -
+  echo "bench_engine_bits: identical to bench/engine_bits.golden (int8 on the host's" \
+    "GEMM kernel and pinned to the pair kernel)"
+}
+
 cmake -B "$BUILD_DIR" -S . -DSNAPPIX_SANITIZE="$SAN_PRESET"
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 
@@ -49,6 +68,7 @@ if [ "$SANITIZER" != "off" ]; then
   # shellcheck source=scripts/san_env.sh
   SNAPPIX_SAN_LOG="$PWD/$BUILD_DIR/san_report" source scripts/san_env.sh
   ctest --test-dir "$BUILD_DIR" --output-on-failure
+  check_engine_bits
   echo "ci.sh: $SANITIZER run clean (suppressions file empty by policy)"
   exit 0
 fi
@@ -69,15 +89,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 "$BUILD_DIR/bench_wire_bits" | diff bench/wire_bits.golden -
 echo "bench_wire_bits: identical to bench/wire_bits.golden"
 
-# Engine bits: one hash per serving output (tape and fp32 engine logits and
-# reconstructions, the calibrated QuantSpec, int8 logits and reconstructions)
-# at 16x16 and 32x32. Every engine stage is integer or exact IEEE arithmetic
-# except std::exp in the fp32 softmax, whose glibc build differs by 1 ulp on
-# two inputs between its FMA and non-FMA variants (ROADMAP item 3). So this
-# golden file holds on x86-64 hosts where glibc runs its FMA expf (CPUs with
-# AVX2 and FMA); a diff on such a host means some served bit moved.
-"$BUILD_DIR/bench_engine_bits" | diff bench/engine_bits.golden -
-echo "bench_engine_bits: identical to bench/engine_bits.golden"
+check_engine_bits
 
 # Streaming bench: quick mode keeps CI fast; the binary exits non-zero if any
 # serving arm (batched, pattern-cache, sharded work-stealing, framed MIPI

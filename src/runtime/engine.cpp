@@ -8,6 +8,7 @@
 #include <string>
 
 #include "obs/trace.h"
+#include "tensor/exp.h"
 #include "tensor/gelu.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_s8.h"
@@ -139,10 +140,10 @@ void lanes_to_rows(const float* tile, std::int64_t lanes, std::int64_t width, fl
 
 // Fast exp for the int8 tier's softmax: 2^(x log2 e) assembled from the
 // exponent bits and a cubic on the fraction (~1e-3 relative error, which the
-// softmax normalization largely cancels). Pure float arithmetic — no libm —
-// so it is deterministic across runs and hosts, just not bit-equal to
-// std::exp. The fp32 engine MUST keep std::exp; only the already-
-// approximate int8 tier may trade exp accuracy for the ~10x speedup.
+// softmax normalization largely cancels). Pure float arithmetic, so it is
+// deterministic across runs and hosts, just not bit-equal to exp_ref. The
+// fp32 engine MUST run the tape's exp (tensor/exp.h); only the already-
+// approximate int8 tier may trade exp accuracy for speed.
 inline float fast_exp_negative(float x) {
   x = std::max(x, -80.0F);  // softmax inputs are <= 0 after max subtraction
   const float z = x * 1.44269504F;
@@ -157,7 +158,7 @@ inline float fast_exp_negative(float x) {
 }
 
 // The tape's softmax on one row: max-subtracted exp, a sequential sum, a
-// divide; exp is std::exp for the fp32 tier, fast_exp_negative for int8
+// divide; exp is exp_ref for the fp32 tier, fast_exp_negative for int8
 // (kFastExp).
 template <bool kFastExp>
 void softmax_row(float* row, std::int64_t n) {
@@ -167,7 +168,7 @@ void softmax_row(float* row, std::int64_t n) {
   }
   float denom = 0.0F;
   for (std::int64_t i = 0; i < n; ++i) {
-    row[i] = kFastExp ? fast_exp_negative(row[i] - mx) : std::exp(row[i] - mx);
+    row[i] = kFastExp ? fast_exp_negative(row[i] - mx) : detail::exp_ref(row[i] - mx);
     denom += row[i];
   }
   for (std::int64_t i = 0; i < n; ++i) {
@@ -196,9 +197,9 @@ inline __m256 fast_exp_negative8(__m256 x) {
 // softmax_row<kFastExp> over `count` rows of n (stride n). The AVX2 path
 // runs 8 rows in the 8 lanes of a (n, 8) `tile`: each lane runs its row's
 // max chain (_mm256_max_ps(x, mx) picks exactly what std::max(mx, x) picks,
-// ±0 and NaN included), its exps (std::exp per element for fp32, so libm
-// still decides those bits), its sequential sum and its divides, in the
-// scalar order.
+// ±0 and NaN included), its exps (for fp32 one exp_array call over the
+// max-subtracted tile: exp_ref's bits, 8 lanes wide), its sequential sum and
+// its divides, in the scalar order.
 template <bool kFastExp>
 void softmax_rows(float* rows, std::int64_t count, std::int64_t n, float* tile) {
 #if defined(__AVX2__)
@@ -210,17 +211,17 @@ void softmax_rows(float* rows, std::int64_t count, std::int64_t n, float* tile) 
     for (std::int64_t j = 0; j < n; ++j) {
       mx = _mm256_max_ps(_mm256_loadu_ps(tile + j * 8), mx);
     }
+    if constexpr (!kFastExp) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        _mm256_storeu_ps(tile + j * 8, _mm256_sub_ps(_mm256_loadu_ps(tile + j * 8), mx));
+      }
+      detail::exp_array(tile, n * 8, tile);
+    }
     __m256 denom = _mm256_setzero_ps();
     for (std::int64_t j = 0; j < n; ++j) {
       float* t = tile + j * 8;
-      const __m256 shifted = _mm256_sub_ps(_mm256_loadu_ps(t), mx);
       if constexpr (kFastExp) {
-        _mm256_storeu_ps(t, fast_exp_negative8(shifted));
-      } else {
-        _mm256_storeu_ps(t, shifted);
-        for (std::int64_t r = 0; r < lanes; ++r) {
-          t[r] = std::exp(t[r]);
-        }
+        _mm256_storeu_ps(t, fast_exp_negative8(_mm256_sub_ps(_mm256_loadu_ps(t), mx)));
       }
       denom = _mm256_add_ps(denom, _mm256_loadu_ps(t));
     }
@@ -427,7 +428,7 @@ void dot_rows(const float* coef, std::int64_t coef_stride, const float* rows,
 // Multi-head self-attention over the fused qkv rows (batch*N, 3D), context
 // into ctx (batch*N, D); `scores` ((N, N)), `kt` ((hd, N)) and `tile`
 // ((N, 8)) are scratch, reused per (b, head). Both tiers run this one loop
-// nest and differ only in the softmax: std::exp (bit-exact vs the tape) for
+// nest and differ only in the softmax: exp_array (bit-exact vs the tape) for
 // fp32, fast_exp_negative (kFastExp) for int8.
 //
 // The head's k rows are packed into a contiguous k^T tile, so the scores are
@@ -1004,11 +1005,10 @@ void QuantizedVitEngine::linear_s8(const float* in, const QuantLinear& lin, floa
   {
     obs::ScopedSpan span("quantize");
     detail::quantize_symmetric(in, rows * lin.w.k, lin.act_scale, ws_.qin.data());
-    detail::widen_s8_rows(ws_.qin.data(), rows, lin.w.k, ws_.a16.data());
   }
   {
     obs::ScopedSpan span("gemm_s8");
-    detail::gemm_s8_packed(ws_.a16.data(), lin.w, ws_.acc.data(), rows);
+    detail::gemm_s8_rows(ws_.qin.data(), lin.w, ws_.acc.data(), rows, ws_.a16.data());
   }
   obs::ScopedSpan span("requant");
   dequant_rows_fast(ws_.acc.data(), lin.deq.data(), lin.bias.data(), out, rows, lin.w.n);
@@ -1019,17 +1019,16 @@ void QuantizedVitEngine::mlp_s8(const float* in, const BlockWeights& blk, float*
   {
     obs::ScopedSpan span("quantize");
     detail::quantize_symmetric(in, rows * blk.fc1.w.k, blk.fc1.act_scale, ws_.qin.data());
-    detail::widen_s8_rows(ws_.qin.data(), rows, blk.fc1.w.k, ws_.a16.data());
   }
   {
     obs::ScopedSpan span("gemm_s8");
-    detail::gemm_s8_packed(ws_.a16.data(), blk.fc1.w, ws_.acc.data(), rows);
+    detail::gemm_s8_rows(ws_.qin.data(), blk.fc1.w, ws_.acc.data(), rows, ws_.a16.data());
   }
   {
     // fc1 output -> GELU -> fc2 input without leaving int8: requantize each
     // accumulator onto the gelu_in grid (tensor/gemm_s8.h's shared pack
     // pipeline), then map through the 256-entry LUT. ws_.qin is rewritten in
-    // place (the fc1 input it held is spent), then widened for fc2.
+    // place (the fc1 input it held is spent) and is fc2's input.
     obs::ScopedSpan span("requant");
     const std::int64_t total = rows * blk.fc1.w.n;
     detail::requantize_rows(ws_.acc.data(), blk.fc1.deq.data(), blk.fc1.bias.data(),
@@ -1039,11 +1038,10 @@ void QuantizedVitEngine::mlp_s8(const float* in, const BlockWeights& blk, float*
     for (std::int64_t i = 0; i < total; ++i) {
       q[i] = lut[static_cast<std::uint8_t>(q[i])];
     }
-    detail::widen_s8_rows(ws_.qin.data(), rows, blk.fc2.w.k, ws_.a16.data());
   }
   {
     obs::ScopedSpan span("gemm_s8");
-    detail::gemm_s8_packed(ws_.a16.data(), blk.fc2.w, ws_.acc.data(), rows);
+    detail::gemm_s8_rows(ws_.qin.data(), blk.fc2.w, ws_.acc.data(), rows, ws_.a16.data());
   }
   obs::ScopedSpan span("requant");
   dequant_rows_fast(ws_.acc.data(), blk.fc2.deq.data(), blk.fc2.bias.data(), out, rows,

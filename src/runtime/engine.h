@@ -20,11 +20,13 @@
 //
 // Bit-exactness contract (fp32 tier): BatchedVitEngine reproduces the
 // framework forward *bit-identically* (not just approximately). It calls the
-// kernels the tape ops call — the GEMM under matmul (tensor/gemm.h) and the
-// GELU under gelu (tensor/gelu.h) — and replicates every other elementwise
-// formula and accumulation order of the tape ops (LayerNorm's sum-times-
-// reciprocal mean, max-subtracted std::exp softmax with a sequential sum,
-// scale-after-matmul attention). The invariant that permits SIMD: each
+// kernels the tape ops call — the GEMM under matmul (tensor/gemm.h), the GELU
+// under gelu (tensor/gelu.h) and the exp under softmax (tensor/exp.h) — and
+// replicates every other elementwise formula and accumulation order of the
+// tape ops (LayerNorm's sum-times-reciprocal mean, max-subtracted softmax
+// with a sequential sum, scale-after-matmul attention). The only libm
+// function left in the fp32 engine is sqrt, which IEEE rounds correctly, so
+// its bits are the same on every host. The invariant that permits SIMD: each
 // output element keeps its own ascending-order chain of separate mul and add
 // (no FMA, no reassociation). So the loops vectorize ACROSS output elements
 // (GEMM tiles, GELU lanes, attention score and context lanes) or, for a
@@ -188,8 +190,9 @@ class BatchedVitEngine : public VitEngine {
 };
 
 // Int8 tier: snapshots the model ONCE as per-output-channel int8 weights
-// (packed into gemm_s8_packed's panels) and serves both heads with int8
-// GEMMs, int32 accumulation, and fp32 requantization at layer boundaries.
+// (packed for gemm_s8_rows's pair and AMX tile kernels) and serves both
+// heads with int8 GEMMs, int32 accumulation, and fp32 requantization at
+// layer boundaries.
 // Same workspace discipline as the fp32 engine: zero steady-state
 // allocations, one mutex, chunked batches.
 class QuantizedVitEngine : public VitEngine {
@@ -219,7 +222,7 @@ class QuantizedVitEngine : public VitEngine {
   // the int8 kernel's panels (tensor/gemm_s8.h), the fused dequantization
   // scale per channel (act_scale * weight_scale[j]), and the fp32 bias.
   struct QuantLinear {
-    detail::PackedS8Weights w;  // (n, k) as 16-channel panels of int16 k-pairs
+    detail::PackedS8Weights w;  // (n, k) in 16-channel panels (tensor/gemm_s8.h)
     std::vector<float> deq;     // (n)
     std::vector<float> bias;    // (n)
     float act_scale = 1.0F;
@@ -248,7 +251,7 @@ class QuantizedVitEngine : public VitEngine {
     std::vector<float> pooled;       // (B, D)
     std::vector<float> rec;          // (B*N, T*p*p), only with a REC head
     std::vector<std::int8_t> qin;    // quantized GEMM input, max row width
-    std::vector<std::int16_t> a16;   // qin widened to int16 k-pairs (gemm_s8_packed)
+    std::vector<std::int16_t> a16;   // gemm_s8_rows scratch: qin rows widened to k-pairs
     std::vector<std::int32_t> acc;   // int32 GEMM output, max row width
   };
 

@@ -1,6 +1,7 @@
 #include "tensor/gemm_s8.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 
@@ -10,9 +11,165 @@
 #include <immintrin.h>
 #endif
 
+// The tile kernel needs x86-64 Linux (the tile-data permission is a Linux
+// arch_prctl) and a compiler that takes the amx-tile/amx-int8 target
+// attribute, so the rest of the library builds without AMX flags.
+#if defined(__AVX2__) && defined(__x86_64__) && defined(__linux__) && \
+    (defined(__clang__) ? __clang_major__ >= 12 : __GNUC__ >= 11)
+#define SNAPPIX_S8_AMX 1
+#include <cpuid.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
 namespace snappix::detail {
 
 namespace {
+
+// Set while a ScopedS8PairKernel (a test hook) is alive.
+std::atomic<bool> g_pair_kernel_pinned{false};
+
+#if defined(SNAPPIX_S8_AMX)
+
+// AMX-INT8 usable by this process: CPUID.(7,0).EDX AMX-TILE (bit 24) and
+// AMX-INT8 (bit 25), XCR0 tile config and tile data (bits 17, 18) enabled by
+// the OS, and the kernel's grant of XTILEDATA (feature 18) to the process.
+bool amx_granted() {
+  static const bool granted = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0 ||
+        (edx & (3U << 24)) != (3U << 24)) {
+      return false;
+    }
+    if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0 || (ecx & (1U << 27)) == 0) {
+      return false;  // no OSXSAVE: xgetbv would fault
+    }
+    unsigned xcr0 = 0, xcr0_hi = 0;
+    __asm__ volatile("xgetbv" : "=a"(xcr0), "=d"(xcr0_hi) : "c"(0));
+    if ((xcr0 & (3U << 17)) != (3U << 17)) {
+      return false;
+    }
+    constexpr long kArchReqXcompPerm = 0x1023;
+    constexpr long kXfeatureXtileData = 18;
+    return syscall(SYS_arch_prctl, kArchReqXcompPerm, kXfeatureXtileData) == 0;
+  }();
+  return granted;
+}
+
+// The LDTILECFG operand: palette 1, per-tile rows and bytes per row.
+struct alignas(64) TileConfig {
+  std::uint8_t palette = 1;
+  std::uint8_t start_row = 0;
+  std::uint8_t reserved[14] = {};
+  std::uint16_t colsb[16] = {};
+  std::uint8_t rows[16] = {};
+};
+
+// Tile registers take immediates, so the accumulator index selects among
+// unrolled forms. tmm0-3 accumulate four panels; tmm4/tmm5 hold the A and B
+// tiles of a whole 64-byte k chunk, tmm6/tmm7 those of the k tail.
+#define SNAPPIX_TILE_CASES(op) \
+  switch (t) {                 \
+    case 0: op(0); break;      \
+    case 1: op(1); break;      \
+    case 2: op(2); break;      \
+    default: op(3); break;     \
+  }
+
+__attribute__((target("amx-tile"))) inline void tile_zero(int t) {
+#define SNAPPIX_ZERO(i) _tile_zero(i)
+  SNAPPIX_TILE_CASES(SNAPPIX_ZERO)
+#undef SNAPPIX_ZERO
+}
+
+__attribute__((target("amx-tile,amx-int8"))) inline void tile_dp_chunk(int t) {
+#define SNAPPIX_DP(i) _tile_dpbssd(i, 4, 5)
+  SNAPPIX_TILE_CASES(SNAPPIX_DP)
+#undef SNAPPIX_DP
+}
+
+__attribute__((target("amx-tile,amx-int8"))) inline void tile_dp_tail(int t) {
+#define SNAPPIX_DP(i) _tile_dpbssd(i, 6, 7)
+  SNAPPIX_TILE_CASES(SNAPPIX_DP)
+#undef SNAPPIX_DP
+}
+
+__attribute__((target("amx-tile"))) inline void tile_store(int t, std::int32_t* c,
+                                                          std::int64_t stride_bytes) {
+#define SNAPPIX_STORE(i) _tile_stored(i, c, stride_bytes)
+  SNAPPIX_TILE_CASES(SNAPPIX_STORE)
+#undef SNAPPIX_STORE
+}
+
+#undef SNAPPIX_TILE_CASES
+
+// c rows [0, m16) from the tile kernel, m16 a multiple of 16. Per 16-row
+// block and group of up to 4 panels: each k chunk loads the A tile (16 rows
+// of int8 activations, read in place with row stride k) once and runs one
+// tdpbssd per panel; the accumulators are stored straight into c, or
+// through `edge` for a panel that runs past n.
+__attribute__((target("amx-tile,amx-int8"))) void gemm_s8_tiles(const std::int8_t* a,
+                                                                const PackedS8Weights& b,
+                                                                std::int32_t* c,
+                                                                std::int64_t m16) {
+  const std::int64_t k = b.k;
+  const std::int64_t n = b.n;
+  const std::int64_t groups = k / 4;
+  const std::int64_t chunks = k / 64;
+  const std::int64_t tail = k % 64;
+  const std::int64_t panels = (n + kS8PanelWidth - 1) / kS8PanelWidth;
+  TileConfig cfg;
+  for (int t = 0; t < 6; ++t) {
+    cfg.rows[t] = 16;
+    cfg.colsb[t] = 64;
+  }
+  cfg.rows[6] = tail > 0 ? 16 : 0;
+  cfg.colsb[6] = static_cast<std::uint16_t>(tail);
+  cfg.rows[7] = static_cast<std::uint8_t>(tail / 4);
+  cfg.colsb[7] = tail > 0 ? 64 : 0;
+  _tile_loadconfig(&cfg);
+  alignas(64) std::int32_t edge[16 * kS8PanelWidth] = {};
+  for (std::int64_t i0 = 0; i0 < m16; i0 += 16) {
+    const std::int8_t* a_rows = a + i0 * k;
+    for (std::int64_t p0 = 0; p0 < panels; p0 += 4) {
+      const int count = static_cast<int>(std::min<std::int64_t>(4, panels - p0));
+      const std::int8_t* panel = b.tiles.data() + p0 * groups * 64;
+      for (int t = 0; t < count; ++t) {
+        tile_zero(t);
+      }
+      for (std::int64_t q = 0; q < chunks; ++q) {
+        _tile_loadd(4, a_rows + q * 64, k);
+        for (int t = 0; t < count; ++t) {
+          _tile_loadd(5, panel + (t * groups + q * 16) * 64, 64);
+          tile_dp_chunk(t);
+        }
+      }
+      if (tail > 0) {
+        _tile_loadd(6, a_rows + chunks * 64, k);
+        for (int t = 0; t < count; ++t) {
+          _tile_loadd(7, panel + (t * groups + chunks * 16) * 64, 64);
+          tile_dp_tail(t);
+        }
+      }
+      for (int t = 0; t < count; ++t) {
+        const std::int64_t j0 = (p0 + t) * kS8PanelWidth;
+        std::int32_t* out = c + i0 * n + j0;
+        if (j0 + kS8PanelWidth <= n) {
+          tile_store(t, out, n * static_cast<std::int64_t>(sizeof(std::int32_t)));
+          continue;
+        }
+        tile_store(t, edge, kS8PanelWidth * sizeof(std::int32_t));
+        for (int r = 0; r < 16; ++r) {
+          std::memcpy(out + r * n, edge + r * kS8PanelWidth,
+                      static_cast<std::size_t>(n - j0) * sizeof(std::int32_t));
+        }
+      }
+    }
+  }
+  _tile_release();
+}
+
+#endif  // SNAPPIX_S8_AMX
 
 // Writes the first `width` of 16 accumulators to c (a panel's last columns
 // may run past n).
@@ -72,9 +229,36 @@ PackedS8Weights pack_s8_weights(const std::int8_t* b, std::int64_t k, std::int64
       dst[(l / 2) * kS8PanelWidth * 2 + (l % 2)] = b[j * k + l];
     }
   }
+  if (gemm_s8_amx_enabled() && k % 4 == 0) {
+    const std::int64_t groups = k / 4;
+    packed.tiles.assign(static_cast<std::size_t>(panels * groups * kS8PanelWidth * 4), 0);
+    for (std::int64_t j = 0; j < n; ++j) {
+      std::int8_t* dst = packed.tiles.data() + (j / kS8PanelWidth) * groups * kS8PanelWidth * 4 +
+                         (j % kS8PanelWidth) * 4;
+      for (std::int64_t l = 0; l < k; ++l) {
+        dst[(l / 4) * kS8PanelWidth * 4 + (l % 4)] = b[j * k + l];
+      }
+    }
+  }
   return packed;
 }
 
+bool gemm_s8_amx_enabled() {
+#if defined(SNAPPIX_S8_AMX)
+  return !g_pair_kernel_pinned.load() && amx_granted();
+#else
+  return false;
+#endif
+}
+
+ScopedS8PairKernel::ScopedS8PairKernel() : previous_(g_pair_kernel_pinned.exchange(true)) {}
+
+ScopedS8PairKernel::~ScopedS8PairKernel() { g_pair_kernel_pinned.store(previous_); }
+
+namespace {
+
+// Widens a(m, k) to the int16 activation panel the pair kernel reads: m rows
+// of 2 * s8_pair_count(k) values, an odd k's last pair padded with zero.
 void widen_s8_rows(const std::int8_t* a, std::int64_t m, std::int64_t k, std::int16_t* panel) {
   const std::int64_t row = 2 * s8_pair_count(k);
   for (std::int64_t i = 0; i < m; ++i) {
@@ -171,12 +355,30 @@ void gemm_s8_packed(const std::int16_t* a_panel, const PackedS8Weights& b, std::
   }
 }
 
+}  // namespace
+
+void gemm_s8_rows(const std::int8_t* a, const PackedS8Weights& b, std::int32_t* c,
+                  std::int64_t m, std::int16_t* scratch) {
+  std::int64_t done = 0;
+#if defined(SNAPPIX_S8_AMX)
+  if (!b.tiles.empty() && gemm_s8_amx_enabled()) {
+    done = m - m % 16;
+    if (done > 0) {
+      gemm_s8_tiles(a, b, c, done);
+    }
+  }
+#endif
+  if (done < m) {
+    widen_s8_rows(a + done * b.k, m - done, b.k, scratch);
+    gemm_s8_packed(scratch, b, c + done * b.n, m - done);
+  }
+}
+
 void gemm_s8_nt(const std::int8_t* a, const std::int8_t* b, std::int32_t* c, std::int64_t m,
                 std::int64_t k, std::int64_t n) {
   const PackedS8Weights packed = pack_s8_weights(b, k, n);  // checks k
-  std::vector<std::int16_t> panel(static_cast<std::size_t>(m * 2 * s8_pair_count(k)));
-  widen_s8_rows(a, m, k, panel.data());
-  gemm_s8_packed(panel.data(), packed, c, m);
+  std::vector<std::int16_t> scratch(static_cast<std::size_t>(m * 2 * s8_pair_count(k)));
+  gemm_s8_rows(a, packed, c, m, scratch.data());
 }
 
 void gemm_s8_nt_ref(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,

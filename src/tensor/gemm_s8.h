@@ -9,13 +9,19 @@
 // quantization tests pin down.
 //
 // Weights are quantized PRE-TRANSPOSED: b is (n, k) row-major, one output
-// channel per row (quantize_weights_per_channel), and then packed once into
-// the kernel's layout (pack_s8_weights): 16-channel panels of int16 k-pairs.
-// Activations are widened to int16 k-pairs per call (widen_s8_rows). The
-// kernel (gemm_s8_packed) is an outer product: a broadcast activation pair
-// times a panel's 8-channel vector per vpmaddwd, so it never sums
-// horizontally. The packed layout only reorders and zero-pads exact integer
-// operands, so it cannot change a result.
+// channel per row (quantize_weights_per_channel), and then packed once, when
+// an engine is built (pack_s8_weights), into 16-channel panels in two
+// layouts:
+// - int16 k-pairs for the pair kernel, an outer product: a broadcast
+//   activation pair (the int8 activations widened per call) times a panel's
+//   8-channel vector per vpmaddwd, so it never sums horizontally;
+// - where the host grants AMX-INT8 and k % 4 == 0, int8 4-byte k-groups, the
+//   B-tile layout of the tile kernel (tdpbssd), which reads the int8
+//   activations as they are.
+// gemm_s8_rows, the entry the engines call, runs the tile kernel on every
+// whole 16-row block it can and the pair kernel on the rest. The layouts
+// only reorder and zero-pad exact integer operands, so neither the layout
+// nor the kernel can change a result.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +46,15 @@ constexpr std::int64_t kS8PanelWidth = 16;
 // k values travel in pairs (one vpmaddwd lane each); odd k pads one zero.
 constexpr std::int64_t s8_pair_count(std::int64_t k) { return (k + 1) / 2; }
 
-// b (n, k) packed for gemm_s8_packed: panels[((p * pairs + q) * 16 + ch) * 2
-// + e] = b[16 p + ch, 2 q + e], zero where 16 p + ch >= n or 2 q + e >= k.
+// b (n, k) packed for both kernels, zero where 16 p + ch >= n:
+// - panels[((p * pairs + q) * 16 + ch) * 2 + e] = b[16 p + ch, 2 q + e]
+//   (zero where 2 q + e >= k);
+// - tiles[((p * k / 4 + g) * 16 + ch) * 4 + e] = b[16 p + ch, 4 g + e]: row g
+//   of panel p's B tiles. Empty unless gemm_s8_amx_enabled() held at pack
+//   time and k % 4 == 0.
 struct PackedS8Weights {
   std::vector<std::int16_t> panels;
+  std::vector<std::int8_t> tiles;
   std::int64_t k = 0, n = 0;
 };
 
@@ -51,20 +62,40 @@ struct PackedS8Weights {
 // k <= kGemmS8MaxK (throws std::runtime_error beyond it).
 PackedS8Weights pack_s8_weights(const std::int8_t* b, std::int64_t k, std::int64_t n);
 
-// Widens a(m, k) to the int16 activation panel gemm_s8_packed reads: m rows
-// of 2 * s8_pair_count(k) values, an odd k's last pair padded with zero.
-void widen_s8_rows(const std::int8_t* a, std::int64_t m, std::int64_t k,
-                   std::int16_t* panel);
+// True when the tile kernel may run: the build has AVX2 on x86-64 Linux, the
+// CPU reports AMX-TILE and AMX-INT8, XCR0 enables tile state, and the kernel
+// granted this process tile data (arch_prctl ARCH_REQ_XCOMP_PERM) — probed
+// once per process — and no ScopedS8PairKernel is alive.
+bool gemm_s8_amx_enabled();
 
-// c(m, n) = a(m, k) @ b(n, k)^T with int32 accumulation, from a widened
-// activation panel and packed weights. `c` is fully overwritten. AVX2 4x16
-// vpmaddwd tiles when compiled in, scalar over the same layout otherwise —
-// bit-identical either way. Runs on the calling thread.
-void gemm_s8_packed(const std::int16_t* a_panel, const PackedS8Weights& b, std::int32_t* c,
-                    std::int64_t m);
+// Test hook: while alive, pack_s8_weights builds no tiles and gemm_s8_rows
+// runs the pair kernel on every row, so one AMX host can pin the two
+// kernels to each other. Create it only while no int8 GEMM runs.
+class ScopedS8PairKernel {
+ public:
+  ScopedS8PairKernel();
+  ~ScopedS8PairKernel();
+  ScopedS8PairKernel(const ScopedS8PairKernel&) = delete;
+  ScopedS8PairKernel& operator=(const ScopedS8PairKernel&) = delete;
 
-// c(m, n) = a(m, k) @ b(n, k)^T from unpacked operands: packs b and widens a
-// into per-call scratch, then runs gemm_s8_packed — the one int8 kernel.
+ private:
+  bool previous_;
+};
+
+// c(m, n) = a(m, k) @ b(n, k)^T from int8 activations (row-major, row
+// stride k) and packed weights, with int32 accumulation — what the engines
+// call. When b carries tiles and gemm_s8_amx_enabled(), the tile kernel runs
+// every whole 16-row block; the remaining rows (all of them otherwise) are
+// widened into `scratch` (m * 2 * s8_pair_count(k) int16 k-pairs, an odd
+// k's last pair padded with zero) for the pair kernel: AVX2 4x16 vpmaddwd
+// tiles when compiled in, scalar over the same layout otherwise. Exact, so
+// bit-identical on every path. `c` is fully overwritten; runs on the
+// calling thread.
+void gemm_s8_rows(const std::int8_t* a, const PackedS8Weights& b, std::int32_t* c,
+                  std::int64_t m, std::int16_t* scratch);
+
+// c(m, n) = a(m, k) @ b(n, k)^T from unpacked operands: packs b into
+// per-call scratch, then runs gemm_s8_rows.
 // Requires k <= kGemmS8MaxK (throws std::runtime_error beyond it).
 void gemm_s8_nt(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
                 std::int64_t m, std::int64_t k, std::int64_t n);
@@ -73,7 +104,7 @@ void gemm_s8_nt(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
 void gemm_s8_nt_ref(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
                     std::int64_t m, std::int64_t k, std::int64_t n);
 
-// True when gemm_s8_packed runs the AVX2 path (build had -mavx2).
+// True when the pair kernel runs the AVX2 path (build had -mavx2).
 bool gemm_s8_simd_enabled();
 
 // max(|x[i]|) over n values; 0 for an empty range.

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "tensor/broadcast.h"
+#include "tensor/exp.h"
 #include "tensor/gelu.h"
 #include "tensor/tensor.h"
 #include "util/common.h"
@@ -150,8 +151,8 @@ Tensor pow_scalar(const Tensor& a, float exponent) {
 Tensor neg(const Tensor& a) { return mul_scalar(a, -1.0F); }
 
 Tensor exp(const Tensor& a) {
-  return unary_op(
-      a, [](float x) { return std::exp(x); }, [](float, float y) { return y; });
+  // The shared kernel the fp32 engine's softmax runs (tensor/exp.h).
+  return unary_array_op(a, detail::exp_array, [](float, float y) { return y; });
 }
 
 Tensor log(const Tensor& a) {
@@ -189,7 +190,7 @@ Tensor gelu(const Tensor& a) {
 
 Tensor sigmoid(const Tensor& a) {
   return unary_op(
-      a, [](float x) { return 1.0F / (1.0F + std::exp(-x)); },
+      a, [](float x) { return 1.0F / (1.0F + detail::exp_ref(-x)); },
       [](float, float y) { return y * (1.0F - y); });
 }
 

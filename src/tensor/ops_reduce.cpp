@@ -4,6 +4,7 @@
 #include <limits>
 #include <utility>
 
+#include "tensor/exp.h"
 #include "tensor/tensor.h"
 #include "util/common.h"
 
@@ -176,7 +177,7 @@ Tensor softmax(const Tensor& a, int axis) {
       float denom = 0.0F;
       for (std::int64_t i = 0; i < plan.d; ++i) {
         const auto idx = static_cast<std::size_t>(base + i * plan.inner);
-        out[idx] = std::exp(da[idx] - mx);
+        out[idx] = detail::exp_ref(da[idx] - mx);
         denom += out[idx];
       }
       for (std::int64_t i = 0; i < plan.d; ++i) {
@@ -218,7 +219,7 @@ Tensor log_softmax(const Tensor& a, int axis) {
       }
       float denom = 0.0F;
       for (std::int64_t i = 0; i < plan.d; ++i) {
-        denom += std::exp(da[static_cast<std::size_t>(base + i * plan.inner)] - mx);
+        denom += detail::exp_ref(da[static_cast<std::size_t>(base + i * plan.inner)] - mx);
       }
       const float lse = mx + std::log(denom);
       for (std::int64_t i = 0; i < plan.d; ++i) {
@@ -239,7 +240,7 @@ Tensor log_softmax(const Tensor& a, int axis) {
         }
         for (std::int64_t i = 0; i < plan.d; ++i) {
           const auto idx = static_cast<std::size_t>(base + i * plan.inner);
-          ai->grad[idx] += self.grad[idx] - std::exp(self.data[idx]) * gsum;
+          ai->grad[idx] += self.grad[idx] - detail::exp_ref(self.data[idx]) * gsum;
         }
       }
     }
@@ -265,7 +266,7 @@ Tensor cross_entropy(const Tensor& logits, const std::vector<std::int64_t>& labe
     const float mx = *std::max_element(row, row + classes);
     float denom = 0.0F;
     for (std::int64_t c = 0; c < classes; ++c) {
-      prow[c] = std::exp(row[c] - mx);
+      prow[c] = detail::exp_ref(row[c] - mx);
       denom += prow[c];
     }
     for (std::int64_t c = 0; c < classes; ++c) {

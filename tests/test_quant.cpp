@@ -249,6 +249,55 @@ TEST(GemmS8, RejectsAccumulatorOverflowDepth) {
                               n);
 }
 
+// The AMX tile kernel against the pair kernel and the reference, on one
+// host: shapes straddle its 16-row blocks (m % 16 rows go to the pair
+// kernel), its groups of 4 16-channel panels (n % 64, n % 16), its 64-byte
+// k chunks and their tail (k % 64), and k % 4 != 0 (no tiles: pairs only).
+TEST(GemmS8, TileKernelMatchesPairKernelAndReference) {
+  if (!detail::gemm_s8_amx_enabled()) {
+    GTEST_SKIP() << "host grants no AMX-INT8";
+  }
+  Rng rng(47);
+  const std::vector<std::array<std::int64_t, 3>> shapes = {
+      {16, 4, 1},    {16, 64, 16},  {32, 48, 144}, {37, 96, 48},   {48, 100, 17},
+      {16, 128, 64}, {21, 192, 80}, {512, 48, 96}, {128, 48, 1024}, {19, 255, 33},
+      {16, 6, 5},    {5, 48, 7}};
+  for (const auto& [m, k, n] : shapes) {
+    const std::vector<std::int8_t> a = s8_operand(m * k, rng);
+    const std::vector<std::int8_t> b = s8_operand(n * k, rng);
+    const detail::PackedS8Weights tiled = detail::pack_s8_weights(b.data(), k, n);
+    EXPECT_EQ(tiled.tiles.empty(), k % 4 != 0) << "k=" << k;
+    std::vector<std::int16_t> scratch(static_cast<std::size_t>(m * 2 * detail::s8_pair_count(k)));
+    std::vector<std::int32_t> c_tiles(static_cast<std::size_t>(m * n), -1),
+        c_pairs(static_cast<std::size_t>(m * n), -2), expected(static_cast<std::size_t>(m * n));
+    detail::gemm_s8_rows(a.data(), tiled, c_tiles.data(), m, scratch.data());
+    {
+      const detail::ScopedS8PairKernel pin;
+      EXPECT_FALSE(detail::gemm_s8_amx_enabled());
+      detail::gemm_s8_rows(a.data(), tiled, c_pairs.data(), m, scratch.data());
+    }
+    detail::gemm_s8_nt_ref(a.data(), b.data(), expected.data(), m, k, n);
+    for (std::int64_t i = 0; i < m * n; ++i) {
+      const auto at = static_cast<std::size_t>(i);
+      ASSERT_EQ(c_tiles[at], expected[at]) << "tiles m=" << m << " k=" << k << " n=" << n
+                                           << " i=" << i;
+      ASSERT_EQ(c_pairs[at], expected[at]) << "pairs m=" << m << " k=" << k << " n=" << n
+                                           << " i=" << i;
+    }
+  }
+
+  // The deepest k the tiles take (a multiple of 4 at most kGemmS8MaxK), all
+  // -128: every sum is 2^14 * k, just below INT32_MAX.
+  const std::int64_t m = 16, n = 17, k = detail::kGemmS8MaxK / 4 * 4;
+  const std::vector<std::int8_t> a(static_cast<std::size_t>(m * k), -128),
+      b(static_cast<std::size_t>(n * k), -128);
+  std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
+  detail::gemm_s8_nt(a.data(), b.data(), c.data(), m, k, n);
+  for (const std::int32_t v : c) {
+    ASSERT_EQ(v, static_cast<std::int32_t>(128 * 128 * k));
+  }
+}
+
 // --- calibration -------------------------------------------------------------
 
 TEST(Calibration, DeterministicForFixedInputAndSeed) {
@@ -344,6 +393,32 @@ TEST_F(QuantEngineTest, DeterministicAcrossSeparatelyBuiltEngines) {
   const Tensor vb = b.reconstruct(coded_);
   for (std::size_t i = 0; i < va.data().size(); ++i) {
     ASSERT_EQ(va.data()[i], vb.data()[i]);
+  }
+}
+
+TEST_F(QuantEngineTest, TileAndPairKernelsServeIdenticalBits) {
+  // An engine packed while the pair kernel is pinned carries no AMX tiles,
+  // so it serves through the pair kernel alone. Batch 6 is 24 token rows at
+  // 16x16 (one 16-row tile block plus 8 pair rows), batch 8 is 32 (tiles
+  // only), and batch 1 is 4 (pairs only).
+  if (!detail::gemm_s8_amx_enabled()) {
+    GTEST_SKIP() << "host grants no AMX-INT8";
+  }
+  const QuantizedVitEngine tiled(*system_->classifier(), *system_->reconstructor(), spec_, 8);
+  const std::unique_ptr<QuantizedVitEngine> pairs = [&] {
+    const detail::ScopedS8PairKernel pin;
+    return std::make_unique<QuantizedVitEngine>(*system_->classifier(),
+                                                *system_->reconstructor(), spec_, 8);
+  }();
+  Rng rng(31);
+  for (const std::int64_t batch : {6, 8, 1}) {
+    const Tensor coded = Tensor::rand_uniform(Shape{batch, 16, 16}, rng);
+    const Tensor lt = tiled.classify_logits(coded);
+    const Tensor lp = pairs->classify_logits(coded);
+    ASSERT_EQ(lt.data(), lp.data()) << "logits, batch " << batch;
+    const Tensor vt = tiled.reconstruct(coded);
+    const Tensor vp = pairs->reconstruct(coded);
+    ASSERT_EQ(vt.data(), vp.data()) << "video, batch " << batch;
   }
 }
 

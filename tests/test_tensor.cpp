@@ -1,6 +1,7 @@
 // Unit tests for tensor structure, factories, and forward-only semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "tensor/broadcast.h"
+#include "tensor/exp.h"
 #include "tensor/gelu.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
@@ -535,6 +537,220 @@ TEST(GeluKernel, TapeOpsRunTheKernel) {
     EXPECT_EQ(bits_of(tanh_out.data()[i]), bits_of(detail::tanh_ref(a.data()[i])));
     EXPECT_EQ(bits_of(gelu_out.data()[i]), bits_of(detail::gelu_ref(a.data()[i])));
   }
+}
+
+// --- shared exp kernel (tensor/exp.h) -----------------------------------------
+
+namespace {
+
+constexpr std::uint32_t kFmaVariantHigh = 0x4202422fU;  // 32.5646
+constexpr std::uint32_t kFmaVariantLow = 0xc27c65d9U;   // -63.0995
+
+// {input bits, output bits} recorded from glibc 2.36 expf with its FMA build
+// masked (GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA): the main path across
+// the softmax range, the edges of the |x| >= 88 special-case test, the
+// overflow and underflow thresholds, subnormal results, and the two inputs
+// where glibc's FMA build rounds the other way.
+constexpr std::array<std::array<std::uint32_t, 2>, 45> kExpGolden = {{
+    {0x00000000U, 0x3f800000U},  // +0
+    {0x80000000U, 0x3f800000U},  // -0
+    {0x00000001U, 0x3f800000U},  // smallest subnormal: 1
+    {0x80000001U, 0x3f800000U},  // negative smallest subnormal: 1
+    {0x2edbe6ffU, 0x3f800000U},  // 1e-10: 1
+    {0x33800000U, 0x3f800001U},  // 2^-24
+    {0xb3800000U, 0x3f7fffffU},  // -2^-24
+    {0x3a83126fU, 0x3f8020c9U},  // 0.001
+    {0x3e800000U, 0x3fa45af2U},  // 0.25
+    {0x3f000000U, 0x3fd3094cU},  // 0.5
+    {0xbf000000U, 0x3f1b4598U},  // -0.5
+    {0x3f800000U, 0x402df854U},  // 1
+    {0xbf800000U, 0x3ebc5ab2U},  // -1
+    {0x3f317218U, 0x40000000U},  // ln2
+    {0x40000000U, 0x40ec7326U},  // 2
+    {0xc0400000U, 0x3d4bed86U},  // -3
+    {0x41200000U, 0x46ac14eeU},  // 10
+    {0xc1200000U, 0x383e6bceU},  // -10
+    {0xc1400000U, 0x36ce2a62U},  // -12
+    {kFmaVariantHigh, 0x56fc9f1bU},  // the FMA build gives 0x56fc9f1c
+    {kFmaVariantLow, 0x11fa2992U},   // the FMA build gives 0x11fa2993
+    {0x42a00000U, 0x792abbceU},  // 80
+    {0xc2a00000U, 0x05bfecbaU},  // -80
+    {0x42afffffU, 0x7ef8823bU},  // largest x below 88: no special-case test
+    {0x42b00000U, 0x7ef882b7U},  // 88: special-case test, main path
+    {0xc2b00000U, 0x0041edc4U},  // -88: special-case test, subnormal result
+    {0xc2aeac4fU, 0x00800026U},  // -87.3365: just above FLT_MIN
+    {0xc2aeac50U, 0x007fffe6U},  // -87.3365 - 1 ulp: subnormal result
+    {0x42b17217U, 0x7f7fff84U},  // 0x1.62e42ep6 (88.7228): largest finite result
+    {0x42b17218U, 0x7f800000U},  // 88.7228 + 1 ulp: overflow to +inf
+    {0x42c80000U, 0x7f800000U},  // 100: overflow
+    {0x7f7fffffU, 0x7f800000U},  // FLT_MAX: overflow
+    {0xc2c80000U, 0x0000001bU},  // -100: subnormal result
+    {0xc2cd0000U, 0x00000002U},  // -102.5: subnormal result
+    {0xc2ce0000U, 0x00000001U},  // -103: smallest subnormal
+    {0xc2cff1b4U, 0x00000001U},  // -0x1.9fe368p6 (-103.972): main path
+    {0xc2cff1b5U, 0x00000000U},  // -103.972 - 1 ulp: underflow to +0
+    {0xc2d00000U, 0x00000000U},  // -104: underflow
+    {0xff7fffffU, 0x00000000U},  // -FLT_MAX: underflow
+    {0x7f800000U, 0x7f800000U},  // +inf
+    {0xff800000U, 0x00000000U},  // -inf: +0
+    {0x7fc00000U, 0x7fc00000U},  // NaN
+    {0xffc00000U, 0xffc00000U},  // -NaN
+    {0x7f800001U, 0x7fc00001U},  // signalling NaN, quieted
+    {0xffa00000U, 0xffe00000U},  // negative signalling NaN, quieted
+}};
+
+// The tape's softmax of one row, written out with exp_ref.
+std::vector<float> softmax_row_ref(const float* row, std::size_t n) {
+  float mx = -std::numeric_limits<float>::infinity();
+  for (std::size_t i = 0; i < n; ++i) {
+    mx = std::max(mx, row[i]);
+  }
+  std::vector<float> out(n);
+  float denom = 0.0F;
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = detail::exp_ref(row[i] - mx);
+    denom += out[i];
+  }
+  for (float& v : out) {
+    v /= denom;
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(ExpKernel, MatchesGlibcNonFmaGoldenTable) {
+  // The array form runs the inputs as one buffer, padded to whole vectors
+  // so every entry takes the 8-lane path; each vector mixes main-path and
+  // special lanes, so the blends are checked against each other.
+  std::vector<float> in;
+  for (const auto& [x, y] : kExpGolden) {
+    EXPECT_EQ(bits_of(detail::exp_ref(float_of(x))), y) << std::hex << "exp_ref(0x" << x << ")";
+    in.push_back(float_of(x));
+  }
+  while (in.size() % 8 != 0) {
+    in.push_back(0.0F);
+  }
+  std::vector<float> out(in.size());
+  detail::exp_array(in.data(), static_cast<std::int64_t>(in.size()), out.data());
+  for (std::size_t i = 0; i < kExpGolden.size(); ++i) {
+    EXPECT_EQ(bits_of(out[i]), kExpGolden[i][1])
+        << std::hex << "exp_array(0x" << kExpGolden[i][0] << ")";
+  }
+}
+
+// exp_array against exp_ref over a strided sweep of all 2^32 bit patterns,
+// in place, as the engine's softmax calls it; chunks of 4099 leave a scalar
+// tail.
+TEST(ExpKernel, ArrayMatchesScalarReferenceOverStridedSweep) {
+  constexpr std::uint64_t kStride = 1021;
+  constexpr std::int64_t kChunk = 4099;
+  std::vector<float> x(kChunk), y(kChunk);
+  std::uint64_t mismatches = 0;
+  for (std::uint64_t base = 0; base < (std::uint64_t{1} << 32);
+       base += kStride * static_cast<std::uint64_t>(kChunk)) {
+    for (std::int64_t i = 0; i < kChunk; ++i) {
+      x[static_cast<std::size_t>(i)] =
+          float_of(static_cast<std::uint32_t>(base + kStride * static_cast<std::uint64_t>(i)));
+    }
+    y = x;
+    detail::exp_array(y.data(), kChunk, y.data());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const std::uint32_t want = bits_of(detail::exp_ref(x[i]));
+      if (bits_of(y[i]) != want && mismatches++ == 0) {
+        ADD_FAILURE() << std::hex << "exp_array(0x" << bits_of(x[i]) << ") = 0x" << bits_of(y[i])
+                      << ", exp_ref gives 0x" << want;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0U);
+}
+
+// Every tape op with an exp in it reproduces the formula written out with
+// exp_ref. The inputs hit the FMA-variant points, so on a host whose libm
+// runs glibc's FMA expf a libm call in exp, softmax or cross_entropy would
+// show: rows 0, 2 and 3 are <= 0 with a 0, so their max-subtracted rows hold
+// -63.0995 itself, and row 1 holds +32.5646 for exp. (sigmoid and
+// log_softmax round those 1-ulp differences away; they are checked for
+// equality only.)
+TEST(ExpKernel, TapeOpsRunTheKernel) {
+  constexpr std::size_t kRows = 4;  // cross_entropy's 1/batch is then exact
+  constexpr std::size_t kCols = 37;
+  Rng rng(29);
+  Tensor a = Tensor::randn(Shape{kRows, kCols}, rng, 3.0F);
+  std::vector<float> v = a.data();
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t c = 0; c < kCols; ++c) {
+      v[r * kCols + c] = -std::fabs(v[r * kCols + c]);
+    }
+    v[r * kCols] = 0.0F;
+    v[r * kCols + 9] = float_of(r == 1 ? kFmaVariantHigh : kFmaVariantLow);
+    v[r * kCols + 20] = -float_of(kFmaVariantHigh);
+  }
+  a = Tensor::from_vector(v, a.shape(), /*requires_grad=*/true);
+
+  const Tensor exp_out = snappix::exp(a);
+  const Tensor sigmoid_out = sigmoid(a);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    EXPECT_EQ(bits_of(exp_out.data()[i]), bits_of(detail::exp_ref(v[i]))) << "exp " << i;
+    EXPECT_EQ(bits_of(sigmoid_out.data()[i]), bits_of(1.0F / (1.0F + detail::exp_ref(-v[i]))))
+        << "sigmoid " << i;
+  }
+
+  const Tensor softmax_out = softmax(a, -1);
+  const Tensor log_softmax_out = log_softmax(a, -1);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const float* row = v.data() + r * kCols;
+    const std::vector<float> want = softmax_row_ref(row, kCols);
+    float mx = -std::numeric_limits<float>::infinity();
+    float denom = 0.0F;
+    for (std::size_t c = 0; c < kCols; ++c) {
+      mx = std::max(mx, row[c]);
+    }
+    for (std::size_t c = 0; c < kCols; ++c) {
+      denom += detail::exp_ref(row[c] - mx);
+    }
+    const float lse = mx + std::log(denom);
+    for (std::size_t c = 0; c < kCols; ++c) {
+      EXPECT_EQ(bits_of(softmax_out.data()[r * kCols + c]), bits_of(want[c]))
+          << "softmax " << r << "," << c;
+      EXPECT_EQ(bits_of(log_softmax_out.data()[r * kCols + c]), bits_of(row[c] - lse))
+          << "log_softmax " << r << "," << c;
+    }
+  }
+
+  // A strided softmax (axis 0) runs the same formula down the columns.
+  const Tensor softmax_cols = softmax(a, 0);
+  for (std::size_t c = 0; c < kCols; ++c) {
+    std::vector<float> column(kRows);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      column[r] = v[r * kCols + c];
+    }
+    const std::vector<float> want = softmax_row_ref(column.data(), kRows);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      EXPECT_EQ(bits_of(softmax_cols.data()[r * kCols + c]), bits_of(want[r]))
+          << "softmax axis 0 " << r << "," << c;
+    }
+  }
+
+  // cross_entropy's gradient is (softmax - onehot) / batch, so it exposes
+  // the probabilities the loss was computed from.
+  const std::vector<std::int64_t> labels = {9, 0, 20, 5};
+  Tensor loss = cross_entropy(a, labels);
+  loss.backward();
+  const Tensor grad_tensor = a.grad();
+  const std::vector<float>& grad = grad_tensor.data();
+  float want_loss = 0.0F;
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const std::vector<float> probs = softmax_row_ref(v.data() + r * kCols, kCols);
+    want_loss -= std::log(std::max(probs[static_cast<std::size_t>(labels[r])], 1e-12F));
+    for (std::size_t c = 0; c < kCols; ++c) {
+      const float onehot = static_cast<std::int64_t>(c) == labels[r] ? 1.0F : 0.0F;
+      EXPECT_EQ(bits_of(grad[r * kCols + c]), bits_of(0.25F * (probs[c] - onehot)))
+          << "cross_entropy grad " << r << "," << c;
+    }
+  }
+  EXPECT_EQ(bits_of(loss.item()), bits_of(want_loss / 4.0F));
 }
 
 TEST(ReduceForward, SumMeanAxes) {
