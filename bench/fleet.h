@@ -1,7 +1,8 @@
 // The serving benches' shared harness (streaming_throughput, obs_overhead,
 // saturation, codec_frontier, resilience): the edge-node serving system,
 // recorded replay streams, the 4-pattern AR+REC fleet, one arm runner, the
-// ground-truth eval clips, the FAIL reporter and the BENCH_*.json writer.
+// ground-truth eval clips, the interleaved-round timing helpers, the FAIL
+// reporter and the BENCH_*.json writer.
 // The batch-1 reference oracle and the per-camera conservation ledger, which
 // the tests use too, live in tests/serving_fixtures.h.
 #pragma once
@@ -200,6 +201,44 @@ inline EvalClips eval_clips(const core::SnapPixSystem& system, std::int64_t coun
       Tensor::from_vector(std::move(clips), Shape{count, cfg.frames, cfg.image, cfg.image});
   out.coded = system.encode(out.videos);
   return out;
+}
+
+// --- interleaved rounds ------------------------------------------------------
+//
+// A timing gate reads arms run as rounds: each arm once per round, with the
+// arm that goes first rotating, and the gate takes the median of the
+// per-round ratios, so each ratio sees one host phase.
+
+inline double median_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid] : 0.5 * (values[mid - 1] + values[mid]);
+}
+
+// Runs round `round`: every arm once, starting at arm round % arms.size().
+inline void run_round(int round, const std::vector<std::function<void()>>& arms) {
+  for (std::size_t i = 0; i < arms.size(); ++i) {
+    arms[(static_cast<std::size_t>(round) + i) % arms.size()]();
+  }
+}
+
+// One arm against another per round (num[r] / den[r], e.g. fp32 seconds /
+// int8 seconds for the same work, or sharded fps / single fps): the median a
+// gate reads, and the spread.
+struct RoundRatios {
+  double median = 0.0, min = 0.0, max = 0.0;
+};
+
+inline RoundRatios round_ratios(const std::vector<double>& num, const std::vector<double>& den) {
+  std::vector<double> ratios;
+  for (std::size_t r = 0; r < num.size() && r < den.size(); ++r) {
+    ratios.push_back(den[r] > 0.0 ? num[r] / den[r] : 0.0);
+  }
+  if (ratios.empty()) {
+    return {};
+  }
+  const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
+  return {median_of(ratios), *lo, *hi};
 }
 
 // The one FAIL reporter: a failed gate prints "FAIL: <message>" and makes

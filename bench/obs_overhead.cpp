@@ -15,17 +15,18 @@
 //   sampled     tracing enabled, sample_every = 8 (1-in-8 per camera),
 //               gated <= 5% (fps >= 0.95x untraced).
 //
-// Each arm runs `reps` times and reports the MAX aggregate fps (damps
-// shared-runner noise; the overhead gates compare best-vs-best). Served
-// results must be bit-identical across all three arms — tracing must never
-// change a served bit.
+// The arms run as interleaved rounds (5 in --quick, 9 in full runs): each
+// round serves every arm once, rotating which arm goes first, and each
+// overhead gate reads the median over rounds of the per-round fps ratio
+// (printed and written with its min and max). Served results must be
+// bit-identical across all three arms — tracing must never change a served
+// bit; that gate and the trace checks below read the last round's runs.
 //
 // The sampled arm's trace is then validated structurally: zero dropped
 // events, time-sorted export, a COMPLETE lifecycle (b/e "frame" +
 // capture/queue_wait/batch_assembly/infer pairs) for every sampled served
 // frame, and the Chrome JSON must parse (tests/json_lite.h). Writes
 // BENCH_obs.json and trace_obs.json; exits non-zero if any gate fails.
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -55,9 +56,10 @@ constexpr int kSampleEvery = 8;
 
 struct ArmResult {
   std::string label;
-  std::vector<double> fps;  // one entry per rep
-  double max_fps = 0.0;
-  bench::ArmRun last;       // the last rep: its results and its live server
+  bool trace_enabled = false;
+  int sample_every = 0;
+  std::vector<double> fps;  // one entry per round
+  bench::ArmRun last;       // the last round's run: its results and its live server
 };
 
 }  // namespace
@@ -65,13 +67,14 @@ struct ArmResult {
 int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
   const std::int64_t frames_per_camera = quick ? 120 : 240;
-  const int reps = quick ? 3 : 4;
+  const int rounds = quick ? 5 : 9;
   bench::Gate gate;
 
   bench::print_header("Observability overhead: frame-lifecycle tracing vs untraced serving");
-  std::printf("%d cameras x %lld frames, %d patterns, AR+REC mix, 2 shards, %d reps/arm "
-              "(max fps gates)\n",
-              kCameras, static_cast<long long>(frames_per_camera), HeteroFleet::kPatterns, reps);
+  std::printf("%d cameras x %lld frames, %d patterns, AR+REC mix, 2 shards, %d interleaved "
+              "rounds (median per-round ratio gates)\n",
+              kCameras, static_cast<long long>(frames_per_camera), HeteroFleet::kPatterns,
+              rounds);
 
   const core::SnapPixConfig cfg = bench::serving_config();
   core::SnapPixSystem system(cfg);
@@ -79,55 +82,47 @@ int main(int argc, char** argv) {
   // measure tracing, not scene synthesis.
   const HeteroFleet fleet(cfg, frames_per_camera);
 
-  const auto run_once = [&](ArmResult& arm, bool trace_enabled, int sample_every) {
+  const auto run_once = [&](ArmResult& arm) {
     runtime::ServerConfig server_cfg;
     server_cfg.batch.max_batch = kCameras;
     server_cfg.batch.max_delay = std::chrono::microseconds(2000);
-    server_cfg.cache.shards = 2;
-    server_cfg.cache.capacity_per_shard = 4;
+    server_cfg.cache.capacity = 8;
     server_cfg.shards = 2;
-    server_cfg.trace.enabled = trace_enabled;
-    server_cfg.trace.sample_every = sample_every;
+    server_cfg.trace.enabled = arm.trace_enabled;
+    server_cfg.trace.sample_every = arm.sample_every;
     arm.last = bench::run_arm(system, server_cfg, [&fleet](int cam) { return fleet.camera(cam); },
                               kCameras, frames_per_camera);
     arm.fps.push_back(arm.last.summary.aggregate_fps);
   };
 
-  // Reps are interleaved round-robin across arms so scheduler/thermal drift
-  // hits every arm equally instead of biasing whichever arm ran last.
-  ArmResult untraced;
-  untraced.label = "untraced";
-  ArmResult unsampled;
-  unsampled.label = "unsampled_tracing";
-  ArmResult sampled;
-  sampled.label = "sampled_1_in_8";
-  for (int rep = 0; rep < reps; ++rep) {
-    run_once(untraced, false, 0);
-    run_once(unsampled, true, 0);
-    run_once(sampled, true, kSampleEvery);
+  ArmResult untraced{"untraced", false, 0, {}, {}};
+  ArmResult unsampled{"unsampled_tracing", true, 0, {}, {}};
+  ArmResult sampled{"sampled_1_in_8", true, kSampleEvery, {}, {}};
+  for (int round = 0; round < rounds; ++round) {
+    bench::run_round(round, {[&] { run_once(untraced); }, [&] { run_once(unsampled); },
+                             [&] { run_once(sampled); }});
   }
-  for (ArmResult* arm : {&untraced, &unsampled, &sampled}) {
-    arm->max_fps = *std::max_element(arm->fps.begin(), arm->fps.end());
-    std::printf("\n[%s] fps per rep:", arm->label.c_str());
+  for (const ArmResult* arm : {&untraced, &unsampled, &sampled}) {
+    std::printf("\n[%s] fps per round:", arm->label.c_str());
     for (const double fps : arm->fps) {
       std::printf(" %.1f", fps);
     }
-    std::printf("  -> max %.1f\n", arm->max_fps);
+    std::printf("  -> median %.1f\n", bench::median_of(arm->fps));
   }
 
   // --- gates: throughput deltas + bit identity ------------------------------
-  const double unsampled_ratio =
-      untraced.max_fps > 0.0 ? unsampled.max_fps / untraced.max_fps : 0.0;
-  const double sampled_ratio =
-      untraced.max_fps > 0.0 ? sampled.max_fps / untraced.max_fps : 0.0;
+  const bench::RoundRatios unsampled_ratio = bench::round_ratios(unsampled.fps, untraced.fps);
+  const bench::RoundRatios sampled_ratio = bench::round_ratios(sampled.fps, untraced.fps);
   const bool bits_identical =
       fixtures::first_divergence(untraced.last.results, unsampled.last.results).empty() &&
       fixtures::first_divergence(untraced.last.results, sampled.last.results).empty();
 
   bench::print_rule();
-  std::printf("unsampled tracing: %.3fx untraced (gate >= 0.98)   sampled 1-in-%d: %.3fx "
-              "(gate >= 0.95)\n",
-              unsampled_ratio, kSampleEvery, sampled_ratio);
+  std::printf("unsampled tracing: %.3fx untraced (min %.3fx, max %.3fx; gate >= 0.98)\n"
+              "sampled 1-in-%d:   %.3fx untraced (min %.3fx, max %.3fx; gate >= 0.95)\n"
+              "(medians over %d interleaved rounds)\n",
+              unsampled_ratio.median, unsampled_ratio.min, unsampled_ratio.max, kSampleEvery,
+              sampled_ratio.median, sampled_ratio.min, sampled_ratio.max, rounds);
   std::printf("served bits identical across arms: %s\n", bits_identical ? "yes" : "NO");
 
   // --- trace completeness: every sampled served frame has a full lifecycle --
@@ -204,20 +199,24 @@ int main(int argc, char** argv) {
       fps.push_back(obs::json_number(f));
     }
     bench::JsonObject out;
-    out.raw("fps", bench::json_array(fps)).add("max_fps", arm.max_fps);
+    out.raw("fps", bench::json_array(fps)).add("median_fps", bench::median_of(arm.fps));
     return out;
   };
   bench::JsonObject()
       .add("cameras", kCameras)
       .add("frames_per_camera", frames_per_camera)
       .add("patterns", HeteroFleet::kPatterns)
-      .add("reps", reps)
+      .add("rounds", rounds)
       .add("sample_every", kSampleEvery)
       .add("untraced", arm_json(untraced))
       .add("unsampled_tracing", arm_json(unsampled))
       .add("sampled_tracing", arm_json(sampled))
-      .add("unsampled_fps_ratio", unsampled_ratio)
-      .add("sampled_fps_ratio", sampled_ratio)
+      .add("unsampled_fps_ratio", unsampled_ratio.median)
+      .add("unsampled_fps_ratio_min", unsampled_ratio.min)
+      .add("unsampled_fps_ratio_max", unsampled_ratio.max)
+      .add("sampled_fps_ratio", sampled_ratio.median)
+      .add("sampled_fps_ratio_min", sampled_ratio.min)
+      .add("sampled_fps_ratio_max", sampled_ratio.max)
       .add("unsampled_gate", 0.98)
       .add("sampled_gate", 0.95)
       .add("bit_identical", bits_identical)
@@ -230,9 +229,12 @@ int main(int argc, char** argv) {
       .add("trace_json_valid", json_valid)
       .write("BENCH_obs.json");
 
-  gate(unsampled_ratio >= 0.98, "unsampled tracing %.3fx untraced (gate 0.98x)", unsampled_ratio);
-  gate(sampled_ratio >= 0.95, "1-in-%d sampling %.3fx untraced (gate 0.95x)", kSampleEvery,
-       sampled_ratio);
+  gate(unsampled_ratio.median >= 0.98,
+       "unsampled tracing %.3fx untraced (median of %d interleaved rounds; gate 0.98x)",
+       unsampled_ratio.median, rounds);
+  gate(sampled_ratio.median >= 0.95,
+       "1-in-%d sampling %.3fx untraced (median of %d interleaved rounds; gate 0.95x)",
+       kSampleEvery, sampled_ratio.median, rounds);
   gate(bits_identical, "tracing changed served bits");
   gate(lifecycles_complete && sampled_frames > 0,
        "sampled frames missing complete trace lifecycles");

@@ -119,44 +119,6 @@ std::vector<runtime::TaskResult> cameras_with_parity(
   return out;
 }
 
-double median_of(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const std::size_t mid = values.size() / 2;
-  return values.size() % 2 == 1 ? values[mid] : 0.5 * (values[mid - 1] + values[mid]);
-}
-
-// One arm's speedup over another per interleaved round (num[r] / den[r]:
-// fp32 seconds / int8 seconds for the same work, or sharded fps / single
-// fps): the median a gate reads, and the spread.
-struct RoundRatios {
-  double median = 0.0, min = 0.0, max = 0.0;
-};
-
-// Runs one interleaved round of two arms: `a` first in even rounds, `b`
-// first in odd ones, so neither side of a ratio always runs first.
-template <typename A, typename B>
-void run_round(int round, const A& a, const B& b) {
-  if (round % 2 == 0) {
-    a();
-    b();
-  } else {
-    b();
-    a();
-  }
-}
-
-RoundRatios round_ratios(const std::vector<double>& num, const std::vector<double>& den) {
-  std::vector<double> ratios;
-  for (std::size_t r = 0; r < num.size() && r < den.size(); ++r) {
-    ratios.push_back(den[r] > 0.0 ? num[r] / den[r] : 0.0);
-  }
-  if (ratios.empty()) {
-    return {};
-  }
-  const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
-  return {median_of(ratios), *lo, *hi};
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -237,7 +199,7 @@ int main(int argc, char** argv) {
   // every recorded frame, served as full cross-camera batches.
   bool identical_logits = true;
   {
-    runtime::BatchedVitEngine engine(*system.classifier(), kCameras);
+    runtime::BatchedVitEngine engine(*system.classifier(), *system.reconstructor(), kCameras);
     for (std::int64_t i = 0; i < frames_per_camera && identical_logits; ++i) {
       std::vector<runtime::Frame> batch;
       for (int cam = 0; cam < kCameras; ++cam) {
@@ -310,8 +272,7 @@ int main(int argc, char** argv) {
 
   // All four patterns resident: every batch after first touch is a hit.
   runtime::EngineCacheConfig roomy;
-  roomy.shards = 2;
-  roomy.capacity_per_shard = 4;
+  roomy.capacity = 8;
   const auto hetero_config = [&](const runtime::EngineCacheConfig& cache, std::size_t shards) {
     runtime::ServerConfig server_cfg = fleet_config();
     server_cfg.cache = cache;
@@ -323,16 +284,14 @@ int main(int argc, char** argv) {
     bench::ArmRun arm = bench::run_arm(
         system, hetero_config(cache, shards), [&](int cam) { return hetero.camera(cam); },
         kCameras, frames);
-    std::printf("\n[%s] consumer_shards=%zu cache_shards=%zu capacity/shard=%zu\n%s", label,
-                shards, cache.shards, cache.capacity_per_shard,
-                runtime::to_string(arm.summary).c_str());
+    std::printf("\n[%s] consumer_shards=%zu cache_capacity=%zu\n%s", label, shards,
+                cache.capacity, runtime::to_string(arm.summary).c_str());
     return arm;
   };
   const bench::ArmRun resident = run_hetero("pattern_cache_resident", roomy, hetero_frames, 1);
   // One-entry cache: pattern alternation thrashes, counting evictions.
   runtime::EngineCacheConfig tiny;
-  tiny.shards = 1;
-  tiny.capacity_per_shard = 1;
+  tiny.capacity = 1;
   const bench::ArmRun pressure = run_hetero("pattern_cache_pressure", tiny, quick ? 10 : 25, 1);
 
   // Verify both task heads against the sequential tape paths, per camera.
@@ -372,8 +331,7 @@ int main(int argc, char** argv) {
   const auto cache_arm = [](const runtime::RuntimeSummary& s,
                             const runtime::EngineCacheConfig& c) {
     bench::JsonObject arm;
-    arm.add("shards", c.shards)
-        .add("capacity_per_shard", c.capacity_per_shard)
+    arm.add("capacity", c.capacity)
         .add("frames", s.frames)
         .add("classify_frames", s.classify_frames)
         .add("reconstruct_frames", s.reconstruct_frames)
@@ -422,13 +380,13 @@ int main(int argc, char** argv) {
                       .summary.aggregate_fps);
   };
   for (int round = 0; round < shard_rounds; ++round) {
-    run_round(
-        round, [&] { hetero_fps(1, single_fps); }, [&] { hetero_fps(kShards, sharded_fps); });
+    bench::run_round(round, {[&] { hetero_fps(1, single_fps); },
+                             [&] { hetero_fps(kShards, sharded_fps); }});
   }
 
   const bool sharded_identical =
       fixtures::first_divergence(resident.results, sharded.results).empty();
-  const RoundRatios sharded_speedup = round_ratios(sharded_fps, single_fps);
+  const bench::RoundRatios sharded_speedup = bench::round_ratios(sharded_fps, single_fps);
   // The 1.5x gate measures parallel scaling, so it only binds where the
   // shards can actually run in parallel; below 4 hardware threads the arm
   // still gates identity and reports the measured ratio.
@@ -621,12 +579,10 @@ int main(int argc, char** argv) {
     fp32_rec();
     int8_rec();
     for (int round = 0; round < frontier_rounds; ++round) {
-      run_round(
-          round, [&] { time_reps(fp32_classify, fp32_classify_s); },
-          [&] { time_reps(int8_classify, int8_classify_s); });
-      run_round(
-          round, [&] { time_reps(fp32_rec, fp32_rec_s); },
-          [&] { time_reps(int8_rec, int8_rec_s); });
+      bench::run_round(round, {[&] { time_reps(fp32_classify, fp32_classify_s); },
+                               [&] { time_reps(int8_classify, int8_classify_s); }});
+      bench::run_round(round, {[&] { time_reps(fp32_rec, fp32_rec_s); },
+                               [&] { time_reps(int8_rec, int8_rec_s); }});
     }
 
     const Tensor fp32_logits = fp32_engine.classify_logits(eval.coded);
@@ -648,14 +604,14 @@ int main(int argc, char** argv) {
   }
   const double frames_per_round = static_cast<double>(frontier_frames * frontier_reps);
   const auto median_fps = [&](std::vector<double> seconds) {
-    return frames_per_round / median_of(std::move(seconds));
+    return frames_per_round / bench::median_of(std::move(seconds));
   };
   const double fp32_classify_fps = median_fps(fp32_classify_s);
   const double int8_classify_fps = median_fps(int8_classify_s);
   const double fp32_rec_fps = median_fps(fp32_rec_s);
   const double int8_rec_fps = median_fps(int8_rec_s);
-  const RoundRatios classify_ratio = round_ratios(fp32_classify_s, int8_classify_s);
-  const RoundRatios rec_ratio = round_ratios(fp32_rec_s, int8_rec_s);
+  const bench::RoundRatios classify_ratio = bench::round_ratios(fp32_classify_s, int8_classify_s);
+  const bench::RoundRatios rec_ratio = bench::round_ratios(fp32_rec_s, int8_rec_s);
   const double psnr_delta = psnr_fp32 - psnr_int8;
 
   std::printf("\nclassify fps: fp32 %.1f vs int8 %.1f   rec fps: fp32 %.1f vs int8 %.1f "

@@ -68,8 +68,7 @@ int main() {
   runtime::ServerConfig server_cfg;
   server_cfg.batch.max_batch = 6;
   server_cfg.batch.max_delay = std::chrono::microseconds(3000);
-  server_cfg.cache.shards = 2;
-  server_cfg.cache.capacity_per_shard = 4;
+  server_cfg.cache.capacity = 8;
   server_cfg.shards = 2;  // two consumer workers; idle one steals tail batches
   server_cfg.trace.enabled = true;  // per-frame spans for every 2nd frame/camera
   server_cfg.trace.sample_every = 2;

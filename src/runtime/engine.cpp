@@ -631,58 +631,37 @@ inline void fold_absmax(float& slot, const float* x, std::int64_t n) {
 
 }  // namespace
 
-BatchedVitEngine::BatchedVitEngine(const models::SnapPixClassifier& model,
-                                   const models::SnapPixReconstructor& reconstructor,
-                                   int max_batch)
-    : BatchedVitEngine(model, max_batch) {
+// --- VitEngine: the shell both tiers run --------------------------------------
+
+VitEngine::VitEngine(const models::SnapPixClassifier& model,
+                     const models::SnapPixReconstructor& reconstructor, int max_batch,
+                     Precision precision)
+    : config_(model.encoder()->config()),
+      hidden_(static_cast<std::int64_t>(static_cast<float>(config_.dim) * config_.mlp_ratio)),
+      max_batch_(max_batch),
+      frames_(reconstructor.frames()),
+      precision_(precision) {
+  SNAPPIX_CHECK(max_batch > 0, "engine max_batch must be positive");
   SNAPPIX_CHECK(reconstructor.encoder().get() == model.encoder().get(),
                 "engine: the reconstructor must share the classifier's encoder — one trunk "
-                "snapshot cannot be bit-exact for two different encoders");
-  frames_ = reconstructor.frames();
-  const std::int64_t d = config_.dim;
-  const std::int64_t out =
-      static_cast<std::int64_t>(frames_) * config_.patch * config_.patch;
-  const auto params = param_map(reconstructor);
-  rec_w = take(params, "head.weight", d * out);
-  rec_b = take(params, "head.bias", out);
-  // ws_.rec — the engine's largest buffer — is allocated on the first
-  // reconstruct() call, so classification-only traffic never pays for it.
-}
-
-BatchedVitEngine::BatchedVitEngine(const models::SnapPixClassifier& model, int max_batch)
-    : config_(model.encoder()->config()), max_batch_(max_batch) {
-  SNAPPIX_CHECK(max_batch > 0, "engine max_batch must be positive");
+                "snapshot cannot serve two different encoders");
   const std::int64_t d = config_.dim;
   const std::int64_t n = config_.tokens();
   const std::int64_t pp = static_cast<std::int64_t>(config_.patch) * config_.patch;
-  hidden_ = static_cast<std::int64_t>(static_cast<float>(d) * config_.mlp_ratio);
 
   const auto params = param_map(model);
-
-  embed_w = take(params, "encoder.patch_embed.proj.weight", pp * d);
-  embed_b = take(params, "encoder.patch_embed.proj.bias", d);
-  pos_embed = take(params, "encoder.pos_embed", n * d);
-  blocks_.resize(static_cast<std::size_t>(config_.depth));
+  pos_embed_ = take(params, "encoder.pos_embed", n * d);
+  norms_.resize(static_cast<std::size_t>(config_.depth));
   for (int i = 0; i < config_.depth; ++i) {
     const std::string p = "encoder.blocks." + std::to_string(i) + ".";
-    auto& b = blocks_[static_cast<std::size_t>(i)];
+    BlockNorms& b = norms_[static_cast<std::size_t>(i)];
     b.norm1_gamma = take(params, p + "norm1.gamma", d);
     b.norm1_beta = take(params, p + "norm1.beta", d);
-    b.qkv_w = take(params, p + "attn.qkv.weight", d * 3 * d);
-    b.qkv_b = take(params, p + "attn.qkv.bias", 3 * d);
-    b.proj_w = take(params, p + "attn.proj.weight", d * d);
-    b.proj_b = take(params, p + "attn.proj.bias", d);
     b.norm2_gamma = take(params, p + "norm2.gamma", d);
     b.norm2_beta = take(params, p + "norm2.beta", d);
-    b.fc1_w = take(params, p + "mlp.fc1.weight", d * hidden_);
-    b.fc1_b = take(params, p + "mlp.fc1.bias", hidden_);
-    b.fc2_w = take(params, p + "mlp.fc2.weight", hidden_ * d);
-    b.fc2_b = take(params, p + "mlp.fc2.bias", d);
   }
-  norm_gamma = take(params, "encoder.norm.gamma", d);
-  norm_beta = take(params, "encoder.norm.beta", d);
-  head_w = take(params, "head.weight", d * config_.num_classes);
-  head_b = take(params, "head.bias", config_.num_classes);
+  norm_gamma_ = take(params, "encoder.norm.gamma", d);
+  norm_beta_ = take(params, "encoder.norm.beta", d);
 
   const std::int64_t rows = static_cast<std::int64_t>(max_batch) * n;
   ws_.patches.resize(static_cast<std::size_t>(rows * pp));
@@ -691,15 +670,112 @@ BatchedVitEngine::BatchedVitEngine(const models::SnapPixClassifier& model, int m
   ws_.qkv.resize(static_cast<std::size_t>(rows * 3 * d));
   ws_.ctx.resize(static_cast<std::size_t>(rows * d));
   ws_.proj.resize(static_cast<std::size_t>(rows * d));
-  ws_.hidden.resize(static_cast<std::size_t>(rows * hidden_));
   ws_.scores.resize(static_cast<std::size_t>(n * n));
   ws_.kt.resize(static_cast<std::size_t>((d / config_.heads) * n));
-  ws_.pooled.resize(static_cast<std::size_t>(static_cast<std::int64_t>(max_batch) * d));
   ws_.lane_tile.resize(static_cast<std::size_t>(8 * std::max(d, n)));
+  ws_.pooled.resize(static_cast<std::size_t>(static_cast<std::int64_t>(max_batch) * d));
 }
 
-void BatchedVitEngine::encode_chunk(const float* coded, std::int64_t batch,
-                                    ActivationRanges* ranges) const {
+std::int64_t VitEngine::checked_batch(const Tensor& coded) const {
+  SNAPPIX_CHECK(coded.ndim() == 3 && coded.shape()[1] == config_.image_h &&
+                    coded.shape()[2] == config_.image_w,
+                "engine expects (B, " << config_.image_h << ", " << config_.image_w
+                                      << "), got " << coded.shape().to_string());
+  return coded.shape()[0];
+}
+
+void VitEngine::pool_tokens(std::int64_t batch) const {
+  const std::int64_t d = config_.dim;
+  const std::int64_t n = config_.tokens();
+  const float inv_n = 1.0F / static_cast<float>(n);
+  std::memset(ws_.pooled.data(), 0, static_cast<std::size_t>(batch * d) * sizeof(float));
+  for (std::int64_t b = 0; b < batch; ++b) {
+    float* pooled = ws_.pooled.data() + b * d;
+    for (std::int64_t t = 0; t < n; ++t) {
+      add_into(pooled, ws_.norm.data() + (b * n + t) * d, d);
+    }
+    scale_into(pooled, d, inv_n);
+  }
+}
+
+Tensor VitEngine::classify_logits(const Tensor& coded) const {
+  const std::int64_t batch = checked_batch(coded);
+  const std::int64_t classes = config_.num_classes;
+  std::vector<float> logits(static_cast<std::size_t>(batch * classes));
+  for_each_chunk(coded, [&](const float* rows, std::int64_t begin, std::int64_t chunk) {
+    encode_chunk(rows, chunk);
+    obs::ScopedSpan span("classify_head");
+    pool_tokens(chunk);
+    head_linear(chunk, logits.data() + begin * classes);
+  });
+  return Tensor::from_vector(std::move(logits), Shape{batch, classes});
+}
+
+Tensor VitEngine::reconstruct(const Tensor& coded) const {
+  const std::int64_t batch = checked_batch(coded);
+  const std::int64_t n = config_.tokens();
+  const std::int64_t h = config_.image_h;
+  const std::int64_t w = config_.image_w;
+  const std::int64_t frame_elems = static_cast<std::int64_t>(frames_) * h * w;
+  std::vector<float> video(static_cast<std::size_t>(batch * frame_elems));
+  for_each_chunk(coded, [&](const float* rows, std::int64_t begin, std::int64_t chunk) {
+    // ws_.rec — the engine's largest buffer — is sized on the first
+    // reconstruct() call, so classification-only traffic never pays for it.
+    const std::size_t rec_size = static_cast<std::size_t>(
+        static_cast<std::int64_t>(max_batch_) * n * frames_ * config_.patch * config_.patch);
+    if (ws_.rec.size() < rec_size) {
+      ws_.rec.resize(rec_size);
+    }
+    encode_chunk(rows, chunk);
+    obs::ScopedSpan span("rec_decode");
+    rec_linear(chunk * n, ws_.rec.data());
+    scatter_video(ws_.rec.data(), video.data() + begin * frame_elems, chunk, frames_, config_);
+  });
+  return Tensor::from_vector(std::move(video), Shape{batch, frames_, h, w});
+}
+
+// --- BatchedVitEngine: the fp32 trunk and heads -------------------------------
+
+BatchedVitEngine::BatchedVitEngine(const models::SnapPixClassifier& model,
+                                   const models::SnapPixReconstructor& reconstructor,
+                                   int max_batch)
+    : VitEngine(model, reconstructor, max_batch, Precision::kFp32) {
+  const std::int64_t d = config_.dim;
+  const std::int64_t pp = static_cast<std::int64_t>(config_.patch) * config_.patch;
+  const std::int64_t out = static_cast<std::int64_t>(frames_) * pp;
+
+  const auto params = param_map(model);
+  embed_w = take(params, "encoder.patch_embed.proj.weight", pp * d);
+  embed_b = take(params, "encoder.patch_embed.proj.bias", d);
+  blocks_.resize(static_cast<std::size_t>(config_.depth));
+  for (int i = 0; i < config_.depth; ++i) {
+    const std::string p = "encoder.blocks." + std::to_string(i) + ".";
+    auto& b = blocks_[static_cast<std::size_t>(i)];
+    b.qkv_w = take(params, p + "attn.qkv.weight", d * 3 * d);
+    b.qkv_b = take(params, p + "attn.qkv.bias", 3 * d);
+    b.proj_w = take(params, p + "attn.proj.weight", d * d);
+    b.proj_b = take(params, p + "attn.proj.bias", d);
+    b.fc1_w = take(params, p + "mlp.fc1.weight", d * hidden_);
+    b.fc1_b = take(params, p + "mlp.fc1.bias", hidden_);
+    b.fc2_w = take(params, p + "mlp.fc2.weight", hidden_ * d);
+    b.fc2_b = take(params, p + "mlp.fc2.bias", d);
+  }
+  head_w = take(params, "head.weight", d * config_.num_classes);
+  head_b = take(params, "head.bias", config_.num_classes);
+  const auto rec_params = param_map(reconstructor);
+  rec_w = take(rec_params, "head.weight", d * out);
+  rec_b = take(rec_params, "head.bias", out);
+
+  hidden_rows_.resize(
+      static_cast<std::size_t>(static_cast<std::int64_t>(max_batch) * config_.tokens() * hidden_));
+}
+
+void BatchedVitEngine::encode_chunk(const float* coded, std::int64_t batch) const {
+  encode(coded, batch, nullptr);
+}
+
+void BatchedVitEngine::encode(const float* coded, std::int64_t batch,
+                              ActivationRanges* ranges) const {
   const std::int64_t d = config_.dim;
   const std::int64_t n = config_.tokens();
   const std::int64_t pp = static_cast<std::int64_t>(config_.patch) * config_.patch;
@@ -723,20 +799,21 @@ void BatchedVitEngine::encode_chunk(const float* coded, std::int64_t batch,
       for (std::int64_t t = 0; t < n; ++t) {
         float* row = ws_.x.data() + (b * n + t) * d;
         add_into(row, embed_b.data(), d);
-        add_into(row, pos_embed.data() + t * d, d);
+        add_into(row, pos_embed_.data() + t * d, d);
       }
     }
   }
 
   for (std::size_t bi = 0; bi < blocks_.size(); ++bi) {
     const BlockWeights& blk = blocks_[bi];
+    const BlockNorms& ln = norms_[bi];
     ActivationRanges::BlockRanges* blk_ranges =
         ranges != nullptr ? &ranges->blocks[bi] : nullptr;
     // --- attention sublayer ---------------------------------------------
     {
       obs::ScopedSpan span("qkv");
-      layer_norm_rows(ws_.x.data(), ws_.norm.data(), rows, d, blk.norm1_gamma.data(),
-                      blk.norm1_beta.data(), ws_.lane_tile.data());
+      layer_norm_rows(ws_.x.data(), ws_.norm.data(), rows, d, ln.norm1_gamma.data(),
+                      ln.norm1_beta.data(), ws_.lane_tile.data());
       if (blk_ranges != nullptr) {
         fold_absmax(blk_ranges->qkv_in, ws_.norm.data(), rows * d);
       }
@@ -760,135 +837,56 @@ void BatchedVitEngine::encode_chunk(const float* coded, std::int64_t batch,
 
     // --- MLP sublayer ----------------------------------------------------
     obs::ScopedSpan mlp_span("mlp");
-    layer_norm_rows(ws_.x.data(), ws_.norm.data(), rows, d, blk.norm2_gamma.data(),
-                    blk.norm2_beta.data(), ws_.lane_tile.data());
+    layer_norm_rows(ws_.x.data(), ws_.norm.data(), rows, d, ln.norm2_gamma.data(),
+                    ln.norm2_beta.data(), ws_.lane_tile.data());
     if (blk_ranges != nullptr) {
       fold_absmax(blk_ranges->fc1_in, ws_.norm.data(), rows * d);
     }
-    linear_rows(ws_.norm.data(), blk.fc1_w.data(), blk.fc1_b.data(), ws_.hidden.data(), rows, d,
-                hidden_);
+    linear_rows(ws_.norm.data(), blk.fc1_w.data(), blk.fc1_b.data(), hidden_rows_.data(), rows,
+                d, hidden_);
     if (blk_ranges != nullptr) {
-      fold_absmax(blk_ranges->gelu_in, ws_.hidden.data(), rows * hidden_);
+      fold_absmax(blk_ranges->gelu_in, hidden_rows_.data(), rows * hidden_);
     }
-    detail::gelu_array(ws_.hidden.data(), rows * hidden_, ws_.hidden.data());
+    detail::gelu_array(hidden_rows_.data(), rows * hidden_, hidden_rows_.data());
     if (blk_ranges != nullptr) {
-      fold_absmax(blk_ranges->fc2_in, ws_.hidden.data(), rows * hidden_);
+      fold_absmax(blk_ranges->fc2_in, hidden_rows_.data(), rows * hidden_);
     }
-    linear_rows(ws_.hidden.data(), blk.fc2_w.data(), blk.fc2_b.data(), ws_.proj.data(), rows,
+    linear_rows(hidden_rows_.data(), blk.fc2_w.data(), blk.fc2_b.data(), ws_.proj.data(), rows,
                 hidden_, d);
     add_into(ws_.x.data(), ws_.proj.data(), rows * d);
   }
 
-  layer_norm_rows(ws_.x.data(), ws_.norm.data(), rows, d, norm_gamma.data(), norm_beta.data(),
-                  ws_.lane_tile.data());
+  layer_norm_rows(ws_.x.data(), ws_.norm.data(), rows, d, norm_gamma_.data(),
+                  norm_beta_.data(), ws_.lane_tile.data());
   if (ranges != nullptr) {
     fold_absmax(ranges->rec_in, ws_.norm.data(), rows * d);
   }
 }
 
-void BatchedVitEngine::classify_chunk(std::int64_t batch, float* logits) const {
-  obs::ScopedSpan span("classify_head");
-  const std::int64_t d = config_.dim;
-  const std::int64_t n = config_.tokens();
-
-  // Token pooling: mean over N = sum in token order times 1/N.
-  const float inv_n = 1.0F / static_cast<float>(n);
-  std::memset(ws_.pooled.data(), 0, static_cast<std::size_t>(batch * d) * sizeof(float));
-  for (std::int64_t b = 0; b < batch; ++b) {
-    float* pooled = ws_.pooled.data() + b * d;
-    for (std::int64_t t = 0; t < n; ++t) {
-      add_into(pooled, ws_.norm.data() + (b * n + t) * d, d);
-    }
-    scale_into(pooled, d, inv_n);
-  }
-
-  linear_rows(ws_.pooled.data(), head_w.data(), head_b.data(), logits, batch, d,
+void BatchedVitEngine::head_linear(std::int64_t batch, float* logits) const {
+  linear_rows(ws_.pooled.data(), head_w.data(), head_b.data(), logits, batch, config_.dim,
               config_.num_classes);
 }
 
-void BatchedVitEngine::reconstruct_chunk(std::int64_t batch, float* video) const {
-  obs::ScopedSpan span("rec_decode");
-  const std::int64_t d = config_.dim;
-  const std::int64_t n = config_.tokens();
-  const std::int64_t out =
-      static_cast<std::int64_t>(frames_) * config_.patch * config_.patch;
-
-  // Per-patch decoder: the same Linear-over-token-rows the tape head runs.
-  linear_rows(ws_.norm.data(), rec_w.data(), rec_b.data(), ws_.rec.data(), batch * n, d, out);
-  scatter_video(ws_.rec.data(), video, batch, frames_, config_);
-}
-
-void BatchedVitEngine::check_coded_shape(const Tensor& coded) const {
-  SNAPPIX_CHECK(coded.ndim() == 3 && coded.shape()[1] == config_.image_h &&
-                    coded.shape()[2] == config_.image_w,
-                "engine expects (B, " << config_.image_h << ", " << config_.image_w
-                                      << "), got " << coded.shape().to_string());
-}
-
-Tensor BatchedVitEngine::classify_logits(const Tensor& coded) const {
-  check_coded_shape(coded);
-  const std::int64_t batch = coded.shape()[0];
-  std::vector<float> logits(static_cast<std::size_t>(batch * config_.num_classes));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (std::int64_t begin = 0; begin < batch; begin += max_batch_) {
-      const std::int64_t chunk = std::min<std::int64_t>(max_batch_, batch - begin);
-      encode_chunk(coded.data().data() + begin * config_.image_h * config_.image_w, chunk);
-      classify_chunk(chunk, logits.data() + begin * config_.num_classes);
-    }
-  }
-  return Tensor::from_vector(std::move(logits), Shape{batch, config_.num_classes});
+void BatchedVitEngine::rec_linear(std::int64_t rows, float* out) const {
+  // The per-patch decoder: the same Linear-over-token-rows the tape head runs.
+  linear_rows(ws_.norm.data(), rec_w.data(), rec_b.data(), out, rows, config_.dim,
+              static_cast<std::int64_t>(rec_b.size()));
 }
 
 void BatchedVitEngine::collect_activation_ranges(const Tensor& coded,
                                                  ActivationRanges& ranges) const {
-  check_coded_shape(coded);
-  const std::int64_t batch = coded.shape()[0];
+  checked_batch(coded);
   ranges.blocks.resize(blocks_.size());
-  std::vector<float> logits(
-      static_cast<std::size_t>(std::min<std::int64_t>(batch, max_batch_) *
-                               config_.num_classes));
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (std::int64_t begin = 0; begin < batch; begin += max_batch_) {
-    const std::int64_t chunk = std::min<std::int64_t>(max_batch_, batch - begin);
-    encode_chunk(coded.data().data() + begin * config_.image_h * config_.image_w, chunk,
-                 &ranges);
-    // The AR head reads the pooled tokens; run the pooling (classify_chunk)
-    // and fold its input range. The logits themselves are discarded.
-    classify_chunk(chunk, logits.data());
-    fold_absmax(ranges.head_in, ws_.pooled.data(),
-                static_cast<std::int64_t>(chunk) * config_.dim);
-  }
+  for_each_chunk(coded, [&](const float* rows, std::int64_t, std::int64_t chunk) {
+    encode(rows, chunk, &ranges);
+    // The AR head reads the pooled tokens: fold their range.
+    pool_tokens(chunk);
+    fold_absmax(ranges.head_in, ws_.pooled.data(), chunk * config_.dim);
+  });
 }
 
-Tensor BatchedVitEngine::reconstruct(const Tensor& coded) const {
-  SNAPPIX_CHECK(has_rec_head(),
-                "engine was built without a reconstruction head — use the "
-                "(classifier, reconstructor) constructor for REC serving");
-  check_coded_shape(coded);
-  const std::int64_t batch = coded.shape()[0];
-  const std::int64_t h = config_.image_h;
-  const std::int64_t w = config_.image_w;
-  const std::int64_t frame_elems = static_cast<std::int64_t>(frames_) * h * w;
-  std::vector<float> video(static_cast<std::size_t>(batch * frame_elems));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t rec_size = static_cast<std::size_t>(
-        static_cast<std::int64_t>(max_batch_) * config_.tokens() * frames_ *
-        config_.patch * config_.patch);
-    if (ws_.rec.size() < rec_size) {
-      ws_.rec.resize(rec_size);
-    }
-    for (std::int64_t begin = 0; begin < batch; begin += max_batch_) {
-      const std::int64_t chunk = std::min<std::int64_t>(max_batch_, batch - begin);
-      encode_chunk(coded.data().data() + begin * h * w, chunk);
-      reconstruct_chunk(chunk, video.data() + begin * frame_elems);
-    }
-  }
-  return Tensor::from_vector(std::move(video), Shape{batch, frames_, h, w});
-}
-
-// --- QuantizedVitEngine ------------------------------------------------------
+// --- QuantizedVitEngine: the int8 trunk and heads -----------------------------
 
 QuantizedVitEngine::QuantLinear QuantizedVitEngine::make_quant_linear(
     const std::vector<float>& w, const std::vector<float>& bias, float act_scale,
@@ -910,51 +908,28 @@ QuantizedVitEngine::QuantLinear QuantizedVitEngine::make_quant_linear(
 QuantizedVitEngine::QuantizedVitEngine(const models::SnapPixClassifier& model,
                                        const models::SnapPixReconstructor& reconstructor,
                                        const QuantSpec& spec, int max_batch)
-    : QuantizedVitEngine(model, spec, max_batch) {
-  SNAPPIX_CHECK(reconstructor.encoder().get() == model.encoder().get(),
-                "engine: the reconstructor must share the classifier's encoder");
-  frames_ = reconstructor.frames();
-  const std::int64_t d = config_.dim;
-  const std::int64_t out =
-      static_cast<std::int64_t>(frames_) * config_.patch * config_.patch;
-  const auto params = param_map(reconstructor);
-  rec_ = make_quant_linear(take(params, "head.weight", d * out),
-                           take(params, "head.bias", out), spec_.rec_in, d, out);
-  // ws_.rec / the matching int32 accumulator are allocated on the first
-  // reconstruct() call, like the fp32 engine.
-}
-
-QuantizedVitEngine::QuantizedVitEngine(const models::SnapPixClassifier& model,
-                                       const QuantSpec& spec, int max_batch)
-    : config_(model.encoder()->config()), max_batch_(max_batch), spec_(spec) {
-  SNAPPIX_CHECK(max_batch > 0, "engine max_batch must be positive");
+    : VitEngine(model, reconstructor, max_batch, Precision::kInt8) {
   SNAPPIX_CHECK(static_cast<int>(spec.blocks.size()) == config_.depth,
                 "QuantSpec has " << spec.blocks.size() << " block scales for a depth-"
                                  << config_.depth << " model — calibrate against this model");
   const std::int64_t d = config_.dim;
   const std::int64_t n = config_.tokens();
   const std::int64_t pp = static_cast<std::int64_t>(config_.patch) * config_.patch;
-  hidden_ = static_cast<std::int64_t>(static_cast<float>(d) * config_.mlp_ratio);
+  const std::int64_t out = static_cast<std::int64_t>(frames_) * pp;
 
   const auto params = param_map(model);
-
   embed_ = make_quant_linear(take(params, "encoder.patch_embed.proj.weight", pp * d),
-                             take(params, "encoder.patch_embed.proj.bias", d), spec_.embed_in,
+                             take(params, "encoder.patch_embed.proj.bias", d), spec.embed_in,
                              pp, d);
-  pos_embed = take(params, "encoder.pos_embed", n * d);
   blocks_.resize(static_cast<std::size_t>(config_.depth));
   for (int i = 0; i < config_.depth; ++i) {
     const std::string p = "encoder.blocks." + std::to_string(i) + ".";
-    const QuantBlockScales& bs = spec_.blocks[static_cast<std::size_t>(i)];
+    const QuantBlockScales& bs = spec.blocks[static_cast<std::size_t>(i)];
     auto& b = blocks_[static_cast<std::size_t>(i)];
-    b.norm1_gamma = take(params, p + "norm1.gamma", d);
-    b.norm1_beta = take(params, p + "norm1.beta", d);
     b.qkv = make_quant_linear(take(params, p + "attn.qkv.weight", d * 3 * d),
                               take(params, p + "attn.qkv.bias", 3 * d), bs.qkv_in, d, 3 * d);
     b.proj = make_quant_linear(take(params, p + "attn.proj.weight", d * d),
                                take(params, p + "attn.proj.bias", d), bs.proj_in, d, d);
-    b.norm2_gamma = take(params, p + "norm2.gamma", d);
-    b.norm2_beta = take(params, p + "norm2.beta", d);
     b.fc1 = make_quant_linear(take(params, p + "mlp.fc1.weight", d * hidden_),
                               take(params, p + "mlp.fc1.bias", hidden_), bs.fc1_in, d, hidden_);
     b.fc2 = make_quant_linear(take(params, p + "mlp.fc2.weight", hidden_ * d),
@@ -972,79 +947,70 @@ QuantizedVitEngine::QuantizedVitEngine(const models::SnapPixClassifier& model,
           static_cast<std::int8_t>(std::max(-127.0F, std::min(127.0F, r)));
     }
   }
-  norm_gamma = take(params, "encoder.norm.gamma", d);
-  norm_beta = take(params, "encoder.norm.beta", d);
   head_ = make_quant_linear(take(params, "head.weight", d * config_.num_classes),
-                            take(params, "head.bias", config_.num_classes), spec_.head_in, d,
+                            take(params, "head.bias", config_.num_classes), spec.head_in, d,
                             config_.num_classes);
+  const auto rec_params = param_map(reconstructor);
+  rec_ = make_quant_linear(take(rec_params, "head.weight", d * out),
+                           take(rec_params, "head.bias", out), spec.rec_in, d, out);
 
+  // One quantized-input and one int32-accumulator buffer cover every linear
+  // of the trunk and the AR head: size them for the widest input / output
+  // row. (There is no fp32 hidden buffer: the MLP's hidden activations live
+  // in qin_ as int8 — see mlp_s8.)
   const std::int64_t rows = static_cast<std::int64_t>(max_batch) * n;
-  ws_.patches.resize(static_cast<std::size_t>(rows * pp));
-  ws_.x.resize(static_cast<std::size_t>(rows * d));
-  ws_.norm.resize(static_cast<std::size_t>(rows * d));
-  ws_.qkv.resize(static_cast<std::size_t>(rows * 3 * d));
-  ws_.ctx.resize(static_cast<std::size_t>(rows * d));
-  ws_.proj.resize(static_cast<std::size_t>(rows * d));
-  ws_.scores.resize(static_cast<std::size_t>(n * n));
-  ws_.kt.resize(static_cast<std::size_t>((d / config_.heads) * n));
-  ws_.lane_tile.resize(static_cast<std::size_t>(8 * n));
-  ws_.pooled.resize(static_cast<std::size_t>(static_cast<std::int64_t>(max_batch) * d));
-  // One quantized-input and one int32-accumulator buffer cover every linear:
-  // size them for the widest input row / output row the trunk sees. (There
-  // is no fp32 hidden buffer: the MLP's hidden activations live in qin as
-  // int8 — see mlp_s8.)
   const std::int64_t max_in = std::max({pp, d, hidden_});
   const std::int64_t max_out = std::max({3 * d, hidden_, d, config_.num_classes});
-  ws_.qin.resize(static_cast<std::size_t>(rows * max_in));
-  ws_.a16.resize(static_cast<std::size_t>(rows * 2 * detail::s8_pair_count(max_in)));
-  ws_.acc.resize(static_cast<std::size_t>(rows * max_out));
+  qin_.resize(static_cast<std::size_t>(rows * max_in));
+  a16_.resize(static_cast<std::size_t>(rows * 2 * detail::s8_pair_count(max_in)));
+  acc_.resize(static_cast<std::size_t>(rows * max_out));
 }
 
 void QuantizedVitEngine::linear_s8(const float* in, const QuantLinear& lin, float* out,
                                    std::int64_t rows) const {
   {
     obs::ScopedSpan span("quantize");
-    detail::quantize_symmetric(in, rows * lin.w.k, lin.act_scale, ws_.qin.data());
+    detail::quantize_symmetric(in, rows * lin.w.k, lin.act_scale, qin_.data());
   }
   {
     obs::ScopedSpan span("gemm_s8");
-    detail::gemm_s8_rows(ws_.qin.data(), lin.w, ws_.acc.data(), rows, ws_.a16.data());
+    detail::gemm_s8_rows(qin_.data(), lin.w, acc_.data(), rows, a16_.data());
   }
   obs::ScopedSpan span("requant");
-  dequant_rows_fast(ws_.acc.data(), lin.deq.data(), lin.bias.data(), out, rows, lin.w.n);
+  dequant_rows_fast(acc_.data(), lin.deq.data(), lin.bias.data(), out, rows, lin.w.n);
 }
 
 void QuantizedVitEngine::mlp_s8(const float* in, const BlockWeights& blk, float* out,
                                 std::int64_t rows) const {
   {
     obs::ScopedSpan span("quantize");
-    detail::quantize_symmetric(in, rows * blk.fc1.w.k, blk.fc1.act_scale, ws_.qin.data());
+    detail::quantize_symmetric(in, rows * blk.fc1.w.k, blk.fc1.act_scale, qin_.data());
   }
   {
     obs::ScopedSpan span("gemm_s8");
-    detail::gemm_s8_rows(ws_.qin.data(), blk.fc1.w, ws_.acc.data(), rows, ws_.a16.data());
+    detail::gemm_s8_rows(qin_.data(), blk.fc1.w, acc_.data(), rows, a16_.data());
   }
   {
     // fc1 output -> GELU -> fc2 input without leaving int8: requantize each
     // accumulator onto the gelu_in grid (tensor/gemm_s8.h's shared pack
-    // pipeline), then map through the 256-entry LUT. ws_.qin is rewritten in
+    // pipeline), then map through the 256-entry LUT. qin_ is rewritten in
     // place (the fc1 input it held is spent) and is fc2's input.
     obs::ScopedSpan span("requant");
     const std::int64_t total = rows * blk.fc1.w.n;
-    detail::requantize_rows(ws_.acc.data(), blk.fc1.deq.data(), blk.fc1.bias.data(),
-                            blk.gelu_inv_scale, ws_.qin.data(), rows, blk.fc1.w.n);
+    detail::requantize_rows(acc_.data(), blk.fc1.deq.data(), blk.fc1.bias.data(),
+                            blk.gelu_inv_scale, qin_.data(), rows, blk.fc1.w.n);
     const std::int8_t* lut = blk.gelu_lut.data();
-    std::int8_t* q = ws_.qin.data();
+    std::int8_t* q = qin_.data();
     for (std::int64_t i = 0; i < total; ++i) {
       q[i] = lut[static_cast<std::uint8_t>(q[i])];
     }
   }
   {
     obs::ScopedSpan span("gemm_s8");
-    detail::gemm_s8_rows(ws_.qin.data(), blk.fc2.w, ws_.acc.data(), rows, ws_.a16.data());
+    detail::gemm_s8_rows(qin_.data(), blk.fc2.w, acc_.data(), rows, a16_.data());
   }
   obs::ScopedSpan span("requant");
-  dequant_rows_fast(ws_.acc.data(), blk.fc2.deq.data(), blk.fc2.bias.data(), out, rows,
+  dequant_rows_fast(acc_.data(), blk.fc2.deq.data(), blk.fc2.bias.data(), out, rows,
                     blk.fc2.w.n);
 }
 
@@ -1059,101 +1025,44 @@ void QuantizedVitEngine::encode_chunk(const float* coded, std::int64_t batch) co
   linear_s8(ws_.patches.data(), embed_, ws_.x.data(), rows);
   for (std::int64_t b = 0; b < batch; ++b) {
     for (std::int64_t t = 0; t < n; ++t) {
-      add_into(ws_.x.data() + (b * n + t) * d, pos_embed.data() + t * d, d);
+      add_into(ws_.x.data() + (b * n + t) * d, pos_embed_.data() + t * d, d);
     }
   }
 
-  for (const BlockWeights& blk : blocks_) {
-    layer_norm_rows_fast(ws_.x.data(), ws_.norm.data(), rows, d, blk.norm1_gamma.data(),
-                         blk.norm1_beta.data());
+  for (std::size_t bi = 0; bi < blocks_.size(); ++bi) {
+    const BlockWeights& blk = blocks_[bi];
+    const BlockNorms& ln = norms_[bi];
+    layer_norm_rows_fast(ws_.x.data(), ws_.norm.data(), rows, d, ln.norm1_gamma.data(),
+                         ln.norm1_beta.data());
     linear_s8(ws_.norm.data(), blk.qkv, ws_.qkv.data(), rows);
     attention_rows<true>(ws_.qkv.data(), ws_.ctx.data(), ws_.scores.data(), ws_.kt.data(),
                          ws_.lane_tile.data(), batch, n, d, heads);
     linear_s8(ws_.ctx.data(), blk.proj, ws_.proj.data(), rows);
     add_into(ws_.x.data(), ws_.proj.data(), rows * d);
 
-    layer_norm_rows_fast(ws_.x.data(), ws_.norm.data(), rows, d, blk.norm2_gamma.data(),
-                         blk.norm2_beta.data());
+    layer_norm_rows_fast(ws_.x.data(), ws_.norm.data(), rows, d, ln.norm2_gamma.data(),
+                         ln.norm2_beta.data());
     mlp_s8(ws_.norm.data(), blk, ws_.proj.data(), rows);
     add_into(ws_.x.data(), ws_.proj.data(), rows * d);
   }
 
-  layer_norm_rows_fast(ws_.x.data(), ws_.norm.data(), rows, d, norm_gamma.data(),
-                       norm_beta.data());
+  layer_norm_rows_fast(ws_.x.data(), ws_.norm.data(), rows, d, norm_gamma_.data(),
+                       norm_beta_.data());
 }
 
-void QuantizedVitEngine::classify_chunk(std::int64_t batch, float* logits) const {
-  obs::ScopedSpan span("classify_head");
-  const std::int64_t d = config_.dim;
-  const std::int64_t n = config_.tokens();
-  const float inv_n = 1.0F / static_cast<float>(n);
-  std::memset(ws_.pooled.data(), 0, static_cast<std::size_t>(batch * d) * sizeof(float));
-  for (std::int64_t b = 0; b < batch; ++b) {
-    float* pooled = ws_.pooled.data() + b * d;
-    for (std::int64_t t = 0; t < n; ++t) {
-      add_into(pooled, ws_.norm.data() + (b * n + t) * d, d);
-    }
-    scale_into(pooled, d, inv_n);
-  }
+void QuantizedVitEngine::head_linear(std::int64_t batch, float* logits) const {
   linear_s8(ws_.pooled.data(), head_, logits, batch);
 }
 
-void QuantizedVitEngine::reconstruct_chunk(std::int64_t batch, float* video) const {
-  obs::ScopedSpan span("rec_decode");
-  linear_s8(ws_.norm.data(), rec_, ws_.rec.data(), batch * config_.tokens());
-  scatter_video(ws_.rec.data(), video, batch, frames_, config_);
-}
-
-void QuantizedVitEngine::check_coded_shape(const Tensor& coded) const {
-  SNAPPIX_CHECK(coded.ndim() == 3 && coded.shape()[1] == config_.image_h &&
-                    coded.shape()[2] == config_.image_w,
-                "engine expects (B, " << config_.image_h << ", " << config_.image_w
-                                      << "), got " << coded.shape().to_string());
-}
-
-Tensor QuantizedVitEngine::classify_logits(const Tensor& coded) const {
-  check_coded_shape(coded);
-  const std::int64_t batch = coded.shape()[0];
-  std::vector<float> logits(static_cast<std::size_t>(batch * config_.num_classes));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (std::int64_t begin = 0; begin < batch; begin += max_batch_) {
-      const std::int64_t chunk = std::min<std::int64_t>(max_batch_, batch - begin);
-      encode_chunk(coded.data().data() + begin * config_.image_h * config_.image_w, chunk);
-      classify_chunk(chunk, logits.data() + begin * config_.num_classes);
-    }
+void QuantizedVitEngine::rec_linear(std::int64_t rows, float* out) const {
+  // The REC head's int32 output is the widest: grow acc_ to it on the first
+  // reconstruct(), like the shell's ws_.rec.
+  const std::size_t acc_size = static_cast<std::size_t>(
+      static_cast<std::int64_t>(max_batch_) * config_.tokens() * rec_.w.n);
+  if (acc_.size() < acc_size) {
+    acc_.resize(acc_size);
   }
-  return Tensor::from_vector(std::move(logits), Shape{batch, config_.num_classes});
-}
-
-Tensor QuantizedVitEngine::reconstruct(const Tensor& coded) const {
-  SNAPPIX_CHECK(has_rec_head(),
-                "engine was built without a reconstruction head — use the "
-                "(classifier, reconstructor, spec) constructor for REC serving");
-  check_coded_shape(coded);
-  const std::int64_t batch = coded.shape()[0];
-  const std::int64_t h = config_.image_h;
-  const std::int64_t w = config_.image_w;
-  const std::int64_t frame_elems = static_cast<std::int64_t>(frames_) * h * w;
-  std::vector<float> video(static_cast<std::size_t>(batch * frame_elems));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::int64_t rec_rows =
-        static_cast<std::int64_t>(max_batch_) * config_.tokens();
-    const std::size_t rec_size = static_cast<std::size_t>(rec_rows * rec_.w.n);
-    if (ws_.rec.size() < rec_size) {
-      ws_.rec.resize(rec_size);
-    }
-    if (ws_.acc.size() < rec_size) {
-      ws_.acc.resize(rec_size);
-    }
-    for (std::int64_t begin = 0; begin < batch; begin += max_batch_) {
-      const std::int64_t chunk = std::min<std::int64_t>(max_batch_, batch - begin);
-      encode_chunk(coded.data().data() + begin * h * w, chunk);
-      reconstruct_chunk(chunk, video.data() + begin * frame_elems);
-    }
-  }
-  return Tensor::from_vector(std::move(video), Shape{batch, frames_, h, w});
+  linear_s8(ws_.norm.data(), rec_, out, rows);
 }
 
 }  // namespace snappix::runtime

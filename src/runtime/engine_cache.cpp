@@ -1,6 +1,5 @@
 #include "runtime/engine_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/trace.h"
@@ -8,31 +7,18 @@
 
 namespace snappix::runtime {
 
-// --- EngineCache -------------------------------------------------------------
-
 EngineCache::EngineCache(const EngineCacheConfig& config, EngineFactory factory)
     : config_(config), factory_(std::move(factory)) {
-  SNAPPIX_CHECK(config.shards > 0, "EngineCache needs at least one shard");
-  SNAPPIX_CHECK(config.capacity_per_shard > 0, "EngineCache shard capacity must be positive");
+  SNAPPIX_CHECK(config.capacity > 0, "EngineCache capacity must be positive");
   SNAPPIX_CHECK(factory_ != nullptr, "EngineCache needs an engine factory");
-  shards_.reserve(config.shards);
-  for (std::size_t i = 0; i < config.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-EngineCache::Shard& EngineCache::shard_for(std::uint64_t pattern_id) {
-  // pattern_id is an FNV-1a hash, already well mixed — modulo suffices.
-  return *shards_[pattern_id % shards_.size()];
 }
 
 std::shared_ptr<const ServingEntry> EngineCache::resolve(
     std::uint64_t pattern_id, const std::shared_ptr<const ce::CePattern>& pattern,
     Precision precision) {
   SNAPPIX_CHECK(pattern != nullptr, "resolve() needs the pattern to build on a miss");
-  Shard& shard = shard_for(pattern_id);
   const CacheKey key{pattern_id, precision};
-  EngineCacheCounters& counters = shard.counters[static_cast<std::size_t>(precision)];
+  EngineCacheCounters& counters = counters_[static_cast<std::size_t>(precision)];
 
   // A hit is a map lookup; a miss builds (and for int8, calibrates) an
   // engine. The hit/miss arg on the span makes the difference visible in the
@@ -41,12 +27,12 @@ std::shared_ptr<const ServingEntry> EngineCache::resolve(
   obs::TraceRecorder* recorder = obs::current_recorder();
   const std::int64_t span_start = lane != nullptr ? recorder->now_ns() : 0;
 
-  std::lock_guard<std::mutex> lock(shard.mutex);
+  std::lock_guard<std::mutex> lock(mutex_);
 
-  const auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
+  const auto it = index_.find(key);
+  if (it != index_.end()) {
     ++counters.hits;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // touch
+    lru_.splice(lru_.begin(), lru_, it->second);  // touch
     if (lane != nullptr) {
       lane->add_complete("cache_resolve", span_start, recorder->now_ns() - span_start,
                          "\"hit\": true");
@@ -65,13 +51,13 @@ std::shared_ptr<const ServingEntry> EngineCache::resolve(
                                           << " engine for a " << to_string(precision)
                                           << " miss");
 
-  shard.lru.emplace_front(key, entry);
-  shard.index.emplace(key, shard.lru.begin());
-  while (shard.lru.size() > config_.capacity_per_shard) {
-    const CacheKey& victim = shard.lru.back().first;
-    ++shard.counters[static_cast<std::size_t>(victim.precision)].evictions;
-    shard.index.erase(victim);
-    shard.lru.pop_back();  // in-flight holders keep the entry alive
+  lru_.emplace_front(key, entry);
+  index_.emplace(key, lru_.begin());
+  while (lru_.size() > config_.capacity) {
+    const CacheKey& victim = lru_.back().first;
+    ++counters_[static_cast<std::size_t>(victim.precision)].evictions;
+    index_.erase(victim);
+    lru_.pop_back();  // in-flight holders keep the entry alive
   }
   if (lane != nullptr) {
     lane->add_complete("cache_resolve", span_start, recorder->now_ns() - span_start,
@@ -81,44 +67,19 @@ std::shared_ptr<const ServingEntry> EngineCache::resolve(
 }
 
 EngineCacheCounters EngineCache::counters() const {
-  EngineCacheCounters total;
-  for (const Precision precision : {Precision::kFp32, Precision::kInt8}) {
-    const EngineCacheCounters tier = counters(precision);
-    total.hits += tier.hits;
-    total.misses += tier.misses;
-    total.evictions += tier.evictions;
-  }
-  return total;
+  const EngineCacheCounters fp32 = counters(Precision::kFp32);
+  const EngineCacheCounters int8 = counters(Precision::kInt8);
+  return {fp32.hits + int8.hits, fp32.misses + int8.misses, fp32.evictions + int8.evictions};
 }
 
 EngineCacheCounters EngineCache::counters(Precision precision) const {
-  EngineCacheCounters total;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    const EngineCacheCounters& tier = shard->counters[static_cast<std::size_t>(precision)];
-    total.hits += tier.hits;
-    total.misses += tier.misses;
-    total.evictions += tier.evictions;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return counters_[static_cast<std::size_t>(precision)];
 }
 
 std::size_t EngineCache::resident() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->lru.size();
-  }
-  return total;
-}
-
-std::size_t EngineCache::max_shard_occupancy() const {
-  std::size_t max_occupancy = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    max_occupancy = std::max(max_occupancy, shard->lru.size());
-  }
-  return max_occupancy;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return lru_.size();
 }
 
 }  // namespace snappix::runtime

@@ -1,25 +1,21 @@
 /// \file engine_cache.h
-/// \brief EngineCache: sharded, LRU-evicting map from pattern_id to resident
-/// per-pattern serving state.
+/// \brief EngineCache: an LRU-evicting map from (pattern_id, precision) to
+/// resident per-pattern serving state.
 ///
 /// A SNAPPIX deployment serves a fleet whose cameras carry *different*
 /// learned CE patterns; each distinct pattern needs server-side state to
 /// serve its frames — a fused engine and its workspace. Millions of cameras
-/// cannot each keep an engine resident, so the cache bounds residency: N
-/// independent shards (keyed by the pattern's stable content hash, so no
-/// cross-shard coordination on the hot path) each hold at most
-/// `capacity_per_shard` entries and evict the least recently used beyond
-/// that. A miss rebuilds the
-/// entry through the factory the server installed; because engines are
-/// deterministic snapshots of the model, an evicted-and-refetched pattern
-/// serves bit-identical results.
+/// cannot each keep an engine resident, so the cache bounds residency: it
+/// holds at most `capacity` entries and evicts the least recently used
+/// beyond that. A miss rebuilds the entry through the factory the server
+/// installed; because engines are deterministic snapshots of the model, an
+/// evicted-and-refetched pattern serves bit-identical results.
 ///
-/// Topology note: the cache's internal shards (EngineCacheConfig::shards)
-/// are a lock-granularity knob and are unrelated to the InferenceServer's
-/// CONSUMER shards — each consumer shard owns a whole private EngineCache
-/// instance (its "cache view"), so concurrent workers never contend on one
-/// cache, and a work-stealing thief builds its own entry for a stolen
-/// pattern rather than reaching into the victim's view.
+/// Topology note: each InferenceServer consumer shard owns a whole private
+/// EngineCache (its "cache view"), and only that shard's worker resolves
+/// from it, so workers never contend on one cache; a work-stealing thief
+/// builds its own entry for a stolen pattern rather than reaching into the
+/// victim's view.
 ///
 /// Precision tiers: entries are keyed by (pattern_id, Precision), so one
 /// pattern's fp32 (bit-exact BatchedVitEngine) and int8 (calibrated
@@ -27,7 +23,8 @@
 /// some cameras at each tier. Traffic counters are kept per tier;
 /// counters() sums them, counters(Precision) reads one tier.
 ///
-/// Thread-safety: resolve() locks only the owning shard. Entries are handed
+/// Thread-safety: one mutex guards the LRU and the counters, so mid-run
+/// readers (metrics snapshots) see consistent values. Entries are handed
 /// out as shared_ptr, so an entry evicted mid-flight stays alive until its
 /// last in-flight batch completes.
 #pragma once
@@ -38,7 +35,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "ce/pattern.h"
 #include "runtime/engine.h"
@@ -47,14 +43,12 @@
 
 namespace snappix::runtime {
 
-/// \brief Cache geometry: lock shards x per-shard LRU capacity. Total
-/// residency bound is shards * capacity_per_shard entries.
+/// \brief Cache residency bound: at most `capacity` entries, LRU-evicted.
 struct EngineCacheConfig {
-  std::size_t shards = 4;
-  std::size_t capacity_per_shard = 8;
+  std::size_t capacity = 32;
 };
 
-/// \brief Monotonic traffic counters, aggregated over the cache's shards.
+/// \brief Monotonic traffic counters.
 struct EngineCacheCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -76,30 +70,25 @@ struct ServingEntry {
 class EngineCache {
  public:
   /// \brief Builds the engine for a newly-resident (pattern, precision) pair
-  /// (called under the owning shard's lock; per-shard locking keeps
-  /// concurrent misses on different shards independent).
+  /// (called under the cache's lock).
   using EngineFactory =
       std::function<std::shared_ptr<VitEngine>(const ce::CePattern&, Precision)>;
 
   EngineCache(const EngineCacheConfig& config, EngineFactory factory);
 
   /// \brief Returns the resident entry for (`pattern_id`, `precision`),
-  /// building it from `pattern` on a miss and evicting the shard's LRU entry
-  /// beyond capacity.
+  /// building it from `pattern` on a miss and evicting the LRU entry beyond
+  /// capacity.
   std::shared_ptr<const ServingEntry> resolve(
       std::uint64_t pattern_id, const std::shared_ptr<const ce::CePattern>& pattern,
       Precision precision = Precision::kFp32);
 
-  /// \brief Traffic counters aggregated over all shards and both precision
-  /// tiers.
+  /// \brief Traffic counters summed over both precision tiers.
   EngineCacheCounters counters() const;
-  /// \brief Traffic counters for one precision tier, aggregated over shards.
+  /// \brief Traffic counters for one precision tier.
   EngineCacheCounters counters(Precision precision) const;
-  /// \brief Entries currently resident, summed over shards.
+  /// \brief Entries currently resident — never more than `capacity`.
   std::size_t resident() const;
-  /// \brief Largest current per-shard occupancy — never exceeds
-  /// capacity_per_shard.
-  std::size_t max_shard_occupancy() const;
 
   const EngineCacheConfig& config() const { return config_; }
 
@@ -114,33 +103,23 @@ class EngineCache {
   };
   struct CacheKeyHash {
     std::size_t operator()(const CacheKey& key) const {
-      // pattern_id is an FNV-1a hash, already well mixed; fold the tier bit
-      // in without disturbing the shard routing (which uses pattern_id only).
+      // pattern_id is an FNV-1a hash, already well mixed; fold the tier in.
       return static_cast<std::size_t>(key.pattern_id ^
                                       (0x9E3779B97F4A7C15ULL *
                                        (static_cast<std::uint64_t>(key.precision) + 1)));
     }
   };
-
-  struct Shard {
-    mutable std::mutex mutex;
-    // Front = most recently used. The list owns the entries; the index maps
-    // (pattern_id, precision) -> list node for O(1) touch.
-    std::list<std::pair<CacheKey, std::shared_ptr<const ServingEntry>>> lru;
-    std::unordered_map<CacheKey,
-                       std::list<std::pair<CacheKey,
-                                           std::shared_ptr<const ServingEntry>>>::iterator,
-                       CacheKeyHash>
-        index;
-    // Indexed by Precision: [0] = kFp32, [1] = kInt8.
-    EngineCacheCounters counters[2];
-  };
-
-  Shard& shard_for(std::uint64_t pattern_id);
+  using Lru = std::list<std::pair<CacheKey, std::shared_ptr<const ServingEntry>>>;
 
   EngineCacheConfig config_;
   EngineFactory factory_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mutex_;
+  // Front = most recently used. The list owns the entries; the index maps
+  // (pattern_id, precision) -> list node for O(1) touch.
+  Lru lru_;
+  std::unordered_map<CacheKey, Lru::iterator, CacheKeyHash> index_;
+  // Indexed by Precision: [0] = kFp32, [1] = kInt8.
+  EngineCacheCounters counters_[2];
 };
 
 }  // namespace snappix::runtime

@@ -29,9 +29,8 @@ void validate(const TransportPolicy& policy) {
   }
 }
 
-StreamScheduler::StreamScheduler(RuntimeStats& stats, int threads, TransportPolicy transport)
-    : stats_(stats), threads_(threads), transport_(transport) {
-  SNAPPIX_CHECK(threads >= 0, "scheduler thread count must be >= 0");
+StreamScheduler::StreamScheduler(RuntimeStats& stats, TransportPolicy transport)
+    : stats_(stats), transport_(transport) {
   validate(transport);
 }
 
@@ -132,11 +131,10 @@ void StreamScheduler::start(const std::vector<std::int64_t>& frames_per_camera) 
     SNAPPIX_CHECK(frames > 0, "frames_per_camera entries must be positive, got " << frames);
   }
   started_ = true;
-  // One producer thread per camera by default: producers spend most of their
-  // time blocked in admit() under backpressure, so oversubscribing cores is
-  // the right model (and preemption provides the multiplexing on small hosts).
-  const int threads = threads_ > 0 ? threads_ : static_cast<int>(cameras_.size());
-  pool_ = std::make_unique<ThreadPool>(threads);
+  // One producer thread per camera: producers spend most of their time
+  // blocked in admit() under backpressure, so oversubscribing cores is the
+  // right model (and preemption provides the multiplexing on small hosts).
+  pool_ = std::make_unique<ThreadPool>(static_cast<int>(cameras_.size()));
   active_producers_.store(static_cast<int>(cameras_.size()));
   for (std::size_t i = 0; i < cameras_.size(); ++i) {
     CameraSource* cam = cameras_[i].get();

@@ -4,10 +4,8 @@
 // (util/parallel.h): loop { capture -> stamp -> blocking push } onto the
 // FrameQueue it was routed to at add_camera() time (the server routes by
 // pattern_id so a shard's queue only ever carries patterns it owns). The pool
-// defaults to one worker per camera (producers mostly block on backpressure,
-// so oversubscribing cores is the right model). Producer tasks run to
-// completion: a pool smaller than the fleet serves cameras in waves, not
-// interleaved.
+// runs one worker per camera (producers mostly block on backpressure, so
+// oversubscribing cores is the right model).
 // The last producer to finish closes EVERY routed queue, so shard consumers
 // drain and exit cleanly — closing queues one by one as their own producers
 // finish would strand work-stealing siblings that still expect to poll them.
@@ -65,13 +63,9 @@ void validate(const TransportPolicy& policy);
 
 class StreamScheduler {
  public:
-  // `threads` = 0 spawns one producer thread per camera at start(). Huge
-  // fleets should pass an explicit cap — but note producer tasks run to
-  // completion, so `threads` < cameras processes cameras in waves rather
-  // than interleaving them. `transport` governs corrupt framed frames; it is
-  // inert for cameras without framed mode.
-  explicit StreamScheduler(RuntimeStats& stats, int threads = 0,
-                           TransportPolicy transport = {});
+  // start() spawns one producer thread per camera. `transport` governs
+  // corrupt framed frames; it is inert for cameras without framed mode.
+  explicit StreamScheduler(RuntimeStats& stats, TransportPolicy transport = {});
   ~StreamScheduler();
 
   StreamScheduler(const StreamScheduler&) = delete;
@@ -141,7 +135,6 @@ class StreamScheduler {
   void close_all_queues();
 
   RuntimeStats& stats_;
-  int threads_;
   TransportPolicy transport_;
   HealthController* health_ = nullptr;  // optional; set before start()
   std::vector<std::unique_ptr<CameraSource>> cameras_;

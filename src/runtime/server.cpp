@@ -18,19 +18,10 @@ void validate(const ServerConfig& config) {
         "ServerConfig.queue_capacity must be >= 1 (a zero-capacity queue can never "
         "accept a frame)");
   }
-  if (config.scheduler_threads < 0) {
-    std::ostringstream os;
-    os << "ServerConfig.scheduler_threads must be >= 0 (0 = one thread per camera), got "
-       << config.scheduler_threads;
-    throw std::invalid_argument(os.str());
-  }
-  if (config.cache.shards == 0) {
-    throw std::invalid_argument("ServerConfig.cache.shards must be >= 1");
-  }
-  if (config.cache.capacity_per_shard == 0) {
+  if (config.cache.capacity == 0) {
     throw std::invalid_argument(
-        "ServerConfig.cache.capacity_per_shard must be >= 1 (a zero-capacity shard "
-        "would evict every entry it admits)");
+        "ServerConfig.cache.capacity must be >= 1 (a zero-capacity cache would evict every "
+        "entry it admits)");
   }
   if (config.shards == 0) {
     throw std::invalid_argument(
@@ -77,7 +68,7 @@ const ServerConfig& validated(const ServerConfig& config) {
 InferenceServer::InferenceServer(const core::SnapPixSystem& system,
                                  const ServerConfig& config)
     : system_(system), config_(validated(config)),
-      scheduler_(stats_, config_.scheduler_threads, config_.transport) {
+      scheduler_(stats_, config_.transport) {
   // The factory snapshots the system's model into a fresh fused engine for
   // each newly-resident (pattern, precision) pair. The fp32 snapshot is
   // pattern-independent (one shared model today; a deployment with

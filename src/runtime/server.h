@@ -56,10 +56,7 @@ struct ServerConfig {
   /// Per-shard run-queue capacity (backpressure bound). A full queue blocks
   /// its producers, exactly as a saturated MIPI link stalls a sensor.
   std::size_t queue_capacity = 64;
-  /// 0 = one producer thread per camera (see StreamScheduler for the
-  /// semantics of an explicit smaller cap).
-  int scheduler_threads = 0;
-  /// Geometry of EACH shard's private EngineCache view.
+  /// Residency bound of EACH shard's private EngineCache view.
   EngineCacheConfig cache;
   /// Consumer shards: worker threads, each owning a run queue + cache view.
   /// Cameras are routed by pattern_id % shards.
@@ -123,9 +120,8 @@ struct ServerConfig {
 };
 
 /// \brief Throws std::invalid_argument with a descriptive message when the
-/// configuration is unusable (zero queue capacity, bad batch policy, negative
-/// thread count, zero cache shards/capacity, zero consumer shards, or zero
-/// calibration frames).
+/// configuration is unusable (zero queue capacity, bad batch policy, zero
+/// cache capacity, zero consumer shards, or zero calibration frames).
 void validate(const ServerConfig& config);
 
 /// \brief One served frame's outcome, typed by the task that produced it.

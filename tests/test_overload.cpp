@@ -319,7 +319,7 @@ TEST(ShedAccounting, QueueShedsFlowIntoRuntimeStatsPerCameraPerReason) {
   for (const int camera : {7, 8, 9}) {
     stats.add_camera(camera);
   }
-  runtime::StreamScheduler scheduler(stats, /*threads=*/1);
+  runtime::StreamScheduler scheduler(stats);
   FrameQueue queue(1);
   scheduler.register_queue(queue);
 
@@ -483,7 +483,7 @@ TEST(OverloadProperty, ConservationHoldsAcrossThreadedInterleavings) {
     for (int camera = 0; camera < 3; ++camera) {
       stats.add_camera(camera);
     }
-    runtime::StreamScheduler scheduler(stats, /*threads=*/1);
+    runtime::StreamScheduler scheduler(stats);
     scheduler.register_queue(queue);  // installs the stats shed observer
 
     std::atomic<std::uint64_t> accepted{0};   // order: relaxed tally, read after joins

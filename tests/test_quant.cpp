@@ -449,7 +449,8 @@ TEST_F(QuantEngineTest, TracksTheFp32EngineClosely) {
 TEST_F(QuantEngineTest, RejectsSpecFromAnotherDepth) {
   QuantSpec wrong = spec_;
   wrong.blocks.pop_back();
-  EXPECT_THROW(QuantizedVitEngine(*system_->classifier(), wrong, 4), std::runtime_error);
+  EXPECT_THROW(QuantizedVitEngine(*system_->classifier(), *system_->reconstructor(), wrong, 4),
+               std::runtime_error);
 }
 
 // --- heap allocations of a warm forward --------------------------------------
@@ -496,14 +497,15 @@ TEST(EngineCachePrecision, TiersAreDistinctResidentsWithSplitCounters) {
   const QuantSpec spec =
       runtime::calibrate(*system.classifier(), *system.reconstructor(), frames);
   EngineCacheConfig cfg;
-  cfg.shards = 1;
-  cfg.capacity_per_shard = 4;
+  cfg.capacity = 4;
   EngineCache cache(cfg, [&](const ce::CePattern&,
                              Precision precision) -> std::shared_ptr<runtime::VitEngine> {
     if (precision == Precision::kFp32) {
-      return std::make_shared<runtime::BatchedVitEngine>(*system.classifier(), 4);
+      return std::make_shared<runtime::BatchedVitEngine>(*system.classifier(),
+                                                         *system.reconstructor(), 4);
     }
-    return std::make_shared<QuantizedVitEngine>(*system.classifier(), spec, 4);
+    return std::make_shared<QuantizedVitEngine>(*system.classifier(), *system.reconstructor(),
+                                                spec, 4);
   });
   const PatternRef pattern = system.pattern_ref();
   const auto fp32_entry = cache.resolve(system.pattern_hash(), pattern, Precision::kFp32);

@@ -172,7 +172,7 @@ TEST(BatchedVitEngine, BitIdenticalToTapeFramework) {
     core::SnapPixConfig cfg = small_system_config();
     cfg.image = image;
     core::SnapPixSystem system(cfg);
-    runtime::BatchedVitEngine engine(*system.classifier(), 8);
+    runtime::BatchedVitEngine engine(*system.classifier(), *system.reconstructor(), 8);
     Rng rng(11);
     const Tensor batch = Tensor::rand_uniform(Shape{8, image, image}, rng);
     const Tensor tape = system.classify_logits_coded(batch);
@@ -190,7 +190,7 @@ TEST(BatchedVitEngine, BatchSizeDoesNotChangeBits) {
     core::SnapPixConfig cfg = small_system_config();
     cfg.image = image;
     core::SnapPixSystem system(cfg);
-    runtime::BatchedVitEngine engine(*system.classifier(), 8);
+    runtime::BatchedVitEngine engine(*system.classifier(), *system.reconstructor(), 8);
     Rng rng(13);
     const Tensor batch = Tensor::rand_uniform(Shape{5, image, image}, rng);
     const Tensor batched = engine.classify_logits(batch);
@@ -211,8 +211,8 @@ TEST(BatchedVitEngine, BatchSizeDoesNotChangeBits) {
 
 TEST(BatchedVitEngine, ChunksOversizedBatches) {
   core::SnapPixSystem system(small_system_config());
-  runtime::BatchedVitEngine small_ws(*system.classifier(), 2);
-  runtime::BatchedVitEngine large_ws(*system.classifier(), 16);
+  runtime::BatchedVitEngine small_ws(*system.classifier(), *system.reconstructor(), 2);
+  runtime::BatchedVitEngine large_ws(*system.classifier(), *system.reconstructor(), 16);
   Rng rng(17);
   const Tensor batch = Tensor::rand_uniform(Shape{7, 16, 16}, rng);
   const Tensor chunked = small_ws.classify_logits(batch);

@@ -1,4 +1,4 @@
-// Task-typed serving tests: pattern hashing, the sharded EngineCache
+// Task-typed serving tests: pattern hashing, the LRU EngineCache
 // (capacity bounds, eviction/refetch determinism), the fused REC decoder
 // path's bit-exactness, config validation, shared-pattern ownership, and the
 // end-to-end InferenceServer over a heterogeneous multi-pattern AR+REC fleet.
@@ -95,17 +95,7 @@ TEST(ConfigValidation, RejectsBadValuesWithInvalidArgument) {
   }
   {
     ServerConfig cfg;
-    cfg.scheduler_threads = -2;
-    EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
-  }
-  {
-    ServerConfig cfg;
-    cfg.cache.shards = 0;
-    EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
-  }
-  {
-    ServerConfig cfg;
-    cfg.cache.capacity_per_shard = 0;
+    cfg.cache.capacity = 0;
     EXPECT_THROW(InferenceServer(system, cfg), std::invalid_argument);
   }
   // The messages should say what is wrong, not just that something is.
@@ -343,7 +333,6 @@ TEST(BatchedVitEngine, ReconstructBitIdenticalToTapeFramework) {
     cfg.image = image;
     core::SnapPixSystem system(cfg);
     runtime::BatchedVitEngine engine(*system.classifier(), *system.reconstructor(), 8);
-    ASSERT_TRUE(engine.has_rec_head());
     EXPECT_EQ(engine.frames(), 8);
     Rng rng(31);
     const Tensor batch = Tensor::rand_uniform(Shape{6, image, image}, rng);
@@ -382,15 +371,6 @@ TEST(BatchedVitEngine, ReconstructBatchSizeDoesNotChangeBits) {
   }
 }
 
-TEST(BatchedVitEngine, ClassifierOnlyEngineRejectsReconstruct) {
-  core::SnapPixSystem system(small_system_config());
-  runtime::BatchedVitEngine engine(*system.classifier(), 4);
-  EXPECT_FALSE(engine.has_rec_head());
-  Rng rng(41);
-  EXPECT_THROW(engine.reconstruct(Tensor::rand_uniform(Shape{1, 16, 16}, rng)),
-               std::runtime_error);
-}
-
 // --- Camera encode -----------------------------------------------------------
 
 // A camera encodes on its prebuilt ce::EncodeTable in one pass; its frames
@@ -423,14 +403,23 @@ std::vector<PatternRef> distinct_patterns(int count, std::uint64_t seed) {
   return patterns;
 }
 
+// The factory the cache tests install: a fresh fp32 engine per miss.
+EngineCache::EngineFactory fp32_factory(const core::SnapPixSystem& system,
+                                        int* builds = nullptr) {
+  return [&system, builds](const ce::CePattern&, runtime::Precision) {
+    if (builds != nullptr) {
+      ++*builds;
+    }
+    return std::make_shared<runtime::BatchedVitEngine>(*system.classifier(),
+                                                       *system.reconstructor(), 4);
+  };
+}
+
 TEST(EngineCache, CountsHitsAndMisses) {
   core::SnapPixSystem system(small_system_config());
   EngineCacheConfig cfg;
-  cfg.shards = 2;
-  cfg.capacity_per_shard = 4;
-  EngineCache cache(cfg, [&system](const ce::CePattern&, runtime::Precision) {
-    return std::make_shared<runtime::BatchedVitEngine>(*system.classifier(), 4);
-  });
+  cfg.capacity = 8;
+  EngineCache cache(cfg, fp32_factory(system));
   const auto patterns = distinct_patterns(3, 51);
   for (const auto& p : patterns) {
     cache.resolve(p->hash(), p);  // 3 misses
@@ -451,23 +440,19 @@ TEST(EngineCache, CountsHitsAndMisses) {
   EXPECT_EQ(first.get(), second.get());
 }
 
-TEST(EngineCache, NeverExceedsPerShardCapacityAndEvictsLru) {
+TEST(EngineCache, NeverExceedsCapacityAndEvictsLru) {
   core::SnapPixSystem system(small_system_config());
   EngineCacheConfig cfg;
-  cfg.shards = 1;  // single shard makes the LRU order observable
-  cfg.capacity_per_shard = 2;
+  cfg.capacity = 2;
   int builds = 0;
-  EngineCache cache(cfg, [&system, &builds](const ce::CePattern&, runtime::Precision) {
-    ++builds;
-    return std::make_shared<runtime::BatchedVitEngine>(*system.classifier(), 4);
-  });
+  EngineCache cache(cfg, fp32_factory(system, &builds));
   const auto patterns = distinct_patterns(3, 53);
   cache.resolve(patterns[0]->hash(), patterns[0]);
   cache.resolve(patterns[1]->hash(), patterns[1]);
-  EXPECT_EQ(cache.max_shard_occupancy(), 2U);
+  EXPECT_EQ(cache.resident(), 2U);
   cache.resolve(patterns[0]->hash(), patterns[0]);      // touch 0: LRU is now 1
   cache.resolve(patterns[2]->hash(), patterns[2]);      // evicts 1
-  EXPECT_EQ(cache.max_shard_occupancy(), 2U);           // capacity held
+  EXPECT_EQ(cache.resident(), 2U);                      // capacity held
   EXPECT_EQ(cache.counters().evictions, 1U);
   cache.resolve(patterns[0]->hash(), patterns[0]);      // still resident: hit
   EXPECT_EQ(builds, 3);
@@ -478,12 +463,8 @@ TEST(EngineCache, NeverExceedsPerShardCapacityAndEvictsLru) {
 TEST(EngineCache, EvictedPatternRefetchIsBitIdentical) {
   core::SnapPixSystem system(small_system_config());
   EngineCacheConfig cfg;
-  cfg.shards = 1;
-  cfg.capacity_per_shard = 1;  // every alternation evicts
-  EngineCache cache(cfg, [&system](const ce::CePattern&, runtime::Precision) {
-    return std::make_shared<runtime::BatchedVitEngine>(*system.classifier(),
-                                                       *system.reconstructor(), 4);
-  });
+  cfg.capacity = 1;  // every alternation evicts
+  EngineCache cache(cfg, fp32_factory(system));
   const auto patterns = distinct_patterns(2, 57);
   Rng rng(59);
   const Tensor coded = Tensor::rand_uniform(Shape{2, 16, 16}, rng);
@@ -508,6 +489,34 @@ TEST(EngineCache, EvictedPatternRefetchIsBitIdentical) {
   EXPECT_EQ(cache.counters().misses, 3U);
 }
 
+// The bound is one LRU over every resident entry: no subset of the patterns
+// (say, those sharing a hash residue) is evicted while the cache has room.
+TEST(EngineCache, CapacityBoundsAllEntriesTogether) {
+  core::SnapPixSystem system(small_system_config());
+  // Three patterns with an even hash and one with an odd hash.
+  std::vector<PatternRef> even;
+  std::vector<PatternRef> odd;
+  for (const PatternRef& p : distinct_patterns(32, 63)) {
+    (p->hash() % 2 == 0 ? even : odd).push_back(p);
+  }
+  ASSERT_GE(even.size(), 3U);
+  ASSERT_GE(odd.size(), 1U);
+  const std::vector<PatternRef> patterns = {even[0], even[1], even[2], odd[0]};
+  EngineCacheConfig cfg;
+  cfg.capacity = 4;
+  EngineCache cache(cfg, fp32_factory(system));
+  for (int lap = 0; lap < 2; ++lap) {
+    for (const PatternRef& p : patterns) {
+      cache.resolve(p->hash(), p);
+    }
+  }
+  const auto counters = cache.counters();
+  EXPECT_EQ(counters.evictions, 0U);
+  EXPECT_EQ(counters.hits, 4U);
+  EXPECT_EQ(counters.misses, 4U);
+  EXPECT_EQ(cache.resident(), 4U);
+}
+
 // --- InferenceServer end-to-end ----------------------------------------------
 
 // A heterogeneous fleet — four distinct patterns, both task heads — must
@@ -518,8 +527,7 @@ TEST(InferenceServer, HeterogeneousFleetMatchesSequentialPaths) {
 
   ServerConfig config;
   config.batch.max_batch = 4;
-  config.cache.shards = 2;
-  config.cache.capacity_per_shard = 2;
+  config.cache.capacity = 4;
   InferenceServer server(system, config);
 
   const std::int64_t frames_per_camera = 4;
@@ -572,7 +580,7 @@ TEST(InferenceServer, HeterogeneousFleetMatchesSequentialPaths) {
   EXPECT_EQ(summary.reconstruct_frames, 8U);
   EXPECT_EQ(summary.cache_misses + summary.cache_hits, summary.batches);
   EXPECT_GT(summary.cache_misses, 0U);
-  EXPECT_LE(server.engine_cache().max_shard_occupancy(), config.cache.capacity_per_shard);
+  EXPECT_LE(server.engine_cache().resident(), config.cache.capacity);
 }
 
 // --- sharded serving ---------------------------------------------------------
@@ -611,8 +619,7 @@ TEST(ShardedServer, ShardCountNeverChangesBitsOnHeterogeneousFleet) {
   const auto run_with_shards = [&](std::size_t shards) {
     ServerConfig config;
     config.batch.max_batch = 4;
-    config.cache.shards = 2;
-    config.cache.capacity_per_shard = 2;
+    config.cache.capacity = 4;
     config.shards = shards;
     InferenceServer server(system, config);
     add_hetero_fleet(server, patterns);
@@ -715,8 +722,7 @@ TEST(FramedServing, ZeroFaultFramedPathBitIdenticalAcrossShards) {
   const auto run_fleet = [&](bool framed, std::size_t shards) {
     ServerConfig config;
     config.batch.max_batch = 4;
-    config.cache.shards = 2;
-    config.cache.capacity_per_shard = 2;
+    config.cache.capacity = 4;
     config.shards = shards;
     InferenceServer server(system, config);
     add_hetero_fleet(server, patterns, framed);

@@ -327,35 +327,25 @@ TEST(MetricsStress, MidServeJsonSnapshotsParseAndAreMonotoneVsFinal) {
 
 // --- EngineCache: miss storm on one pattern across precision tiers -----------
 
-// Minimal engine: just enough state for the cache to hand out. Building one
-// is instant, so factory calls interleave as fast as the shard lock allows.
-class StubEngine : public runtime::VitEngine {
- public:
-  explicit StubEngine(Precision precision) : precision_(precision) {}
-
-  Tensor classify_logits(const Tensor& coded) const override {
-    return Tensor::full(Shape{coded.shape()[0], 1}, 0.0F);
-  }
-  Tensor reconstruct(const Tensor&) const override {
-    throw std::runtime_error("StubEngine: no rec head");
-  }
-  bool has_rec_head() const override { return false; }
-  Precision precision() const override { return precision_; }
-  const models::ViTConfig& config() const override { return config_; }
-
- private:
-  Precision precision_;
-  models::ViTConfig config_;
-};
-
 TEST(EngineCacheStress, MissStormOnOnePatternAcrossTiersStaysConsistent) {
+  // Real 16x16 engines at batch 1, cheap enough to build on every miss. The
+  // int8 tier needs a spec of the model's depth; its scales do not matter,
+  // since nothing is served.
+  core::SnapPixSystem system(small_system_config());
+  runtime::QuantSpec spec;
+  spec.blocks.resize(static_cast<std::size_t>(system.classifier()->encoder()->config().depth));
   EngineCacheConfig config;
-  config.shards = 1;
-  config.capacity_per_shard = 1;  // fp32 and int8 entries evict each other
+  config.capacity = 1;  // fp32 and int8 entries evict each other
   std::atomic<std::uint64_t> builds{0};  // order: relaxed tally, read after joins
-  EngineCache cache(config, [&builds](const ce::CePattern&, Precision precision) {
+  EngineCache cache(config, [&](const ce::CePattern&,
+                                Precision precision) -> std::shared_ptr<runtime::VitEngine> {
     builds.fetch_add(1, std::memory_order_relaxed);
-    return std::make_shared<StubEngine>(precision);
+    if (precision == Precision::kFp32) {
+      return std::make_shared<runtime::BatchedVitEngine>(*system.classifier(),
+                                                         *system.reconstructor(), 1);
+    }
+    return std::make_shared<runtime::QuantizedVitEngine>(*system.classifier(),
+                                                         *system.reconstructor(), spec, 1);
   });
 
   Rng rng(17);
@@ -391,8 +381,7 @@ TEST(EngineCacheStress, MissStormOnOnePatternAcrossTiersStaysConsistent) {
             static_cast<std::uint64_t>(kThreads) * kResolvesEach);
   EXPECT_EQ(totals.misses, builds.load(std::memory_order_relaxed));
   EXPECT_GE(totals.misses, 2U);  // both tiers built at least once
-  EXPECT_LE(cache.resident(), config.shards * config.capacity_per_shard);
-  EXPECT_LE(cache.max_shard_occupancy(), config.capacity_per_shard);
+  EXPECT_LE(cache.resident(), config.capacity);
   // Per-tier counters partition the totals.
   const auto fp32 = cache.counters(Precision::kFp32);
   const auto int8 = cache.counters(Precision::kInt8);
@@ -483,7 +472,7 @@ TEST(SchedulerStress, ExternalCloseMidStreamUnblocksProducersAndTearsDown) {
   FrameQueue queue_a(2);
   FrameQueue queue_b(2);
   {
-    runtime::StreamScheduler scheduler(stats, /*threads=*/2);
+    runtime::StreamScheduler scheduler(stats);
     Rng rng(23);
     const PatternRef pattern =
         runtime::make_pattern_ref(ce::CePattern::random(8, 8, rng, 0.5F));
@@ -723,7 +712,7 @@ TEST(SchedulerStress, DestructionMidRetransmitBackoffWakesProducersAndTearsDown)
     policy.max_retransmits = 10'000;
     policy.backoff_initial = std::chrono::milliseconds(250);
     policy.backoff_max = std::chrono::seconds(2);
-    runtime::StreamScheduler scheduler(stats, /*threads=*/2, policy);
+    runtime::StreamScheduler scheduler(stats, policy);
     scheduler.add_camera(dead_link_replay_camera(0), queue);
     scheduler.add_camera(dead_link_replay_camera(1), queue);
     scheduler.start(kFrames);
@@ -765,7 +754,7 @@ TEST(SchedulerStress, ExternalCloseThenDestructionWhileQuarantinedTearsDown) {
     policy.corrupt = runtime::TransportPolicy::Corrupt::kRetransmit;
     policy.max_retransmits = 4;
     policy.backoff_initial = std::chrono::microseconds(50);
-    runtime::StreamScheduler scheduler(stats, /*threads=*/2, policy);
+    runtime::StreamScheduler scheduler(stats, policy);
     // Camera 0: dead link, quarantined after two consecutive losses.
     auto dead = dead_link_replay_camera(0);
     health.attach(*dead);
