@@ -5,6 +5,7 @@
 
 #include "nn/attention.h"
 #include "tensor/exp.h"
+#include "tensor/gelu.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_s8.h"
 #include "tensor/tensor.h"
@@ -14,18 +15,33 @@ namespace {
 
 using namespace snappix;
 
-void BM_MatmulForward(benchmark::State& state) {
-  const auto n = state.range(0);
+// The forward GEMM kernel at the shapes the fp32 engine serves: m = 128
+// token rows (a 32x32 batch-8 classify) against (k, n) = patch embed
+// (64, 48), qkv (48, 144), proj (48, 48), fc1 (48, 96), fc2 (96, 48) and the
+// REC head (48, 1024), on preallocated buffers.
+void BM_GemmNn(benchmark::State& state) {
+  constexpr std::int64_t m = 128;
+  const auto k = state.range(0);
+  const auto n = state.range(1);
   Rng rng(1);
-  NoGradGuard guard;
-  const Tensor a = Tensor::randn(Shape{n, n}, rng);
-  const Tensor b = Tensor::randn(Shape{n, n}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matmul(a, b).data().data());
+  std::vector<float> a(static_cast<std::size_t>(m * k)), b(static_cast<std::size_t>(k * n)),
+      c(static_cast<std::size_t>(m * n), 0.0F);
+  for (auto& v : a) {
+    v = rng.uniform(-1.0F, 1.0F);
   }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+  for (auto& v : b) {
+    v = rng.uniform(-1.0F, 1.0F);
+  }
+  for (auto _ : state) {
+    detail::gemm_nn(a.data(), b.data(), c.data(), m, k, n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOP"] = benchmark::Counter(
+      2e-9 * static_cast<double>(m * k * n), benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_MatmulForward)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_GemmNn)->Args({64, 48})->Args({48, 144})->Args({48, 48})->Args({48, 96})->Args(
+    {96, 48})->Args({48, 1024});
 
 void BM_MatmulTrainStep(benchmark::State& state) {
   const auto n = state.range(0);
@@ -154,6 +170,24 @@ void BM_ExpRef(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(x.size()));
 }
 BENCHMARK(BM_ExpRef);
+
+// The fp32 engine's GELU for one 32x32 batch-8 classify: 128 token rows x
+// 96 hidden x 3 blocks = 36,864 fc1 outputs.
+void BM_GeluArray(benchmark::State& state) {
+  Rng rng(47);
+  std::vector<float> x(36864);
+  for (auto& v : x) {
+    v = rng.uniform(-4.0F, 4.0F);
+  }
+  std::vector<float> y(x.size());
+  for (auto _ : state) {
+    detail::gelu_array(x.data(), static_cast<std::int64_t>(x.size()), y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_GeluArray);
 
 void BM_SoftmaxForward(benchmark::State& state) {
   Rng rng(3);

@@ -25,10 +25,11 @@
 #          (src/obs/, src/runtime/stats.cpp) — fixed-point rendering of
 #          doubles bloats artifacts and invites locale/precision drift;
 #          use %g forms via obs::json_number
-#        - no libm tanh (std::tanh, tanhf, ::tanh, __builtin_tanh*) in src/
-#          outside the shared GELU kernel (src/tensor/gelu.{h,cpp}) — the
-#          tape and the fp32 engine must run ONE tanh, or their bit-exact
-#          parity would hang on two call sites agreeing on a libm
+#        - no libm tanh (std::tanh, tanhf, ::tanh, __builtin_tanh*) anywhere
+#          in src/ — the shared GELU (src/tensor/gelu.{h,cpp}) is
+#          x / (1 + exp(-2u)) on the shared exp kernel, so no tanh runs in
+#          the library, and a libm one would make the tape's and the fp32
+#          engine's bits hang on the host's libm
 #        - no std::mutex / std::lock_guard in src/runtime/stats.{h,cpp} —
 #          RuntimeStats stays a lock-free view over its metrics registry;
 #          a tally that seems to need a lock belongs in a registry series
@@ -37,6 +38,13 @@
 #          (src/tensor/exp.{h,cpp}) — the tape and the fp32 engine must run
 #          ONE exp, and its bits must not depend on which expf build the
 #          host's libm dispatches to
+#        - no fused multiply-add (an FMA intrinsic: *fmadd*/*fmsub*/
+#          *fnmadd*/*fnmsub*; std::fma; fma/fmaf/fmal calls;
+#          __builtin_fma*) in src/ outside the kernels whose contract fuses:
+#          gemm_nn (src/tensor/ops_matmul.cpp) and the fp32 engine's
+#          attention chains, which mirror it (src/runtime/engine.cpp). A
+#          fused op elsewhere would put a chain out of step with the tape
+#          op it must equal
 #
 # Usage: scripts/check_static.sh [build-dir]   (default: build)
 set -uo pipefail
@@ -117,14 +125,11 @@ $HITS"
   fi
 done
 
-# --- 6. one tanh: the shared GELU kernel -----------------------------------
+# --- 6. no tanh: the shared GELU runs on the shared exp -------------------
 for f in $SRC_FILES; do
-  case "$f" in
-    src/tensor/gelu.h | src/tensor/gelu.cpp) continue ;;
-  esac
   HITS=$(strip_noise "$f" | grep -nE 'std::tanh|tanhf|(^|[^_[:alnum:]])::tanh[fl]?[[:space:]]*\(|__builtin_tanh')
   if [ -n "$HITS" ]; then
-    fail "libm tanh in $f — call detail::tanh_ref/tanh_array/gelu_array (tensor/gelu.h):
+    fail "libm tanh in $f — call detail::gelu_ref/gelu_array (tensor/gelu.h):
 $HITS"
   fi
 done
@@ -140,8 +145,7 @@ done
 
 # --- 8. one exp: the shared exp kernel ---------------------------------------
 # Whole libm names only (exp, expf, expl, exp2*, expm1*): std::exponential_
-# distribution, __builtin_expect, expm1_ref, expm1_tanh_args, exp_ref and
-# fast_exp_negative pass. A bare unqualified exp( is the tape's Tensor op —
+# distribution, __builtin_expect, exp_ref and fast_exp_negative pass. A bare unqualified exp( is the tape's Tensor op —
 # inside namespace snappix it hides the C function, so exp(float) does not
 # compile there.
 EXP_NAME='exp(2|m1)?[fl]?([^_[:alnum:]]|$)'
@@ -152,6 +156,21 @@ for f in $SRC_FILES; do
   HITS=$(strip_noise "$f" | grep -nE "(std::|__builtin_|(^|[^_[:alnum:]:])::)$EXP_NAME|(^|[^_[:alnum:]:])exp(2|m1|[fl])[fl]?([^_[:alnum:]]|\$)")
   if [ -n "$HITS" ]; then
     fail "libm exp in $f — call detail::exp_ref/exp_array (tensor/exp.h):
+$HITS"
+  fi
+done
+
+# --- 9. fused multiply-adds only where the contract fuses ------------------
+# Whole names only: std::fmax, std::fmin and identifiers that merely start
+# with fma pass.
+FMA_USE='fn?m(add|sub)|std::fma[fl]?([^_[:alnum:]]|$)|(^|[^_[:alnum:]])fma[fl]?[[:space:]]*\(|__builtin_fma'
+for f in $SRC_FILES; do
+  case "$f" in
+    src/tensor/ops_matmul.cpp | src/runtime/engine.cpp) continue ;;
+  esac
+  HITS=$(strip_noise "$f" | grep -nE "$FMA_USE")
+  if [ -n "$HITS" ]; then
+    fail "fused multiply-add in $f — only gemm_nn and the engine's attention chains fuse:
 $HITS"
   fi
 done

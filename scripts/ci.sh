@@ -47,11 +47,15 @@ esac
 
 # Engine bits: one hash per serving output (tape and fp32 engine logits and
 # reconstructions, the calibrated QuantSpec, int8 logits and reconstructions)
-# at 16x16 and 32x32. Every engine stage is integer or exact IEEE arithmetic,
-# and tanh and exp are the library's own ports (tensor/gelu.h, tensor/exp.h),
-# so the output must equal the committed golden file on any host and on every
-# code path (the int8 GEMM's AMX tiles or its pair kernel, AVX2 kernels or
-# scalar fallbacks); a diff means some served bit moved.
+# at 16x16 and 32x32. Every engine stage is integer or exact IEEE arithmetic
+# (the GEMM and attention chains' fused multiply-adds are one IEEE rounding:
+# FMA instructions under AVX2, std::fma in the scalar fallbacks), exp is the
+# library's own port (tensor/exp.h) and the GELU is built on it
+# (tensor/gelu.h), and the int8 LayerNorm's scalar fallback runs the AVX2
+# path's lane order; so the output must equal the committed golden file on
+# any host and on every code path (the int8 GEMM's AMX tiles or its pair
+# kernel, AVX2 kernels or scalar fallbacks); a diff means some served bit
+# moved.
 check_engine_bits() {
   "$BUILD_DIR/bench_engine_bits" | diff bench/engine_bits.golden -
   "$BUILD_DIR/bench_engine_bits" --pair-kernel | diff bench/engine_bits.golden -

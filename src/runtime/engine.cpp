@@ -320,7 +320,7 @@ void layer_norm_rows(const float* in, float* out, std::int64_t rows, std::int64_
 
 #if defined(__AVX2__)
 // A kRows x (kVec8 8-lane blocks + an optional 4-lane block) output tile,
-// accumulated in ONE reduction loop so its kRows * (kVec8 + kVec4) add chains
+// accumulated in ONE reduction loop so its kRows * (kVec8 + kVec4) FMA chains
 // overlap: out[r * out_stride + e] = sum over ascending l of
 // coef[r * coef_stride + l] * rows[l * stride + e].
 template <int kRows, int kVec8, bool kVec4>
@@ -343,14 +343,13 @@ inline void dot_tile(const float* coef, std::int64_t coef_stride, const float* r
     for (int r = 0; r < kRows; ++r) {
       const float c = coef[r * coef_stride + l];
       if constexpr (kVec8 >= 1) {
-        acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(_mm256_set1_ps(c), _mm256_loadu_ps(src)));
+        acc0[r] = _mm256_fmadd_ps(_mm256_set1_ps(c), _mm256_loadu_ps(src), acc0[r]);
       }
       if constexpr (kVec8 >= 2) {
-        acc1[r] =
-            _mm256_add_ps(acc1[r], _mm256_mul_ps(_mm256_set1_ps(c), _mm256_loadu_ps(src + 8)));
+        acc1[r] = _mm256_fmadd_ps(_mm256_set1_ps(c), _mm256_loadu_ps(src + 8), acc1[r]);
       }
       if constexpr (kVec4) {
-        acc4[r] = _mm_add_ps(acc4[r], _mm_mul_ps(_mm_set1_ps(c), _mm_loadu_ps(src + 8 * kVec8)));
+        acc4[r] = _mm_fmadd_ps(_mm_set1_ps(c), _mm_loadu_ps(src + 8 * kVec8), acc4[r]);
       }
     }
   }
@@ -396,7 +395,8 @@ void dot_tiles(const float* coef, std::int64_t coef_stride, const float* rows,
 // * rows[l * stride + e] for r < count, e < width: broadcast-times-row
 // products, vectorized across the OUTPUT elements in tiles of 4 (then 1)
 // rows by 16, 8+4, 8 or 4 lanes. Each element stays its own +0-started
-// chain of separate mul and add.
+// chain of fused multiply-adds in ascending l: gemm_nn's chain, so the bits
+// are the tape matmul's.
 void dot_rows(const float* coef, std::int64_t coef_stride, const float* rows,
               std::int64_t stride, std::int64_t len, std::int64_t count, std::int64_t width,
               float* out, std::int64_t out_stride) {
@@ -416,7 +416,7 @@ void dot_rows(const float* coef, std::int64_t coef_stride, const float* rows,
       for (std::int64_t j = e; j < width; ++j) {  // scalar tail (non-AVX2: whole rows)
         float acc = 0.0F;
         for (std::int64_t l = 0; l < len; ++l) {
-          acc += c[r * coef_stride + l] * rows[l * stride + j];
+          acc = std::fma(c[r * coef_stride + l], rows[l * stride + j], acc);
         }
         o[r * out_stride + j] = acc;
       }
@@ -464,65 +464,76 @@ void attention_rows(const float* qkv, float* ctx, float* scores, float* kt, floa
   }
 }
 
-// Vector-friendly LayerNorm for the int8 tier: tree-order reductions instead
-// of the tape's pinned ascending sums. Deterministic, not bit-equal to
-// layer_norm_rows.
+// The 8 partial sums of a lane-chain reduction, folded pairwise:
+// (0+4, 1+5, 2+6, 3+7), then (0+2, 1+3), then 0+1.
+inline float fold_lanes(const float (&v)[8]) {
+  const float s0 = v[0] + v[4], s1 = v[1] + v[5], s2 = v[2] + v[6], s3 = v[3] + v[7];
+  return (s0 + s2) + (s1 + s3);
+}
+
+// Vector-friendly LayerNorm for the int8 tier: lane-chain reductions instead
+// of the tape's pinned ascending sums, and a multiply by the reciprocal
+// instead of a divide. Not bit-equal to layer_norm_rows. Each row's mean and
+// variance sums run as 8 lane chains over the 8-wide blocks (lane i takes
+// j = i mod 8), folded by fold_lanes, then the d % 8 tail in ascending
+// order, and the scalar build runs the same chains and fold: the int8 tier
+// is deterministic across builds (AVX2 or scalar) by construction.
 void layer_norm_rows_fast(const float* in, float* out, std::int64_t rows, std::int64_t d,
                           const float* gamma, const float* beta) {
   const float inv_d = 1.0F / static_cast<float>(d);
+  const std::int64_t d8 = d - d % 8;
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* x = in + r * d;
     float* y = out + r * d;
+    float lanes[8] = {};
 #if defined(__AVX2__)
     __m256 vsum = _mm256_setzero_ps();
-    std::int64_t j = 0;
-    for (; j + 8 <= d; j += 8) {
+    for (std::int64_t j = 0; j < d8; j += 8) {
       vsum = _mm256_add_ps(vsum, _mm256_loadu_ps(x + j));
     }
-    __m128 s = _mm_add_ps(_mm256_castps256_ps128(vsum), _mm256_extractf128_ps(vsum, 1));
-    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-    float acc = _mm_cvtss_f32(s);
-    for (; j < d; ++j) {
+    _mm256_storeu_ps(lanes, vsum);
+#else
+    for (std::int64_t j = 0; j < d8; j += 8) {
+      for (int i = 0; i < 8; ++i) {
+        lanes[i] += x[j + i];
+      }
+    }
+#endif
+    float acc = fold_lanes(lanes);
+    for (std::int64_t j = d8; j < d; ++j) {
       acc += x[j];
     }
     const float mu = acc * inv_d;
+#if defined(__AVX2__)
     const __m256 vmu = _mm256_set1_ps(mu);
     __m256 vvar = _mm256_setzero_ps();
-    j = 0;
-    for (; j + 8 <= d; j += 8) {
+    for (std::int64_t j = 0; j < d8; j += 8) {
       const __m256 c = _mm256_sub_ps(_mm256_loadu_ps(x + j), vmu);
       vvar = _mm256_add_ps(vvar, _mm256_mul_ps(c, c));
     }
-    __m128 v = _mm_add_ps(_mm256_castps256_ps128(vvar), _mm256_extractf128_ps(vvar, 1));
-    v = _mm_add_ps(v, _mm_movehl_ps(v, v));
-    v = _mm_add_ss(v, _mm_shuffle_ps(v, v, 1));
-    float var_acc = _mm_cvtss_f32(v);
-    for (; j < d; ++j) {
-      const float centered = x[j] - mu;
-      var_acc += centered * centered;
-    }
+    _mm256_storeu_ps(lanes, vvar);
 #else
-    float acc = 0.0F;
-    for (std::int64_t j = 0; j < d; ++j) {
-      acc += x[j];
-    }
-    const float mu = acc * inv_d;
-    float var_acc = 0.0F;
-    for (std::int64_t j = 0; j < d; ++j) {
-      const float centered = x[j] - mu;
-      var_acc += centered * centered;
+    std::fill(lanes, lanes + 8, 0.0F);
+    for (std::int64_t j = 0; j < d8; j += 8) {
+      for (int i = 0; i < 8; ++i) {
+        const float centered = x[j + i] - mu;
+        lanes[i] += centered * centered;
+      }
     }
 #endif
+    float var_acc = fold_lanes(lanes);
+    for (std::int64_t j = d8; j < d; ++j) {
+      const float centered = x[j] - mu;
+      var_acc += centered * centered;
+    }
     const float var = var_acc * inv_d;
     const float inv_denom = 1.0F / std::sqrt(var + kLayerNormEps);
     std::int64_t jj = 0;
 #if defined(__AVX2__)
-    const __m256 vmu2 = _mm256_set1_ps(mu);
     const __m256 vinv = _mm256_set1_ps(inv_denom);
     for (; jj + 8 <= d; jj += 8) {
       const __m256 normalized =
-          _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + jj), vmu2), vinv);
+          _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + jj), vmu), vinv);
       _mm256_storeu_ps(y + jj, _mm256_add_ps(_mm256_mul_ps(normalized,
                                                            _mm256_loadu_ps(gamma + jj)),
                                              _mm256_loadu_ps(beta + jj)));
@@ -936,7 +947,7 @@ QuantizedVitEngine::QuantizedVitEngine(const models::SnapPixClassifier& model,
                               take(params, p + "mlp.fc2.bias", d), bs.fc2_in, hidden_, d);
     // Bake the GELU into a 256-entry table: entry q (an int8 on the gelu_in
     // grid) maps to gelu(q * gelu_in) requantized onto the fc2_in grid — the
-    // tanh runs 256 times here and never again.
+    // GELU runs 256 times here and never again.
     b.gelu_inv_scale = 1.0F / bs.gelu_in;
     b.gelu_lut.resize(256);
     const float fc2_inv = 1.0F / bs.fc2_in;

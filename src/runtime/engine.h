@@ -32,30 +32,36 @@
 // replicates every other elementwise formula and accumulation order of the
 // tape ops (LayerNorm's sum-times-reciprocal mean, max-subtracted softmax
 // with a sequential sum, scale-after-matmul attention). The only libm
-// function left in the fp32 engine is sqrt, which IEEE rounds correctly, so
-// its bits are the same on every host. The invariant that permits SIMD: each
-// output element keeps its own ascending-order chain of separate mul and add
-// (no FMA, no reassociation). So the loops vectorize ACROSS output elements
-// (GEMM tiles, GELU lanes, attention score and context lanes) or, for a
-// per-row reduction (LayerNorm's mean and variance, the softmax's max and
-// sum), across ROWS: 8 rows transposed into the 8 lanes, each lane running
-// its row's chain. Elementwise add, mul, div and sqrt are single IEEE
-// operations, exact at any width, so the bias, positional, residual and
-// pooling adds run 8 lanes wide too. None of it moves a bit. Because every
-// per-row computation is independent of which batch it rides in, batched
-// outputs are also bit-identical to batch-1 outputs — the property the
-// streaming runtime's determinism tests pin down. This holds for
-// classify_logits() against SnapPixSystem::classify_logits_coded AND
-// reconstruct() against SnapPixSystem::reconstruct_coded.
+// functions left in the fp32 engine are sqrt and, in scalar builds, fma,
+// which IEEE rounds correctly, so its bits are the same on every host. The
+// invariant that permits SIMD: each output element keeps its own
+// ascending-order chain, with no reassociation. A matmul element's chain
+// (the GEMM's, and the attention score and context chains that mirror the
+// tape's q @ k^T and p @ v) is one fused multiply-add per product from +0;
+// every other chain is separate IEEE operations. So the loops vectorize
+// ACROSS output elements (GEMM tiles, GELU lanes, attention score and
+// context lanes) or, for a per-row reduction (LayerNorm's mean and
+// variance, the softmax's max and sum), across ROWS: 8 rows transposed into
+// the 8 lanes, each lane running its row's chain. Elementwise add, mul, div
+// and sqrt are single IEEE operations, exact at any width, so the bias,
+// positional, residual and pooling adds run 8 lanes wide too. None of it
+// moves a bit. Because every per-row computation is independent of which
+// batch it rides in, batched outputs are also bit-identical to batch-1
+// outputs — the property the streaming runtime's determinism tests pin
+// down. This holds for classify_logits() against
+// SnapPixSystem::classify_logits_coded AND reconstruct() against
+// SnapPixSystem::reconstruct_coded.
 //
 // Determinism contract (int8 tier): QuantizedVitEngine runs every linear as
 // an int8 x int8 -> int32 GEMM (tensor/gemm_s8.h) over weights packed once,
 // when the engine is built, with per-output-channel weight scales and
 // calibrated per-tensor activation scales, dequantizing to fp32 at each
 // layer boundary; LayerNorm/GELU/softmax/attention/residuals stay fp32.
-// Integer accumulation is exact, so outputs are deterministic
-// across runs, thread counts, and batch compositions (batch == batch-1
-// bitwise) — but they are NOT bit-identical to the fp32 tier: quantization
+// Integer accumulation is exact and every fp32 step has one order in every
+// build (the scalar LayerNorm runs the AVX2 path's lane chains), so outputs
+// are deterministic across runs, builds, thread counts, and batch
+// compositions (batch == batch-1 bitwise) — but they are NOT bit-identical
+// to the fp32 tier: quantization
 // is a bounded approximation, measured by the accuracy-vs-throughput
 // frontier bench (BENCH_int8.json).
 //

@@ -14,8 +14,8 @@
 //                attention, residual adds and pooling stay fp32
 //   GELU         a 256-entry int8 -> int8 lookup table per block (I-BERT
 //                style): fc1's int32 output requantizes onto the calibrated
-//                gelu_in grid, the table folds dequant + tanh-GELU + fc2-in
-//                requant into one lookup — the tanh never runs at serve time
+//                gelu_in grid, the table folds dequant + GELU + fc2-in
+//                requant into one lookup — the GELU never runs at serve time
 //
 // Determinism: calibrate() is a pure function of its inputs (single pass,
 // fixed iteration order, no threads mutate the ranges), and

@@ -138,7 +138,10 @@ void exp_array(const float* x, std::int64_t n, float* y) {
   for (; i + 8 <= n; i += 8) {
     _mm256_storeu_ps(y + i, exp8(_mm256_loadu_ps(x + i)));
   }
-  _mm256_zeroupper();  // see tanh_array (tensor/gelu.cpp)
+  // gcc 12 can return through the scalar tail with the ymm upper halves
+  // still dirty, which makes every legacy-SSE instruction in a caller built
+  // without -mavx2 pay a transition penalty; clear them explicitly.
+  _mm256_zeroupper();
 #endif
   for (; i < n; ++i) {
     y[i] = exp_ref(x[i]);

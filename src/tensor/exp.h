@@ -1,7 +1,8 @@
 // exp: ONE kernel shared by the autograd ops (ops_elementwise.cpp,
-// ops_reduce.cpp) and the fp32 serving engine's softmax (runtime/engine.cpp),
-// so the engine's bit-exactness against the tape holds by construction and
-// neither depends on which expf the host's libm dispatches to.
+// ops_reduce.cpp), the GELU (tensor/gelu.h) and the fp32 serving engine's
+// softmax (runtime/engine.cpp), so the engine's bit-exactness against the
+// tape holds by construction and neither depends on which expf the host's
+// libm dispatches to.
 //
 // exp_ref is a straight port of glibc 2.36's expf built without FMA (the
 // optimized-routines algorithm: x * 32/ln2 rounded to k + r, a 32-entry

@@ -1,38 +1,34 @@
-// The tanh-approximate GELU and the tanh under it: ONE kernel shared by the
-// autograd ops (ops_elementwise.cpp) and both serving engines
-// (runtime/engine.cpp), so the fp32 engine's bit-exactness against the tape
-// holds by construction instead of by two call sites agreeing on a libm.
+// The tanh-approximate GELU: ONE kernel shared by the autograd op
+// (ops_elementwise.cpp), the fp32 serving engine and the int8 tier's GELU
+// table (runtime/engine.cpp), so the fp32 engine's bit-exactness against the
+// tape holds by construction.
 //
-// tanh_ref is a straight port of glibc 2.36's fdlibm tanhf and the expm1f
-// under it (the 5-coefficient Q1..Q5 polynomial, scaling by adding k << 23 to
-// the exponent bits). On glibc 2.36 it equals std::tanh on every one of the
-// 2^32 float inputs; on any other libm it still equals itself, which is all
-// the tape-vs-engine contract needs.
-//
-// The array forms run 8 lanes at a time under AVX2 with the reference's exact
-// operation sequence: every fdlibm branch is evaluated on every lane and the
-// lane's own branch is blended in, with separate mul and add (no FMA, the
-// library builds with -ffp-contract=off). Results are bit-identical to the
-// scalar references on every input, pinned by tests/test_tensor.cpp.
+// gelu(x) = 0.5 x (1 + tanh(u)) with u = sqrt(2/pi) (x + 0.044715 x^3).
+// Because tanh(u) = 2 sigmoid(2u) - 1, that is x sigmoid(2u), evaluated as
+// x / (1 + exp(-2u)) with the shared exp kernel (tensor/exp.h). Every other
+// step is one IEEE mul, add or div (no FMA: the library builds with
+// -ffp-contract=off), so the bits are the same on every host and at every
+// vector width. Special values: gelu(+-0) = +-0, gelu(+inf) = +inf;
+// where exp(-2u) overflows (x below about -10.05) the quotient is -0, within
+// 1e-37 of the exact value; gelu(-inf) is NaN, as the tanh form's -inf * 0
+// is.
 #pragma once
 
 #include <cstdint>
 
 namespace snappix::detail {
 
-// fdlibm expm1f (glibc 2.36), always scalar. tanh_ref's building block.
-float expm1_ref(float x);
-
-// fdlibm tanhf (glibc 2.36), always scalar.
-float tanh_ref(float x);
-
-// gelu(x) = 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))), evaluated as
-// (0.5 * x) * (1 + tanh_ref(c * (x + ((0.044715 * x) * x) * x))). Always scalar.
+// x / (1 + exp_ref(-2 sqrt(2/pi) * (x + ((0.044715 * x) * x) * x))). Always
+// scalar.
 float gelu_ref(float x);
 
-// y[i] = tanh_ref(x[i]) / gelu_ref(x[i]) for i < n, AVX2-wide when compiled
-// in, bit-identical either way. `y` may be `x` (in place).
-void tanh_array(const float* x, std::int64_t n, float* y);
+// y[i] = gelu_ref(x[i]) for i < n, bit-identical: the exps run through
+// exp_array over chunks, the rest 8 lanes wide under AVX2. `y` may be `x`
+// (in place).
 void gelu_array(const float* x, std::int64_t n, float* y);
+
+// d gelu / dx = s + x s (1 - s) 2u', with s = 1 / (1 + exp(-2u)) and
+// u' = sqrt(2/pi) (1 + 3 * 0.044715 x^2): the tape's gelu backward.
+float gelu_grad_ref(float x);
 
 }  // namespace snappix::detail

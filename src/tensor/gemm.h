@@ -11,14 +11,18 @@
 
 namespace snappix::detail {
 
-// c(m,n) = a(m,k) * b(k,n). `c` MUST be zero-initialized: the tiled kernel
-// sums each element's k products (in ascending order) into a local
-// accumulator and stores the total, which rounds differently from
-// element-wise accumulation if c started nonzero. Runs on the calling
-// thread; the tape's matmul op fans large products out over row blocks.
+// c(m,n) += a(m,k) * b(k,n). Each element sums its k products from +0 in
+// ascending order, each product-and-add one fused multiply-add (a single
+// IEEE rounding, the same bits on every host and vector width), and folds
+// the total into c with one add. The tape's matmul and the engines start c
+// at +0. Runs on the calling thread; the tape's matmul op fans large
+// products out over row blocks.
 void gemm_nn(const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
              std::int64_t n);
 
+// The backward kernels below run only in training, so they stay unfused:
+// every product and add is its own rounding step.
+//
 // c(m,k) += a(m,n) * b(k,n)^T  (i.e. a * b^T). Register-tiled like gemm_nn;
 // each element still sums its n products in ascending order into a fresh
 // accumulator and folds it into c with one add, so results are bit-identical

@@ -12,8 +12,6 @@ namespace snappix {
 
 namespace {
 
-constexpr float kPi = 3.14159265358979323846F;
-
 // Generic broadcasting binary op.
 //   forward(a, b) -> out
 //   dda(a, b) -> d out / d a        ddb(a, b) -> d out / d b
@@ -174,28 +172,16 @@ Tensor relu(const Tensor& a) {
 
 Tensor gelu(const Tensor& a) {
   // tanh approximation of GELU, matching common DNN framework defaults. The
-  // forward is the shared kernel the serving engines run (tensor/gelu.h).
-  const float c = std::sqrt(2.0F / kPi);
-  return unary_array_op(
-      a, detail::gelu_array,
-      [c](float x, float) {
-        const float x3 = x * x * x;
-        const float inner = c * (x + 0.044715F * x3);
-        const float t = detail::tanh_ref(inner);
-        const float sech2 = 1.0F - t * t;
-        const float dinner = c * (1.0F + 3.0F * 0.044715F * x * x);
-        return 0.5F * (1.0F + t) + 0.5F * x * sech2 * dinner;
-      });
+  // forward and the derivative are the shared kernel's (tensor/gelu.h),
+  // which the serving engines run.
+  return unary_array_op(a, detail::gelu_array,
+                        [](float x, float) { return detail::gelu_grad_ref(x); });
 }
 
 Tensor sigmoid(const Tensor& a) {
   return unary_op(
       a, [](float x) { return 1.0F / (1.0F + detail::exp_ref(-x)); },
       [](float, float y) { return y * (1.0F - y); });
-}
-
-Tensor tanh(const Tensor& a) {
-  return unary_array_op(a, detail::tanh_array, [](float, float y) { return 1.0F - y * y; });
 }
 
 Tensor square(const Tensor& a) {

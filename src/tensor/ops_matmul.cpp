@@ -1,5 +1,6 @@
 // Matrix multiplication with 2-D, batched 3-D, and batch-broadcast forms.
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "tensor/gemm.h"
@@ -15,124 +16,123 @@ namespace snappix {
 
 namespace detail {
 
-// c(m,n) (+)= a(m,k) * b(k,n), register-tiled, single-threaded.
+namespace {
+
+// Output rows per register tile.
+constexpr int kTileRows = 6;
+
+#if defined(__AVX2__)
+// c[r * n + 0 .. 8 kVecs) += a row r times b for r < kRows: kRows x kVecs
+// 8-lane accumulators stay in registers across the whole k loop, so each b
+// element is loaded once per kRows rows and each c element is touched once.
+template <int kRows, int kVecs>
+inline void tile(const float* a, const float* b, float* c, std::int64_t k, std::int64_t n) {
+  __m256 acc[kRows][kVecs];
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kVecs; ++v) {
+      acc[r][v] = _mm256_setzero_ps();
+    }
+  }
+  for (std::int64_t l = 0; l < k; ++l) {
+    __m256 bv[kVecs];
+    for (int v = 0; v < kVecs; ++v) {
+      bv[v] = _mm256_loadu_ps(b + l * n + 8 * v);
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r) {
+      const __m256 av = _mm256_set1_ps(a[r * k + l]);
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kVecs; ++v) {
+      float* cp = c + r * n + 8 * v;
+      _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), acc[r][v]));
+    }
+  }
+}
+
+// All m rows of one 8 kVecs-column block: kTileRows-row tiles, then 4, 2
+// and 1 rows.
+template <int kVecs>
+void column_block(const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
+                  std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + kTileRows <= m; i += kTileRows) {
+    tile<kTileRows, kVecs>(a + i * k, b, c + i * n, k, n);
+  }
+  if (m - i >= 4) {
+    tile<4, kVecs>(a + i * k, b, c + i * n, k, n);
+    i += 4;
+  }
+  if (m - i >= 2) {
+    tile<2, kVecs>(a + i * k, b, c + i * n, k, n);
+    i += 2;
+  }
+  if (m - i == 1) {
+    tile<1, kVecs>(a + i * k, b, c + i * n, k, n);
+  }
+}
+#endif
+
+// The scalar form of tile: kRows rows x `width` (<= 8) columns.
+template <int kRows>
+void scalar_tile(const float* a, const float* b, float* c, std::int64_t k, std::int64_t n,
+                 std::int64_t width) {
+  float acc[kRows][8] = {};
+  for (std::int64_t l = 0; l < k; ++l) {
+    const float* bp = b + l * n;
+    for (int r = 0; r < kRows; ++r) {
+      const float av = a[r * k + l];
+      for (std::int64_t j = 0; j < width; ++j) {
+        acc[r][j] = std::fma(av, bp[j], acc[r][j]);
+      }
+    }
+  }
+  for (int r = 0; r < kRows; ++r) {
+    for (std::int64_t j = 0; j < width; ++j) {
+      c[r * n + j] += acc[r][j];
+    }
+  }
+}
+
+}  // namespace
+
+// c(m,n) += a(m,k) * b(k,n), register-tiled, single-threaded.
 //
-// Accumulator tiles are held in registers across the whole k loop, so each b
-// element is loaded once per 4 rows and each c element is touched once
-// instead of k times. The AVX2 tile is 4 rows x 16 columns: 8 independent
-// 8-lane add chains, enough to cover the add latency. The 4x8 tile below it
-// serves a remaining 8-column block (and the whole width in builds without
-// AVX2), and the streaming loop serves the last n % 8 columns. Every output
-// element, in every tile and tail, accumulates its k products from +0 in
-// ascending-l order with separate mul and add and folds the total into c
-// with one add, so results are bit-identical to the naive triple loop (the
+// Under AVX2 the tile is 6 rows x 16 columns: 12 independent 8-lane FMA
+// chains, enough to cover the FMA latency; a remaining 8-column block runs
+// 6 x 8 tiles. The last n % 8 columns (every column in builds without AVX2)
+// run scalar 4 x 8 tiles, then 1 x 8 per leftover row. Every output element, in every tile and tail,
+// accumulates its k products from +0 in ascending-l order, each product and
+// add one fused multiply-add (one IEEE rounding: _mm256_fmadd_ps, or
+// std::fma in scalar code), and folds the total into c with one add, so
+// results are bit-identical to the naive triple loop on every path (the
 // fused serving engine and the determinism tests rely on this).
 void gemm_nn(const float* a, const float* b, float* c, std::int64_t m, std::int64_t k,
              std::int64_t n) {
   std::int64_t j0 = 0;
 #if defined(__AVX2__)
   for (; j0 + 16 <= n; j0 += 16) {
-    std::int64_t i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const float* a0 = a + i * k;
-      const float* a1 = a0 + k;
-      const float* a2 = a1 + k;
-      const float* a3 = a2 + k;
-      __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
-      __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
-      __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
-      __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
-      for (std::int64_t l = 0; l < k; ++l) {
-        const float* bp = b + l * n + j0;
-        const __m256 b0 = _mm256_loadu_ps(bp);
-        const __m256 b1 = _mm256_loadu_ps(bp + 8);
-        const __m256 av0 = _mm256_set1_ps(a0[l]);
-        const __m256 av1 = _mm256_set1_ps(a1[l]);
-        const __m256 av2 = _mm256_set1_ps(a2[l]);
-        const __m256 av3 = _mm256_set1_ps(a3[l]);
-        c00 = _mm256_add_ps(c00, _mm256_mul_ps(av0, b0));
-        c01 = _mm256_add_ps(c01, _mm256_mul_ps(av0, b1));
-        c10 = _mm256_add_ps(c10, _mm256_mul_ps(av1, b0));
-        c11 = _mm256_add_ps(c11, _mm256_mul_ps(av1, b1));
-        c20 = _mm256_add_ps(c20, _mm256_mul_ps(av2, b0));
-        c21 = _mm256_add_ps(c21, _mm256_mul_ps(av2, b1));
-        c30 = _mm256_add_ps(c30, _mm256_mul_ps(av3, b0));
-        c31 = _mm256_add_ps(c31, _mm256_mul_ps(av3, b1));
-      }
-      const __m256 acc[4][2] = {{c00, c01}, {c10, c11}, {c20, c21}, {c30, c31}};
-      for (int r = 0; r < 4; ++r) {
-        float* crow = c + (i + r) * n + j0;
-        _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc[r][0]));
-        _mm256_storeu_ps(crow + 8, _mm256_add_ps(_mm256_loadu_ps(crow + 8), acc[r][1]));
-      }
-    }
-    for (; i < m; ++i) {  // row tail: one row x 16 columns
-      const float* arow = a + i * k;
-      __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
-      for (std::int64_t l = 0; l < k; ++l) {
-        const float* bp = b + l * n + j0;
-        const __m256 av = _mm256_set1_ps(arow[l]);
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(av, _mm256_loadu_ps(bp)));
-        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(av, _mm256_loadu_ps(bp + 8)));
-      }
-      float* crow = c + i * n + j0;
-      _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc0));
-      _mm256_storeu_ps(crow + 8, _mm256_add_ps(_mm256_loadu_ps(crow + 8), acc1));
-    }
+    column_block<2>(a, b + j0, c + j0, m, k, n);
+  }
+  if (j0 + 8 <= n) {
+    column_block<1>(a, b + j0, c + j0, m, k, n);
+    j0 += 8;
   }
 #endif
-  for (; j0 + 8 <= n; j0 += 8) {
+  for (; j0 < n; j0 += 8) {
+    const std::int64_t width = std::min<std::int64_t>(8, n - j0);
     std::int64_t i = 0;
     for (; i + 4 <= m; i += 4) {
-      const float* a0 = a + i * k;
-      const float* a1 = a0 + k;
-      const float* a2 = a1 + k;
-      const float* a3 = a2 + k;
-      float acc[4][8] = {};
-      for (std::int64_t l = 0; l < k; ++l) {
-        const float* bp = b + l * n + j0;
-        const float av0 = a0[l], av1 = a1[l], av2 = a2[l], av3 = a3[l];
-        for (int j = 0; j < 8; ++j) {
-          const float bv = bp[j];
-          acc[0][j] += av0 * bv;
-          acc[1][j] += av1 * bv;
-          acc[2][j] += av2 * bv;
-          acc[3][j] += av3 * bv;
-        }
-      }
-      for (int r = 0; r < 4; ++r) {
-        for (int j = 0; j < 8; ++j) {
-          c[(i + r) * n + j0 + j] += acc[r][j];
-        }
-      }
+      scalar_tile<4>(a + i * k, b + j0, c + i * n + j0, k, n, width);
     }
-    for (; i < m; ++i) {  // row tail
-      const float* arow = a + i * k;
-      float acc[8] = {};
-      for (std::int64_t l = 0; l < k; ++l) {
-        const float* bp = b + l * n + j0;
-        const float av = arow[l];
-        for (int j = 0; j < 8; ++j) {
-          acc[j] += av * bp[j];
-        }
-      }
-      for (int j = 0; j < 8; ++j) {
-        c[i * n + j0 + j] += acc[j];
-      }
-    }
-  }
-  if (j0 < n) {  // column tail: streaming accumulation over the remainder
-    const std::int64_t nt = n - j0;
-    for (std::int64_t i = 0; i < m; ++i) {
-      float* crow = c + i * n + j0;
-      const float* arow = a + i * k;
-      for (std::int64_t l = 0; l < k; ++l) {
-        const float av = arow[l];
-        const float* bp = b + l * n + j0;
-        for (std::int64_t j = 0; j < nt; ++j) {
-          crow[j] += av * bp[j];
-        }
-      }
+    for (; i < m; ++i) {
+      scalar_tile<1>(a + i * k, b + j0, c + i * n + j0, k, n, width);
     }
   }
 }

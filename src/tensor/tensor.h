@@ -140,7 +140,6 @@ Tensor sqrt(const Tensor& a);
 Tensor relu(const Tensor& a);
 Tensor gelu(const Tensor& a);  // tanh approximation
 Tensor sigmoid(const Tensor& a);
-Tensor tanh(const Tensor& a);
 Tensor square(const Tensor& a);
 Tensor abs(const Tensor& a);
 Tensor clamp(const Tensor& a, float lo, float hi);
