@@ -167,7 +167,6 @@ int main(int argc, char** argv) {
   const auto run_fleet = [&](bool codec_framed) {
     runtime::ServerConfig server_cfg;
     server_cfg.batch.max_batch = kCameras;
-    server_cfg.classify_codec_planes = serve_depth;
     return bench::run_arm(
         system, server_cfg,
         [&](int cam) {
@@ -182,6 +181,7 @@ int main(int argc, char** argv) {
           if (reconstruct) {
             camera->set_task(runtime::Task::kReconstruct);
           }
+          camera->set_codec_planes(serve_depth);  // reconstruct frames ignore it
           if (codec_framed) {
             transport::LinkConfig link;
             link.codec = true;

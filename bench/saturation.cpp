@@ -137,7 +137,6 @@ int main(int argc, char** argv) {
     server_cfg.batch.max_batch = 8;
     server_cfg.shards = 1;
     server_cfg.queue_capacity = queue_capacity;
-    server_cfg.qos = fleet_qos;
     ArmOutcome arm;
     arm.label = label;
     arm.offered = frames_per_camera;
@@ -148,7 +147,8 @@ int main(int argc, char** argv) {
               cam, oracle.pattern(), oracle.buffer(cam), cam == 0 ? realtime_gap : best_effort_gap);
           if (cam == 0) {
             camera->set_qos(runtime::QosClass::kRealtime);
-          } else if (best_effort_deadline.count() > 0) {
+          } else {
+            camera->set_qos(fleet_qos);
             camera->set_deadline_budget(best_effort_deadline);
           }
           return camera;

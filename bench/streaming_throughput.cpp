@@ -581,9 +581,8 @@ int main(int argc, char** argv) {
     const bench::EvalClips eval = bench::eval_clips(frontier, frontier_frames);
 
     // Calibrate exactly the way the serving tier does on an int8 cache miss.
-    const runtime::ServerConfig defaults;
     const Tensor calib = runtime::make_calibration_frames(
-        frontier.pattern(), frontier_cfg.image, frontier_cfg.image, defaults.calibration);
+        frontier.pattern(), frontier_cfg.image, frontier_cfg.image, runtime::QuantCalibration{});
     const runtime::QuantSpec spec =
         runtime::calibrate(*frontier.classifier(), *frontier.reconstructor(), calib);
     const runtime::BatchedVitEngine fp32_engine(*frontier.classifier(),

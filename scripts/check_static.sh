@@ -45,6 +45,10 @@
 #          attention chains, which mirror it (src/runtime/engine.cpp). A
 #          fused op elsewhere would put a chain out of step with the tape
 #          op it must equal
+#        - the "Sizing `ServerConfig`" table in docs/serving.md names
+#          exactly the top-level fields of struct ServerConfig
+#          (src/runtime/server.h), in both directions — a new server knob
+#          needs its row, and a deleted one takes its row with it
 #
 # Usage: scripts/check_static.sh [build-dir]   (default: build)
 set -uo pipefail
@@ -174,6 +178,36 @@ for f in $SRC_FILES; do
 $HITS"
   fi
 done
+
+# --- 10. the ServerConfig knob table names exactly ServerConfig's fields ----
+# A row counts by its first column up to the first `.` (`batch.max_batch`
+# names `batch`). Fields are the 2-space-indented declarations of the struct,
+# each named by its last identifier once any `= value` / `{value}` is cut.
+CONFIG_FIELDS=$(awk '/^struct ServerConfig \{/ { inside = 1; next }
+    inside && /^\};/ { exit }
+    inside' src/runtime/server.h |
+  sed -e 's://.*$::' |
+  grep -E '^  [^[:space:]].*;[[:space:]]*$' |
+  sed -E -e 's/[[:space:]]*(=[^;]*|\{[^}]*\})?;[[:space:]]*$//' \
+    -e 's/.*[^_[:alnum:]]([_[:alpha:]][_[:alnum:]]*)$/\1/' | sort -u)
+DOC_KNOBS=$(awk '/^## Sizing `ServerConfig`/ { inside = 1; next }
+    inside && /^\|/ { rows = 1; print; next }
+    inside && rows { exit }' docs/serving.md |
+  sed -nE 's/^\|[[:space:]]*`([^`]*)`.*/\1/p' | cut -d. -f1 | sort -u)
+if [ -z "$CONFIG_FIELDS" ] || [ -z "$DOC_KNOBS" ]; then
+  fail "could not read ServerConfig's fields (src/runtime/server.h) or the \"Sizing \`ServerConfig\`\" table (docs/serving.md)"
+else
+  UNDOCUMENTED=$(comm -23 <(echo "$CONFIG_FIELDS") <(echo "$DOC_KNOBS"))
+  STALE=$(comm -13 <(echo "$CONFIG_FIELDS") <(echo "$DOC_KNOBS"))
+  if [ -n "$UNDOCUMENTED" ]; then
+    fail "ServerConfig fields without a row in docs/serving.md's knob table:
+$UNDOCUMENTED"
+  fi
+  if [ -n "$STALE" ]; then
+    fail "docs/serving.md knob-table rows that name no ServerConfig field:
+$STALE"
+  fi
+fi
 
 # --- clang-tidy (when available) --------------------------------------------
 if command -v clang-tidy > /dev/null 2>&1 && [ -f "$BUILD_DIR/compile_commands.json" ]; then

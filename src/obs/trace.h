@@ -156,8 +156,9 @@ class TraceRecorder {
   const TraceConfig& config() const { return config_; }
   bool enabled() const { return config_.enabled; }
 
-  /// \brief True when a frame with this per-camera sequence number should
-  /// carry a trace context.
+  /// \brief True when the frame with this per-camera sequence number is
+  /// traced: the one sampling rule, which the shard workers apply to the
+  /// frames they serve.
   bool should_sample(std::int64_t sequence) const {
     return config_.enabled && config_.sample_every > 0 &&
            sequence % config_.sample_every == 0;

@@ -1,8 +1,11 @@
 #include "runtime/camera.h"
 
+#include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "ce/encode.h"
+#include "codec/bitplane.h"
 #include "util/common.h"
 
 namespace snappix::runtime {
@@ -44,6 +47,26 @@ Frame CameraSource::next_frame() {
 
 void CameraSource::set_framed(const transport::LinkConfig& link) {
   link_ = std::make_unique<transport::FramedLink>(link);
+}
+
+void CameraSource::set_deadline_budget(std::chrono::microseconds budget) {
+  if (budget.count() < 0) {
+    std::ostringstream os;
+    os << "camera " << id_ << ": deadline_budget must be non-negative (0 = no deadline), got "
+       << budget.count() << " us";
+    throw std::invalid_argument(os.str());
+  }
+  deadline_budget_ = budget;
+}
+
+void CameraSource::set_codec_planes(int planes) {
+  if (planes < 0 || planes > codec::kMaxBitplanes) {
+    std::ostringstream os;
+    os << "camera " << id_ << ": codec_planes must be in [0, " << codec::kMaxBitplanes
+       << "] (0 = full depth), got " << planes;
+    throw std::invalid_argument(os.str());
+  }
+  codec_planes_ = planes;
 }
 
 void CameraSource::retransmit(Frame& frame) {
@@ -103,17 +126,14 @@ Frame CameraSource::begin_frame(std::int64_t height, std::int64_t width) {
   frame.sequence = next_sequence_++;
   frame.pattern_id = pattern_id_;
   frame.task = task_;
-  frame.precision = precision();
-  frame.qos = qos();
+  frame.precision = precision_;
+  frame.qos = qos_;
   // Deadline at capture: the budget covers the frame's WHOLE journey
   // (capture, transport, queueing, batching, inference) — a frame that
   // misses it anywhere downstream is shed rather than served stale.
-  const std::chrono::microseconds budget = deadline_budget();
-  if (budget.count() > 0) {
-    frame.deadline = Clock::now() + budget;
+  if (deadline_budget_.count() > 0) {
+    frame.deadline = Clock::now() + deadline_budget_;
   }
-  const int sample_every = trace_sampling();
-  frame.trace_sampled = sample_every > 0 && frame.sequence % sample_every == 0;
   // 8-bit readout: a conventional pipeline ships all T slot frames, the CE
   // sensor ships one coded image of the same geometry.
   frame.wire_bytes = static_cast<std::uint64_t>(height * width);
@@ -227,21 +247,10 @@ std::unique_ptr<ReplayCameraSource> ReplayCameraSource::record(CameraSource& sou
   auto replay = std::make_unique<ReplayCameraSource>(source.id(), source.pattern_ref(),
                                                      std::move(coded), std::move(labels));
   replay->set_task(source.task());
-  // Mirror the source's precision/QoS/deadline/codec-plane OVERRIDES only: a
-  // replay of a camera running on fleet defaults keeps following whatever
-  // defaults its server installs, exactly like the source would.
-  if (source.precision_overridden()) {
-    replay->set_precision(source.precision());
-  }
-  if (source.qos_overridden()) {
-    replay->set_qos(source.qos());
-  }
-  if (source.deadline_budget_overridden()) {
-    replay->set_deadline_budget(source.deadline_budget());
-  }
-  if (source.codec_planes_overridden()) {
-    replay->set_codec_planes(source.classify_codec_planes());
-  }
+  replay->set_precision(source.precision());
+  replay->set_qos(source.qos());
+  replay->set_deadline_budget(source.deadline_budget());
+  replay->set_codec_planes(source.classify_codec_planes());
   replay->raw_bytes_ = std::move(raw);
   replay->wire_bytes_ = std::move(wire);
   return replay;

@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "ce/encode.h"
@@ -91,68 +90,36 @@ class CameraSource {
   Task task() const { return task_; }
   void set_task(Task task) { task_ = task; }
 
-  // Which precision tier serves this camera's frames. Explicit set_precision
-  // wins; otherwise the server's default (ServerConfig::precision, installed
-  // via set_default_precision at add_camera time) applies, so a fleet can be
-  // flipped to int8 wholesale or opted in per camera.
-  Precision precision() const { return precision_override_.value_or(default_precision_); }
-  void set_precision(Precision precision) { precision_override_ = precision; }
-  bool precision_overridden() const { return precision_override_.has_value(); }
-  void set_default_precision(Precision precision) { default_precision_ = precision; }
+  // The four serving knobs below exist only per camera: set them before
+  // add_camera (the health ladder then moves them from the camera's own
+  // producer thread). A setter throws std::invalid_argument on an
+  // out-of-range value, so a bad knob fails at setup, not on a live frame.
 
-  // QoS class stamped on every emitted frame (default kStandard). Same
-  // default/override split as precision: the server installs
-  // ServerConfig::qos as the fleet default at add_camera time, an explicit
-  // set_qos wins — so a fleet can run best-effort wholesale while its alarm
-  // cameras stay realtime. See docs/serving.md for the overload semantics.
-  QosClass qos() const { return qos_override_.value_or(default_qos_); }
-  void set_qos(QosClass qos) { qos_override_ = qos; }
-  bool qos_overridden() const { return qos_override_.has_value(); }
-  void set_default_qos(QosClass qos) { default_qos_ = qos; }
+  // Which precision tier serves this camera's frames (default kFp32); a
+  // fleet can mix tiers camera by camera. See docs/serving.md.
+  Precision precision() const { return precision_; }
+  void set_precision(Precision precision) { precision_ = precision; }
+
+  // QoS class stamped on every emitted frame (default kStandard): a fleet
+  // can run best-effort cameras beside realtime alarm cameras. See
+  // docs/serving.md for the overload semantics.
+  QosClass qos() const { return qos_; }
+  void set_qos(QosClass qos) { qos_ = qos; }
 
   // Per-frame deadline budget: every emitted frame carries
   // deadline = capture time + budget, and the runtime sheds it (drop-late)
-  // rather than serve it stale once that passes. Zero means no deadline.
-  // Same default/override split as precision/qos.
-  std::chrono::microseconds deadline_budget() const {
-    return deadline_budget_override_.value_or(default_deadline_budget_);
-  }
-  void set_deadline_budget(std::chrono::microseconds budget) {
-    deadline_budget_override_ = budget;
-  }
-  bool deadline_budget_overridden() const {
-    return deadline_budget_override_.has_value();
-  }
-  void set_default_deadline_budget(std::chrono::microseconds budget) {
-    default_deadline_budget_ = budget;
-  }
-
-  // Per-camera trace sampling period: every Nth frame (sequence % N == 0) is
-  // emitted with trace_sampled set; 0 samples nothing. Same default/override
-  // split as precision: the server installs its TraceConfig::sample_every as
-  // the default at add_camera time, an explicit set_trace_sampling wins — so
-  // one noisy camera can be traced densely while the fleet stays at 1-in-N.
-  int trace_sampling() const {
-    return trace_sampling_override_.value_or(default_trace_sampling_);
-  }
-  void set_trace_sampling(int sample_every) { trace_sampling_override_ = sample_every; }
-  void set_default_trace_sampling(int sample_every) {
-    default_trace_sampling_ = sample_every;
-  }
+  // rather than serve it stale once that passes. Zero (default) means no
+  // deadline; negative budgets are rejected.
+  std::chrono::microseconds deadline_budget() const { return deadline_budget_; }
+  void set_deadline_budget(std::chrono::microseconds budget);
 
   // Progressive-decode depth for kClassify frames on an entropy-coded framed
   // link (transport::LinkConfig::codec): only the top N bit-planes are
-  // transmitted and decoded for classify frames (0 = full depth), while
-  // kReconstruct frames always ride at full depth. Same default/override
-  // split as precision: the server installs ServerConfig::classify_codec_planes
-  // at add_camera time, an explicit set_codec_planes wins. Ignored on raw
-  // (non-codec) links.
-  int classify_codec_planes() const {
-    return codec_planes_override_.value_or(default_codec_planes_);
-  }
-  void set_codec_planes(int planes) { codec_planes_override_ = planes; }
-  bool codec_planes_overridden() const { return codec_planes_override_.has_value(); }
-  void set_default_codec_planes(int planes) { default_codec_planes_ = planes; }
+  // transmitted and decoded for classify frames (0 = full depth, the
+  // default), while kReconstruct frames always ride at full depth. Must lie
+  // in [0, codec::kMaxBitplanes]. Ignored on raw (non-codec) links.
+  int classify_codec_planes() const { return codec_planes_; }
+  void set_codec_planes(int planes);
 
  protected:
   CameraSource(int id, PatternRef pattern);
@@ -179,19 +146,15 @@ class CameraSource {
   PatternRef pattern_;
   std::uint64_t pattern_id_;
   Task task_ = Task::kClassify;
-  Precision default_precision_ = Precision::kFp32;
-  std::optional<Precision> precision_override_;
-  QosClass default_qos_ = QosClass::kStandard;
-  std::optional<QosClass> qos_override_;
-  std::chrono::microseconds default_deadline_budget_{0};  // 0 = no deadline
-  std::optional<std::chrono::microseconds> deadline_budget_override_;
-  int default_trace_sampling_ = 0;  // 0 = tracing off for this camera
-  std::optional<int> trace_sampling_override_;
-  int default_codec_planes_ = 0;  // 0 = full depth on entropy-coded links
-  std::optional<int> codec_planes_override_;
   std::int64_t next_sequence_ = 0;
 
  private:
+  // Private, so every write goes through the validating setters.
+  Precision precision_ = Precision::kFp32;
+  QosClass qos_ = QosClass::kStandard;
+  std::chrono::microseconds deadline_budget_{0};  // 0 = no deadline
+  int codec_planes_ = 0;  // 0 = full depth on entropy-coded links
+
   // Runs one framed transfer of last_coded_, restamping `frame`'s transport
   // fields and coded payload with the receiver-side view.
   void transfer_framed(Frame& frame);
@@ -277,7 +240,7 @@ class ReplayCameraSource : public CameraSource {
 
   // Pre-codes `frames` clips from `source` (exercising its full capture path
   // once per clip) and wraps them in a replay camera sharing the same
-  // id/pattern handle/task.
+  // id/pattern handle/task and serving knobs.
   static std::unique_ptr<ReplayCameraSource> record(CameraSource& source, int frames);
 
  protected:

@@ -200,13 +200,8 @@ struct Frame {
   std::uint8_t decoded_planes = 0;
   std::uint8_t total_planes = 0;
 
-  // Trace context: true when this frame was selected by its camera's 1-in-N
-  // trace sampling. The serving shard synthesizes the frame's full lifecycle
-  // spans (capture/transport/queue_wait/batch_assembly/infer) from the
-  // timestamps below, so sampling a frame costs one bool at capture time and
-  // the span emission rides on the shard worker, off the camera threads.
-  bool trace_sampled = false;
-
+  // Lifecycle timestamps. The serving shard synthesizes a sampled frame's
+  // spans from them (TraceRecorder::should_sample picks it by sequence).
   Clock::time_point capture_start{};    // camera began producing this frame
   Clock::time_point capture_end{};      // capture + transport retries finished
   Clock::time_point transport_start{};  // first framed transfer began (framed only)

@@ -99,8 +99,8 @@ void HealthController::attach(CameraSource& camera) {
   auto entry = std::make_unique<Entry>();
   entry->camera_id = camera.id();
   entry->camera = &camera;
-  // What "full fidelity" means for THIS camera: whatever was effective when
-  // it joined the fleet (server default or per-camera override).
+  // What "full fidelity" means for THIS camera: its knobs when it joined the
+  // fleet.
   entry->base_codec_planes = camera.classify_codec_planes();
   entry->base_precision = camera.precision();
   entry->base_qos = camera.qos();

@@ -119,9 +119,9 @@ class HealthController {
 
   HealthController(const HealthConfig& config, RuntimeStats& stats);
 
-  // Registers a camera and snapshots its BASE knobs (effective codec depth,
-  // precision, QoS) — the values the ladder restores on recovery. Call after
-  // the camera's defaults are final and before the scheduler starts.
+  // Registers a camera and snapshots its BASE knobs (codec depth, precision,
+  // QoS) — the values the ladder restores on recovery. Call after the
+  // camera's knobs are set and before the scheduler starts.
   void attach(CameraSource& camera);
   bool attached(int camera_id) const;
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "codec/bitplane.h"
 #include "util/common.h"
 
 namespace snappix::runtime {
@@ -26,26 +25,6 @@ void validate(const ServerConfig& config) {
   if (config.shards == 0) {
     throw std::invalid_argument(
         "ServerConfig.shards must be >= 1 (someone has to serve the batches)");
-  }
-  if (config.calibration.frames < 1) {
-    std::ostringstream os;
-    os << "ServerConfig.calibration.frames must be >= 1 (an int8 engine cannot be "
-          "calibrated on zero frames), got "
-       << config.calibration.frames;
-    throw std::invalid_argument(os.str());
-  }
-  if (config.deadline_budget.count() < 0) {
-    std::ostringstream os;
-    os << "ServerConfig.deadline_budget must be non-negative (0 = no deadlines), got "
-       << config.deadline_budget.count() << " us";
-    throw std::invalid_argument(os.str());
-  }
-  if (config.classify_codec_planes < 0 ||
-      config.classify_codec_planes > codec::kMaxBitplanes) {
-    std::ostringstream os;
-    os << "ServerConfig.classify_codec_planes must be in [0, " << codec::kMaxBitplanes
-       << "] (0 = full depth), got " << config.classify_codec_planes;
-    throw std::invalid_argument(os.str());
   }
   validate(config.transport);
   validate(config.health);
@@ -77,22 +56,23 @@ InferenceServer::InferenceServer(const core::SnapPixSystem& system,
   // synthetic clips are CE-encoded with it and pushed through the fp32
   // engine to collect activation ranges — coded-image statistics depend on
   // the pattern's exposure counts, so the scales are per-pattern. The
-  // calibration seed is fixed by config, so rebuilds are bit-identical.
+  // calibration recipe is fixed (QuantCalibration{}: 32 frames, seed 9001),
+  // so rebuilds are bit-identical.
   const int max_batch = std::max(config_.batch.max_batch, 1);
-  const QuantCalibration calibration = config_.calibration;
   const std::int64_t image = system.config().image;
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     auto shard = std::make_unique<Shard>(i, config_.queue_capacity);
     shard->cache = std::make_unique<EngineCache>(
         config_.cache,
-        [&system, max_batch, calibration, image](
+        [&system, max_batch, image](
             const ce::CePattern& pattern, Precision precision) -> std::shared_ptr<VitEngine> {
           if (precision == Precision::kFp32) {
             return std::make_shared<BatchedVitEngine>(*system.classifier(),
                                                       *system.reconstructor(), max_batch);
           }
-          const Tensor frames = make_calibration_frames(pattern, image, image, calibration);
+          const Tensor frames =
+              make_calibration_frames(pattern, image, image, QuantCalibration{});
           const QuantSpec spec =
               calibrate(*system.classifier(), *system.reconstructor(), frames);
           return std::make_shared<QuantizedVitEngine>(
@@ -151,13 +131,6 @@ InferenceServer::InferenceServer(const core::SnapPixSystem& system,
 
 void InferenceServer::add_camera(std::unique_ptr<CameraSource> camera) {
   SNAPPIX_CHECK(camera != nullptr, "null camera");
-  camera->set_default_precision(config_.precision);
-  camera->set_default_qos(config_.qos);
-  camera->set_default_deadline_budget(config_.deadline_budget);
-  // Tracing off => default sampling 0 (no frame stamps trace_sampled); an
-  // explicit set_trace_sampling on the camera still wins either way.
-  camera->set_default_trace_sampling(config_.trace.enabled ? config_.trace.sample_every : 0);
-  camera->set_default_codec_planes(config_.classify_codec_planes);
   const auto [it, inserted] = patterns_.emplace(camera->pattern_id(), camera->pattern_ref());
   // Same 64-bit id must mean same pattern bits: a silent hash collision would
   // merge two patterns' batches and serve both through one cache entry.
@@ -166,10 +139,9 @@ void InferenceServer::add_camera(std::unique_ptr<CameraSource> camera) {
                           << camera->pattern_id()
                           << " — two distinct CE patterns share a pattern_id");
   FrameQueue& queue = shards_[shard_for(camera->pattern_id())]->queue;
-  // Attach AFTER the defaults above are installed: the controller snapshots
-  // the camera's effective knobs (codec planes, precision, qos) as the
-  // full-fidelity baseline the degradation ladder steps down from and the
-  // recovery path restores.
+  // The controller snapshots the camera's knobs (codec planes, precision,
+  // qos) as the full-fidelity baseline the degradation ladder steps down
+  // from and the recovery path restores.
   if (health_ != nullptr) {
     health_->attach(*camera);
   }
@@ -222,15 +194,11 @@ void InferenceServer::serve_batch(Shard& self, const BatchKey& key,
   // emission. Installing the shard's lane in TLS lets the EngineCache and the
   // engines emit their stage spans with no API changes; everything lands in
   // this worker's single-writer lane.
-  bool traced = false;
-  if (trace_recorder_ != nullptr && self.lane != nullptr) {
-    for (const Frame& frame : batch) {
-      if (frame.trace_sampled) {
-        traced = true;
-        break;
-      }
-    }
-  }
+  const bool traced =
+      trace_recorder_ != nullptr && self.lane != nullptr &&
+      std::any_of(batch.begin(), batch.end(), [this](const Frame& frame) {
+        return trace_recorder_->should_sample(frame.sequence);
+      });
   std::optional<obs::ScopedTraceLane> lane_scope;
   std::int64_t serve_start_ns = 0;
   if (traced) {
@@ -326,7 +294,7 @@ void InferenceServer::emit_frame_lifecycles(obs::TraceLane& lane,
   const std::int64_t infer_b = rec.to_ns(infer_start);
   const std::int64_t infer_e = rec.to_ns(infer_end);
   for (const Frame& f : batch) {
-    if (!f.trace_sampled) {
+    if (!rec.should_sample(f.sequence)) {
       continue;
     }
     // One async track per frame: camera_id in the high half, sequence in the

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -69,41 +68,12 @@ struct ServerConfig {
   /// `transport.max_retransmits` times before dropping. Inert for cameras
   /// without framed mode. See docs/serving.md.
   TransportPolicy transport;
-  /// Default precision tier for cameras that did not call set_precision:
-  /// kFp32 serves bit-exactly, kInt8 through the calibrated quantized engine
-  /// (deterministic + batch-invariant, NOT bit-equal to fp32 — see
-  /// docs/serving.md).
-  Precision precision = Precision::kFp32;
-  /// How int8 engines are calibrated on a cache miss: `frames` synthetic
-  /// clips (seeded by `seed`) are CE-encoded with the missing pattern and
-  /// pushed through the fp32 engine to collect activation ranges. Same seed
-  /// => same QuantSpec => an evicted-and-rebuilt int8 entry serves
-  /// bit-identical int8 results.
-  QuantCalibration calibration;
-  /// Default QoS class for cameras that did not call set_qos (see
-  /// QosClass in frame.h and docs/serving.md): realtime/standard producers
-  /// block on a full shard queue, best-effort frames are shed instead.
-  QosClass qos = QosClass::kStandard;
-  /// Default per-frame deadline budget for cameras that did not call
-  /// set_deadline_budget: every frame must be SERVED within this much time
-  /// of its capture or it is shed (drop-late) instead of served stale.
-  /// Zero (default) disables deadlines. Must not be negative.
-  std::chrono::microseconds deadline_budget{0};
   /// Frame-lifecycle tracing (see docs/observability.md). When enabled, each
-  /// shard worker owns a lock-free span lane; cameras sample 1-in-
-  /// `trace.sample_every` frames (installed as the camera default at
-  /// add_camera time — set_trace_sampling on a camera overrides), and served
-  /// outputs stay bit-identical. Export via trace_json()/write_trace().
+  /// shard worker owns a lock-free span lane and traces every camera's
+  /// frames with `sequence % trace.sample_every == 0`
+  /// (TraceRecorder::should_sample); served outputs stay bit-identical.
+  /// Export via trace_json()/write_trace().
   obs::TraceConfig trace;
-  /// Default progressive-decode depth for kClassify frames of cameras on
-  /// entropy-coded framed links (transport::LinkConfig::codec): only the top
-  /// N bit-planes cross the wire and are decoded for classify frames, while
-  /// kReconstruct frames always ride at full depth. 0 (default) = full depth
-  /// everywhere; must stay within [0, codec::kMaxBitplanes]. Installed as
-  /// the camera default at add_camera time — set_codec_planes on a camera
-  /// overrides. Inert for in-memory and raw framed cameras. See
-  /// docs/serving.md.
-  int classify_codec_planes = 0;
   /// Fleet health supervision (off by default — see docs/resilience.md):
   /// per-camera link-health state machine + degradation ladder driven by
   /// windowed transport counters, and (when health.watchdog.enabled and
@@ -121,7 +91,8 @@ struct ServerConfig {
 
 /// \brief Throws std::invalid_argument with a descriptive message when the
 /// configuration is unusable (zero queue capacity, bad batch policy, zero
-/// cache capacity, zero consumer shards, or zero calibration frames).
+/// cache capacity, zero consumer shards, or a bad transport, health or trace
+/// config).
 void validate(const ServerConfig& config);
 
 /// \brief One served frame's outcome, typed by the task that produced it.

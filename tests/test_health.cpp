@@ -139,7 +139,7 @@ TEST(HealthLadder, BadWindowStepsDownAndSetsExactlyTheConfiguredKnobs) {
   RuntimeStats stats;
   HealthController health(small_config(), stats);
   auto camera = make_camera(7);
-  camera->set_default_codec_planes(9);  // base depth the first rung caps
+  camera->set_codec_planes(9);  // base depth the first rung caps
   health.attach(*camera);
   ASSERT_TRUE(health.attached(7));
   EXPECT_EQ(health.state(7), HealthState::kHealthy);
@@ -177,7 +177,7 @@ TEST(HealthLadder, FullDescentQuarantinesThenRecoversToBaseKnobs) {
   HealthConfig config = small_config();
   HealthController health(config, stats);
   auto camera = make_camera(1);
-  camera->set_default_codec_planes(9);
+  camera->set_codec_planes(9);
   health.attach(*camera);
 
   // An all-corrupt window hits the outright-quarantine threshold (1.0): the
@@ -187,7 +187,7 @@ TEST(HealthLadder, FullDescentQuarantinesThenRecoversToBaseKnobs) {
 
   // A second camera descends rung by rung on merely-bad (2/4) windows.
   auto camera2 = make_camera(2);
-  camera2->set_default_codec_planes(9);
+  camera2->set_codec_planes(9);
   health.attach(*camera2);
   auto bad_window2 = [&] {
     report(health, *camera2, 2, /*corrupt=*/true);

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -353,13 +352,6 @@ TEST(ShedAccounting, QueueShedsFlowIntoRuntimeStatsPerCameraPerReason) {
   EXPECT_EQ(summary.shed_cameras[2].second.deadline_misses, 1U);
 }
 
-TEST(ShedAccounting, ServerConfigValidatesDeadlineBudget) {
-  core::SnapPixSystem system(fixtures::small_system_config());
-  ServerConfig config;
-  config.deadline_budget = std::chrono::microseconds(-1);
-  EXPECT_THROW(InferenceServer(system, config), std::invalid_argument);
-}
-
 // --- 2. property-style scheduling invariants ---------------------------------
 
 // Seeded single-threaded interleavings of admits and pops: for EVERY
@@ -574,13 +566,11 @@ TEST(SaturatedServer, ShedsOnlyBestEffortConservesExactlyAndServesBitIdentical) 
   config.batch.max_batch = 4;
   config.shards = 1;
   config.queue_capacity = 2;  // tiny: replay producers outrun inference
-  config.qos = QosClass::kBestEffort;  // fleet default: absorb the overload
   InferenceServer server(system, config);
   for (int cam = 0; cam < kCameras; ++cam) {
     auto camera = oracle.camera(cam);
-    if (cam == 0) {
-      camera->set_qos(QosClass::kRealtime);  // override beats the fleet default
-    }
+    // Best-effort cameras absorb the overload; camera 0 keeps realtime.
+    camera->set_qos(cam == 0 ? QosClass::kRealtime : QosClass::kBestEffort);
     server.add_camera(std::move(camera));
   }
 

@@ -527,14 +527,6 @@ TEST(EngineCachePrecision, TiersAreDistinctResidentsWithSplitCounters) {
   EXPECT_EQ(cache.counters().misses, 2U);
 }
 
-// --- ServerConfig validation -------------------------------------------------
-
-TEST(ServerValidation, RejectsZeroCalibrationFrames) {
-  ServerConfig zero_calib;
-  zero_calib.calibration.frames = 0;
-  EXPECT_THROW(runtime::validate(zero_calib), std::invalid_argument);
-}
-
 // --- mixed-precision fleet through the sharded server ------------------------
 
 TEST(MixedPrecisionFleet, Fp32CamerasBitExactInt8CamerasEngineExact) {
@@ -623,9 +615,9 @@ TEST(MixedPrecisionFleet, Fp32CamerasBitExactInt8CamerasEngineExact) {
 
   // fp32 cameras must be bit-identical to the sequential tape paths; int8
   // cameras must match a directly-built engine using the server's own
-  // calibration recipe (same seeded frames -> same spec -> same bits).
+  // calibration recipe, QuantCalibration{} (same seeded frames -> same spec
+  // -> same bits).
   NoGradGuard guard;
-  ServerConfig defaults;
   for (const TaskResult& result : single) {
     const int cam = result.camera_id;
     const Tensor& coded = streams[static_cast<std::size_t>(cam)]
@@ -645,7 +637,7 @@ TEST(MixedPrecisionFleet, Fp32CamerasBitExactInt8CamerasEngineExact) {
     } else {
       const ce::CePattern& pattern = *patterns[static_cast<std::size_t>(cam % 3)];
       const Tensor calib_frames =
-          runtime::make_calibration_frames(pattern, 16, 16, defaults.calibration);
+          runtime::make_calibration_frames(pattern, 16, 16, QuantCalibration{});
       const QuantSpec spec =
           runtime::calibrate(*system.classifier(), *system.reconstructor(), calib_frames);
       const QuantizedVitEngine engine(*system.classifier(), *system.reconstructor(), spec,

@@ -7,9 +7,11 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "codec/bitplane.h"
 #include "core/snappix.h"
 #include "runtime/batcher.h"
 #include "runtime/camera.h"
@@ -267,17 +269,21 @@ TEST(CameraSource, ReplayLoopsRecordedFrames) {
   }
 }
 
-// record() mirrors the source's precision override like its QoS override: a
-// replay of an int8 camera is served at int8 by a server on fp32 defaults.
+// record() copies every serving knob of its source: a replay of an int8
+// camera is served at int8, with the source's QoS, deadline budget and
+// classify codec depth.
 TEST(CameraSource, RecordMirrorsPrecisionOverride) {
   core::SnapPixSystem system(small_system_config());
   runtime::SyntheticCameraSource source(0, small_scene(), system.pattern(), 5);
   source.set_precision(runtime::Precision::kInt8);
   source.set_qos(runtime::QosClass::kRealtime);
+  source.set_deadline_budget(std::chrono::hours(1));  // long enough to shed nothing
+  source.set_codec_planes(9);
   auto replay = runtime::ReplayCameraSource::record(source, 2);
-  EXPECT_TRUE(replay->precision_overridden());
   EXPECT_EQ(replay->precision(), runtime::Precision::kInt8);
   EXPECT_EQ(replay->qos(), runtime::QosClass::kRealtime);
+  EXPECT_EQ(replay->deadline_budget(), std::chrono::hours(1));
+  EXPECT_EQ(replay->classify_codec_planes(), 9);
 
   InferenceServer server(system, ServerConfig{});
   server.add_camera(std::move(replay));
@@ -286,6 +292,26 @@ TEST(CameraSource, RecordMirrorsPrecisionOverride) {
   for (const runtime::TaskResult& r : results) {
     EXPECT_EQ(r.precision, runtime::Precision::kInt8) << "sequence " << r.sequence;
   }
+}
+
+// Out-of-range knobs fail when they are set: a codec depth the link cannot
+// ship would otherwise throw inside the producer on the camera's first frame,
+// and the camera would drop out of the run with nothing served.
+TEST(CameraSource, RejectsOutOfRangeKnobs) {
+  runtime::SyntheticCameraSource camera(0, small_scene(), ce::CePattern::long_exposure(8, 8), 5);
+  camera.set_codec_planes(codec::kMaxBitplanes);
+  camera.set_deadline_budget(std::chrono::microseconds(250));
+  EXPECT_THROW(camera.set_codec_planes(codec::kMaxBitplanes + 1), std::invalid_argument);
+  EXPECT_THROW(camera.set_codec_planes(-1), std::invalid_argument);
+  EXPECT_THROW(camera.set_deadline_budget(std::chrono::microseconds(-1)),
+               std::invalid_argument);
+  // A rejected value leaves the knob as it was.
+  EXPECT_EQ(camera.classify_codec_planes(), codec::kMaxBitplanes);
+  EXPECT_EQ(camera.deadline_budget(), std::chrono::microseconds(250));
+  camera.set_codec_planes(0);
+  camera.set_deadline_budget(std::chrono::microseconds(0));
+  EXPECT_EQ(camera.classify_codec_planes(), 0);
+  EXPECT_EQ(camera.deadline_budget(), std::chrono::microseconds(0));
 }
 
 TEST(CameraSource, SensorCameraReportsSimulatedWireBytes) {

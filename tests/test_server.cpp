@@ -902,7 +902,7 @@ TEST(FramedServing, RetransmitPolicyRecoversEveryFrame) {
 }
 
 // Progressive decode through serving: on an entropy-coded link, classify
-// frames travel as the top `classify_codec_planes` bit-planes while
+// frames travel as the top `set_codec_planes` bit-planes while
 // reconstruct frames ride at full depth — and every served bit must equal an
 // in-memory reference that pre-applies the same quantize/truncate transform.
 // Truncation changes pixel fidelity, never WHICH frames are served.
@@ -949,6 +949,7 @@ TEST(FramedServing, CodecLinkServesProgressiveDepthBitExactly) {
       if (cam == 1) {
         camera->set_task(Task::kReconstruct);
       }
+      camera->set_codec_planes(depth);  // reconstruct frames ignore it
       if (codec_framed) {
         transport::LinkConfig link;
         link.codec = true;
@@ -965,7 +966,6 @@ TEST(FramedServing, CodecLinkServesProgressiveDepthBitExactly) {
                              const runtime::TransportPolicy* policy) {
     ServerConfig config;
     config.batch.max_batch = 4;
-    config.classify_codec_planes = depth;
     if (policy != nullptr) {
       config.transport = *policy;
     }
