@@ -49,6 +49,11 @@
 #          exactly the top-level fields of struct ServerConfig
 #          (src/runtime/server.h), in both directions — a new server knob
 #          needs its row, and a deleted one takes its row with it
+#        - no console output in src/runtime/ (a printf/fprintf/puts/perror
+#          call, std::cout/std::cerr/std::clog, or stdout/stderr) — the
+#          serving tier fails through run() (StreamScheduler::fail), never
+#          through a console line; snprintf/vsnprintf string formatting
+#          passes
 #
 # Usage: scripts/check_static.sh [build-dir]   (default: build)
 set -uo pipefail
@@ -208,6 +213,18 @@ $UNDOCUMENTED"
 $STALE"
   fi
 fi
+
+# --- 11. the serving tier fails through run(), not a console line ----------
+# Whole names only: snprintf/vsnprintf, appendf, identifiers such as
+# stderr_count and a format(printf, ...) attribute pass.
+CONSOLE_USE='(^|[^_[:alnum:]])(v?f?printf|f?puts|perror)[[:space:]]*\(|std::(cout|cerr|clog)([^_[:alnum:]]|$)|(^|[^_[:alnum:]])(stdout|stderr)([^_[:alnum:]]|$)'
+for f in $(find src/runtime -name '*.cpp' -o -name '*.h' | sort); do
+  HITS=$(strip_noise "$f" | grep -nE "$CONSOLE_USE")
+  if [ -n "$HITS" ]; then
+    fail "console output in $f — a serving failure goes through StreamScheduler::fail and run():
+$HITS"
+  fi
+done
 
 # --- clang-tidy (when available) --------------------------------------------
 if command -v clang-tidy > /dev/null 2>&1 && [ -f "$BUILD_DIR/compile_commands.json" ]; then

@@ -45,41 +45,21 @@ bool BatchAggregator::take_holdback(Frame& first) {
   return true;
 }
 
-bool BatchAggregator::next_batch(std::vector<Frame>& out) {
+BatchAggregator::Poll BatchAggregator::poll_batch(std::vector<Frame>& out,
+                                                  Clock::time_point idle_deadline) {
   out.clear();
   Frame first;
   // dequeue_time was stamped when a held-back frame actually left the queue —
   // the held-back wait must not absorb the previous batch's inference time.
   if (!take_holdback(first)) {
-    if (!queue_.pop(first)) {
-      return false;
+    if (!queue_.pop_until(first, idle_deadline)) {
+      // pop_until conflates "timed out" with "closed and drained";
+      // exhausted() is sticky (no push can succeed after close), so checking
+      // it after the fact cannot mislabel a queue that still holds frames.
+      return queue_.exhausted() ? Poll::kExhausted : Poll::kIdle;
     }
     first.dequeue_time = Clock::now();
   }
-  fill_from(std::move(first), out);
-  return true;
-}
-
-BatchAggregator::Poll BatchAggregator::poll_batch(std::vector<Frame>& out,
-                                                  Clock::time_point idle_deadline) {
-  out.clear();
-  Frame first;
-  if (take_holdback(first)) {
-    fill_from(std::move(first), out);
-    return Poll::kBatch;
-  }
-  if (!queue_.pop_until(first, idle_deadline)) {
-    // pop_until conflates "timed out" with "closed and drained"; exhausted()
-    // is sticky (no push can succeed after close), so checking it after the
-    // fact cannot mislabel a queue that still holds frames.
-    return queue_.exhausted() ? Poll::kExhausted : Poll::kIdle;
-  }
-  first.dequeue_time = Clock::now();
-  fill_from(std::move(first), out);
-  return Poll::kBatch;
-}
-
-void BatchAggregator::fill_from(Frame first, std::vector<Frame>& out) {
   last_key_ = BatchKey{first.pattern_id, first.task, first.precision, first.decode_depth};
   last_flush_reason_ = FlushReason::kMaxBatch;
   const Clock::time_point deadline = Clock::now() + policy_.max_delay;
@@ -101,6 +81,7 @@ void BatchAggregator::fill_from(Frame first, std::vector<Frame>& out) {
     }
     out.push_back(std::move(next));
   }
+  return Poll::kBatch;
 }
 
 Tensor BatchAggregator::stack_coded(const std::vector<Frame>& frames) {

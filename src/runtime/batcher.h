@@ -53,7 +53,7 @@ struct BatchKey {
 
 class BatchAggregator {
  public:
-  // Outcome of a bounded-wait poll_batch() call, for consumers that have
+  // Outcome of a poll_batch() call. A bounded wait suits consumers that have
   // other work to do when their own queue runs dry (e.g. a shard worker that
   // steals from siblings while idle).
   enum class Poll {
@@ -64,19 +64,21 @@ class BatchAggregator {
 
   BatchAggregator(FrameQueue& queue, const BatchPolicy& policy);
 
-  // Fills `out` with the next batch (clearing it first). Returns false when
-  // the queue is closed and fully drained (and no held-back frame remains).
-  // Batches preserve queue FIFO order and are homogeneous in
-  // (pattern_id, task); the batch's key is available via last_key().
-  bool next_batch(std::vector<Frame>& out);
+  // poll_batch() with no deadline: false once the queue is closed and fully
+  // drained and no held-back frame remains.
+  bool next_batch(std::vector<Frame>& out) {
+    return poll_batch(out, Clock::time_point::max()) == Poll::kBatch;
+  }
 
-  // Like next_batch(), but waits for the batch's FIRST frame only until
-  // `idle_deadline` instead of blocking indefinitely; once a first frame is
-  // in hand the usual max_batch/max_delay policy applies. kIdle means the
-  // caller should come back (or go steal); kExhausted is terminal.
+  // Fills `out` with the next batch (clearing it first), waiting for its
+  // FIRST frame only until `idle_deadline` (Clock::time_point::max() waits
+  // with no deadline); once a first frame is in hand the usual
+  // max_batch/max_delay policy applies. Batches preserve queue FIFO order and
+  // are homogeneous in their BatchKey, available via last_key(). kIdle means
+  // the caller should come back (or go steal); kExhausted is terminal.
   Poll poll_batch(std::vector<Frame>& out, Clock::time_point idle_deadline);
 
-  // Key of the batch most recently returned by next_batch().
+  // Key of the batch most recently returned by next_batch()/poll_batch().
   const BatchKey& last_key() const { return last_key_; }
 
   // Why the batch most recently returned by next_batch()/poll_batch() was
@@ -94,10 +96,6 @@ class BatchAggregator {
   // has not passed. An expired holdback is shed (drop-late, accounted
   // through the queue) and false is returned, as if no holdback existed.
   bool take_holdback(Frame& first);
-
-  // Shared tail of next_batch/poll_batch: grows a batch around `first` under
-  // the max_batch/max_delay policy, never crossing a key boundary.
-  void fill_from(Frame first, std::vector<Frame>& out);
 
   FrameQueue& queue_;
   BatchPolicy policy_;

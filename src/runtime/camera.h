@@ -67,7 +67,7 @@ class CameraSource {
   // rates zero the framed path is bit-identical to the in-memory one.
   void set_framed(const transport::LinkConfig& link);
   bool framed() const { return link_ != nullptr; }
-  // The camera's link, for reading its byte/outcome/injected-fault counters;
+  // The camera's link, for reading its byte and injected-fault counters;
   // null when not framed. The non-const overload exists for capture-side
   // schedule hooks (tests/chaos.h flips fault rates between captures) — it is
   // only safe from the camera's own producer thread.

@@ -184,8 +184,8 @@ struct Frame {
 
   // Transport outcome of the LAST framed transfer attempt (kInMemory when the
   // camera is not framed), plus the retry accounting. Finer receiver-side
-  // detail (per-row CRC failures, lost packets) lives on the camera's
-  // FramedLink counters, not on every frame.
+  // detail (per-row CRC failures, lost packets) stays in the attempt's
+  // transport::TransferResult and is not kept on the frame.
   TransportStatus transport = TransportStatus::kInMemory;
   std::uint16_t retransmits = 0;  // framed re-transfers spent on this frame
 

@@ -85,13 +85,18 @@ void FrameQueue::report_sheds(const std::vector<Frame>& shed, ShedReason reason)
   }
 }
 
-bool FrameQueue::pop(Frame& out) {
+bool FrameQueue::pop_until(Frame& out, Clock::time_point deadline) {
   std::vector<Frame> shed;
   bool got = false;
   {
     std::unique_lock<std::mutex> lock(mutex_);
+    const auto ready = [this] { return closed_ || !frames_.empty(); };
     for (;;) {
-      not_empty_.wait(lock, [this] { return closed_ || !frames_.empty(); });
+      if (deadline == Clock::time_point::max()) {
+        not_empty_.wait(lock, ready);
+      } else if (!not_empty_.wait_until(lock, deadline, ready)) {
+        break;  // timed out
+      }
       // Drop-late: frames past their deadline are shed, never served stale.
       collect_expired(Clock::now(), shed);
       if (!frames_.empty()) {
@@ -109,38 +114,6 @@ bool FrameQueue::pop(Frame& out) {
   }
   // Sheds can free several slots at once; a single wake would strand
   // producers behind capacity the sheds already freed.
-  if (!shed.empty()) {
-    not_full_.notify_all();
-  } else if (got) {
-    not_full_.notify_one();
-  }
-  report_sheds(shed, ShedReason::kDeadline);
-  return got;
-}
-
-bool FrameQueue::pop_until(Frame& out, Clock::time_point deadline) {
-  std::vector<Frame> shed;
-  bool got = false;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      if (!not_empty_.wait_until(lock, deadline,
-                                 [this] { return closed_ || !frames_.empty(); })) {
-        break;  // timed out
-      }
-      collect_expired(Clock::now(), shed);
-      if (!frames_.empty()) {
-        const std::size_t idx = edf_index();
-        out = std::move(frames_[idx]);
-        frames_.erase(frames_.begin() + static_cast<std::ptrdiff_t>(idx));
-        got = true;
-        break;
-      }
-      if (closed_) {
-        break;  // closed and drained
-      }
-    }
-  }
   if (!shed.empty()) {
     not_full_.notify_all();
   } else if (got) {

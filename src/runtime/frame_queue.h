@@ -83,9 +83,10 @@ class FrameQueue {
   // Blocks while the queue is empty. Serves the earliest-deadline frame
   // (ties and no-deadline frames in FIFO order); sheds expired frames
   // instead of serving them. Returns false once closed AND drained.
-  bool pop(Frame& out);
+  bool pop(Frame& out) { return pop_until(out, Clock::time_point::max()); }
 
-  // Like pop(), but gives up at `deadline`; false on timeout or closed+drained.
+  // Like pop(), but gives up at `deadline` (Clock::time_point::max() never
+  // gives up); false on timeout or closed+drained.
   bool pop_until(Frame& out, Clock::time_point deadline);
 
   // Work stealing: removes the maximal (pattern_id, task, precision)-pure run of frames

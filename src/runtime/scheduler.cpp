@@ -1,7 +1,6 @@
 #include "runtime/scheduler.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
@@ -35,20 +34,33 @@ StreamScheduler::StreamScheduler(RuntimeStats& stats, TransportPolicy transport)
 }
 
 StreamScheduler::~StreamScheduler() {
-  // Shutdown order matters: first wake producers sleeping in retransmit
-  // backoff (they re-check stopping_ and bail), THEN close the queues to
-  // unblock producers stuck in admit(). Either order alone leaves one class
-  // of producer blocked while the pool destructor tries to join it.
-  request_stop();
-  close_all_queues();
+  stop();
+  for (std::thread& producer : producers_) {
+    producer.join();
+  }
 }
 
-void StreamScheduler::request_stop() {
+void StreamScheduler::stop() {
+  // Order matters: first wake producers sleeping in retransmit backoff (they
+  // re-check stopping_ and bail), THEN close the queues to unblock producers
+  // stuck in admit(). Either step alone leaves one class of producer blocked
+  // while the join waits for it.
   {
     std::lock_guard<std::mutex> lock(stop_mutex_);
     stopping_ = true;
   }
   stop_cv_.notify_all();
+  close_all_queues();
+}
+
+void StreamScheduler::fail(const std::string& what) {
+  {
+    std::lock_guard<std::mutex> lock(stop_mutex_);
+    if (error_.empty()) {
+      error_ = what;
+    }
+  }
+  stop();
 }
 
 void StreamScheduler::close_all_queues() {
@@ -67,13 +79,6 @@ void StreamScheduler::register_queue(FrameQueue& queue) {
   if (std::find(unique_queues_.begin(), unique_queues_.end(), &queue) ==
       unique_queues_.end()) {
     unique_queues_.push_back(&queue);
-    // Default shed accounting: every shed (admission reject or drop-late
-    // expiry, whichever thread performs it) lands in RuntimeStats. The
-    // server replaces this with an observer that also emits trace events.
-    RuntimeStats& stats = stats_;
-    queue.set_shed_observer([&stats](const Frame& frame, ShedReason reason) {
-      stats.record_shed(frame.camera_id, frame.qos, reason);
-    });
   }
 }
 
@@ -134,13 +139,12 @@ void StreamScheduler::start(const std::vector<std::int64_t>& frames_per_camera) 
   // One producer thread per camera: producers spend most of their time
   // blocked in admit() under backpressure, so oversubscribing cores is the
   // right model (and preemption provides the multiplexing on small hosts).
-  pool_ = std::make_unique<ThreadPool>(static_cast<int>(cameras_.size()));
   active_producers_.store(static_cast<int>(cameras_.size()));
+  producers_.reserve(cameras_.size());
   for (std::size_t i = 0; i < cameras_.size(); ++i) {
-    CameraSource* cam = cameras_[i].get();
-    Route* route = routes_[i].get();
-    const std::int64_t frames = frames_per_camera[i];
-    pool_->submit([this, cam, route, frames] { produce(*cam, *route, frames); });
+    producers_.emplace_back([this, i, frames = frames_per_camera[i]] {
+      produce(*cameras_[i], *routes_[i], frames);
+    });
   }
 }
 
@@ -162,10 +166,8 @@ void StreamScheduler::retransmit_with_backoff(CameraSource& camera, Frame& frame
 }
 
 void StreamScheduler::produce(CameraSource& camera, Route& route, std::int64_t frames) {
-  // ThreadPool tasks must not throw (an escaping exception aborts the
-  // process), and a producer that dies without the fetch_sub below would
-  // leave the queues open forever. A failing camera therefore logs and drops
-  // out; the rest of the fleet keeps streaming.
+  // Link faults never throw (the transport policy and the health controller
+  // handle them), so an exception here is a defect, and it fails the run.
   try {
     for (std::int64_t i = 0; i < frames; ++i) {
       // Quarantine gate: a camera the health controller has quarantined
@@ -216,7 +218,9 @@ void StreamScheduler::produce(CameraSource& camera, Route& route, std::int64_t f
       }
     }
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "runtime: camera %d failed: %s\n", camera.id(), e.what());
+    std::ostringstream os;
+    os << "camera " << camera.id() << " failed: " << e.what();
+    fail(os.str());
   }
   if (active_producers_.fetch_sub(1) == 1) {
     close_all_queues();  // last producer out turns off the lights, fleet-wide
@@ -224,8 +228,13 @@ void StreamScheduler::produce(CameraSource& camera, Route& route, std::int64_t f
 }
 
 void StreamScheduler::join() {
-  if (pool_ != nullptr) {
-    pool_->wait_idle();
+  for (std::thread& producer : producers_) {
+    producer.join();
+  }
+  producers_.clear();
+  std::lock_guard<std::mutex> lock(stop_mutex_);
+  if (!error_.empty()) {
+    throw std::runtime_error(error_);
   }
 }
 

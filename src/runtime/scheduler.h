@@ -1,14 +1,16 @@
 // StreamScheduler: drives N camera producers onto the server's shard queues.
 //
-// Each camera gets a long-running producer task on the shared ThreadPool
-// (util/parallel.h): loop { capture -> stamp -> blocking push } onto the
-// FrameQueue it was routed to at add_camera() time (the server routes by
-// pattern_id so a shard's queue only ever carries patterns it owns). The pool
-// runs one worker per camera (producers mostly block on backpressure, so
-// oversubscribing cores is the right model).
+// Each camera gets one producer thread (a std::thread the scheduler owns):
+// loop { capture -> stamp -> blocking push } onto the FrameQueue it was
+// routed to at add_camera() time (the server routes by pattern_id so a
+// shard's queue only ever carries patterns it owns). Producers mostly block
+// on backpressure, so oversubscribing cores is the right model.
 // The last producer to finish closes EVERY routed queue, so shard consumers
 // drain and exit cleanly — closing queues one by one as their own producers
 // finish would strand work-stealing siblings that still expect to poll them.
+// A serving thread that throws (a producer here, or a shard worker through
+// fail()) stops the whole run the same way, and join() rethrows the first
+// failure once every producer has joined.
 // All cameras own their Rng streams, so a camera's frame sequence is
 // reproducible no matter how the producers interleave.
 #pragma once
@@ -19,12 +21,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/camera.h"
 #include "runtime/frame_queue.h"
 #include "runtime/stats.h"
-#include "util/parallel.h"
 
 namespace snappix::runtime {
 
@@ -99,15 +102,23 @@ class StreamScheduler {
   // shard recovered). Returns how many cameras moved back.
   std::size_t restore_routes(FrameQueue& home);
 
-  // Launches one producer task per camera, each emitting `frames_per_camera`
-  // frames. Returns immediately; every routed queue is closed when the last
-  // producer finishes (or the queues were closed externally).
+  // Launches one producer thread per camera, each emitting
+  // `frames_per_camera` frames. Returns immediately; every routed queue is
+  // closed when the last producer finishes (or the queues were closed
+  // externally).
   void start(std::int64_t frames_per_camera);
   // Skewed-fleet variant: camera i emits frames_per_camera[i] frames. The
   // vector must be parallel to the add_camera() order.
   void start(const std::vector<std::int64_t>& frames_per_camera);
 
-  // Blocks until all producers have finished.
+  // Fails the run: records `what` (the first message wins), then stops the
+  // producers in the destructor's order — wake those sleeping in retransmit
+  // backoff, then close every registered queue. Producers see kClosed and
+  // end; shard workers drain their queues and exit. Any thread may call it.
+  void fail(const std::string& what);
+
+  // Blocks until every producer has joined, then throws std::runtime_error
+  // with the first fail() message, if any.
   void join();
 
  private:
@@ -131,7 +142,8 @@ class StreamScheduler {
   // Interruptible sleep for retransmit backoff; false when the scheduler is
   // stopping (the producer must abandon the frame and exit).
   bool backoff_wait(std::chrono::microseconds delay);
-  void request_stop();
+  // Wakes producers sleeping in retransmit backoff, then closes every queue.
+  void stop();
   void close_all_queues();
 
   RuntimeStats& stats_;
@@ -140,22 +152,23 @@ class StreamScheduler {
   std::vector<std::unique_ptr<CameraSource>> cameras_;
   std::vector<std::unique_ptr<Route>> routes_;  // parallel to cameras_
   std::vector<FrameQueue*> unique_queues_;      // each routed queue once
-  // Shutdown handshake for producers sleeping in retransmit backoff: the
-  // destructor sets stopping_ (under stop_mutex_) and notifies BEFORE
-  // closing the queues, so a producer mid-backoff wakes immediately instead
-  // of serving out its sleep against a dying scheduler.
+  // Shutdown handshake for producers sleeping in retransmit backoff: stop()
+  // sets stopping_ (under stop_mutex_) and notifies BEFORE closing the
+  // queues, so a producer mid-backoff wakes immediately instead of serving
+  // out its sleep against a failed or dying scheduler.
   std::mutex stop_mutex_;
   std::condition_variable stop_cv_;
   bool stopping_ = false;  // guarded by stop_mutex_
+  std::string error_;      // first fail() message; guarded by stop_mutex_
   // order: seq_cst (default) on the fetch_sub in produce() — the "last
   // producer out" edge (fetch_sub returning 1) must be a total-order event so
   // exactly one producer closes the queues; the queue state those closes
   // touch synchronizes separately through FrameQueue's mutex.
   std::atomic<int> active_producers_{0};
   bool started_ = false;
-  // Declared last: producer tasks touch every member above, so the pool must
-  // join its workers (its destructor) before anything they use is destroyed.
-  std::unique_ptr<ThreadPool> pool_;
+  // One per camera; join() or the destructor joins them before any member
+  // above is destroyed.
+  std::vector<std::thread> producers_;
 };
 
 }  // namespace snappix::runtime

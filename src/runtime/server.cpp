@@ -343,27 +343,28 @@ void InferenceServer::shard_loop(std::size_t index) {
   BatchAggregator aggregator(self.queue, config_.batch);
   std::vector<Frame> batch;
   std::vector<std::pair<std::size_t, std::size_t>> victim_order;  // (depth, shard)
+  // With no sibling to steal from (one shard, or stealing off) the worker
+  // waits on its own queue with no deadline: a bounded wait would only add
+  // idle wakeups every kStealPoll.
+  const bool stealing = config_.work_stealing && shards_.size() > 1;
   try {
-    if (!config_.work_stealing || shards_.size() == 1) {
-      // No one to steal from (or stealing disabled): the bounded-wait poll
-      // loop would only add idle wakeups every kStealPoll. Block properly.
-      while (aggregator.next_batch(batch)) {
-        self.heartbeat.fetch_add(1, std::memory_order_relaxed);
-        serve_batch(self, aggregator.last_key(), batch, aggregator.last_flush_reason());
-      }
-      return;
-    }
     for (;;) {
-      // Every pass through the loop is a beat: the watchdog distinguishes a
+      // Own queue first: a shard prefers the patterns routed to it, keeping
+      // its cache view hot.
+      const BatchAggregator::Poll poll = aggregator.poll_batch(
+          batch, stealing ? Clock::now() + kStealPoll : Clock::time_point::max());
+      // Every return from the poll is a beat: the watchdog distinguishes a
       // worker that is polling (alive, queue just slow to fill) from one
       // wedged inside a serve (no beats while its queue backs up).
       self.heartbeat.fetch_add(1, std::memory_order_relaxed);
-      // Own queue first: a shard prefers the patterns routed to it, keeping
-      // its cache view hot.
-      const BatchAggregator::Poll poll =
-          aggregator.poll_batch(batch, Clock::now() + kStealPoll);
       if (poll == BatchAggregator::Poll::kBatch) {
         serve_batch(self, aggregator.last_key(), batch, aggregator.last_flush_reason());
+        continue;
+      }
+      if (!stealing) {
+        if (poll == BatchAggregator::Poll::kExhausted) {
+          break;
+        }
         continue;
       }
       // Idle (or drained for good): probe the siblings for a tail batch so a
@@ -408,19 +409,11 @@ void InferenceServer::shard_loop(std::size_t index) {
       }
     }
   } catch (const std::exception& e) {
-    {
-      std::lock_guard<std::mutex> lock(worker_error_mutex_);
-      if (worker_error_.empty()) {
-        std::ostringstream os;
-        os << "shard " << index << " worker failed: " << e.what();
-        worker_error_ = os.str();
-      }
-    }
-    // Unwind the whole fleet: closing every queue unblocks producers and
-    // lets sibling workers drain and exit; run() rethrows after the join.
-    for (const auto& shard : shards_) {
-      shard->queue.close();
-    }
+    // Fails the whole run: every queue closes, so producers stop and sibling
+    // workers drain and exit; run() rethrows after the joins.
+    std::ostringstream os;
+    os << "shard " << index << " worker failed: " << e.what();
+    scheduler_.fail(os.str());
   }
 }
 
@@ -448,7 +441,7 @@ void InferenceServer::watchdog_loop() {
       }
       // A silent worker is only a stall if it is sitting on work it could
       // serve: an empty or closed queue gives an idle worker nothing to beat
-      // about (the blocking no-steal path parks in next_batch).
+      // about (without stealing it waits on its queue with no deadline).
       if (shard.queue.exhausted() || shard.queue.depth() == 0) {
         stale[i] = 0;
         continue;
@@ -548,15 +541,8 @@ std::vector<TaskResult> InferenceServer::run(
     watchdog_stop_.store(true, std::memory_order_release);
     watchdog.join();
   }
-  scheduler_.join();
+  scheduler_.join();  // rethrows the first producer or shard worker failure
   wall_seconds_ = std::chrono::duration<double>(Clock::now() - run_start).count();
-
-  {
-    std::lock_guard<std::mutex> lock(worker_error_mutex_);
-    if (!worker_error_.empty()) {
-      throw std::runtime_error(worker_error_);
-    }
-  }
 
   std::size_t total_results = 0;
   for (const auto& shard : shards_) {

@@ -12,7 +12,7 @@
 /// batch from the TAIL of a loaded sibling's queue, so one hot camera or
 /// pattern cannot starve the fleet:
 ///
-///   camera threads (ThreadPool)             shard workers (std::thread x N)
+///   camera threads (std::thread each)       shard workers (std::thread x N)
 ///   ┌─────────────────────┐ push            ┌──────────────────────────────┐
 ///   │ capture + CE encode ├──► shard queue ─►│ batch by (pattern_id, task), │
 ///   │ stamp pattern_id/   │    [pattern_id  │ resolve in own EngineCache,  │──► TaskResults
@@ -254,8 +254,6 @@ class InferenceServer {
   // watchdog must not outlive is quiescent), acquire in the watchdog poll
   // loop — the one cross-thread handshake that stops the supervisor.
   std::atomic<bool> watchdog_stop_{false};
-  std::string worker_error_;  // first exception a shard worker caught
-  std::mutex worker_error_mutex_;
   double wall_seconds_ = 0.0;
   std::int64_t pixels_per_frame_ = 0;
   bool ran_ = false;

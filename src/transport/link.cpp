@@ -109,22 +109,6 @@ TransferResult FramedLink::transfer(const Tensor& coded, std::uint16_t frame_num
   result.crc_errors = rx.crc_errors;
   result.corrected_headers = rx.corrected_headers;
   result.lost_packets = rx.lost_packets;
-
-  ++counters_.frames;
-  switch (rx.outcome) {
-    case RxOutcome::kOk:
-      ++counters_.ok_frames;
-      break;
-    case RxOutcome::kCrcError:
-      ++counters_.crc_error_frames;
-      break;
-    case RxOutcome::kTruncated:
-      ++counters_.truncated_frames;
-      break;
-    default:
-      ++counters_.missing_line_frames;
-      break;
-  }
   return result;
 }
 

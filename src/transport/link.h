@@ -60,15 +60,6 @@ struct TransferResult {
   std::uint8_t total_planes = 0;     // codec mode: the frame's full bit depth
 };
 
-// Lifetime outcome counters (frames classified by final receive outcome).
-struct LinkCounters {
-  std::uint64_t frames = 0;
-  std::uint64_t ok_frames = 0;
-  std::uint64_t crc_error_frames = 0;
-  std::uint64_t truncated_frames = 0;
-  std::uint64_t missing_line_frames = 0;
-};
-
 class FramedLink {
  public:
   explicit FramedLink(const LinkConfig& config);
@@ -92,7 +83,6 @@ class FramedLink {
   const sensor::MipiCsi2Link& mipi() const { return mipi_; }
   // Injected-fault ground truth (what the tests compare observed drops to).
   const FaultInjector& injector() const { return injector_; }
-  const LinkCounters& counters() const { return counters_; }
   const LinkConfig& config() const { return config_; }
 
  private:
@@ -101,7 +91,6 @@ class FramedLink {
   sensor::MipiCsi2Link mipi_;
   FaultInjector injector_;
   Depacketizer depacketizer_;
-  LinkCounters counters_;
   // Transmit-side buffers, reused by every transfer.
   codec::QuantizedFrame quantized_;
   codec::BitplaneCoder coder_;

@@ -1,24 +1,15 @@
-// Parallel execution helpers.
+// Parallel execution helper.
 //
 // parallel_for splits [0, n) into contiguous chunks executed on std::thread
 // workers. Small ranges run inline to avoid thread-spawn overhead dominating
 // the many tiny kernels a training step issues.
-//
-// ThreadPool is a persistent fixed-size worker pool used by the streaming
-// runtime (src/runtime/) to drive long-lived per-camera capture tasks without
-// paying a thread spawn per frame.
 #pragma once
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
-
-#include "util/common.h"
 
 namespace snappix {
 
@@ -52,87 +43,5 @@ inline void parallel_for(std::int64_t n,
     w.join();
   }
 }
-
-// Fixed-size pool of persistent workers draining a FIFO task queue.
-//
-// submit() never blocks (the queue is unbounded — backpressure belongs to the
-// data plane, e.g. runtime::FrameQueue, not the control plane). wait_idle()
-// blocks until every submitted task has finished; the destructor drains the
-// queue, then joins the workers. Tasks must not throw — an escaping exception
-// would terminate the worker — so long-running tasks catch internally.
-class ThreadPool {
- public:
-  explicit ThreadPool(int threads) {
-    SNAPPIX_CHECK(threads > 0, "ThreadPool needs at least one thread, got " << threads);
-    workers_.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
-  }
-
-  ~ThreadPool() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stopping_ = true;
-    }
-    task_ready_.notify_all();
-    for (auto& w : workers_) {
-      w.join();
-    }
-  }
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  void submit(std::function<void()> task) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      SNAPPIX_CHECK(!stopping_, "submit() on a stopping ThreadPool");
-      tasks_.push_back(std::move(task));
-    }
-    task_ready_.notify_one();
-  }
-
-  // Blocks until the queue is empty and no task is running.
-  void wait_idle() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    idle_.wait(lock, [this] { return tasks_.empty() && active_ == 0; });
-  }
-
-  int size() const { return static_cast<int>(workers_.size()); }
-
- private:
-  void worker_loop() {
-    for (;;) {
-      std::function<void()> task;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        task_ready_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-        if (tasks_.empty()) {
-          return;  // stopping_ with a drained queue
-        }
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
-        ++active_;
-      }
-      task();
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        --active_;
-        if (tasks_.empty() && active_ == 0) {
-          idle_.notify_all();
-        }
-      }
-    }
-  }
-
-  std::mutex mutex_;
-  std::condition_variable task_ready_;
-  std::condition_variable idle_;
-  std::deque<std::function<void()>> tasks_;
-  std::vector<std::thread> workers_;
-  int active_ = 0;
-  bool stopping_ = false;
-};
 
 }  // namespace snappix

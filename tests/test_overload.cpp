@@ -30,7 +30,6 @@
 #include "runtime/batcher.h"
 #include "runtime/camera.h"
 #include "runtime/frame_queue.h"
-#include "runtime/scheduler.h"
 #include "runtime/server.h"
 #include "runtime/stats.h"
 #include "serving_fixtures.h"
@@ -308,19 +307,20 @@ TEST(Edf, QueueWithoutDeadlinesDegradesToExactFifo) {
   }
 }
 
-// --- 1. scheduler/stats plumbing: shed observer taxonomy ---------------------
+// --- 1. stats plumbing: shed observer taxonomy -------------------------------
 
-// The scheduler's register_queue installs a RuntimeStats shed observer; this
-// pins the full pipeline: queue shed -> observer -> per-(qos, reason)
+// A RuntimeStats shed observer, as the server installs on every shard queue;
+// this pins the full pipeline: queue shed -> observer -> per-(qos, reason)
 // registry counters + per-camera rows in the summary.
 TEST(ShedAccounting, QueueShedsFlowIntoRuntimeStatsPerCameraPerReason) {
   runtime::RuntimeStats stats;
   for (const int camera : {7, 8, 9}) {
     stats.add_camera(camera);
   }
-  runtime::StreamScheduler scheduler(stats);
   FrameQueue queue(1);
-  scheduler.register_queue(queue);
+  queue.set_shed_observer([&stats](const Frame& frame, ShedReason reason) {
+    stats.record_shed(frame.camera_id, frame.qos, reason);
+  });
 
   ASSERT_EQ(queue.admit(make_frame(0, 0, QosClass::kStandard)), PushResult::kAccepted);
   EXPECT_EQ(queue.admit(make_frame(7, 0, QosClass::kBestEffort)), PushResult::kShed);
@@ -475,8 +475,9 @@ TEST(OverloadProperty, ConservationHoldsAcrossThreadedInterleavings) {
     for (int camera = 0; camera < 3; ++camera) {
       stats.add_camera(camera);
     }
-    runtime::StreamScheduler scheduler(stats);
-    scheduler.register_queue(queue);  // installs the stats shed observer
+    queue.set_shed_observer([&stats](const Frame& frame, ShedReason reason) {
+      stats.record_shed(frame.camera_id, frame.qos, reason);
+    });
 
     std::atomic<std::uint64_t> accepted{0};   // order: relaxed tally, read after joins
     std::atomic<std::uint64_t> rejected{0};   // order: relaxed tally, read after joins

@@ -20,7 +20,6 @@
 #include "runtime/server.h"
 #include "runtime/stats.h"
 #include "serving_fixtures.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace snappix {
@@ -102,18 +101,6 @@ TEST(FrameQueue, PopUntilTimesOutOnEmptyQueue) {
   const auto t0 = runtime::Clock::now();
   EXPECT_FALSE(queue.pop_until(out, t0 + std::chrono::milliseconds(15)));
   EXPECT_GE(runtime::Clock::now() - t0, std::chrono::milliseconds(10));
-}
-
-// --- ThreadPool --------------------------------------------------------------
-
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 50);
 }
 
 // --- BatchAggregator ---------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -1051,6 +1052,97 @@ TEST(InferenceServer, RunIsOneShot) {
       0, small_scene(), system.pattern_ref(), 1));
   (void)server.run(1);
   EXPECT_THROW(server.run(1), std::runtime_error);
+}
+
+// --- serving-thread failure --------------------------------------------------
+
+// A camera whose capture throws at sequence 2: a defect, not a link fault,
+// so it must fail the run.
+class UnpluggedCamera : public runtime::SyntheticCameraSource {
+ public:
+  UnpluggedCamera(int id, PatternRef pattern)
+      : SyntheticCameraSource(id, small_scene(), std::move(pattern), 900) {}
+
+ protected:
+  Frame capture_frame() override {
+    if (next_sequence_ == 2) {
+      throw std::runtime_error("sensor unplugged");
+    }
+    return SyntheticCameraSource::capture_frame();
+  }
+};
+
+// Replays 8x8 frames into a fleet served at 16x16: the shard worker that
+// batches them throws (the engine rejects the geometry, or stack_coded a
+// mixed batch).
+std::unique_ptr<runtime::CameraSource> misshapen_camera(int id, PatternRef pattern) {
+  Rng rng(77);
+  std::vector<Tensor> coded{Tensor::rand_uniform(Shape{8, 8}, rng)};
+  return std::make_unique<runtime::ReplayCameraSource>(id, std::move(pattern), std::move(coded),
+                                                       std::vector<std::int64_t>{});
+}
+
+// What run(frames) threw, or "" when it returned.
+std::string run_failure(InferenceServer& server, std::int64_t frames) {
+  try {
+    (void)server.run(frames);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The first exception on any serving thread stops the run, and run() throws
+// it once every thread has joined. A producer's failure names its camera, a
+// shard worker's names its shard.
+TEST(InferenceServer, ProducerOrWorkerFailureFailsTheRun) {
+  core::SnapPixSystem system(small_system_config());
+  ServerConfig config;
+  config.shards = 2;
+  {
+    InferenceServer server(system, config);
+    server.add_camera(std::make_unique<runtime::SyntheticCameraSource>(
+        0, small_scene(), system.pattern_ref(), 1));
+    server.add_camera(std::make_unique<UnpluggedCamera>(1, system.pattern_ref()));
+    const std::string what = run_failure(server, 5);
+    EXPECT_NE(what.find("camera 1 failed: "), std::string::npos) << what;
+    EXPECT_NE(what.find("sensor unplugged"), std::string::npos) << what;
+    EXPECT_NO_THROW((void)server.metrics_snapshot());
+  }
+  {
+    InferenceServer server(system, config);
+    server.add_camera(std::make_unique<runtime::SyntheticCameraSource>(
+        0, small_scene(), system.pattern_ref(), 1));
+    server.add_camera(misshapen_camera(1, system.pattern_ref()));
+    const std::string what = run_failure(server, 5);
+    EXPECT_NE(what.find(" worker failed: "), std::string::npos) << what;
+  }
+}
+
+// A failure wakes producers sleeping in retransmit backoff: camera 0's dead
+// link would otherwise sleep out 5 frames x 20 retries x 200 ms = 20 s.
+TEST(InferenceServer, FailureWakesProducersInRetransmitBackoff) {
+  core::SnapPixSystem system(small_system_config());
+  ServerConfig config;
+  config.shards = 2;
+  config.transport.corrupt = runtime::TransportPolicy::Corrupt::kRetransmit;
+  config.transport.max_retransmits = 20;
+  config.transport.backoff_initial = std::chrono::milliseconds(200);
+  config.transport.backoff_max = std::chrono::milliseconds(200);
+  InferenceServer server(system, config);
+  auto dead = std::make_unique<runtime::SyntheticCameraSource>(0, small_scene(),
+                                                               system.pattern_ref(), 1);
+  transport::LinkConfig link;
+  link.faults.packet_drop_rate = 1.0;
+  dead->set_framed(link);
+  server.add_camera(std::move(dead));
+  server.add_camera(misshapen_camera(1, system.pattern_ref()));
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string what = run_failure(server, 5);
+  const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+  EXPECT_LT(took.count(), 2000) << "run() took " << took.count() << " ms";
+  EXPECT_NE(what.find(" worker failed: "), std::string::npos) << what;
 }
 
 }  // namespace

@@ -698,7 +698,7 @@ std::unique_ptr<runtime::ReplayCameraSource> dead_link_replay_camera(int id) {
 
 // Shutdown order 1: the scheduler is destroyed while both producers are
 // asleep mid-retransmit-backoff and the queues are still open. The destructor
-// must wake the sleepers first (request_stop) and only then close the queues;
+// must wake the sleepers first (stop()) and only then close the queues;
 // a woken producer abandons the frame instead of sleeping out the remaining
 // 250 ms x frames of backoff schedule, so teardown is prompt and every frame
 // of the budget is still accounted for.

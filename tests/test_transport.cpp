@@ -516,17 +516,14 @@ TEST(FramedLinkTest, CleanTransferAccountsBytesAndOutcomes) {
   EXPECT_EQ(link.mipi().total_bytes(), expected);
   EXPECT_EQ(link.mipi().payload_bytes(), 16 * 64U);
   EXPECT_EQ(link.mipi().packets(), 18U);
-  EXPECT_EQ(link.counters().frames, 1U);
-  EXPECT_EQ(link.counters().ok_frames, 1U);
   // Lane accounting: every packet striped over 2 lanes, per-packet ceilings.
   EXPECT_EQ(link.mipi().lane_bytes(0), 2 * 2U + 16 * 35U);
   EXPECT_EQ(link.mipi().lane_bytes(1), 2 * 2U + 16 * 35U);
 }
 
 // Retransmit accounting exactness (the bugfix audit): every attempt pays the
-// wire exactly once — total bytes, per-lane bytes, and the frame counter all
-// scale linearly in the attempt count, with no double-charging and no
-// forgiveness for repeated payloads.
+// wire exactly once — total and per-lane bytes scale linearly in the attempt
+// count, with no double-charging and no forgiveness for repeated payloads.
 TEST(FramedLinkTest, RepeatedTransfersChargeTheWireOncePerAttempt) {
   Rng rng(37);
   const Tensor coded = Tensor::rand_uniform(Shape{8, 8}, rng);
@@ -541,13 +538,12 @@ TEST(FramedLinkTest, RepeatedTransfersChargeTheWireOncePerAttempt) {
   const int attempts = 5;
   for (int a = 1; a < attempts; ++a) {
     const TransferResult again = link.transfer(coded, 0);  // same frame, retried
+    EXPECT_EQ(again.outcome, RxOutcome::kOk);
     EXPECT_EQ(again.wire_bytes, per_attempt);
   }
   EXPECT_EQ(link.mipi().total_bytes(), attempts * per_attempt);
   EXPECT_EQ(link.mipi().lane_bytes(0), attempts * lane0);
   EXPECT_EQ(link.mipi().lane_bytes(1), attempts * lane1);
-  EXPECT_EQ(link.counters().frames, static_cast<std::uint64_t>(attempts));
-  EXPECT_EQ(link.counters().ok_frames, static_cast<std::uint64_t>(attempts));
 }
 
 TEST(FramedLinkTest, FaultyTransfersLandInOutcomeCounters) {
@@ -556,17 +552,14 @@ TEST(FramedLinkTest, FaultyTransfersLandInOutcomeCounters) {
   cfg.faults.packet_drop_rate = 0.10;
   cfg.faults.seed = 31;
   FramedLink link(cfg);
+  std::uint64_t ok_frames = 0;
   for (int f = 0; f < 30; ++f) {
-    (void)link.transfer(Tensor::rand_uniform(Shape{6, 6}, rng),
-                        static_cast<std::uint16_t>(f));
+    const TransferResult result = link.transfer(Tensor::rand_uniform(Shape{6, 6}, rng),
+                                                static_cast<std::uint16_t>(f));
+    ok_frames += result.outcome == RxOutcome::kOk ? 1U : 0U;
   }
-  const auto& counters = link.counters();
-  EXPECT_EQ(counters.frames, 30U);
-  EXPECT_EQ(counters.ok_frames + counters.crc_error_frames + counters.truncated_frames +
-                counters.missing_line_frames,
-            30U);
-  EXPECT_LT(counters.ok_frames, 30U);  // the drop rate bit someone
-  EXPECT_EQ(30U - counters.ok_frames, link.injector().stats().frames_faulted);
+  EXPECT_LT(ok_frames, 30U);  // the drop rate bit someone
+  EXPECT_EQ(30U - ok_frames, link.injector().stats().frames_faulted);
 }
 
 // --- entropy-coded wire mode -------------------------------------------------
