@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
   watchdog_cfg.health.window = kWindow;
   watchdog_cfg.health.watchdog.enabled = true;
   watchdog_cfg.health.watchdog.poll = std::chrono::milliseconds(5);
-  watchdog_cfg.health.watchdog.stall_polls = 4;  // 20 ms >> the 2 ms batch max_delay
+  watchdog_cfg.health.watchdog.stall_polls = 4;  // 20 ms; the default batcher never waits
   // All cameras share the system pattern and home on one shard; wedge it.
   const std::size_t home = system.pattern_ref()->hash() % 2;
   chaos::SlowShard slow(home, /*after_batches=*/2, std::chrono::milliseconds(quick ? 150 : 250));

@@ -17,7 +17,9 @@
 #                            strict JSON (no NaN/Infinity tokens), and
 #                            finally build the fleet benchmark
 #                            (perfbench/) and run each of its workloads for
-#                            one second.
+#                            one second. Every bench step runs even when an
+#                            earlier one failed; the script then lists the
+#                            failed steps and exits 1.
 #   SANITIZER=tsan           build everything under -fsanitize=thread and run
 #                            the full test suite (the stress suite included)
 #                            with the pinned runtime options from
@@ -95,6 +97,43 @@ echo "bench_wire_bits: identical to bench/wire_bits.golden"
 
 check_engine_bits
 
+# Bench steps run through run_step: a failing step is recorded and the
+# remaining steps still run, so one noisy timing gate cannot hide the gates
+# after it. Once the last step has run, every failed step is listed and the
+# script exits 1. (Everything above, from the build to the golden diffs,
+# still stops at the first failure.)
+FAILED_STEPS=()
+run_step() {
+  local name=$1
+  shift
+  local status=0
+  # The step runs in a subshell under errexit; the caller's errexit is off
+  # while it runs, so a failing step returns here instead of ending ci.sh.
+  set +e
+  (set -e; "$@")
+  status=$?
+  set -e
+  if [ "$status" -ne 0 ]; then
+    echo "ci.sh: step '$name' FAILED (exit $status); running the remaining steps" >&2
+    FAILED_STEPS+=("$name")
+  fi
+}
+
+# Runs `<bench> --quick` from the build directory, then prints the
+# BENCH_*.json files it names (a bench writes them before its gates decide
+# its exit status) and returns the bench's status.
+quick_bench() {
+  local bench=$1
+  shift
+  local status=0
+  (cd "$BUILD_DIR" && "./$bench" --quick) || status=$?
+  for json in "$@"; do
+    echo "$json:"
+    cat "$BUILD_DIR/$json"
+  done
+  return "$status"
+}
+
 # Streaming bench: quick mode keeps CI fast; the binary exits non-zero if any
 # serving arm (batched, pattern-cache, sharded work-stealing, framed MIPI
 # transport at zero faults, the fp32 half of the mixed-precision fleet)
@@ -104,17 +143,9 @@ check_engine_bits
 # 0.98, or — where the hardware supports it — if sharded serving falls below
 # 1.5x the single-consumer arm (>= 4 hw threads) / int8 below 1.8x fp32
 # classify throughput (AVX2 hosts).
-(cd "$BUILD_DIR" && ./bench_streaming_throughput --quick)
-echo "BENCH_streaming.json:"
-cat "$BUILD_DIR/BENCH_streaming.json"
-echo "BENCH_pattern_cache.json:"
-cat "$BUILD_DIR/BENCH_pattern_cache.json"
-echo "BENCH_sharded.json:"
-cat "$BUILD_DIR/BENCH_sharded.json"
-echo "BENCH_framed.json:"
-cat "$BUILD_DIR/BENCH_framed.json"
-echo "BENCH_int8.json:"
-cat "$BUILD_DIR/BENCH_int8.json"
+run_step bench_streaming_throughput quick_bench bench_streaming_throughput \
+  BENCH_streaming.json BENCH_pattern_cache.json BENCH_sharded.json BENCH_framed.json \
+  BENCH_int8.json
 
 # Observability bench: exits non-zero if tracing with no frames sampled costs
 # more than 2% throughput, 1-in-8 per-camera sampling costs more than 5%, any
@@ -123,9 +154,7 @@ cat "$BUILD_DIR/BENCH_int8.json"
 # frame/capture/queue_wait/batch_assembly/infer spans), unsorted, truncated,
 # or not valid JSON. Emits BENCH_obs.json and the Perfetto-loadable
 # trace_obs.json.
-(cd "$BUILD_DIR" && ./bench_obs_overhead --quick)
-echo "BENCH_obs.json:"
-cat "$BUILD_DIR/BENCH_obs.json"
+run_step bench_obs_overhead quick_bench bench_obs_overhead BENCH_obs.json
 
 # Saturation bench: offers ~3x the measured serving capacity through a
 # realtime + best-effort fleet and exits non-zero if any overload invariant
@@ -133,9 +162,7 @@ cat "$BUILD_DIR/BENCH_obs.json"
 # + shed) off by even one frame, a starved camera, unbounded realtime p99,
 # the drop-late arm shedding nothing for kDeadline, or any served prediction
 # differing from the unloaded batch-1 reference (see docs/serving.md).
-(cd "$BUILD_DIR" && ./bench_saturation --quick)
-echo "BENCH_saturation.json:"
-cat "$BUILD_DIR/BENCH_saturation.json"
+run_step bench_saturation quick_bench bench_saturation BENCH_saturation.json
 
 # Codec frontier bench: sweeps the bit-plane wire tier across decode depths
 # and exits non-zero if the full-depth framed decode is not bit-identical to
@@ -144,9 +171,7 @@ cat "$BUILD_DIR/BENCH_saturation.json"
 # than 0.5x the raw float32 framed bytes on the wire, or if a served fleet
 # classifying from early planes diverges bitwise from the pre-truncated
 # in-memory reference (see docs/serving.md).
-(cd "$BUILD_DIR" && ./bench_codec_frontier --quick)
-echo "BENCH_codec.json:"
-cat "$BUILD_DIR/BENCH_codec.json"
+run_step bench_codec_frontier quick_bench bench_codec_frontier BENCH_codec.json
 
 # Resilience bench: chaos-drives the health supervision tier and exits
 # non-zero if any resilience invariant breaks — the burst-afflicted camera
@@ -156,15 +181,14 @@ cat "$BUILD_DIR/BENCH_codec.json"
 # off by one frame, the injected shard stall going undetected, the rescue
 # re-routing nothing, or a realtime frame shed during the rescue (see
 # docs/resilience.md).
-(cd "$BUILD_DIR" && ./bench_resilience --quick)
-echo "BENCH_resilience.json:"
-cat "$BUILD_DIR/BENCH_resilience.json"
+run_step bench_resilience quick_bench bench_resilience BENCH_resilience.json
 
 # Every bench artifact and the exported trace must parse as strict JSON with
 # a second implementation: python's json module, with NaN and Infinity tokens
 # rejected (the emitters render every double through obs::json_number, which
 # never prints them). A missing artifact fails too.
-python3 - "$BUILD_DIR" << 'EOF'
+strict_json() {
+  python3 - "$BUILD_DIR" << 'EOF'
 import json, os, sys
 def strict(name):
     path = os.path.join(sys.argv[1], name)
@@ -178,12 +202,23 @@ events = strict("trace_obs.json")["traceEvents"]
 assert events, "trace has no events"
 print(f"trace_obs.json: valid JSON, {len(events)} trace events")
 EOF
+}
+run_step "strict JSON parse" strict_json
 
 # Fleet benchmark: perfbench/ is its own CMake package, so the build above
 # never compiles it. Build it against this tree (into $BUILD_DIR/perfbench)
 # and run each workload for one second; the run includes perfbench's own
 # output checks, and any non-zero exit fails CI.
 for workload in ar_fp32 codec_edge; do
-  CARGO_TARGET_DIR="$BUILD_DIR" python3 perfbench/run.py --workload "$workload" --seed 1 \
-    --seconds 1 --trace 0
+  run_step "perfbench $workload" env CARGO_TARGET_DIR="$BUILD_DIR" python3 perfbench/run.py \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0
 done
+
+if [ "${#FAILED_STEPS[@]}" -gt 0 ]; then
+  echo "ci.sh: ${#FAILED_STEPS[@]} step(s) failed:" >&2
+  for name in "${FAILED_STEPS[@]}"; do
+    echo "  - $name" >&2
+  done
+  exit 1
+fi
+echo "ci.sh: every step passed"

@@ -18,6 +18,11 @@ namespace {
 // construction. Both select on the coded bit with an all-ones/all-zeros mask
 // instead of a branch: the bits are close to random, and a mispredicted
 // branch per bit cost more than the arithmetic.
+//
+// One renormalization step per symbol is always enough: adapt() keeps every
+// probability in [31, 2017], so either side of a split of a range >= 2^24
+// is >= (2^24 >> 11) * 31 > 2^17, and one 8-bit shift restores >= 2^24. The
+// bound holds for any decoded bits, so it holds for any input bytes.
 
 constexpr std::uint32_t kProbBits = 11;
 constexpr std::uint16_t kProbOne = 1U << kProbBits;
@@ -40,7 +45,15 @@ inline std::uint16_t adapt(std::uint16_t prob, std::uint32_t one) {
 
 class RangeEncoder {
  public:
-  explicit RangeEncoder(std::vector<std::uint8_t>& out) : out_(out) {}
+  // Writes through `out`, which must hold max_stream_bytes() for the
+  // symbols to be coded.
+  explicit RangeEncoder(std::uint8_t* out) : out_(out) {}
+
+  // A stream of `symbols` symbols takes at most one byte per renormalization
+  // (at most one per symbol) plus the 5 flush bytes.
+  static constexpr std::size_t max_stream_bytes(std::size_t symbols) {
+    return symbols + kMinChunkBytes;
+  }
 
   void encode(std::uint16_t& prob, int bit) {
     const std::uint32_t bound = (range_ >> kProbBits) * prob;
@@ -48,24 +61,27 @@ class RangeEncoder {
     low_ += bound & one;
     range_ = ((range_ - bound) & one) | (bound & ~one);
     prob = adapt(prob, one);
-    while (range_ < kTopValue) {
+    if (range_ < kTopValue) {
       range_ <<= 8;
       shift_low();
     }
   }
 
   void flush() {
-    for (int i = 0; i < 5; ++i) {
+    for (std::size_t i = 0; i < kMinChunkBytes; ++i) {
       shift_low();
     }
   }
+
+  // One past the last byte written.
+  std::uint8_t* end() const { return out_; }
 
  private:
   void shift_low() {
     if (static_cast<std::uint32_t>(low_) < 0xFF000000U || (low_ >> 32) != 0) {
       std::uint8_t byte = cache_;
       do {
-        out_.push_back(static_cast<std::uint8_t>(byte + static_cast<std::uint8_t>(low_ >> 32)));
+        *out_++ = static_cast<std::uint8_t>(byte + static_cast<std::uint8_t>(low_ >> 32));
         byte = 0xFF;
       } while (--cache_size_ != 0);
       cache_ = static_cast<std::uint8_t>(low_ >> 24);
@@ -74,7 +90,7 @@ class RangeEncoder {
     low_ = (low_ & 0x00FFFFFFULL) << 8;
   }
 
-  std::vector<std::uint8_t>& out_;
+  std::uint8_t* out_;
   std::uint64_t low_ = 0;
   std::uint32_t range_ = 0xFFFFFFFFU;
   std::uint8_t cache_ = 0;
@@ -96,7 +112,7 @@ class RangeDecoder {
     code_ -= bound & one;
     range_ = ((range_ - bound) & one) | (bound & ~one);
     prob = adapt(prob, one);
-    while (range_ < kTopValue) {
+    if (range_ < kTopValue) {
       range_ <<= 8;
       code_ = (code_ << 8) | next_byte();
     }
@@ -309,9 +325,10 @@ void BitplaneCoder::encode(const QuantizedFrame& frame, int max_planes, PlaneStr
   for (int j = 0; j < chunks; ++j) {
     const int bitpos = out.plane_count - 1 - j;
     std::vector<std::uint8_t>& chunk = out.planes[static_cast<std::size_t>(j)];
-    chunk.clear();
-    chunk.reserve(n / 4 + 2 * kMinChunkBytes);
-    RangeEncoder encoder(chunk);
+    // A coefficient codes at most two symbols per plane (significance and
+    // sign, or one refinement).
+    chunk.resize(RangeEncoder::max_stream_bytes(2 * n));
+    RangeEncoder encoder(chunk.data());
     std::size_t col = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const int bit = (mag_[i] >> bitpos) & 1;
@@ -330,6 +347,7 @@ void BitplaneCoder::encode(const QuantizedFrame& frame, int max_planes, PlaneStr
       col = col + 1 == width ? 0 : col + 1;
     }
     encoder.flush();
+    chunk.resize(static_cast<std::size_t>(encoder.end() - chunk.data()));
   }
 }
 

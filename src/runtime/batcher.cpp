@@ -60,28 +60,38 @@ BatchAggregator::Poll BatchAggregator::poll_batch(std::vector<Frame>& out,
     }
     first.dequeue_time = Clock::now();
   }
-  last_key_ = BatchKey{first.pattern_id, first.task, first.precision, first.decode_depth};
-  last_flush_reason_ = FlushReason::kMaxBatch;
+  last_key_ = BatchKey::of(first);
   const Clock::time_point deadline = Clock::now() + policy_.max_delay;
   out.push_back(std::move(first));
-  while (static_cast<int>(out.size()) < policy_.max_batch) {
-    Frame next;
-    if (!queue_.pop_until(next, deadline)) {
-      // exhausted() is sticky, so this cleanly splits "queue is gone" from
-      // "the max_delay deadline fired before the batch filled".
-      last_flush_reason_ =
-          queue_.exhausted() ? FlushReason::kExhausted : FlushReason::kMaxLatency;
+  last_flush_reason_ = take_queued(out);
+  // Opt-in wait: only a positive max_delay holds a drained batch open, and
+  // each arrival takes the queue again. A closed queue ends the wait at once
+  // (the next take reports kExhausted).
+  while (last_flush_reason_ == FlushReason::kDrained && policy_.max_delay.count() > 0) {
+    if (!queue_.wait_until(deadline)) {
+      last_flush_reason_ = FlushReason::kMaxLatency;
       break;
     }
-    next.dequeue_time = Clock::now();
-    if (!last_key_.matches(next)) {
-      holdback_ = std::move(next);  // different pattern/task/precision opens the next batch
-      last_flush_reason_ = FlushReason::kHoldback;
-      break;
-    }
-    out.push_back(std::move(next));
+    last_flush_reason_ = take_queued(out);
   }
   return Poll::kBatch;
+}
+
+FlushReason BatchAggregator::take_queued(std::vector<Frame>& out) {
+  const std::size_t max_batch = static_cast<std::size_t>(policy_.max_batch);
+  if (out.size() >= max_batch) {
+    return FlushReason::kMaxBatch;
+  }
+  const std::size_t taken_from = out.size();
+  const FlushReason reason = queue_.pop_run(last_key_, max_batch - taken_from, out, holdback_);
+  const Clock::time_point now = Clock::now();
+  for (std::size_t i = taken_from; i < out.size(); ++i) {
+    out[i].dequeue_time = now;
+  }
+  if (reason == FlushReason::kHoldback) {
+    holdback_->dequeue_time = now;
+  }
+  return reason;
 }
 
 Tensor BatchAggregator::stack_coded(const std::vector<Frame>& frames) {

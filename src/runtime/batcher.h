@@ -1,10 +1,14 @@
 // BatchAggregator: coalesces frames from many cameras into server batches
 // under a max-batch-size / max-latency policy, never mixing serving keys.
 //
-// The aggregator pops one frame (blocking), then keeps popping until either
-// the batch is full or `max_delay` has elapsed since the batch opened — the
-// standard serving trade-off: larger batches amortize per-dispatch cost,
-// the deadline bounds how long an early frame can sit waiting for company.
+// Batching is work-conserving: the aggregator pops one frame (blocking),
+// then takes every frame of that key already queued, up to `max_batch`, in
+// one FrameQueue::pop_run call and hands the batch out at once. A shard
+// never idles while frames it could serve are queued, and under load batches
+// fill from the backlog. A positive `max_delay` opts into waiting for
+// company: the open batch keeps taking frames until it is full or
+// `max_delay` has elapsed since it opened, trading latency for fuller
+// batches.
 //
 // Heterogeneous fleets add a constraint: a batch runs through ONE engine with
 // ONE task head at ONE precision, so coalescing must never cross a
@@ -24,32 +28,14 @@ namespace snappix::runtime {
 
 struct BatchPolicy {
   int max_batch = 8;
-  // How long an open batch may wait for more frames. Zero means "greedy":
-  // take whatever is already queued, never wait.
-  std::chrono::microseconds max_delay{2000};
+  // How long an open batch may wait for more frames. Zero (the default)
+  // never waits: the batch is whatever of its key is already queued.
+  std::chrono::microseconds max_delay{0};
 };
 
 // Throws std::invalid_argument with a descriptive message when the policy is
 // unusable (max_batch < 1 or negative max_delay).
 void validate(const BatchPolicy& policy);
-
-// The serving key: batches are homogeneous in pattern, task, precision, AND
-// progressive-decode depth — a batch runs through ONE engine, fp32/int8
-// engines are distinct residents of the cache, and frames decoded at
-// different plane depths are different-fidelity inputs that must not mix.
-// (Depth does NOT extend the EngineCache key: the engine itself is
-// depth-agnostic, the same weights serve every depth.)
-struct BatchKey {
-  std::uint64_t pattern_id = 0;
-  Task task = Task::kClassify;
-  Precision precision = Precision::kFp32;
-  std::uint8_t decode_depth = 0;  // configured plane cap, 0 = full depth
-
-  bool matches(const Frame& frame) const {
-    return frame.pattern_id == pattern_id && frame.task == task &&
-           frame.precision == precision && frame.decode_depth == decode_depth;
-  }
-};
 
 class BatchAggregator {
  public:
@@ -72,18 +58,19 @@ class BatchAggregator {
 
   // Fills `out` with the next batch (clearing it first), waiting for its
   // FIRST frame only until `idle_deadline` (Clock::time_point::max() waits
-  // with no deadline); once a first frame is in hand the usual
-  // max_batch/max_delay policy applies. Batches preserve queue FIFO order and
-  // are homogeneous in their BatchKey, available via last_key(). kIdle means
-  // the caller should come back (or go steal); kExhausted is terminal.
+  // with no deadline); once a first frame is in hand, the frames of its key
+  // already queued join it, and a positive max_delay waits for more.
+  // Batches preserve queue FIFO order and are homogeneous in their BatchKey,
+  // available via last_key(). kIdle means the caller should come back (or go
+  // steal); kExhausted is terminal.
   Poll poll_batch(std::vector<Frame>& out, Clock::time_point idle_deadline);
 
   // Key of the batch most recently returned by next_batch()/poll_batch().
   const BatchKey& last_key() const { return last_key_; }
 
   // Why the batch most recently returned by next_batch()/poll_batch() was
-  // closed (kMaxBatch / kMaxLatency / kExhausted / kHoldback — kSteal is
-  // stamped by the server for batches that bypass the aggregator).
+  // closed (kMaxBatch / kMaxLatency / kDrained / kExhausted / kHoldback —
+  // kSteal is stamped by the server for batches that bypass the aggregator).
   FlushReason last_flush_reason() const { return last_flush_reason_; }
 
   // Stacks the batch's coded images into one (B, H, W) tensor.
@@ -96,6 +83,10 @@ class BatchAggregator {
   // has not passed. An expired holdback is shed (drop-late, accounted
   // through the queue) and false is returned, as if no holdback existed.
   bool take_holdback(Frame& first);
+  // Appends the queued frames of last_key_ to `out`, up to max_batch, in one
+  // FrameQueue::pop_run call (a mismatched frame lands in holdback_), stamps
+  // their dequeue time, and returns why the run ended.
+  FlushReason take_queued(std::vector<Frame>& out);
 
   FrameQueue& queue_;
   BatchPolicy policy_;

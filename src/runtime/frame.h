@@ -128,7 +128,8 @@ inline const char* to_string(HealthState state) {
 // flushes) vs load (full batches) vs drain/steal behavior.
 enum class FlushReason : std::uint8_t {
   kMaxBatch,    // batch reached BatchPolicy::max_batch
-  kMaxLatency,  // max_delay elapsed before the batch filled
+  kMaxLatency,  // the batch waited a positive max_delay and timed out
+  kDrained,     // no more frames of its key were queued (served at once)
   kExhausted,   // the queue closed and drained mid-batch
   kHoldback,    // a frame with a different serving key closed the batch
   kSteal,       // the batch was stolen from a sibling's queue tail
@@ -140,6 +141,8 @@ inline const char* to_string(FlushReason reason) {
       return "max_batch";
     case FlushReason::kMaxLatency:
       return "max_latency";
+    case FlushReason::kDrained:
+      return "drained";
     case FlushReason::kExhausted:
       return "exhausted";
     case FlushReason::kHoldback:
@@ -208,6 +211,28 @@ struct Frame {
   Clock::time_point transport_end{};    // last framed transfer ended (framed only)
   Clock::time_point enqueue_time{};     // frame entered the FrameQueue
   Clock::time_point dequeue_time{};     // aggregator popped it (even if held back)
+};
+
+// The serving key: batches are homogeneous in pattern, task, precision, AND
+// progressive-decode depth — a batch runs through ONE engine, fp32/int8
+// engines are distinct residents of the cache, and frames decoded at
+// different plane depths are different-fidelity inputs that must not mix.
+// (Depth does NOT extend the EngineCache key: the engine itself is
+// depth-agnostic, the same weights serve every depth.)
+struct BatchKey {
+  std::uint64_t pattern_id = 0;
+  Task task = Task::kClassify;
+  Precision precision = Precision::kFp32;
+  std::uint8_t decode_depth = 0;  // configured plane cap, 0 = full depth
+
+  static BatchKey of(const Frame& frame) {
+    return {frame.pattern_id, frame.task, frame.precision, frame.decode_depth};
+  }
+
+  bool matches(const Frame& frame) const {
+    return frame.pattern_id == pattern_id && frame.task == task &&
+           frame.precision == precision && frame.decode_depth == decode_depth;
+  }
 };
 
 }  // namespace snappix::runtime

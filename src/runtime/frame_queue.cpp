@@ -123,6 +123,48 @@ bool FrameQueue::pop_until(Frame& out, Clock::time_point deadline) {
   return got;
 }
 
+FlushReason FrameQueue::pop_run(const BatchKey& key, std::size_t max_frames,
+                                std::vector<Frame>& out, std::optional<Frame>& other) {
+  std::vector<Frame> shed;
+  std::size_t taken = 0;
+  FlushReason reason = FlushReason::kMaxBatch;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // One drop-late scan for the whole run, then pop's EDF order frame by
+    // frame: the run is what back-to-back pops would return.
+    collect_expired(Clock::now(), shed);
+    for (; taken < max_frames; ++taken) {
+      if (frames_.empty()) {
+        reason = closed_ ? FlushReason::kExhausted : FlushReason::kDrained;
+        break;
+      }
+      const auto next = frames_.begin() + static_cast<std::ptrdiff_t>(edf_index());
+      if (!key.matches(*next)) {
+        other = std::move(*next);
+        frames_.erase(next);
+        ++taken;  // its slot is freed too
+        reason = FlushReason::kHoldback;
+        break;
+      }
+      out.push_back(std::move(*next));
+      frames_.erase(next);
+    }
+  }
+  const std::size_t freed = taken + shed.size();
+  if (freed > 1) {
+    not_full_.notify_all();
+  } else if (freed == 1) {
+    not_full_.notify_one();
+  }
+  report_sheds(shed, ShedReason::kDeadline);
+  return reason;
+}
+
+bool FrameQueue::wait_until(Clock::time_point deadline) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  return not_empty_.wait_until(lock, deadline, [this] { return closed_ || !frames_.empty(); });
+}
+
 bool FrameQueue::steal_tail(std::vector<Frame>& out, int max_frames) {
   SNAPPIX_CHECK(max_frames > 0, "steal_tail needs max_frames >= 1, got " << max_frames);
   out.clear();
@@ -149,16 +191,11 @@ bool FrameQueue::steal_tail(std::vector<Frame>& out, int max_frames) {
     // key, capped at max_frames and stopping at any realtime frame — the run
     // is a contiguous suffix, so per-camera sequence order inside it is
     // preserved.
-    const std::uint64_t pattern_id = frames_.back().pattern_id;
-    const Task task = frames_.back().task;
-    const Precision precision = frames_.back().precision;
-    const std::uint8_t decode_depth = frames_.back().decode_depth;
+    const BatchKey key = BatchKey::of(frames_.back());
     auto first = frames_.end();
     while (first != frames_.begin() && taken < static_cast<std::size_t>(max_frames)) {
       auto prev = std::prev(first);
-      if (prev->pattern_id != pattern_id || prev->task != task ||
-          prev->precision != precision || prev->decode_depth != decode_depth ||
-          prev->qos == QosClass::kRealtime) {
+      if (!key.matches(*prev) || prev->qos == QosClass::kRealtime) {
         break;
       }
       first = prev;

@@ -34,6 +34,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "runtime/frame.h"
@@ -88,6 +89,21 @@ class FrameQueue {
   // Like pop(), but gives up at `deadline` (Clock::time_point::max() never
   // gives up); false on timeout or closed+drained.
   bool pop_until(Frame& out, Clock::time_point deadline);
+
+  // Batch assembly in one call: appends to `out` the frames pop() would
+  // serve next — EDF order, drop-late shedding — while they match `key`, at
+  // most `max_frames` of them, under one lock. Never blocks. The first
+  // frame of another key ends the run and is moved into `other` (the
+  // caller's one-frame holdback). Returns why the run ended: kMaxBatch
+  // (`max_frames` taken), kHoldback (`other` filled), kExhausted (closed and
+  // drained) or kDrained (nothing more queued). Wakes blocked producers once
+  // for the slots it frees: ALL of them when it frees more than one.
+  FlushReason pop_run(const BatchKey& key, std::size_t max_frames, std::vector<Frame>& out,
+                      std::optional<Frame>& other);
+
+  // Blocks until the queue holds a frame or is closed; false if `deadline`
+  // passes first. Takes nothing: a pop_run after it takes what arrived.
+  bool wait_until(Clock::time_point deadline);
 
   // Work stealing: removes the maximal (pattern_id, task, precision)-pure run of frames
   // from the TAIL of the queue — at most `max_frames` of them — and appends

@@ -69,8 +69,9 @@ struct WatchdogConfig {
   bool enabled = false;
   // Supervisor poll period. A shard is declared stalled after `stall_polls`
   // consecutive polls with no heartbeat progress while its queue holds
-  // frames — size poll * stall_polls well above the batcher's max_delay or
-  // a latency flush will be misread as a hang.
+  // frames — with an opt-in batcher max_delay (the default 0 never waits),
+  // size poll * stall_polls well above it or a latency flush will be
+  // misread as a hang.
   std::chrono::microseconds poll{1000};
   int stall_polls = 8;
 };

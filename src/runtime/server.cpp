@@ -389,10 +389,7 @@ void InferenceServer::shard_loop(std::size_t index) {
           for (Frame& frame : batch) {
             frame.dequeue_time = now;
           }
-          serve_batch(self,
-                      BatchKey{batch.front().pattern_id, batch.front().task,
-                               batch.front().precision, batch.front().decode_depth},
-                      batch, FlushReason::kSteal);
+          serve_batch(self, BatchKey::of(batch.front()), batch, FlushReason::kSteal);
           stole = true;
         }
       }

@@ -15,8 +15,8 @@ constexpr QosClass kQosClasses[] = {QosClass::kRealtime, QosClass::kStandard,
                                     QosClass::kBestEffort};
 constexpr ShedReason kShedReasons[] = {ShedReason::kQueueFull, ShedReason::kDeadline};
 constexpr FlushReason kFlushReasons[] = {FlushReason::kMaxBatch, FlushReason::kMaxLatency,
-                                         FlushReason::kExhausted, FlushReason::kHoldback,
-                                         FlushReason::kSteal};
+                                         FlushReason::kDrained, FlushReason::kExhausted,
+                                         FlushReason::kHoldback, FlushReason::kSteal};
 constexpr TransportStatus kFramedOutcomes[] = {TransportStatus::kFramedOk,
                                                TransportStatus::kCrcError,
                                                TransportStatus::kTruncated,
@@ -108,7 +108,7 @@ struct RuntimeStats::ShardSeries {
   }
 
   obs::Counter* frames;
-  obs::Counter* flush[5];  // [FlushReason]
+  obs::Counter* flush[6];  // [FlushReason]
   obs::Counter* steal_attempts;
   obs::Counter* stolen_frames;
   obs::Counter* watchdog_stalls;
@@ -313,8 +313,8 @@ std::size_t index_of(const Enum (&values)[N], const std::string& text) {
 // Row fields indexed by the enum a series' label names.
 constexpr std::uint64_t ShardStatsView::*kShardFlush[] = {
     &ShardStatsView::flush_max_batch, &ShardStatsView::flush_max_latency,
-    &ShardStatsView::flush_exhausted, &ShardStatsView::flush_holdback,
-    &ShardStatsView::flush_steal};  // [FlushReason]
+    &ShardStatsView::flush_drained, &ShardStatsView::flush_exhausted,
+    &ShardStatsView::flush_holdback, &ShardStatsView::flush_steal};  // [FlushReason]
 constexpr std::uint64_t TransportCounters::*kOutcome[] = {
     nullptr, &TransportCounters::ok_frames, &TransportCounters::crc_errors,
     &TransportCounters::truncated, &TransportCounters::missing_lines};  // [TransportStatus]
@@ -448,6 +448,7 @@ RuntimeSummary summarize(const obs::MetricsSnapshot& snapshot, double wall_secon
     s.steal_successes = s.flush_steal;  // a successful steal IS a kSteal batch
     out.flush_max_batch += s.flush_max_batch;
     out.flush_max_latency += s.flush_max_latency;
+    out.flush_drained += s.flush_drained;
     out.flush_exhausted += s.flush_exhausted;
     out.flush_holdback += s.flush_holdback;
     out.flush_steal += s.flush_steal;
@@ -523,9 +524,10 @@ std::string to_string(const RuntimeSummary& s) {
           s.inference.mean_ms, s.inference.p50_ms, s.inference.p95_ms, s.inference.p99_ms,
           s.end_to_end.mean_ms, s.end_to_end.p50_ms, s.end_to_end.p95_ms, s.end_to_end.p99_ms);
   appendf(out,
-          "  flushes: max_batch %llu max_latency %llu exhausted %llu holdback %llu steal %llu\n",
-          u(s.flush_max_batch), u(s.flush_max_latency), u(s.flush_exhausted),
-          u(s.flush_holdback), u(s.flush_steal));
+          "  flushes: max_batch %llu max_latency %llu drained %llu exhausted %llu holdback %llu "
+          "steal %llu\n",
+          u(s.flush_max_batch), u(s.flush_max_latency), u(s.flush_drained),
+          u(s.flush_exhausted), u(s.flush_holdback), u(s.flush_steal));
   appendf(out, "  queue high water %zu; bytes raw %llu vs wire %llu (%.1fx compression)\n",
           s.queue_high_water, u(s.raw_bytes), u(s.wire_bytes), s.compression_ratio);
   appendf(out,

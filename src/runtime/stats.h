@@ -65,6 +65,7 @@ struct ShardStatsView {
   /// equals `batches`; `flush_steal` equals `steal_successes`.
   std::uint64_t flush_max_batch = 0;
   std::uint64_t flush_max_latency = 0;
+  std::uint64_t flush_drained = 0;
   std::uint64_t flush_exhausted = 0;
   std::uint64_t flush_holdback = 0;
   std::uint64_t flush_steal = 0;
@@ -161,6 +162,7 @@ struct RuntimeSummary {
   /// Batch flush reasons, run-wide (sum over reasons == batches).
   std::uint64_t flush_max_batch = 0;
   std::uint64_t flush_max_latency = 0;
+  std::uint64_t flush_drained = 0;
   std::uint64_t flush_exhausted = 0;
   std::uint64_t flush_holdback = 0;
   std::uint64_t flush_steal = 0;

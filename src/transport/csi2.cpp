@@ -9,20 +9,29 @@ namespace snappix::transport {
 
 namespace {
 
-// CRC-16/CCITT-FALSE, one byte at a time: entry b is the register after
-// shifting b through the polynomial (MSB first) from zero.
-constexpr std::array<std::uint16_t, 256> make_crc_table() {
-  std::array<std::uint16_t, 256> table{};
+// CRC-16/CCITT-FALSE, sliced by four bytes. Table 0 entry b is the register
+// after shifting b through the polynomial (MSB first) from zero; table k
+// entry b is table 0's entry followed by k zero bytes. The CRC is linear, so
+// four message bytes fold into the register as the XOR of one lookup each.
+using CrcTables = std::array<std::array<std::uint16_t, 256>, 4>;
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t b = 0; b < 256; ++b) {
     std::uint32_t crc = b << 8;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 0x8000U) != 0 ? ((crc << 1) ^ 0x1021U) : (crc << 1);
     }
-    table[b] = static_cast<std::uint16_t>(crc & 0xFFFFU);
+    tables[0][b] = static_cast<std::uint16_t>(crc & 0xFFFFU);
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t b = 0; b < 256; ++b) {
+      const std::uint32_t prev = tables[k - 1][b];
+      tables[k][b] = static_cast<std::uint16_t>(((prev << 8) ^ tables[0][prev >> 8]) & 0xFFFFU);
+    }
+  }
+  return tables;
 }
-constexpr std::array<std::uint16_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 }  // namespace
 
@@ -30,8 +39,13 @@ std::uint16_t crc16_ccitt(const std::uint8_t* data, std::size_t size) {
   // uint32 accumulator: a uint16 operand would promote to signed int under
   // the shift. The mask keeps each step's result exactly the CRC-16 state.
   std::uint32_t crc = 0xFFFFU;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = ((crc << 8) ^ kCrcTable[((crc >> 8) ^ data[i]) & 0xFFU]) & 0xFFFFU;
+  std::size_t i = 0;
+  for (; i + 4 <= size; i += 4) {
+    crc = kCrcTables[3][(crc >> 8) ^ data[i]] ^ kCrcTables[2][(crc & 0xFFU) ^ data[i + 1]] ^
+          kCrcTables[1][data[i + 2]] ^ kCrcTables[0][data[i + 3]];
+  }
+  for (; i < size; ++i) {
+    crc = ((crc << 8) ^ kCrcTables[0][((crc >> 8) ^ data[i]) & 0xFFU]) & 0xFFFFU;
   }
   return static_cast<std::uint16_t>(crc);
 }

@@ -478,7 +478,7 @@ TEST(ServerTracing, SampledFramesGetCompleteLifecyclesAndBitsDontChange) {
   EXPECT_EQ(flush_total, batches_total);
 
   const runtime::RuntimeSummary summary = server->summary();
-  EXPECT_EQ(summary.flush_max_batch + summary.flush_max_latency +
+  EXPECT_EQ(summary.flush_max_batch + summary.flush_max_latency + summary.flush_drained +
                 summary.flush_exhausted + summary.flush_holdback + summary.flush_steal,
             summary.batches);
   EXPECT_EQ(summary.flush_steal, summary.steal_successes);

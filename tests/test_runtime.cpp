@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -139,7 +140,152 @@ TEST(BatchAggregator, GreedyPolicyNeverWaits) {
   ASSERT_TRUE(aggregator.next_batch(batch));
   EXPECT_LT(runtime::Clock::now() - t0, std::chrono::milliseconds(100));
   EXPECT_EQ(batch.size(), 1U);
+  EXPECT_EQ(aggregator.last_flush_reason(), runtime::FlushReason::kDrained);
+
+  // An opt-in delay still holds a partial batch open for company, and a
+  // batch that waited it out flushes as max_latency.
+  ASSERT_EQ(queue.admit(make_frame(0, 1)), PushResult::kAccepted);
+  policy.max_delay = std::chrono::milliseconds(5);
+  BatchAggregator waiting(queue, policy);
+  const auto t1 = runtime::Clock::now();
+  ASSERT_TRUE(waiting.next_batch(batch));
+  EXPECT_GE(runtime::Clock::now() - t1, policy.max_delay);
+  ASSERT_EQ(batch.size(), 1U);
+  EXPECT_EQ(batch[0].sequence, 1);
+  EXPECT_EQ(waiting.last_flush_reason(), runtime::FlushReason::kMaxLatency);
   queue.close();
+}
+
+// Frames of key `pattern_id` (the serving key's only varying field here).
+Frame keyed_frame(std::uint64_t pattern_id, std::int64_t sequence) {
+  Frame frame = make_frame(0, sequence);
+  frame.pattern_id = pattern_id;
+  return frame;
+}
+
+std::vector<std::int64_t> sequences(const std::vector<Frame>& batch) {
+  std::vector<std::int64_t> out;
+  for (const Frame& frame : batch) {
+    out.push_back(frame.sequence);
+  }
+  return out;
+}
+
+TEST(BatchAggregator, DefaultPolicyServesEveryQueuedFrameOfTheHeadKeyAtOnce) {
+  EXPECT_EQ(BatchPolicy{}.max_delay.count(), 0);  // work-conserving by default
+  FrameQueue queue(16);
+  for (int i = 0; i < 11; ++i) {
+    ASSERT_EQ(queue.admit(make_frame(i % 3, i)), PushResult::kAccepted);
+  }
+  BatchAggregator aggregator(queue, BatchPolicy{});
+  std::vector<Frame> batch;
+  // The queue stays open: a batch of what is queued must not wait for more.
+  ASSERT_TRUE(aggregator.next_batch(batch));
+  EXPECT_EQ(sequences(batch), (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(aggregator.last_flush_reason(), runtime::FlushReason::kMaxBatch);
+  ASSERT_TRUE(aggregator.next_batch(batch));
+  EXPECT_EQ(sequences(batch), (std::vector<std::int64_t>{8, 9, 10}));
+  EXPECT_EQ(aggregator.last_flush_reason(), runtime::FlushReason::kDrained);
+  EXPECT_EQ(queue.depth(), 0U);
+  queue.close();
+  EXPECT_FALSE(aggregator.next_batch(batch));
+}
+
+TEST(BatchAggregator, OtherKeyClosesTheBatchAsHoldbackAndOpensTheNext) {
+  FrameQueue queue(16);
+  const std::uint64_t keys[] = {1, 1, 1, 2, 2, 1};
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_EQ(queue.admit(keyed_frame(keys[i], i)), PushResult::kAccepted);
+  }
+  queue.close();
+  BatchAggregator aggregator(queue, BatchPolicy{});
+  std::vector<Frame> batch;
+  ASSERT_TRUE(aggregator.next_batch(batch));
+  EXPECT_EQ(sequences(batch), (std::vector<std::int64_t>{0, 1, 2}));
+  EXPECT_EQ(aggregator.last_key().pattern_id, 1U);
+  EXPECT_EQ(aggregator.last_flush_reason(), runtime::FlushReason::kHoldback);
+  EXPECT_EQ(queue.depth(), 2U);  // frame 3 left the queue as the holdback
+
+  ASSERT_TRUE(aggregator.next_batch(batch));
+  EXPECT_EQ(sequences(batch), (std::vector<std::int64_t>{3, 4}));
+  EXPECT_EQ(aggregator.last_key().pattern_id, 2U);
+  EXPECT_EQ(aggregator.last_flush_reason(), runtime::FlushReason::kHoldback);
+
+  ASSERT_TRUE(aggregator.next_batch(batch));
+  EXPECT_EQ(sequences(batch), (std::vector<std::int64_t>{5}));
+  EXPECT_EQ(aggregator.last_flush_reason(), runtime::FlushReason::kExhausted);
+  EXPECT_FALSE(aggregator.next_batch(batch));
+}
+
+TEST(BatchAggregator, ExpiredFramesInTheRunAreShedOnceAndConservationIsExact) {
+  FrameQueue queue(16);
+  std::vector<std::int64_t> shed;
+  queue.set_shed_observer([&](const Frame& frame, runtime::ShedReason reason) {
+    EXPECT_EQ(reason, runtime::ShedReason::kDeadline);
+    shed.push_back(frame.sequence);
+  });
+  // Batch 1 takes frame 0 and holds frame 1 back, so batch 2 opens from the
+  // holdback and meets the expired frames only inside its one-call take.
+  ASSERT_EQ(queue.admit(keyed_frame(1, 0)), PushResult::kAccepted);
+  ASSERT_EQ(queue.admit(keyed_frame(2, 1)), PushResult::kAccepted);
+  BatchAggregator aggregator(queue, BatchPolicy{});
+  std::vector<Frame> batch;
+  ASSERT_TRUE(aggregator.next_batch(batch));
+  EXPECT_EQ(sequences(batch), (std::vector<std::int64_t>{0}));
+
+  const runtime::Clock::time_point long_past =
+      runtime::Clock::time_point{} + std::chrono::nanoseconds(1);
+  for (int i = 2; i < 7; ++i) {
+    Frame frame = keyed_frame(2, i);
+    if (i % 2 == 0) {
+      frame.deadline = long_past;  // expired before it was queued
+    }
+    ASSERT_EQ(queue.admit(std::move(frame)), PushResult::kAccepted);
+  }
+  ASSERT_TRUE(aggregator.next_batch(batch));
+  EXPECT_EQ(sequences(batch), (std::vector<std::int64_t>{1, 3, 5}));
+  EXPECT_EQ(aggregator.last_flush_reason(), runtime::FlushReason::kDrained);
+  EXPECT_EQ(shed, (std::vector<std::int64_t>{2, 4, 6}));
+  queue.close();
+  EXPECT_FALSE(aggregator.next_batch(batch));
+  EXPECT_EQ(shed.size(), 3U);  // no frame is shed twice
+  // Ledger: pushed == served + shed + queued.
+  EXPECT_EQ(queue.shed_expired(), 3U);
+  EXPECT_EQ(queue.total_pushed(), 1U + 3U + queue.shed_expired() + queue.depth());
+}
+
+TEST(FrameQueue, OneTakeWakesEveryProducerItFreesASlotFor) {
+  FrameQueue queue(4);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(queue.admit(make_frame(0, i)), PushResult::kAccepted);
+  }
+  std::atomic<int> admitted{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < 2; ++p) {
+    producers.emplace_back([&, p] {
+      EXPECT_EQ(queue.admit(make_frame(1, p)), PushResult::kAccepted);
+      admitted.fetch_add(1);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_EQ(admitted.load(), 0);  // the full queue holds both producers
+
+  std::vector<Frame> run;
+  std::optional<Frame> other;
+  EXPECT_EQ(queue.pop_run(runtime::BatchKey{}, 8, run, other), runtime::FlushReason::kDrained);
+  EXPECT_EQ(run.size(), 4U);
+  EXPECT_FALSE(other.has_value());
+  // No further pop: the one take must have woken both. A stranded producer
+  // would park until close(), which then fails its admit.
+  for (int spin = 0; spin < 10000 && admitted.load() < 2; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  queue.close();
+  for (std::thread& producer : producers) {
+    producer.join();
+  }
+  EXPECT_EQ(admitted.load(), 2);
+  EXPECT_EQ(queue.total_pushed(), 6U);
 }
 
 TEST(BatchAggregator, StackMatchesFrameContents) {

@@ -831,7 +831,7 @@ TEST(ChaosStress, BurstFaultsAndStalledShardRescueConserveEveryFrame) {
   config.health.window = 8;
   config.health.watchdog.enabled = true;
   config.health.watchdog.poll = std::chrono::milliseconds(5);
-  config.health.watchdog.stall_polls = 4;  // 20 ms >> the 2 ms batch max_delay
+  config.health.watchdog.stall_polls = 4;  // 20 ms; the default batcher never waits
   // All cameras share the system pattern, so the whole fleet homes on one
   // shard — wedge exactly that one; the sibling only ever sees rescue
   // traffic. The 250 ms stall dwarfs the 20 ms detection threshold.
