@@ -23,18 +23,19 @@
 #   SANITIZER=tsan           build everything under -fsanitize=thread and run
 #                            the full test suite (the stress suite included)
 #                            with the pinned runtime options from
-#                            scripts/san_env.sh, then diff the engine-bits
-#                            hashes against bench/engine_bits.golden. The
-#                            TSan build runs the scalar SIMD fallbacks, so
-#                            this checks them against the same file as the
-#                            AVX2 kernels. halt_on_error=1: the first
-#                            finding fails CI.
+#                            scripts/san_env.sh, then diff the wire-bits and
+#                            engine-bits hashes against their golden files.
+#                            The TSan build runs the scalar SIMD fallbacks
+#                            (CE encode and quantize on the edge path, the
+#                            engine kernels), so this checks them against the
+#                            same files as the AVX2 kernels. halt_on_error=1:
+#                            the first finding fails CI.
 #   SANITIZER=asan           same, under -fsanitize=address,undefined (+LSan).
 #
 # Sanitizer modes skip the timing benches and lints: their job is the
-# race/UB gate (and, through the engine bits, the scalar-path gate), and
-# sanitized timings would only add noise. Perf claims come from the default
-# job's benches.
+# race/UB gate (and, through the wire and engine bits, the scalar-path
+# gate), and sanitized timings would only add noise. Perf claims come from
+# the default job's benches.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,6 +47,17 @@ case "$SANITIZER" in
   *) echo "ci.sh: SANITIZER must be off, tsan, or asan (got '$SANITIZER')" >&2
      exit 2 ;;
 esac
+
+# Wire bits: one hash per edge-path stage (CE encode, quantize, bit-plane
+# chunks, packets, depacketized tensors, link transfers, header ECC, CRC) for
+# fixed seeds. Every stage is integer or exact IEEE arithmetic, so the output
+# must equal the committed golden file on any host and on every code path
+# (the AVX2 CE and quantize kernels or their scalar fallbacks); a diff means
+# some wire byte moved.
+check_wire_bits() {
+  "$BUILD_DIR/bench_wire_bits" | diff bench/wire_bits.golden -
+  echo "bench_wire_bits: identical to bench/wire_bits.golden"
+}
 
 # Engine bits: one hash per serving output (tape and fp32 engine logits and
 # reconstructions, the calibrated QuantSpec, int8 logits and reconstructions)
@@ -74,6 +86,7 @@ if [ "$SANITIZER" != "off" ]; then
   # shellcheck source=scripts/san_env.sh
   SNAPPIX_SAN_LOG="$PWD/$BUILD_DIR/san_report" source scripts/san_env.sh
   ctest --test-dir "$BUILD_DIR" --output-on-failure
+  check_wire_bits
   check_engine_bits
   echo "ci.sh: $SANITIZER run clean (suppressions file empty by policy)"
   exit 0
@@ -87,14 +100,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 # Docs: every relative link in docs/*.md and README.md must resolve.
 ./scripts/check_docs_links.sh
 
-# Wire bits: one hash per edge-path stage (CE encode, quantize, bit-plane
-# chunks, packets, depacketized tensors, link transfers, header ECC, CRC) for
-# fixed seeds. Every stage is integer or exact IEEE arithmetic, so the output
-# must equal the committed golden file on any host; a diff means some wire
-# byte moved.
-"$BUILD_DIR/bench_wire_bits" | diff bench/wire_bits.golden -
-echo "bench_wire_bits: identical to bench/wire_bits.golden"
-
+check_wire_bits
 check_engine_bits
 
 # Bench steps run through run_step: a failing step is recorded and the

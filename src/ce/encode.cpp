@@ -2,6 +2,10 @@
 
 #include "util/common.h"
 
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
 namespace snappix::ce {
 
 EncodeTable::EncodeTable(const CePattern& pattern)
@@ -15,7 +19,7 @@ EncodeTable::EncodeTable(const CePattern& pattern)
       int count = 0;
       for (int t = 0; t < slots_; ++t) {
         const bool on = pattern.bit(t, y, x);
-        mask_[p * slots_ + t] = on ? 1.0F : 0.0F;
+        mask_[(static_cast<std::size_t>(y) * slots_ + t) * tile_ + x] = on ? 1.0F : 0.0F;
         count += on ? 1 : 0;
       }
       inv_counts_[p] = count > 0 ? 1.0F / static_cast<float>(count) : 0.0F;
@@ -33,16 +37,29 @@ void encode_frame(const EncodeTable& table, const float* video, std::int64_t h,
   for (std::int64_t y0 = 0; y0 < h; y0 += tile) {
     for (int ty = 0; ty < tile; ++ty) {
       const std::int64_t row = (y0 + ty) * w;
+      const float* mask = table.mask(ty);
       const float* inv = table.inv_counts(ty);
       for (std::int64_t x0 = 0; x0 < w; x0 += tile) {
-        for (int tx = 0; tx < tile; ++tx) {
-          const float* mask = table.mask(ty, tx);
-          const float* in = video + row + x0 + tx;
+        const float* in = video + row + x0;
+        float* out = dst + row + x0;
+        int tx = 0;
+#if defined(__AVX2__)
+        for (; tx + 8 <= tile; tx += 8) {
+          __m256 acc = _mm256_setzero_ps();
+          for (int t = 0; t < slots; ++t) {
+            const __m256 m = _mm256_loadu_ps(mask + t * tile + tx);
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(m, _mm256_loadu_ps(in + t * plane + tx)));
+          }
+          _mm256_storeu_ps(out + tx,
+                           normalize ? _mm256_mul_ps(acc, _mm256_loadu_ps(inv + tx)) : acc);
+        }
+#endif
+        for (; tx < tile; ++tx) {
           float acc = 0.0F;
           for (int t = 0; t < slots; ++t) {
-            acc += mask[t] * in[t * plane];
+            acc += mask[t * tile + tx] * in[t * plane + tx];
           }
-          dst[row + x0 + tx] = normalize ? acc * inv[tx] : acc;
+          out[tx] = normalize ? acc * inv[tx] : acc;
         }
       }
     }

@@ -18,18 +18,20 @@ namespace snappix::ce {
 
 // A pattern's encode tables, built once per pattern (a camera builds its own
 // when it is constructed) so an encode does no per-frame pattern work: the
-// mask as 0/1 floats, laid out (tile, tile, T) so one pixel's slots are
-// adjacent, and the (tile, tile) reciprocal exposure counts, 0 for a pixel
-// that is never exposed.
+// mask as 0/1 floats, laid out (tile, T, tile) so each slot's row of a tile
+// is contiguous and the kernel loads 8 pixels' values of one slot at once,
+// and the (tile, tile) reciprocal exposure counts, 0 for a pixel that is
+// never exposed.
 class EncodeTable {
  public:
   explicit EncodeTable(const CePattern& pattern);
 
   int slots() const { return slots_; }
   int tile() const { return tile_; }
-  // The T mask values of within-tile pixel (y, x), slot 0 first.
-  const float* mask(int y, int x) const {
-    return mask_.data() + (static_cast<std::size_t>(y) * tile_ + x) * slots_;
+  // The (T, tile) mask values of within-tile row `y`: slot t's row starts
+  // at t * tile.
+  const float* mask(int y) const {
+    return mask_.data() + static_cast<std::size_t>(y) * slots_ * tile_;
   }
   // The reciprocal exposure counts of within-tile row `y` (`tile` values).
   const float* inv_counts(int y) const {
@@ -48,7 +50,9 @@ class EncodeTable {
 // ..., one rounding per mul and per add; unexposed slots are multiplied too,
 // so a non-finite input reaches the output exactly as Eqn. 1 says. With
 // `normalize` the sum is then multiplied by the pixel's reciprocal exposure
-// count — the same bits as normalize_by_exposure(ce_encode(...)).
+// count — the same bits as normalize_by_exposure(ce_encode(...)). Under
+// AVX2 it runs 8 pixels of a tile row per vector (the rest of a row one at
+// a time), each lane the same chain, so both paths give the same bits.
 void encode_frame(const EncodeTable& table, const float* video, std::int64_t h,
                   std::int64_t w, bool normalize, float* dst);
 

@@ -3,9 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
+
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
 
 namespace snappix::codec {
 namespace {
@@ -15,33 +20,29 @@ namespace {
 // 11-bit probabilities, shift-5 adaptation, 32-bit range with byte-wise
 // renormalization and carry propagation through a cache byte. Encoder and
 // decoder update `prob` identically, so they stay in lockstep by
-// construction. Both select on the coded bit with an all-ones/all-zeros mask
-// instead of a branch: the bits are close to random, and a mispredicted
-// branch per bit cost more than the arithmetic.
+// construction. Neither branches on the coded bit, which is close to random,
+// so a branch on it would mispredict about every other symbol: the range
+// takes one of its two values by a select (a conditional move), and low,
+// code and `prob` move by masked terms. A probability is a plain
+// std::uint32_t that the pass loops hold in a local, so the contexts coded
+// most often stay in registers rather than costing a store and a load per
+// symbol.
 //
-// One renormalization step per symbol is always enough: adapt() keeps every
-// probability in [31, 2017], so either side of a split of a range >= 2^24
-// is >= (2^24 >> 11) * 31 > 2^17, and one 8-bit shift restores >= 2^24. The
-// bound holds for any decoded bits, so it holds for any input bytes.
+// One renormalization step per symbol is always enough: the update keeps
+// every probability in [31, 2017], so either side of a split of a range
+// >= 2^24 is >= (2^24 >> 11) * 31 > 2^17, and one 8-bit shift restores
+// >= 2^24. The bound holds for any decoded bits, so it holds for any input
+// bytes.
 
 constexpr std::uint32_t kProbBits = 11;
-constexpr std::uint16_t kProbOne = 1U << kProbBits;
-constexpr std::uint16_t kProbInit = kProbOne / 2;
+constexpr std::uint32_t kProbOne = 1U << kProbBits;
+constexpr std::uint32_t kProbInit = kProbOne / 2;
 constexpr int kAdaptShift = 5;
 constexpr std::uint32_t kTopValue = 1U << 24;
 
 // A range-coder stream is never shorter than its 5 flush bytes; a chunk
 // below this cannot be decoded at all.
 constexpr std::size_t kMinChunkBytes = 5;
-
-// `prob` moved toward the coded bit: + (kProbOne - prob) >> 5 after a 0,
-// - prob >> 5 after a 1. `one` is all ones when the bit is 1.
-inline std::uint16_t adapt(std::uint16_t prob, std::uint32_t one) {
-  const std::uint32_t p = prob;
-  const std::uint32_t after0 = p + ((kProbOne - p) >> kAdaptShift);
-  const std::uint32_t after1 = p - (p >> kAdaptShift);
-  return static_cast<std::uint16_t>((after1 & one) | (after0 & ~one));
-}
 
 class RangeEncoder {
  public:
@@ -55,12 +56,19 @@ class RangeEncoder {
     return symbols + kMinChunkBytes;
   }
 
-  void encode(std::uint16_t& prob, int bit) {
+  // Codes `bit` (0 or 1) and moves `prob` toward it: to p + (kProbOne - p)
+  // >> 5 after a 0, to p - (p >> 5) after a 1. The bit is known before it is
+  // coded, so the update takes no select: (kProbOne - p) >> 5 == 64 - ((p +
+  // 31) >> 5) for every p, so both are p + d - ((p + c) >> 5), with (c, d) =
+  // (31, 64) after a 0 and (0, 0) after a 1, masks of the bit.
+  void encode(std::uint32_t& prob, std::uint32_t bit) {
     const std::uint32_t bound = (range_ >> kProbBits) * prob;
-    const std::uint32_t one = 0U - static_cast<std::uint32_t>(bit);
-    low_ += bound & one;
-    range_ = ((range_ - bound) & one) | (bound & ~one);
-    prob = adapt(prob, one);
+    const std::uint32_t zero = bit - 1U;  // all ones when the bit is 0
+    low_ += bound & ~zero;
+    const std::uint32_t rest = range_ - bound;
+    range_ = bit != 0 ? rest : bound;
+    prob = prob + ((kProbOne >> kAdaptShift) & zero) -
+           ((prob + (((1U << kAdaptShift) - 1U) & zero)) >> kAdaptShift);
     if (range_ < kTopValue) {
       range_ <<= 8;
       shift_low();
@@ -106,17 +114,25 @@ class RangeDecoder {
     }
   }
 
-  int decode(std::uint16_t& prob) {
+  // Decodes one bit and moves `prob` toward it: to p + (kProbOne - p) >> 5
+  // after a 0, to p - (p >> 5) after a 1. Both are computed while the bit is
+  // still unknown; the borrow of code - bound, a mask, picks one.
+  std::uint32_t decode(std::uint32_t& prob) {
     const std::uint32_t bound = (range_ >> kProbBits) * prob;
-    const std::uint32_t one = 0U - static_cast<std::uint32_t>(code_ >= bound);
-    code_ -= bound & one;
-    range_ = ((range_ - bound) & one) | (bound & ~one);
-    prob = adapt(prob, one);
+    const std::uint32_t rest = range_ - bound;
+    const bool bit = code_ >= bound;
+    range_ = bit ? rest : bound;
+    const auto zero =
+        static_cast<std::uint32_t>((static_cast<std::uint64_t>(code_) - bound) >> 32);
+    code_ -= bound & ~zero;
+    const std::uint32_t after0 = prob + ((kProbOne - prob) >> kAdaptShift);
+    const std::uint32_t after1 = prob - (prob >> kAdaptShift);
+    prob = after1 + ((after0 - after1) & zero);
     if (range_ < kTopValue) {
       range_ <<= 8;
       code_ = (code_ << 8) | next_byte();
     }
-    return static_cast<int>(one & 1U);
+    return bit ? 1U : 0U;
   }
 
   bool overran() const { return overran_; }
@@ -124,7 +140,7 @@ class RangeDecoder {
  private:
   // Past-end reads hand back zeros and raise the overrun flag instead of
   // touching memory: a truncated or corrupt chunk decodes to garbage that
-  // the caller then discards, never to UB.
+  // the caller then undoes, never to UB.
   std::uint32_t next_byte() {
     if (pos_ >= size_) {
       overran_ = true;
@@ -141,33 +157,62 @@ class RangeDecoder {
   bool overran_ = false;
 };
 
-// --- bit-plane pass state ----------------------------------------------------
-
-// Adaptive contexts shared by every plane of one frame: significance keyed by
-// how many causal neighbors (left, above) are already significant, one sign
-// context, one refinement context.
-struct Contexts {
-  std::uint16_t significance[3] = {kProbInit, kProbInit, kProbInit};
-  std::uint16_t sign = kProbInit;
-  std::uint16_t refinement = kProbInit;
-};
-
-int magnitude_plane_count(const std::vector<std::uint16_t>& mag) {
-  std::uint16_t top = 0;
-  for (const std::uint16_t m : mag) {
-    top = m > top ? m : top;
-  }
-  int planes = 0;
-  while (top != 0) {
-    ++planes;
-    top = static_cast<std::uint16_t>(top >> 1);
-  }
-  return planes;
-}
-
 }  // namespace
 
 // --- quantization ------------------------------------------------------------
+//
+// q = round(x / scale) with std::lround's rounding (half away from zero),
+// clamped to [-32767, 32767], computed on the magnitude: a = min(|x / scale|,
+// 32767), whose integer part t is exact and whose fraction a - t is exact
+// too, rounds to t + (a - t >= 0.5), and the sign of x is put back. The
+// AVX2 path runs 8 elements per vector on the same operations, so both
+// paths give std::lround's values. (The vector round-to-nearest mode would
+// round halves to even.) Clamping first keeps every conversion in range.
+
+namespace {
+
+constexpr float kMaxLevel = 32767.0F;
+
+inline std::int16_t quantize_value(float x, float scale) {
+  const float a = std::min(std::fabs(x / scale), kMaxLevel);
+  const int t = static_cast<int>(a);
+  const int m = t + (a - static_cast<float>(t) >= 0.5F ? 1 : 0);
+  return static_cast<std::int16_t>(std::signbit(x) ? -m : m);
+}
+
+// max |x| over the frame; throws on a NaN or an infinity.
+float max_magnitude(const float* x, std::size_t n) {
+  float max_abs = 0.0F;
+  bool finite = true;
+  std::size_t i = 0;
+#if defined(__AVX2__)
+  const __m256 magnitude = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
+  const __m256 largest = _mm256_set1_ps(std::numeric_limits<float>::max());
+  __m256 top = _mm256_setzero_ps();
+  __m256 bad = _mm256_setzero_ps();
+  for (; i + 8 <= n; i += 8) {
+    const __m256 a = _mm256_and_ps(_mm256_loadu_ps(x + i), magnitude);
+    bad = _mm256_or_ps(bad, _mm256_cmp_ps(a, largest, _CMP_NLE_UQ));  // NaN or inf
+    top = _mm256_max_ps(top, a);
+  }
+  finite = _mm256_movemask_ps(bad) == 0;
+  __m128 half = _mm_max_ps(_mm256_castps256_ps128(top), _mm256_extractf128_ps(top, 1));
+  half = _mm_max_ps(half, _mm_movehl_ps(half, half));
+  half = _mm_max_ss(half, _mm_movehdup_ps(half));
+  max_abs = _mm_cvtss_f32(half);
+#endif
+  for (; i < n; ++i) {
+    const float a = std::fabs(x[i]);
+    finite = finite && std::isfinite(a);
+    max_abs = a > max_abs ? a : max_abs;
+  }
+  if (!finite) {
+    throw std::runtime_error("quantize_frame: non-finite coded measurement");
+  }
+  return max_abs;
+}
+
+}  // namespace
 
 QuantizedFrame quantize_frame(const Tensor& coded) {
   QuantizedFrame frame;
@@ -182,27 +227,40 @@ void quantize_frame(const Tensor& coded, QuantizedFrame& out) {
   out.height = coded.shape()[0];
   out.width = coded.shape()[1];
   const std::vector<float>& data = coded.data();
+  const std::size_t n = data.size();
 
-  float max_abs = 0.0F;
-  for (const float x : data) {
-    if (!std::isfinite(x)) {
-      throw std::runtime_error("quantize_frame: non-finite coded measurement");
-    }
-    const float a = std::fabs(x);
-    max_abs = a > max_abs ? a : max_abs;
-  }
-  if (max_abs == 0.0F) {
-    out.scale = 0.0F;
-    out.values.assign(data.size(), 0);
+  out.scale = max_magnitude(data.data(), n) / kMaxLevel;
+  if (out.scale == 0.0F) {
+    // An all-zero frame, or one whose max |x| is so small (below about
+    // 2.3e-41) that the scale underflows: every code is 0.
+    out.values.assign(n, 0);
     return;
   }
-  out.scale = max_abs / 32767.0F;
-  out.values.resize(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    long q = std::lround(data[i] / out.scale);
-    q = q > 32767 ? 32767 : q;
-    q = q < -32767 ? -32767 : q;
-    out.values[i] = static_cast<std::int16_t>(q);
+  out.values.resize(n);
+  const float* x = data.data();
+  std::int16_t* q = out.values.data();
+  std::size_t i = 0;
+#if defined(__AVX2__)
+  const __m256 scale = _mm256_set1_ps(out.scale);
+  const __m256 magnitude = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
+  const __m256 level = _mm256_set1_ps(kMaxLevel);
+  const __m256 half = _mm256_set1_ps(0.5F);
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    const __m256 a = _mm256_min_ps(_mm256_and_ps(_mm256_div_ps(v, scale), magnitude), level);
+    const __m256i t = _mm256_cvttps_epi32(a);
+    const __m256 up = _mm256_cmp_ps(_mm256_sub_ps(a, _mm256_cvtepi32_ps(t)), half, _CMP_GE_OQ);
+    const __m256i m = _mm256_sub_epi32(t, _mm256_castps_si256(up));  // + 1 where rounding up
+    // Negate where x's sign bit is set (m is 0 where x is +0 or -0).
+    const __m256i sign = _mm256_srai_epi32(_mm256_castps_si256(v), 31);
+    const __m256i signed_m = _mm256_sub_epi32(_mm256_xor_si256(m, sign), sign);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(q + i),
+                     _mm_packs_epi32(_mm256_castsi256_si128(signed_m),
+                                     _mm256_extracti128_si256(signed_m, 1)));
+  }
+#endif
+  for (; i < n; ++i) {
+    q[i] = quantize_value(x[i], out.scale);
   }
 }
 
@@ -282,6 +340,21 @@ bool parse_stream_header(const std::uint8_t* data, std::size_t size,
   return true;
 }
 
+// --- bit-plane passes --------------------------------------------------------
+//
+// Every plane of one frame shares its adaptive contexts: significance keyed
+// by how many causal neighbors (left, above) are already significant, one
+// sign context, one refinement context. The pass loops hold them in locals:
+// the three significance contexts in an array indexed by the neighbor
+// count, sign and refinement (about 84% of a full-depth 16x16 frame's
+// symbols) in scalars of their own.
+//
+// A coefficient is significant once a plane has coded a 1 of its magnitude,
+// so significance is read off the magnitudes rather than kept: the encoder
+// tests a magnitude's bits above the plane (for the neighbors, already coded
+// in this plane, its bits from the plane up), and the decoder's partial
+// magnitudes are nonzero exactly for the significant coefficients.
+
 // --- encode ------------------------------------------------------------------
 
 PlaneStream encode_bitplanes(const QuantizedFrame& frame, int max_planes) {
@@ -304,23 +377,32 @@ void BitplaneCoder::encode(const QuantizedFrame& frame, int max_planes, PlaneStr
   const std::size_t n = frame.values.size();
   mag_.resize(n);
   negative_.resize(n);
+  unsigned top = 0;  // every magnitude's bits: its width is the frame's depth
   for (std::size_t i = 0; i < n; ++i) {
     const int v = frame.values[i];
     mag_[i] = static_cast<std::uint16_t>(v < 0 ? -v : v);
     negative_[i] = v < 0 ? 1 : 0;
+    top |= mag_[i];
+  }
+  int planes = 0;
+  for (; top != 0; top >>= 1) {
+    ++planes;
   }
 
   out.scale = frame.scale;
   out.height = static_cast<std::uint16_t>(frame.height);
   out.width = static_cast<std::uint16_t>(frame.width);
-  out.plane_count = static_cast<std::uint8_t>(magnitude_plane_count(mag_));
+  out.plane_count = static_cast<std::uint8_t>(planes);
 
   const int chunks = max_planes == 0
                          ? out.plane_count
                          : (max_planes < out.plane_count ? max_planes : out.plane_count);
   out.planes.resize(static_cast<std::size_t>(chunks));
-  Contexts ctx;
-  significant_.assign(n, 0);
+  std::uint32_t significance[3] = {kProbInit, kProbInit, kProbInit};
+  std::uint32_t sign = kProbInit;
+  std::uint32_t refinement = kProbInit;
+  const std::uint16_t* const mag = mag_.data();
+  const std::uint8_t* const negative = negative_.data();
   const std::size_t width = static_cast<std::size_t>(frame.width);
   for (int j = 0; j < chunks; ++j) {
     const int bitpos = out.plane_count - 1 - j;
@@ -329,22 +411,22 @@ void BitplaneCoder::encode(const QuantizedFrame& frame, int max_planes, PlaneStr
     // sign, or one refinement).
     chunk.resize(RangeEncoder::max_stream_bytes(2 * n));
     RangeEncoder encoder(chunk.data());
-    std::size_t col = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const int bit = (mag_[i] >> bitpos) & 1;
-      if (significant_[i] != 0) {
-        encoder.encode(ctx.refinement, bit);
-      } else {
-        int neighbors = 0;
-        neighbors += (col > 0 && significant_[i - 1] != 0) ? 1 : 0;
-        neighbors += (i >= width && significant_[i - width] != 0) ? 1 : 0;
-        encoder.encode(ctx.significance[neighbors], bit);
-        if (bit != 0) {
-          encoder.encode(ctx.sign, negative_[i]);
-          significant_[i] = 1;
+    for (std::size_t row = 0; row < n; row += width) {
+      for (std::size_t i = row; i < row + width; ++i) {
+        const std::uint32_t coded = mag[i] >> bitpos;  // this plane's bit and the ones above
+        const std::uint32_t bit = coded & 1U;
+        if (coded > 1U) {
+          encoder.encode(refinement, bit);
+        } else {
+          int neighbors = 0;
+          neighbors += (i > row && (mag[i - 1] >> bitpos) != 0) ? 1 : 0;
+          neighbors += (row > 0 && (mag[i - width] >> bitpos) != 0) ? 1 : 0;
+          encoder.encode(significance[neighbors], bit);
+          if (bit != 0) {
+            encoder.encode(sign, negative[i]);
+          }
         }
       }
-      col = col + 1 == width ? 0 : col + 1;
     }
     encoder.flush();
     chunk.resize(static_cast<std::size_t>(encoder.end() - chunk.data()));
@@ -385,8 +467,11 @@ int BitplaneCoder::decode(const PlaneStream& header, const ChunkView* chunks,
       static_cast<std::size_t>(header.height) * static_cast<std::size_t>(header.width);
   mag_.assign(n, 0);
   negative_.assign(n, 0);
-  significant_.assign(n, 0);
-  Contexts ctx;
+  std::uint32_t significance[3] = {kProbInit, kProbInit, kProbInit};
+  std::uint32_t sign = kProbInit;
+  std::uint32_t refinement = kProbInit;
+  std::uint16_t* const mag = mag_.data();
+  std::uint8_t* const negative = negative_.data();
 
   std::size_t available = count;
   if (available > header.plane_count) {
@@ -404,47 +489,42 @@ int BitplaneCoder::decode(const PlaneStream& header, const ChunkView* chunks,
     if (chunk.size < kMinChunkBytes) {
       break;  // cannot even hold the coder's flush tail
     }
-    // Stage the plane so a chunk that overruns its bytes can be discarded
-    // whole: partially applied garbage must not leak into the output.
-    mag_stage_.assign(mag_.begin(), mag_.end());
-    negative_stage_.assign(negative_.begin(), negative_.end());
-    significant_stage_.assign(significant_.begin(), significant_.end());
-    Contexts ctx_stage = ctx;
-
     const int bitpos = static_cast<int>(header.plane_count) - 1 - static_cast<int>(j);
     RangeDecoder decoder(chunk.data, chunk.size);
-    std::size_t col = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (significant_stage_[i] != 0) {
-        const int bit = decoder.decode(ctx_stage.refinement);
-        mag_stage_[i] = static_cast<std::uint16_t>(mag_stage_[i] | (bit << bitpos));
-      } else {
-        int neighbors = 0;
-        neighbors += (col > 0 && significant_stage_[i - 1] != 0) ? 1 : 0;
-        neighbors += (i >= width && significant_stage_[i - width] != 0) ? 1 : 0;
-        const int bit = decoder.decode(ctx_stage.significance[neighbors]);
-        if (bit != 0) {
-          mag_stage_[i] = static_cast<std::uint16_t>(mag_stage_[i] | (1U << bitpos));
-          negative_stage_[i] = static_cast<std::uint8_t>(decoder.decode(ctx_stage.sign));
-          significant_stage_[i] = 1;
+    for (std::size_t row = 0; row < n; row += width) {
+      for (std::size_t i = row; i < row + width; ++i) {
+        if (mag[i] != 0) {
+          mag[i] = static_cast<std::uint16_t>(mag[i] | (decoder.decode(refinement) << bitpos));
+        } else {
+          int neighbors = 0;
+          neighbors += (i > row && mag[i - 1] != 0) ? 1 : 0;
+          neighbors += (row > 0 && mag[i - width] != 0) ? 1 : 0;
+          if (decoder.decode(significance[neighbors]) != 0) {
+            mag[i] = static_cast<std::uint16_t>(1U << bitpos);
+            negative[i] = static_cast<std::uint8_t>(decoder.decode(sign));
+          }
         }
       }
-      col = col + 1 == width ? 0 : col + 1;
     }
     if (decoder.overran()) {
+      // The chunk overran its bytes: undo the plane in place, so partially
+      // applied garbage cannot leak into the output. Clearing its bit
+      // restores every magnitude; a coefficient it made significant had no
+      // higher bit, so it reads zero again and its sign is moot. The
+      // contexts need no undo, since decoding ends at this plane.
+      const auto keep = static_cast<std::uint16_t>(~(1U << bitpos));
+      for (std::size_t i = 0; i < n; ++i) {
+        mag[i] = static_cast<std::uint16_t>(mag[i] & keep);
+      }
       break;
     }
-    mag_.swap(mag_stage_);
-    negative_.swap(negative_stage_);
-    significant_.swap(significant_stage_);
-    ctx = ctx_stage;
     ++decoded;
   }
 
   out.values.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const int m = mag_[i];
-    out.values[i] = static_cast<std::int16_t>(negative_[i] != 0 ? -m : m);
+    const int m = mag[i];
+    out.values[i] = static_cast<std::int16_t>(negative[i] != 0 ? -m : m);
   }
   return decoded;
 }

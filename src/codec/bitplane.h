@@ -14,18 +14,26 @@
 //                       Bits go through an adaptive binary range coder
 //                       (LZMA-style, 11-bit probabilities); each plane is
 //                       flushed into its own byte-aligned chunk so the stream
-//                       can be cut at any plane boundary. The coder selects
-//                       on the coded bit with masks rather than branches (the
-//                       bits are near-random, so a branch mispredicts); its
-//                       bound/range/low/code and probability arithmetic is
-//                       the textbook LZMA coder's, so the bytes are too.
+//                       can be cut at any plane boundary. The coder never
+//                       branches on a coded bit (the bits are near-random, so
+//                       a branch mispredicts): it selects the range and adds
+//                       masked terms. The refinement and sign contexts live
+//                       in registers, not in an indexed struct, and the
+//                       encoder, knowing each bit before coding it, moves a
+//                       probability to p + d - ((p + c) >> 5), with c and d
+//                       masks of the bit, instead of selecting between two
+//                       updates. Its bound/range/low/code and probability
+//                       arithmetic is the textbook LZMA coder's, so the bytes
+//                       are too.
 //   decode_bitplanes()  decodes the first d chunks and zero-fills the
 //                       undecoded low bits. Per-coefficient error is monotone
 //                       non-increasing in d, and decoding every plane
 //                       reproduces the int16 values exactly — so the full-
 //                       depth framed path is bit-identical to
 //                       dequantize_frame(quantize_frame(x)) computed in
-//                       memory.
+//                       memory. A plane whose chunk overruns its bytes is
+//                       undone in place (its bit cleared from every
+//                       magnitude), so nothing is staged or copied per plane.
 //
 // Probability contexts persist across planes (the decoder replays them in
 // lockstep), which is safe because decode is always a strict MSB-first
@@ -55,8 +63,11 @@ struct QuantizedFrame {
 };
 
 // Per-frame scale quantization: scale = max|x| / 32767, q = round(x / scale)
-// clamped to [-32767, 32767]. Requires a (H, W) tensor. The second form
-// writes into `out`, reusing its value buffer.
+// (half away from zero, as std::lround) clamped to [-32767, 32767]. A frame
+// whose scale is 0 (all zeros, or max|x| so small that the division
+// underflows) quantizes to scale 0 and all-zero codes. Requires a finite
+// (H, W) tensor. The second form writes into `out`, reusing its value
+// buffer.
 QuantizedFrame quantize_frame(const Tensor& coded);
 void quantize_frame(const Tensor& coded, QuantizedFrame& out);
 Tensor dequantize_frame(const QuantizedFrame& frame);
@@ -121,14 +132,10 @@ class BitplaneCoder {
              int max_planes, QuantizedFrame& out);
 
  private:
+  // Magnitudes and signs; a coefficient is significant once its magnitude
+  // has a 1 at or above the plane being coded.
   std::vector<std::uint16_t> mag_;
   std::vector<std::uint8_t> negative_;
-  std::vector<std::uint8_t> significant_;
-  // Decode decodes each plane into copies of the state above and keeps them
-  // only if the chunk did not overrun its bytes.
-  std::vector<std::uint16_t> mag_stage_;
-  std::vector<std::uint8_t> negative_stage_;
-  std::vector<std::uint8_t> significant_stage_;
 };
 
 }  // namespace snappix::codec

@@ -3,6 +3,7 @@
 // every plane boundary, and safe rejection of corrupt or truncated streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -10,6 +11,7 @@
 
 #include "codec/bitplane.h"
 #include "tensor/tensor.h"
+#include "transport/link.h"
 #include "util/rng.h"
 
 namespace snappix {
@@ -75,6 +77,97 @@ TEST(Quantize, InvalidInputsThrow) {
   EXPECT_THROW(quantize_frame(Tensor::zeros(Shape{2, 2, 2})), std::exception);
   std::vector<float> bad = {1.0F, std::numeric_limits<float>::quiet_NaN()};
   EXPECT_THROW(quantize_frame(Tensor::from_vector(bad, Shape{1, 2})), std::exception);
+}
+
+// The quantizer's definition: std::lround of x / (max|x| / 32767), clamped
+// to [-32767, 32767], and all zeros when that scale is 0.
+std::vector<std::int16_t> lround_codes(const Tensor& x) {
+  float max_abs = 0.0F;
+  for (const float v : x.data()) {
+    max_abs = std::max(max_abs, std::fabs(v));
+  }
+  const float scale = max_abs / 32767.0F;
+  std::vector<std::int16_t> codes(x.data().size(), 0);
+  for (std::size_t i = 0; scale > 0.0F && i < codes.size(); ++i) {
+    const long q = std::lround(x.data()[i] / scale);
+    codes[i] = static_cast<std::int16_t>(std::clamp(q, -32767L, 32767L));
+  }
+  return codes;
+}
+
+// One test for both quantize paths: the default build runs its AVX2 body
+// (and the scalar tail on the last n % 8 elements), the TSan build its
+// scalar path.
+TEST(Quantize, RoundsHalfAwayFromZeroLikeLroundOnEveryPath) {
+  // A max of 32767 makes the scale 1, so these quotients are exact: halves
+  // round away from zero, and a value just under a half rounds down (a
+  // floor(a + 0.5) would round 0.49999997 up). The last three elements, the
+  // lane tail, repeat the hardest cases.
+  const std::vector<float> halves = {
+      2.5F,  -3.5F,  0.5F,  -0.5F,  32766.5F, -32766.5F,   1.5F,  -2.5F,   0.49999997F, 0.0F,
+      -0.0F, 32767.0F, -7.0F, 4.25F, -4.75F,   100.5F,      0.49999997F, -2.5F, 32766.5F};
+  const QuantizedFrame q = quantize_frame(
+      Tensor::from_vector(halves, Shape{1, static_cast<std::int64_t>(halves.size())}));
+  EXPECT_EQ(q.scale, 1.0F);
+  const std::vector<std::int16_t> want = {3,  -4,    1,  -1, 32767, -32767, 2, -3, 0,    0,
+                                          0,  32767, -7, 4,  -5,    101,    0, -3, 32767};
+  EXPECT_EQ(q.values, want);
+
+  // Every geometry, lane tails included (n % 8 = 1, 7, 3, 3, 0, 2), on
+  // random frames and on frames of exact halves at scale 1.
+  Rng rng(17);
+  for (const Geometry g : {Geometry{1, 1}, Geometry{1, 7}, Geometry{7, 5}, Geometry{3, 17},
+                           Geometry{16, 16}, Geometry{2, 9}}) {
+    const Shape shape{g.height, g.width};
+    const Tensor random = Tensor::rand_uniform(shape, rng, -3.0F, 3.0F);
+    EXPECT_EQ(quantize_frame(random).values, lround_codes(random)) << g.height << "x" << g.width;
+    std::vector<float> exact(static_cast<std::size_t>(shape.numel()));
+    for (float& v : exact) {
+      v = static_cast<float>(rng.uniform_int(-32767, 32766)) + 0.5F;
+    }
+    exact[exact.size() / 2] = -32767.0F;  // pins the scale to 1
+    const Tensor halfway = Tensor::from_vector(exact, shape);
+    EXPECT_EQ(quantize_frame(halfway).scale, 1.0F);
+    EXPECT_EQ(quantize_frame(halfway).values, lround_codes(halfway))
+        << g.height << "x" << g.width;
+  }
+
+  // The clamps: with a subnormal max the scale rounds to one subnormal
+  // step, so max|x| / scale is 40000 and both signs clamp to 32767.
+  const float step = std::numeric_limits<float>::denorm_min();
+  std::vector<float> tiny(24, 0.0F);
+  tiny[3] = 40000.0F * step;
+  tiny[12] = -40000.0F * step;
+  tiny[20] = -0.0F;
+  const Tensor clamped = Tensor::from_vector(tiny, Shape{3, 8});
+  const QuantizedFrame c = quantize_frame(clamped);
+  EXPECT_EQ(c.scale, step);
+  EXPECT_EQ(c.values[3], 32767);
+  EXPECT_EQ(c.values[12], -32767);
+  EXPECT_EQ(c.values, lround_codes(clamped));
+
+  // A frame below the codec's resolution: max|x| / 32767 underflows to 0.
+  // It quantizes as the all-zero frame, so its stream header is valid and a
+  // clean framed transfer delivers the in-memory round trip (all +0).
+  std::vector<float> faint(16 * 16, 0.0F);
+  for (std::size_t i = 0; i < faint.size(); i += 3) {
+    faint[i] = (i % 2 == 0 ? 8.0F : -5.0F) * step;
+  }
+  const Tensor below = Tensor::from_vector(faint, Shape{16, 16});
+  const QuantizedFrame z = quantize_frame(below);
+  EXPECT_EQ(z.scale, 0.0F);
+  EXPECT_EQ(z.values, std::vector<std::int16_t>(faint.size(), 0));
+  EXPECT_EQ(encode_bitplanes(z).plane_count, 0);
+  transport::LinkConfig config;
+  config.codec = true;
+  transport::FramedLink link(config);
+  const transport::TransferResult rx = link.transfer(below, 0);
+  EXPECT_EQ(rx.outcome, transport::RxOutcome::kOk);
+  const Tensor want_rx = dequantize_frame(quantize_frame(below));
+  ASSERT_EQ(rx.coded.data().size(), want_rx.data().size());
+  EXPECT_EQ(std::memcmp(rx.coded.data().data(), want_rx.data().data(),
+                        want_rx.data().size() * sizeof(float)),
+            0);
 }
 
 // Full-depth decode reproduces the int16 values exactly, for every geometry

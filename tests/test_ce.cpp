@@ -235,55 +235,75 @@ TEST(CeEncode, KernelMatchesEquationOneOnSpecialValues) {
                         -std::numeric_limits<float>::max(), 0.5F, -1.25F, 7.0F};
   constexpr std::size_t kPool = sizeof(pool) / sizeof(pool[0]);
   Rng rng(29);
-  CePattern p = CePattern::random(4, 4, rng, 0.5F);
-  for (int t = 0; t < 4; ++t) {
-    p.set_bit(t, 1, 2, false);  // a never-exposed pixel: 0 * inf must still be NaN
-  }
-  const Shape shape{3, 4, 8, 8};
-  std::vector<float> values(static_cast<std::size_t>(shape.numel()));
-  for (float& v : values) {
-    // Mostly ordinary values, so that pixels also come out finite.
-    v = rng.bernoulli(0.3F) ? pool[rng.uniform_int(0, kPool - 1)] : rng.uniform(-2.0F, 2.0F);
-  }
-  const Tensor videos = Tensor::from_vector(values, shape);
+  // A small geometry that the kernel runs a pixel at a time, and the served
+  // one (tile 8, T = 8, 16x16), whose tile rows fill an AVX2 vector.
+  struct Geometry {
+    int tile;
+    int slots;
+    std::int64_t image;
+  };
+  for (const Geometry g : {Geometry{4, 4, 8}, Geometry{8, 8, 16}}) {
+    SCOPED_TRACE(::testing::Message() << "tile " << g.tile << ", T " << g.slots);
+    const std::int64_t plane = g.image * g.image;
+    CePattern p = CePattern::random(g.slots, g.tile, rng, 0.5F);
+    for (int t = 0; t < g.slots; ++t) {
+      p.set_bit(t, 1, 2, false);  // a never-exposed pixel: 0 * inf must still be NaN
+    }
+    const Shape shape{3, g.slots, g.image, g.image};
+    std::vector<float> values(static_cast<std::size_t>(shape.numel()));
+    for (float& v : values) {
+      // Mostly ordinary values, so that pixels also come out finite.
+      v = rng.bernoulli(0.3F) ? pool[rng.uniform_int(0, kPool - 1)] : rng.uniform(-2.0F, 2.0F);
+    }
+    // The last clip holds no positive value, so every product at the
+    // never-exposed pixel is -0 or NaN: the chain from +0 must make it +0.
+    const std::size_t last = values.size() / static_cast<std::size_t>(shape[0]) * 2;
+    for (std::size_t i = last; i < values.size(); ++i) {
+      values[i] = -std::fabs(values[i]);
+    }
+    const Tensor videos = Tensor::from_vector(values, shape);
 
-  const Tensor coded = ce::ce_encode(videos, p);
-  const Tensor normalized = ce::encode_normalized(videos, ce::EncodeTable(p));
-  EXPECT_TRUE(same_bits(eqn1_reference(videos, p, false), coded));
-  EXPECT_TRUE(same_bits(eqn1_reference(videos, p, true), normalized));
-  EXPECT_TRUE(same_bits(normalized, ce::normalize_by_exposure(coded, p)));
+    const Tensor coded = ce::ce_encode(videos, p);
+    const Tensor normalized = ce::encode_normalized(videos, ce::EncodeTable(p));
+    EXPECT_TRUE(same_bits(eqn1_reference(videos, p, false), coded));
+    EXPECT_TRUE(same_bits(eqn1_reference(videos, p, true), normalized));
+    EXPECT_TRUE(same_bits(normalized, ce::normalize_by_exposure(coded, p)));
 
-  // The single-clip forms agree with the batch.
-  for (std::int64_t b = 0; b < shape[0]; ++b) {
-    const auto begin = values.begin() + b * 4 * 8 * 8;
-    const Tensor clip = Tensor::from_vector(std::vector<float>(begin, begin + 4 * 8 * 8),
-                                            Shape{4, 8, 8});
-    const auto frame = [b](const Tensor& batch) {
-      const auto first = batch.data().begin() + b * 8 * 8;
-      return Tensor::from_vector(std::vector<float>(first, first + 8 * 8), Shape{8, 8});
-    };
-    EXPECT_TRUE(same_bits(frame(coded), ce::ce_encode_single(clip, p)));
-    EXPECT_TRUE(same_bits(frame(normalized), ce::encode_normalized(clip, ce::EncodeTable(p))));
-  }
+    // The single-clip forms agree with the batch.
+    for (std::int64_t b = 0; b < shape[0]; ++b) {
+      const auto begin = values.begin() + b * g.slots * plane;
+      const Tensor clip =
+          Tensor::from_vector(std::vector<float>(begin, begin + g.slots * plane),
+                              Shape{g.slots, g.image, g.image});
+      const auto frame = [&](const Tensor& batch) {
+        const auto first = batch.data().begin() + b * plane;
+        return Tensor::from_vector(std::vector<float>(first, first + plane),
+                                   Shape{g.image, g.image});
+      };
+      EXPECT_TRUE(same_bits(frame(coded), ce::ce_encode_single(clip, p)));
+      EXPECT_TRUE(
+          same_bits(frame(normalized), ce::encode_normalized(clip, ce::EncodeTable(p))));
+    }
 
-  // The never-exposed pixel multiplied every slot: any inf or NaN in its
-  // clip left a NaN behind.
-  std::size_t checked = 0;
-  for (std::int64_t b = 0; b < shape[0]; ++b) {
-    for (std::int64_t y = 1; y < 8; y += 4) {
-      for (std::int64_t x = 2; x < 8; x += 4) {
-        bool non_finite = false;
-        for (std::int64_t t = 0; t < 4; ++t) {
-          non_finite = non_finite || !std::isfinite(videos.at({b, t, y, x}));
-        }
-        if (non_finite) {
-          EXPECT_TRUE(std::isnan(coded.at({b, y, x})));
-          ++checked;
+    // The never-exposed pixel multiplied every slot: any inf or NaN in its
+    // clip left a NaN behind.
+    std::size_t checked = 0;
+    for (std::int64_t b = 0; b < shape[0]; ++b) {
+      for (std::int64_t y = 1; y < g.image; y += g.tile) {
+        for (std::int64_t x = 2; x < g.image; x += g.tile) {
+          bool non_finite = false;
+          for (std::int64_t t = 0; t < g.slots; ++t) {
+            non_finite = non_finite || !std::isfinite(videos.at({b, t, y, x}));
+          }
+          if (non_finite) {
+            EXPECT_TRUE(std::isnan(coded.at({b, y, x})));
+            ++checked;
+          }
         }
       }
     }
+    EXPECT_GT(checked, 0U);
   }
-  EXPECT_GT(checked, 0U);
 }
 
 TEST(CeEncodeDiff, MatchesFastPathForBinaryWeights) {
