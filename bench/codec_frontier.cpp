@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
     raw_framed_bytes += packetizer.packetize(frame, static_cast<std::uint16_t>(i)).total_bytes();
     const transport::WireFrame wire =
         packetizer.packetize_codec(frame, static_cast<std::uint16_t>(i));
-    const transport::RxCodecFrame rx = depacketizer.depacketize_codec(wire, image, image);
+    const transport::RxFrame rx = depacketizer.depacketize_codec(wire, image, image);
     const Tensor reference = wire_view(frame, 0);
     full_depth_identical &= rx.outcome == transport::RxOutcome::kOk &&
                             std::memcmp(rx.coded.data().data(), reference.data().data(),

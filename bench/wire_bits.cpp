@@ -176,7 +176,7 @@ void run_geometry(std::int64_t image, int slots, int tile, int patterns, std::ui
         const transport::WireFrame wire =
             packetizer.packetize_codec(frame, frame_number, kDepths[d]);
         hash_wire(codec_packets[d], wire);
-        const transport::RxCodecFrame rx =
+        const transport::RxFrame rx =
             depacketizer.depacketize_codec(wire, image, image, kDepths[d]);
         rx_codec[d].value(static_cast<int>(rx.outcome));
         rx_codec[d].value(rx.decoded_planes);

@@ -54,6 +54,10 @@
 #          serving tier fails through run() (StreamScheduler::fail), never
 #          through a console line; snprintf/vsnprintf string formatting
 #          passes
+#        - one receive walk: ecc_decode( has one call site in src/ — the
+#          RAW32 and codec depacketizers parse packets through the one
+#          shared walker (src/transport/csi2.cpp), not through copies of it
+#          that drift apart
 #
 # Usage: scripts/check_static.sh [build-dir]   (default: build)
 set -uo pipefail
@@ -225,6 +229,17 @@ for f in $(find src/runtime -name '*.cpp' -o -name '*.h' | sort); do
 $HITS"
   fi
 done
+
+# --- 12. one receive walk: ecc_decode( has one call site -------------------
+# Its declaration and definition (`EccDecode ecc_decode(`) are no calls.
+ECC_CALLS=$(for f in $SRC_FILES; do
+  strip_noise "$f" | sed -E 's/EccDecode[[:space:]]+ecc_decode[[:space:]]*\(//g' |
+    grep -noE '(^|[^_[:alnum:]])ecc_decode[[:space:]]*\(' | sed "s|^|$f:|"
+done)
+if [ "$(printf '%s' "$ECC_CALLS" | grep -c .)" -gt 1 ]; then
+  fail "ecc_decode( has more than one call site in src/ — both depacketizers run the one packet walker (src/transport/csi2.cpp):
+$ECC_CALLS"
+fi
 
 # --- clang-tidy (when available) --------------------------------------------
 if command -v clang-tidy > /dev/null 2>&1 && [ -f "$BUILD_DIR/compile_commands.json" ]; then

@@ -55,13 +55,6 @@ class EnergyModel {
   double snappix_edge_energy_j(std::int64_t pixels_per_frame, int slots,
                                WirelessTech tech) const;
 
-  // Per-component reduction factor of the read-out + wireless energy
-  // (the "16x" claim under T = 16).
-  double readout_wireless_reduction(int slots) const { return static_cast<double>(slots); }
-
-  const SensorEnergyParams& sensor_params() const { return sensor_; }
-  const WirelessParams& wireless_params() const { return wireless_; }
-
  private:
   SensorEnergyParams sensor_;
   WirelessParams wireless_;

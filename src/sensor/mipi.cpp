@@ -12,9 +12,7 @@ MipiCsi2Link::MipiCsi2Link(const MipiConfig& config) : config_(config) {
 
 std::uint64_t MipiCsi2Link::send_line(std::uint64_t payload) {
   SNAPPIX_CHECK(payload > 0, "MIPI line payload must be positive");
-  const std::uint64_t wire =
-      payload + static_cast<std::uint64_t>(config_.header_bytes + config_.footer_bytes);
-  return send_packet(wire, payload);
+  return send_packet(payload + kHeaderBytes + kCrcBytes, payload);
 }
 
 std::uint64_t MipiCsi2Link::send_packet(std::uint64_t wire_bytes,

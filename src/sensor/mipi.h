@@ -1,9 +1,12 @@
 // MIPI CSI-2 link model: packetizes read-out rows into long packets
 // (4-byte header + payload + 2-byte CRC footer) across one or more lanes.
+// kHeaderBytes and kCrcBytes are the one definition of that framing
+// overhead: the framed transport (src/transport/csi2.h) builds and parses
+// its packets with the same two constants.
 //
 // Two entry points share the accounting:
 //   send_line(payload)          — the analytic sensor read-out path: wire
-//                                 bytes = payload + header + footer.
+//                                 bytes = payload + kHeaderBytes + kCrcBytes.
 //   send_packet(wire, payload)  — the framed-transport path (src/transport/):
 //                                 the caller already built the packet bytes.
 // Wire time follows the MOST-LOADED lane: each packet's bytes are striped
@@ -19,19 +22,20 @@
 
 namespace snappix::sensor {
 
+constexpr int kHeaderBytes = 4;  // DI + 16-bit wc/value + ECC
+constexpr int kCrcBytes = 2;     // long-packet footer, little-endian on the wire
+
 struct MipiConfig {
   int lanes = 1;
   double byte_clock_hz = 100e6;  // bytes/second per lane
-  int header_bytes = 4;
-  int footer_bytes = 2;
 };
 
 class MipiCsi2Link {
  public:
   explicit MipiCsi2Link(const MipiConfig& config);
 
-  // Transmits one row of `payload_bytes` (framing overhead added from the
-  // config); returns bytes on the wire.
+  // Transmits one row of `payload_bytes` (plus the header and CRC footer);
+  // returns bytes on the wire.
   std::uint64_t send_line(std::uint64_t payload_bytes);
 
   // Transmits one pre-framed packet of `wire_bytes` total, `payload_bytes` of

@@ -167,9 +167,7 @@ std::uint64_t WireFrame::total_bytes() const {
 std::uint64_t WireFrame::payload_bytes() const {
   std::uint64_t payload = 0;
   for (const Packet& packet : packets) {
-    if (packet.size() > static_cast<std::size_t>(kHeaderBytes + kCrcBytes)) {
-      payload += packet.size() - kHeaderBytes - kCrcBytes;
-    }
+    payload += payload_size(packet);
   }
   return payload;
 }
@@ -311,22 +309,22 @@ const char* to_string(RxOutcome outcome) {
   }
 }
 
-RxFrame Depacketizer::depacketize(const WireFrame& wire, std::int64_t height,
-                                  std::int64_t width) const {
-  SNAPPIX_CHECK(height >= 1 && width >= 1,
-                "depacketize needs positive geometry, got " << height << "x" << width);
-  RxFrame rx;
-  std::vector<float> pixels(static_cast<std::size_t>(height * width), 0.0F);
+namespace {
+
+// The receive walk both depacketizers share. It parses each packet's header
+// through the ECC, notes the FS/FE short packets, checks that each long
+// packet's bytes all arrived, and verifies its CRC, counting what it finds in
+// `rx`. Each long packet whose header survived and whose bytes all arrived
+// goes to `on_long(data_type, payload, wc, crc_ok)`; a payload failing its
+// CRC is already counted in rx.crc_errors. Returns false when the frame is
+// truncated: the stream died mid-packet, or FS or FE never arrived.
+template <typename OnLongPacket>
+bool walk_packets(const WireFrame& wire, RxFrame& rx, OnLongPacket&& on_long) {
   bool saw_fs = false;
   bool saw_fe = false;
-  bool truncated = false;
-  std::int64_t row = 0;
-  const std::uint16_t expected_wc = static_cast<std::uint16_t>(width * 4);
-
   for (const Packet& packet : wire.packets) {
     if (packet.size() < static_cast<std::size_t>(kHeaderBytes)) {
-      truncated = true;  // the stream died mid-header
-      break;
+      return false;  // the stream died mid-header
     }
     const std::uint32_t header24 = static_cast<std::uint32_t>(packet[0]) |
                                    (static_cast<std::uint32_t>(packet[1]) << 8) |
@@ -355,29 +353,44 @@ RxFrame Depacketizer::depacketize(const WireFrame& wire, std::int64_t height,
     }
     // Long packet: header promises wc payload bytes + CRC.
     if (packet.size() < static_cast<std::size_t>(kHeaderBytes) + wc + kCrcBytes) {
-      truncated = true;  // a stalled lane cut the packet short
-      break;
+      return false;  // a stalled lane cut the packet short
     }
     const std::uint8_t* payload = packet.data() + kHeaderBytes;
-    const std::uint16_t crc_rx =
-        static_cast<std::uint16_t>(packet[static_cast<std::size_t>(kHeaderBytes) + wc]) |
-        static_cast<std::uint16_t>(
-            static_cast<std::uint16_t>(packet[static_cast<std::size_t>(kHeaderBytes) + wc + 1])
-            << 8);
-    if (crc16_ccitt(payload, wc) != crc_rx) {
+    const std::uint16_t crc_rx = static_cast<std::uint16_t>(payload[wc] | (payload[wc + 1] << 8));
+    const bool crc_ok = crc16_ccitt(payload, wc) == crc_rx;
+    if (!crc_ok) {
       ++rx.crc_errors;
     }
-    if (wc == expected_wc && row < height) {
-      std::memcpy(pixels.data() + row * width, payload, wc);
-      ++row;
-      ++rx.lines_received;
-    } else {
-      ++rx.lost_packets;  // wrong geometry or surplus line: unusable
-    }
+    on_long(data_type, payload, wc, crc_ok);
   }
+  return saw_fs && saw_fe;
+}
+
+}  // namespace
+
+RxFrame Depacketizer::depacketize(const WireFrame& wire, std::int64_t height,
+                                  std::int64_t width) const {
+  SNAPPIX_CHECK(height >= 1 && width >= 1,
+                "depacketize needs positive geometry, got " << height << "x" << width);
+  RxFrame rx;
+  std::vector<float> pixels(static_cast<std::size_t>(height * width), 0.0F);
+  const std::uint16_t expected_wc = static_cast<std::uint16_t>(width * 4);
+  // A row whose CRC failed is still taken: its place in the frame is known,
+  // and the outcome says its pixels are damaged.
+  const bool complete = walk_packets(
+      wire, rx, [&](std::uint8_t data_type, const std::uint8_t* payload, std::uint16_t wc,
+                    bool /*crc_ok*/) {
+        if (data_type == kDtRaw32 && wc == expected_wc &&
+            rx.lines_received < static_cast<std::uint32_t>(height)) {
+          std::memcpy(pixels.data() + rx.lines_received * width, payload, wc);
+          ++rx.lines_received;
+        } else {
+          ++rx.lost_packets;  // foreign data type, wrong geometry or surplus line: unusable
+        }
+      });
 
   rx.coded = Tensor::from_vector(std::move(pixels), Shape{height, width});
-  if (truncated || !saw_fs || !saw_fe) {
+  if (!complete) {
     rx.outcome = RxOutcome::kTruncated;
   } else if (rx.lines_received < static_cast<std::uint32_t>(height)) {
     rx.outcome = RxOutcome::kMissingLines;
@@ -389,89 +402,44 @@ RxFrame Depacketizer::depacketize(const WireFrame& wire, std::int64_t height,
   return rx;
 }
 
-RxCodecFrame Depacketizer::depacketize_codec(const WireFrame& wire, std::int64_t height,
-                                             std::int64_t width, int max_planes) {
+RxFrame Depacketizer::depacketize_codec(const WireFrame& wire, std::int64_t height,
+                                        std::int64_t width, int max_planes) {
   SNAPPIX_CHECK(height >= 1 && width >= 1,
                 "depacketize_codec needs positive geometry, got " << height << "x" << width);
   SNAPPIX_CHECK(max_planes >= 0, "max_planes " << max_planes << " negative");
-  RxCodecFrame rx;
-  bool saw_fs = false;
-  bool saw_fe = false;
-  bool truncated = false;
+  RxFrame rx;
   bool have_header = false;
   codec::PlaneStream stream;
   // Each received plane's chunk, read in place from its packet.
   std::array<codec::ChunkView, codec::kMaxBitplanes> chunks{};
   std::array<bool, codec::kMaxBitplanes> plane_seen{};
 
-  for (const Packet& packet : wire.packets) {
-    if (packet.size() < static_cast<std::size_t>(kHeaderBytes)) {
-      truncated = true;
-      break;
-    }
-    const std::uint32_t header24 = static_cast<std::uint32_t>(packet[0]) |
-                                   (static_cast<std::uint32_t>(packet[1]) << 8) |
-                                   (static_cast<std::uint32_t>(packet[2]) << 16);
-    const EccDecode dec = ecc_decode(header24, packet[3]);
-    if (dec.status == EccDecode::Status::kUncorrectable) {
-      ++rx.lost_packets;
-      continue;
-    }
-    if (dec.status == EccDecode::Status::kCorrected) {
-      ++rx.corrected_headers;
-    }
-    const std::uint8_t data_type = static_cast<std::uint8_t>(dec.header24 & 0x3F);
-    const std::uint16_t wc = static_cast<std::uint16_t>((dec.header24 >> 8) & 0xFFFF);
-    if (data_type < 0x10) {
-      if (data_type == kDtFrameStart) {
-        saw_fs = true;
-        rx.frame_number = wc;
-      } else if (data_type == kDtFrameEnd) {
-        saw_fe = true;
-      }
-      continue;
-    }
-    if (packet.size() < static_cast<std::size_t>(kHeaderBytes) + wc + kCrcBytes) {
-      truncated = true;
-      break;
-    }
-    const std::uint8_t* payload = packet.data() + kHeaderBytes;
-    const std::uint16_t crc_rx =
-        static_cast<std::uint16_t>(packet[static_cast<std::size_t>(kHeaderBytes) + wc]) |
-        static_cast<std::uint16_t>(
-            static_cast<std::uint16_t>(packet[static_cast<std::size_t>(kHeaderBytes) + wc + 1])
-            << 8);
-    if (crc16_ccitt(payload, wc) != crc_rx) {
-      // A damaged payload's bytes — including a plane packet's index byte —
-      // cannot be trusted; count it and discard it whole.
-      ++rx.crc_errors;
-      continue;
-    }
-    if (data_type == kDtCodecHeader) {
-      codec::PlaneStream parsed;
-      if (!have_header && codec::parse_stream_header(payload, wc, parsed) &&
-          parsed.height == static_cast<std::uint16_t>(height) &&
-          parsed.width == static_cast<std::uint16_t>(width)) {
-        stream = parsed;
-        have_header = true;
-      } else {
-        ++rx.lost_packets;  // duplicate, malformed, or wrong-geometry header
-      }
-    } else if (data_type == kDtCodecPlane) {
-      const std::uint8_t index = wc >= 1 ? payload[0] : codec::kMaxBitplanes;
-      if (wc >= 1 && index < codec::kMaxBitplanes && !plane_seen[index]) {
-        chunks[index] = {payload + 1, static_cast<std::size_t>(wc - 1)};
-        plane_seen[index] = true;
-        ++rx.planes_received;
-      } else {
-        ++rx.lost_packets;
-      }
-    } else {
-      ++rx.lost_packets;  // e.g. a RAW32 row on a codec link: unusable
-    }
-  }
+  const bool complete = walk_packets(
+      wire, rx, [&](std::uint8_t data_type, const std::uint8_t* payload, std::uint16_t wc,
+                    bool crc_ok) {
+        if (!crc_ok) {
+          return;  // a damaged payload's bytes, a plane's index byte too, cannot be trusted
+        }
+        if (data_type == kDtCodecHeader) {
+          codec::PlaneStream parsed;
+          if (!have_header && codec::parse_stream_header(payload, wc, parsed) &&
+              parsed.height == static_cast<std::uint16_t>(height) &&
+              parsed.width == static_cast<std::uint16_t>(width)) {
+            stream = parsed;
+            have_header = true;
+          } else {
+            ++rx.lost_packets;  // duplicate, malformed, or wrong-geometry header
+          }
+        } else if (data_type == kDtCodecPlane && wc >= 1 && payload[0] < codec::kMaxBitplanes &&
+                   !plane_seen[payload[0]]) {
+          chunks[payload[0]] = {payload + 1, static_cast<std::size_t>(wc - 1)};
+          plane_seen[payload[0]] = true;
+        } else {
+          ++rx.lost_packets;  // a foreign data type (e.g. a RAW32 row), a bad or repeated plane
+        }
+      });
 
-  if (truncated || !saw_fs || !saw_fe || !have_header) {
+  if (!complete || !have_header) {
     rx.coded = Tensor::zeros(Shape{height, width});
     rx.outcome = RxOutcome::kTruncated;
     return rx;

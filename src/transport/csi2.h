@@ -21,15 +21,18 @@
 // correction only when the ECCs differ.
 //
 // `CodedFramePacketizer` serializes; `Depacketizer` reassembles, verifies
-// CRC/ECC, and classifies the frame-level outcome (`RxOutcome`). The wire
-// model between them — byte/lane accounting and fault injection — lives in
-// transport/link.h.
+// CRC/ECC, and classifies the frame-level outcome (`RxOutcome`). Its RAW32
+// and codec receivers run one packet walker (header ECC, the FS/FE short
+// packets, each long packet's length and CRC) and differ only in what they
+// take from a long packet. The wire model between them — byte/lane
+// accounting and fault injection — lives in transport/link.h.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "codec/bitplane.h"
+#include "sensor/mipi.h"
 #include "tensor/tensor.h"
 
 namespace snappix::transport {
@@ -57,8 +60,9 @@ EccDecode ecc_decode(std::uint32_t header24, std::uint8_t ecc);
 
 // --- packet layout -----------------------------------------------------------
 
-constexpr int kHeaderBytes = 4;  // DI + 16-bit wc/value + ECC
-constexpr int kCrcBytes = 2;     // long-packet footer, little-endian on the wire
+// Packet overhead: the sensor link model's constants (sensor/mipi.h).
+using sensor::kCrcBytes;
+using sensor::kHeaderBytes;
 
 // Data types (DI bits 5..0). Types below 0x10 are short packets.
 constexpr std::uint8_t kDtFrameStart = 0x00;
@@ -72,6 +76,13 @@ constexpr std::uint8_t kDtCodecPlane = 0x32;
 
 // One packet's bytes exactly as they travel the link.
 using Packet = std::vector<std::uint8_t>;
+
+// A packet's long-packet payload: its bytes less the header and CRC footer
+// (0 for a short packet).
+inline std::size_t payload_size(const Packet& packet) {
+  constexpr std::size_t kOverhead = kHeaderBytes + kCrcBytes;
+  return packet.size() > kOverhead ? packet.size() - kOverhead : 0;
+}
 
 // A whole frame on the wire: Frame Start, H row packets, Frame End.
 struct WireFrame {
@@ -124,48 +135,42 @@ class CodedFramePacketizer {
 enum class RxOutcome : std::uint8_t { kOk, kCrcError, kTruncated, kMissingLines };
 const char* to_string(RxOutcome outcome);
 
+// Receiver-side view of one frame, RAW32 or entropy-coded.
 struct RxFrame {
   RxOutcome outcome = RxOutcome::kTruncated;
-  // Reassembled (H, W) image. Bit-identical to the transmitted frame when the
-  // outcome is kOk. Row packets carry no line index (as in real CSI-2, order
-  // is implicit), so rows fill in ARRIVAL order: when a mid-frame row is
-  // lost, every later row shifts up one slot and only the trailing rows stay
-  // zero — a kMissingLines frame's pixel content is not positionally
-  // trustworthy, which is why the serving policy drops or retries it.
-  Tensor coded;
-  std::uint16_t frame_number = 0;
-  std::uint32_t lines_received = 0;
-  std::uint32_t crc_errors = 0;         // row packets whose payload CRC failed
-  std::uint32_t corrected_headers = 0;  // single-bit header errors fixed by ECC
-  std::uint32_t lost_packets = 0;       // headers the ECC could not rescue
-};
-
-// Receiver-side view of one entropy-coded frame.
-struct RxCodecFrame {
-  RxOutcome outcome = RxOutcome::kTruncated;
-  // Dequantized at the decoded depth (undecoded low bits zero-filled);
-  // all-zeros when the stream was truncated. With every requested plane
-  // decoded this is bit-identical to
+  // Reassembled (H, W) image.
+  // RAW32: bit-identical to the transmitted frame when the outcome is kOk.
+  // Row packets carry no line index (as in real CSI-2, order is implicit), so
+  // rows fill in ARRIVAL order: when a mid-frame row is lost, every later row
+  // shifts up one slot and only the trailing rows stay zero — a
+  // kMissingLines frame's pixel content is not positionally trustworthy,
+  // which is why the serving policy drops or retries it.
+  // Codec: dequantized at the decoded depth (undecoded low bits
+  // zero-filled); all-zeros when the stream was truncated. With every
+  // requested plane decoded this is bit-identical to
   // dequantize_frame(quantize_frame(tx frame)) at the same depth.
   Tensor coded;
   std::uint16_t frame_number = 0;
-  std::uint8_t decoded_planes = 0;  // consecutive MSB planes decoded cleanly
-  std::uint8_t total_planes = 0;    // full bit depth from the stream header
-  std::uint32_t planes_received = 0;
-  std::uint32_t crc_errors = 0;
-  std::uint32_t corrected_headers = 0;
+  std::uint32_t lines_received = 0;     // RAW32: row packets taken in
+  std::uint8_t decoded_planes = 0;      // codec: consecutive MSB planes decoded cleanly
+  std::uint8_t total_planes = 0;        // codec: full bit depth from the stream header
+  std::uint32_t crc_errors = 0;         // long packets whose payload CRC failed
+  std::uint32_t corrected_headers = 0;  // single-bit header errors fixed by ECC
+  // Headers the ECC could not rescue, and long packets the frame cannot use
+  // (a foreign data type, the wrong geometry, a surplus or duplicate).
   std::uint32_t lost_packets = 0;
 };
 
 class Depacketizer {
  public:
-  // Reassembles a frame of known geometry. Classification:
+  // Reassembles a RAW32 frame of known geometry. Classification:
   //   kTruncated     the stream cut off mid-packet, or FS/FE never arrived
   //   kMissingLines  fewer than `height` row packets survived
   //   kCrcError      geometry complete but >= 1 row failed its CRC
   //   kOk            every row present and CRC-verified
   // A packet whose header is uncorrectable is skipped (counted in
-  // lost_packets) — on a real link it would be unparseable noise.
+  // lost_packets) — on a real link it would be unparseable noise. So is a
+  // long packet of any type but kDtRaw32 or of another row's length.
   RxFrame depacketize(const WireFrame& wire, std::int64_t height,
                       std::int64_t width) const;
 
@@ -183,8 +188,8 @@ class Depacketizer {
   // plane instead of invoking UB (see codec/bitplane.h). Chunks are decoded
   // in place from their packets, and the decode buffers persist across
   // calls, so a warm depacketizer allocates only the returned tensor.
-  RxCodecFrame depacketize_codec(const WireFrame& wire, std::int64_t height,
-                                 std::int64_t width, int max_planes = 0);
+  RxFrame depacketize_codec(const WireFrame& wire, std::int64_t height,
+                            std::int64_t width, int max_planes = 0);
 
  private:
   codec::BitplaneCoder coder_;

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "codec/bitplane.h"
 
@@ -79,37 +78,19 @@ TransferResult FramedLink::transfer(const Tensor& coded, std::uint16_t frame_num
   // Account the transmit side first: every framed byte goes on the wire and
   // costs its lane time whether or not it survives the trip. This runs once
   // per ATTEMPT — a retransmit of the same frame pays the wire again.
-  TransferResult result;
+  std::uint64_t wire_bytes = 0;
   for (const Packet& packet : wire_.packets) {
-    const std::uint64_t payload =
-        packet.size() > static_cast<std::size_t>(kHeaderBytes + kCrcBytes)
-            ? packet.size() - kHeaderBytes - kCrcBytes
-            : 0;
-    result.wire_bytes += mipi_.send_packet(packet.size(), payload);
+    wire_bytes += mipi_.send_packet(packet.size(), payload_size(packet));
   }
 
   injector_.apply(wire_);
 
-  RxFrame rx;
-  if (config_.codec) {
-    RxCodecFrame codec_rx = depacketizer_.depacketize_codec(
-        wire_, coded.shape()[0], coded.shape()[1], config_.codec_planes);
-    result.decoded_planes = codec_rx.decoded_planes;
-    result.total_planes = codec_rx.total_planes;
-    rx.outcome = codec_rx.outcome;
-    rx.coded = std::move(codec_rx.coded);
-    rx.crc_errors = codec_rx.crc_errors;
-    rx.corrected_headers = codec_rx.corrected_headers;
-    rx.lost_packets = codec_rx.lost_packets;
-  } else {
-    rx = depacketizer_.depacketize(wire_, coded.shape()[0], coded.shape()[1]);
-  }
-  result.outcome = rx.outcome;
-  result.coded = std::move(rx.coded);
-  result.crc_errors = rx.crc_errors;
-  result.corrected_headers = rx.corrected_headers;
-  result.lost_packets = rx.lost_packets;
-  return result;
+  const std::int64_t height = coded.shape()[0];
+  const std::int64_t width = coded.shape()[1];
+  return {config_.codec
+              ? depacketizer_.depacketize_codec(wire_, height, width, config_.codec_planes)
+              : depacketizer_.depacketize(wire_, height, width),
+          wire_bytes};
 }
 
 }  // namespace snappix::transport

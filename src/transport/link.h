@@ -48,16 +48,10 @@ struct LinkConfig {
 // LinkConfig.
 void validate(const LinkConfig& config);
 
-// One transfer's receiver-side view.
-struct TransferResult {
-  RxOutcome outcome = RxOutcome::kTruncated;
-  Tensor coded;                      // reassembled (H, W); see RxFrame::coded
-  std::uint64_t wire_bytes = 0;      // framed bytes transmitted for this frame
-  std::uint32_t crc_errors = 0;      // rows failing CRC
-  std::uint32_t corrected_headers = 0;
-  std::uint32_t lost_packets = 0;    // uncorrectable headers
-  std::uint8_t decoded_planes = 0;   // codec mode: planes decoded cleanly
-  std::uint8_t total_planes = 0;     // codec mode: the frame's full bit depth
+// One transfer's receiver-side view: the depacketizer's record of the frame,
+// plus the framed bytes transmitted for it.
+struct TransferResult : RxFrame {
+  std::uint64_t wire_bytes = 0;
 };
 
 class FramedLink {

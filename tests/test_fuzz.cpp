@@ -245,7 +245,7 @@ TEST(WireFuzz, CodecDepacketizerSurvivesMutations) {
                                                 : std::vector<int>{0, 3};
     fuzz(seed, rng_seed++, [&](const WireFrame& wire) -> std::string {
       for (const int cap : caps) {
-        transport::RxCodecFrame rx;
+        transport::RxFrame rx;
         const std::uint64_t allocations = fixtures::allocations_of(
             [&] { rx = depacketizer.depacketize_codec(wire, seed.height, seed.width, cap); });
         std::ostringstream at;

@@ -1,6 +1,7 @@
 // Tests for the cycle-level stacked-sensor simulator (paper Sec. V / Fig. 5):
-// pixel protocol, DFF pattern distribution, ADC, MIPI, noise, and functional
-// equivalence between the hardware protocol and Eqn. 1.
+// pixel protocol, DFF pattern distribution, ADC, MIPI, noise, functional
+// equivalence between the hardware protocol and Eqn. 1, and the
+// conventional-capture mode.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -136,8 +137,7 @@ TEST(AdcTest, BitDepthControlsCodes) {
 }
 
 TEST(MipiTest, PacketOverheadAccounting) {
-  MipiCsi2Link link(MipiConfig{.lanes = 1, .byte_clock_hz = 1e6, .header_bytes = 4,
-                               .footer_bytes = 2});
+  MipiCsi2Link link(MipiConfig{.lanes = 1, .byte_clock_hz = 1e6});
   link.send_line(100);
   EXPECT_EQ(link.total_bytes(), 106U);
   EXPECT_EQ(link.payload_bytes(), 100U);
@@ -345,6 +345,60 @@ TEST(StackedSensorTest, MismatchedSceneThrows) {
 TEST(StackedSensorTest, IndivisibleTileThrows) {
   SensorConfig cfg = small_sensor_config(10, 4);
   EXPECT_THROW(StackedSensor(cfg, CePattern::long_exposure(4, 4)), std::runtime_error);
+}
+
+// --- conventional capture mode ------------------------------------------------
+
+TEST(ConventionalCapture, MatchesSceneFrames) {
+  Rng rng(5);
+  SensorConfig cfg;
+  cfg.height = 8;
+  cfg.width = 8;
+  cfg.adc.full_scale = cfg.electrons_per_unit;  // one slot spans the range
+  cfg.pixel.full_well_electrons = cfg.adc.full_scale;
+  StackedSensor sensor(cfg, CePattern::long_exposure(4, 2));
+  const Tensor scene = Tensor::rand_uniform(Shape{4, 8, 8}, rng);
+  const Tensor frames = sensor.capture_conventional(scene, rng);
+  EXPECT_EQ(frames.shape(), (Shape{4, 8, 8}));
+  // Each frame should be the quantized scene frame.
+  for (std::size_t i = 0; i < frames.data().size(); ++i) {
+    const float expected = std::round(scene.data()[i] * 255.0F);
+    EXPECT_NEAR(frames.data()[i], expected, 1.0F);
+  }
+}
+
+TEST(ConventionalCapture, ReadoutCostIsTTimesCodedCapture) {
+  // The crux of the paper: conventional capture pays T read-outs and T
+  // frame transmissions; CE capture pays exactly one.
+  Rng rng(6);
+  SensorConfig cfg;
+  cfg.height = 16;
+  cfg.width = 16;
+  cfg.adc.full_scale = cfg.electrons_per_unit * 8;
+  cfg.pixel.full_well_electrons = cfg.adc.full_scale;
+  StackedSensor sensor(cfg, CePattern::long_exposure(8, 4));
+  const Tensor scene = Tensor::rand_uniform(Shape{8, 16, 16}, rng);
+
+  (void)sensor.capture(scene, rng);
+  const auto coded_adc = sensor.stats().adc_conversions;
+  const auto coded_bytes = sensor.stats().mipi_bytes;
+
+  (void)sensor.capture_conventional(scene, rng);
+  const auto conv_adc = sensor.stats().adc_conversions;
+  const auto conv_bytes = sensor.stats().mipi_bytes;
+
+  EXPECT_EQ(conv_adc, 8U * coded_adc);
+  EXPECT_EQ(conv_bytes, 8U * coded_bytes);
+}
+
+TEST(ConventionalCapture, WrongGeometryThrows) {
+  Rng rng(7);
+  SensorConfig cfg;
+  cfg.height = 8;
+  cfg.width = 8;
+  StackedSensor sensor(cfg, CePattern::long_exposure(4, 2));
+  EXPECT_THROW(sensor.capture_conventional(Tensor::zeros(Shape{4, 4, 4}), rng),
+               std::runtime_error);
 }
 
 // Property sweep: protocol == Eqn. 1 across pattern families and geometries.

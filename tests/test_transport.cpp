@@ -393,6 +393,18 @@ TEST_F(FaultMatrixTest, DroppedRowPacketIsMissingLines) {
   EXPECT_EQ(rx.lines_received, 7U);
 }
 
+TEST_F(FaultMatrixTest, ForeignDataTypeRowIsMissingLines) {
+  // A long packet of another data type is no row, even with a row's word
+  // count: its payload must not be copied in as pixels.
+  const Packet row = wire_.packets[4];
+  wire_.packets[4] = CodedFramePacketizer::long_packet(
+      transport::kDtCodecPlane, row.data() + transport::kHeaderBytes, 32);
+  const RxFrame rx = receive();
+  EXPECT_EQ(rx.outcome, RxOutcome::kMissingLines);
+  EXPECT_EQ(rx.lost_packets, 1U);
+  EXPECT_EQ(rx.lines_received, 7U);
+}
+
 TEST_F(FaultMatrixTest, DroppedFrameStartIsTruncated) {
   wire_.packets.erase(wire_.packets.begin());
   EXPECT_EQ(receive().outcome, RxOutcome::kTruncated);
@@ -595,7 +607,7 @@ TEST(CodecWire, CleanRoundTripMatchesInMemoryQuantizeExactly) {
   CodedFramePacketizer packetizer(0);
   Depacketizer depacketizer;
   const WireFrame wire = packetizer.packetize_codec(coded, 7);
-  const transport::RxCodecFrame rx = depacketizer.depacketize_codec(wire, 16, 16);
+  const RxFrame rx = depacketizer.depacketize_codec(wire, 16, 16);
   ASSERT_EQ(rx.outcome, RxOutcome::kOk);
   EXPECT_EQ(rx.frame_number, 7);
   EXPECT_EQ(rx.decoded_planes, rx.total_planes);
@@ -701,6 +713,16 @@ TEST(CodecWire, FaultMatrixClassifiesDamage) {
     EXPECT_EQ(rx.outcome, RxOutcome::kCrcError);
     EXPECT_EQ(rx.crc_errors, 1U);
     EXPECT_EQ(rx.decoded_planes, 0);
+  }
+  {  // a RAW32 row on a codec link is no plane: counted lost, the decode unharmed
+    WireFrame wire = golden;
+    const std::vector<std::uint8_t> row(32, 0x3F);
+    wire.packets.insert(wire.packets.end() - 1,
+                        CodedFramePacketizer::long_packet(transport::kDtRaw32, row.data(), 32));
+    const auto rx = depacketizer.depacketize_codec(wire, 8, 8);
+    EXPECT_EQ(rx.outcome, RxOutcome::kOk);
+    EXPECT_EQ(rx.lost_packets, 1U);
+    EXPECT_EQ(rx.decoded_planes, rx.total_planes);
   }
   {  // damage to a LATER plane than the cap requires does not demote kOk
     WireFrame wire = golden;
